@@ -11,6 +11,7 @@ error, 2 unusable config.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -136,6 +137,15 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"eps0 must be positive, got {cfg.eps0}")
     if cfg.n_tau < 3 or cfg.n_zeta < 2:
         raise ParseError("need n_tau >= 3 and n_zeta >= 2")
+    for f in dc_fields(ScenarioConfig):
+        value = getattr(cfg, f.name)
+        numbers = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(x, (float, complex)) and not cmath.isfinite(x) for x in numbers):
+            raise ParseError(f"{f.name} must be finite, got {value}")
+    if not cfg.tau_max > cfg.tau_min:
+        raise ParseError(f"need tau_min < tau_max, got [{cfg.tau_min}, {cfg.tau_max}]")
+    if not cfg.zeta_max > cfg.zeta_min:
+        raise ParseError(f"need zeta_min < zeta_max, got [{cfg.zeta_min}, {cfg.zeta_max}]")
 
 
 def emit_manifest(cfg: ScenarioConfig, extra: Optional[dict] = None) -> str:
@@ -193,7 +203,7 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
         rep = verify.audit_density(sol)
         reports.append(rep)
         tol = cfg.audit_tol if name != "numeric" else max(cfg.audit_tol, cfg.numeric_audit_tol)
-        if rep.max_abs > tol:
+        if not (rep.max_abs <= tol):
             failures.append(f"audit[{name}]: {rep.max_abs:.2e} > {tol:.0e}")
 
     if "analytic" in grids and "dressing" in grids:
@@ -201,7 +211,7 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
         rep = verify.compare_solutions(grids["analytic"], grids["dressing"])
         rep.name = "compare[analytic vs dressing]"
         reports.append(rep)
-        if rep.max_abs > tol:
+        if not (rep.max_abs <= tol):
             failures.append(f"analytic vs dressing: {rep.max_abs:.2e} > {tol:.0e}")
 
     if "numeric" in grids and "analytic" in grids:
@@ -211,7 +221,7 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
         )
         rep.name = "compare[numeric vs analytic]"
         reports.append(rep)
-        if rep.max_abs > cfg.numeric_tol * scale:
+        if not (rep.max_abs <= cfg.numeric_tol * scale):
             failures.append(
                 f"numeric vs analytic: {rep.max_abs:.2e} > {cfg.numeric_tol:.0e} * {scale:.2f}"
             )

@@ -1,20 +1,31 @@
 """Direct numerical integrator for the reduced field-matter system.
 
 The evolution variable is zeta (distance into the medium); the state
-equation is integrated along tau inside each slice.  Scheme: classic
-fourth-order one-step integration of the state along tau with fields
-interpolated to half-steps by the cubic stencil, and an explicit
-predictor-corrector (Heun) march of the fields in zeta.  Global accuracy
-is second order in h_zeta (the corrector), with the tau direction
-effectively fourth order.
+equation is integrated along tau inside each slice, and the fields are
+marched in zeta by an explicit predictor-corrector (Heun) step, second
+order in h_zeta.
 
-The inner tau loop is compiled with numba when available; the pure-Python
-fallback is identical arithmetic, only slower.  Runs are deterministic:
+Inside a slice the state obeys rho' = M rho + rho M^dagger with the
+anti-Hermitian generator M = iG (G the Hermitian torque matrix).  Each
+tau step gets its own map A_j from the fourth-order Magnus exponent
+
+    Omega_j = (h/6)(M_j + 4 M_{j+1/2} + M_{j+1}) + (h^2/12)[M_{j+1}, M_j]
+
+(Simpson weights; the midpoint fields come from the cubic stencil), and
+A_j is its [2/2] Pade exponential, which is exactly unitary.  All maps of
+a slice are built in one batched solve.  The running products
+P_j = A_{j-1}...A_0 come from a blocked prefix product (about sqrt(n)
+blocks: a sequential sweep inside the blocks, batched across them, then
+the carries between blocks), and rho_j = P_j rho_0 P_j^dagger.  The state
+is therefore Hermitian, keeps its trace and its spectrum up to rounding,
+for any boundary state, mixed ones included.  Runs are deterministic:
 fixed grids, no adaptivity, no parallel reductions.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -23,21 +34,6 @@ import numpy as np
 from . import model
 from .errors import BoundaryMismatch, StepUnstable
 from .model import D_MATRIX, LambdaParams
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 #: admissible band for state eigenvalues during integration
 EIG_BAND = 1e-4
@@ -131,40 +127,16 @@ def bloch_rhs(rho, f, delta: float) -> np.ndarray:
     return 1j * (g @ rho - rho @ g)
 
 
-@njit(cache=True)
-def _torque_matrix(fa, fb, delta):  # pragma: no cover - jitted
-    g = np.zeros((3, 3), dtype=np.complex128)
-    g[0, 0] = 0.5 * delta
-    g[1, 1] = 0.5 * delta
-    g[2, 2] = -0.5 * delta
-    g[2, 0] = 0.5 * fa
-    g[2, 1] = 0.5 * fb
-    g[0, 2] = 0.5 * np.conj(fa)
-    g[1, 2] = 0.5 * np.conj(fb)
-    return g
-
-
-@njit(cache=True)
-def _rk4_slice_kernel(oa, ob, oah, obh, rho0, delta, h):  # pragma: no cover - jitted
-    n = oa.shape[0]
-    out = np.empty((n, 3, 3), dtype=np.complex128)
-    rho = rho0.copy()
-    out[0] = rho
-    for j in range(n - 1):
-        g0 = _torque_matrix(oa[j], ob[j], delta)
-        gh = _torque_matrix(oah[j], obh[j], delta)
-        g1 = _torque_matrix(oa[j + 1], ob[j + 1], delta)
-        k1 = 1j * (g0 @ rho - rho @ g0)
-        r2 = rho + 0.5 * h * k1
-        k2 = 1j * (gh @ r2 - r2 @ gh)
-        r3 = rho + 0.5 * h * k2
-        k3 = 1j * (gh @ r3 - r3 @ gh)
-        r4 = rho + h * k3
-        k4 = 1j * (g1 @ r4 - r4 @ g1)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + np.conj(rho.T))
-        out[j + 1] = rho
-    return out
+def _generators(fa: np.ndarray, fb: np.ndarray, delta: float) -> np.ndarray:
+    """M = iG at each field sample, G the Hermitian torque matrix: (n, 3, 3)."""
+    m = np.zeros(fa.shape + (3, 3), dtype=complex)
+    m[:, 0, 0] = m[:, 1, 1] = 0.5j * delta
+    m[:, 2, 2] = -0.5j * delta
+    m[:, 2, 0] = 0.5j * fa
+    m[:, 2, 1] = 0.5j * fb
+    m[:, 0, 2] = 0.5j * np.conj(fa)
+    m[:, 1, 2] = 0.5j * np.conj(fb)
+    return m
 
 
 def _half_step_fields(f: np.ndarray) -> np.ndarray:
@@ -172,7 +144,7 @@ def _half_step_fields(f: np.ndarray) -> np.ndarray:
 
     Linear midpoints cap the slice accuracy at second order and miss the
     tracking tolerance at the reference resolution; the cubic stencil
-    restores the one-step scheme's fourth order at the same sample count.
+    restores the Magnus step's fourth order at the same sample count.
     Edge intervals use the one-sided quadratic.
     """
     half = np.empty(f.shape[0] - 1, dtype=complex)
@@ -182,27 +154,83 @@ def _half_step_fields(f: np.ndarray) -> np.ndarray:
     return half
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Broadcast 3x3 product a @ b as three rank-one updates.
+
+    numpy's matmul pays a per-matrix dispatch on stacks of 3x3 matrices;
+    the unrolled sum runs at about twice its speed on a whole slice.
+    """
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    out += a[..., :, 1, None] * b[..., None, 1, :]
+    out += a[..., :, 2, None] * b[..., None, 2, :]
+    return out
+
+
+def _step_maps(oa: np.ndarray, ob: np.ndarray, delta: float, h: float) -> np.ndarray:
+    """Unitary fourth-order maps A_j, rho_{j+1} = A_j rho_j A_j^dagger: (n-1, 3, 3)."""
+    m = _generators(oa, ob, delta)
+    m_half = _generators(_half_step_fields(oa), _half_step_fields(ob), delta)
+    m0, m1 = m[:-1], m[1:]
+    omega = (h / 6.0) * (m0 + 4.0 * m_half + m1) + (h * h / 12.0) * (_mul(m1, m0) - _mul(m0, m1))
+    even = np.eye(3) + _mul(omega, omega) / 12.0
+    return np.linalg.solve(even - 0.5 * omega, even + 0.5 * omega)
+
+
+def _prefix_products(maps: np.ndarray) -> np.ndarray:
+    """P_j = A_{j-1}...A_0 for j = 0..n-1 (P_0 = I) from n-1 maps: (n, 3, 3).
+
+    Blocked scan: the maps are cut into about sqrt(n) blocks, each block is
+    swept sequentially (all blocks at once), the block carries are chained
+    sequentially, and one batched product applies them.
+    """
+    n_maps = maps.shape[0]
+    size = math.isqrt(n_maps - 1) + 1  # ceil(sqrt(n_maps))
+    n_blocks = -(-n_maps // size)
+    blocks = np.empty((n_blocks * size, 3, 3), dtype=complex)
+    blocks[:n_maps] = maps
+    blocks[n_maps:] = np.eye(3)
+    blocks = blocks.reshape(n_blocks, size, 3, 3)
+    for k in range(1, size):
+        blocks[:, k] = _mul(blocks[:, k], blocks[:, k - 1])
+    carries = np.empty((n_blocks, 3, 3), dtype=complex)
+    carries[0] = np.eye(3)
+    for q in range(1, n_blocks):
+        carries[q] = blocks[q - 1, -1] @ carries[q - 1]
+    out = np.empty((n_maps + 1, 3, 3), dtype=complex)
+    out[0] = np.eye(3)
+    out[1:] = _mul(blocks, carries[:, None]).reshape(-1, 3, 3)[:n_maps]
+    return out
+
+
+#: eigenvalue extremes of the last slice integrated on this thread; propagate
+#: reads them after each call, because the traced public calls (this
+#: function and maxwell_step) must keep returning bare arrays
+_slice_audit = threading.local()
+
+
 def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec) -> np.ndarray:
     """March the state along tau through one zeta slice.
 
-    f_of_tau: pair of (n_tau,) complex arrays.  Returns (n_tau, 3, 3).
-    The state is re-Hermitized after every step; eigenvalues are audited
-    for the whole slice afterwards and a band violation aborts the run.
+    f_of_tau: pair of (n_tau,) complex arrays.  Returns (n_tau, 3, 3),
+    Hermitian to the last bit.  Eigenvalues are audited for the whole
+    slice and a band violation aborts the run.
     """
     oa, ob = f_of_tau
-    oa = np.ascontiguousarray(np.asarray(oa, dtype=complex))
-    ob = np.ascontiguousarray(np.asarray(ob, dtype=complex))
+    oa = np.asarray(oa, dtype=complex)
+    ob = np.asarray(ob, dtype=complex)
     if oa.shape != (grid.n_tau,) or ob.shape != (grid.n_tau,):
         raise ValueError("field slice length must match the tau grid")
-    rho0 = np.ascontiguousarray(np.asarray(rho_initial, dtype=complex))
-    out = _rk4_slice_kernel(oa, ob, _half_step_fields(oa), _half_step_fields(ob),
-                            rho0, float(delta), grid.h_tau)
+    rho0 = np.asarray(rho_initial, dtype=complex)
+    p = _prefix_products(_step_maps(oa, ob, float(delta), grid.h_tau))
+    out = _mul(_mul(p, rho0), np.conj(np.swapaxes(p, -1, -2)))
+    out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
     eig = np.linalg.eigvalsh(out)
     if eig.min() < -EIG_BAND or eig.max() > 1.0 + EIG_BAND:
         raise StepUnstable(
             f"state eigenvalues left [{-EIG_BAND}, 1+{EIG_BAND}]: "
             f"min {eig.min():.3e}, max {eig.max():.3e}"
         )
+    _slice_audit.extremes = (float(eig.min()), float(eig.max()))
     return out
 
 
@@ -297,15 +325,16 @@ def propagate(initial_fields, boundary_rho: BoundaryRho, p: LambdaParams,
     oa, ob = oa0, ob0
     rho_slice = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
     for i in range(grid.n_zeta):
+        # the slice's own audit: the last integrate_bloch_slice call made it
+        lo, hi = _slice_audit.extremes
         omega_a[i], omega_b[i] = oa, ob
         pops[i] = np.real(np.stack([rho_slice[:, j, j] for j in range(3)], axis=-1))
         if keep_rho:
             rho_full[i] = rho_slice
         tr = np.trace(rho_slice, axis1=-2, axis2=-1).real
         trace_dev = max(trace_dev, float(np.max(np.abs(tr - 1.0))))
-        eig = np.linalg.eigvalsh(rho_slice)
-        eig_lo = min(eig_lo, float(eig.min()))
-        eig_hi = max(eig_hi, float(eig.max()))
+        eig_lo = min(eig_lo, lo)
+        eig_hi = max(eig_hi, hi)
         if i + 1 < grid.n_zeta:
             (oa, ob), rho_slice = maxwell_step(
                 rho_slice, (oa, ob), p, grid.h_zeta, provider(i + 1), grid
@@ -323,6 +352,6 @@ def propagate(initial_fields, boundary_rho: BoundaryRho, p: LambdaParams,
             "trace_dev": trace_dev,
             "eig_min": eig_lo,
             "eig_max": eig_hi,
-            "hermiticity_dev": 0.0,  # enforced by re-symmetrization each step
+            "hermiticity_dev": 0.0,  # enforced by symmetrizing each slice
         },
     )

@@ -1,8 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lambda_mb import cli
+from lambda_mb import cli, scenarios
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
 
@@ -39,6 +40,45 @@ def test_parse_rejects_bad_values():
     except ParseError as exc:
         err = exc
     assert err is not None and err.line == 2
+
+
+@pytest.mark.parametrize("text", [
+    "delta = nan\n", "nu0 = inf\n", "c1 = -inf\n", "order_band = 1.8; nan\n",
+    "probe_lambdas = 0.5+nanj\n", "tau_min = 5\ntau_max = -5\n",
+    "zeta_min = 2\nzeta_max = 2\n",
+])
+def test_parse_rejects_non_finite_values_and_inverted_extents(text):
+    with pytest.raises(ParseError):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text", ["delta = nan\n", "tau_min = 5\ntau_max = -5\n"])
+def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + f"out = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "run").exists()
+
+
+def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
+    build = scenarios.build_dressed_grid
+
+    def with_nan(sp, grid):
+        sol = build(sp, grid)
+        sol.omega_a[3, 5] = np.nan
+        return sol
+
+    monkeypatch.setattr(scenarios, "build_dressed_grid", with_nan)
+    path = tmp_path / "cfg.txt"
+    # numeric_tol suits this coarse lattice: the NaN is the only defect
+    path.write_text(SMALL_SLOW.replace("engine = analytic", "engine = all")
+                    + f"numeric_tol = 0.01\nout = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path)]) == 1
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    assert "verdict: FAIL" in report
+    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+        "  - analytic vs dressing: nan > 1e-09"]
 
 
 def test_manifest_round_trip():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lambda_mb import analytic, mbsolver, model, scenarios
 from lambda_mb.analytic import ScenarioParams
@@ -118,6 +120,39 @@ def test_slice_eigenvalue_band_guard():
         integrate_bloch_slice((zero, zero), bad, 0.0, grid)
 
 
+def _dagger(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+_amplitudes = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_tau=st.integers(3, 300), span=st.floats(0.1, 20.0),
+       delta=st.floats(-3.0, 3.0),
+       mix=arrays(complex, (3, 3), elements=st.complex_numbers(max_magnitude=1.0,
+                                                              allow_nan=False,
+                                                              allow_infinity=False)))
+def test_slice_is_unitary_conjugation_for_any_fields(data, n_tau, span, delta, mix):
+    grid = GridSpec(0.0, span, n_tau, 0.0, 1.0, 2)
+    oa = data.draw(arrays(complex, n_tau, elements=_amplitudes))
+    ob = data.draw(arrays(complex, n_tau, elements=_amplitudes))
+    rho0 = mix @ _dagger(mix) + 0.05 * np.eye(3)
+    rho0 /= np.trace(rho0).real
+    out = integrate_bloch_slice((oa, ob), rho0, delta, grid)
+    assert np.array_equal(out, _dagger(out))
+    assert np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho0))) < 1e-12
+    # the blocked prefix product is the plain sequential chain of the same maps
+    maps = mbsolver._step_maps(oa, ob, delta, grid.h_tau)
+    blocked = mbsolver._prefix_products(maps)
+    chain = np.eye(3, dtype=complex)
+    assert np.array_equal(blocked[0], chain)
+    for j, a in enumerate(maps):
+        chain = a @ chain
+        assert np.max(np.abs(blocked[j + 1] - chain)) < 1e-13
+
+
 def test_maxwell_step_dark_background_fixed_point():
     grid = GridSpec(-5, 5, 101, 0, 1, 11)
     oa = np.full(grid.n_tau, 1.0, dtype=complex)
@@ -201,3 +236,12 @@ def test_propagate_deterministic():
     assert np.array_equal(a.omega_a, b.omega_a)
     assert np.array_equal(a.omega_b, b.omega_b)
     assert np.array_equal(a.rho, b.rho)
+
+
+def test_propagate_meta_audit_equals_a_recompute():
+    # propagate folds in each slice's own audit instead of running it twice
+    sp = slow_scenario(delta=0.4)
+    sol = scenarios.build_numeric_grid(sp, GridSpec(-8.0, 8.0, 161, 0.0, 0.5, 11))
+    eig = np.linalg.eigvalsh(sol.rho)
+    assert sol.meta["eig_min"] == float(eig.min())
+    assert sol.meta["eig_max"] == float(eig.max())
