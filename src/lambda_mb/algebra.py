@@ -93,11 +93,6 @@ def scalar_product(u, v) -> np.ndarray:
     return np.sum(np.conj(u) * v, axis=-1)
 
 
-def hermitian_part(m) -> np.ndarray:
-    m = _as_matrix(m)
-    return 0.5 * (m + adjoint(m))
-
-
 def outer(u, v) -> np.ndarray:
     """|u><v| for stacked vectors: result[..., i, j] = u_i * conj(v_j)."""
     u = np.asarray(u, dtype=complex)

@@ -168,25 +168,44 @@ def emit_manifest(cfg: ScenarioConfig, extra: Optional[dict] = None) -> str:
     return text
 
 
+def _intensities(row: np.ndarray) -> list:
+    """|z|² per node, computed as ``abs(z) ** 2`` on scalars."""
+    try:
+        return [abs(x) ** 2 for x in row.tolist()]
+    except OverflowError:
+        # Python floats raise where numpy scalars overflow to inf
+        return [abs(x) ** 2 for x in row]
+
+
 def write_grid_csv(path: Path, sol: SolutionGrid):
-    """Row-major (zeta outer, tau inner) CSV with 12 significant digits."""
+    """Row-major (zeta outer, tau inner) CSV with 12 significant digits.
+
+    Each zeta row is one ``%``-format call over an (n_tau, 11) float64
+    block; ``%.12g`` and ``format(x, ".12g")`` share CPython's float
+    repr, so the bytes equal a per-value writer's. The intensities Ia and
+    Ib are Python's ``abs(z) ** 2`` on Python scalars, not ``np.abs(f)
+    ** 2``: numpy's vectorized modulus and square differ in the last bit
+    on some nodes, and that can flip the 12th digit (|Oa|² at Oa =
+    -1.011271921149302 is written 1.0226708985, numpy's square gives
+    1.02267089851).
+    """
     zetas, taus = sol.grid.zetas(), sol.grid.taus()
-    pops = sol.populations
-    if pops is None:
-        pops = np.zeros((sol.grid.n_zeta, sol.grid.n_tau, 3))
-    g = lambda x: format(float(x), ".12g")
+    n_tau = sol.grid.n_tau
+    block = np.zeros((n_tau, len(CSV_HEADER.split(","))))
+    block[:, 1] = taus
+    fmt = (",".join(["%.12g"] * block.shape[1]) + "\n") * n_tau
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for i, z in enumerate(zetas):
-            for j, t in enumerate(taus):
-                oa = sol.omega_a[i, j]
-                ob = sol.omega_b[i, j]
-                row = (
-                    g(z), g(t), g(oa.real), g(oa.imag), g(ob.real), g(ob.imag),
-                    g(abs(oa) ** 2), g(abs(ob) ** 2),
-                    g(pops[i, j, 0]), g(pops[i, j, 1]), g(pops[i, j, 2]),
-                )
-                fh.write(",".join(row) + "\n")
+            oa, ob = sol.omega_a[i], sol.omega_b[i]
+            block[:, 0] = z
+            block[:, 2], block[:, 3] = oa.real, oa.imag
+            block[:, 4], block[:, 5] = ob.real, ob.imag
+            block[:, 6] = _intensities(oa)
+            block[:, 7] = _intensities(ob)
+            if sol.populations is not None:
+                block[:, 8:] = sol.populations[i]
+            fh.write(fmt % tuple(block.ravel().tolist()))
 
 
 def _say(cfg, msg):
@@ -265,6 +284,7 @@ def _fields_only(sol: SolutionGrid) -> SolutionGrid:
 
 def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
     """Execute one configured run; returns the process exit code."""
+    _validate(cfg)
     sp = cfg.scenario_params()
     grid = cfg.grid()
     out = Path(cfg.out)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import analytic, darboux, model
+from . import algebra, analytic, darboux, model
 from .analytic import ScenarioParams
 from .darboux import DressConstants, SolitonConstants
 from .errors import ParameterGuard
@@ -86,11 +86,6 @@ def _mesh(grid: GridSpec):
     return grid.zetas()[:, None], grid.taus()[None, :]
 
 
-def _pure_to_rho(psi):
-    psi = np.asarray(psi)
-    return psi[..., :, None] * np.conj(psi)[..., None, :]
-
-
 def _full(arr, shape):
     """Writable contiguous array broadcast to the grid shape."""
     return np.array(np.broadcast_to(arr, shape))
@@ -106,17 +101,17 @@ def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
         rho = state  # already a projector from the dressing
     elif name == "slow":
         oa, ob, psi = analytic.slow_soliton(sp, zz, tt)
-        rho = _pure_to_rho(psi)
+        rho = algebra.outer(psi, psi)
     elif name == "fast":
         oa, ob, _ = analytic.fast_soliton(sp, tt)
         dark = model.density_from_pure(model.dark_state(sp.params.eta))
         rho = dark
     elif name == "zero_background":
         oa, ob, psi = analytic.zero_background(sp, zz, tt)
-        rho = _pure_to_rho(psi)
+        rho = algebra.outer(psi, psi)
     elif name == "exulton":
         oa, ob, psi = analytic.exulton(sp, zz, tt)
-        rho = _pure_to_rho(psi)
+        rho = algebra.outer(psi, psi)
     elif name == "exulton_k":
         oa, ob, _ = analytic.exulton_k(sp, zz, tt)
         # fields-only scenario: attach the engine's formal companion state

@@ -140,3 +140,11 @@ def test_main_engine_override_and_check_only(tmp_path):
     assert code == 0
     assert not (out / "grid_analytic.csv").exists()  # verification only
     assert (out / "residual_report.txt").exists()
+
+
+def test_run_scenario_validates_its_config(tmp_path):
+    cfg = cli.ScenarioConfig(scenario="slow", engine="analytic", delta=float("nan"),
+                             out=str(tmp_path / "run"), quiet=True)
+    with pytest.raises(ParseError, match="delta must be finite"):
+        run_scenario(cfg)
+    assert not (tmp_path / "run").exists()
