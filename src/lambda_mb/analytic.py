@@ -1,12 +1,13 @@
 """Closed-form evaluators for every exact solution the dressing can make.
 
 Field formulas are transcribed independently of the engine so that the two
-routes cross-check each other.  Atomic states are the image of the seed
-state under the dressing operator, written out pointwise; where a
+routes cross-check each other.  The two-soliton density matrix and the
+unit states of the storage and degenerate-point scenarios are the image of
+the decoupled seed state under the dressing operator, taken from the
+engine (darboux.dressed_fields_and_state, darboux.dressed_state); where a
 circulating variant of a state or phase fails the self-consistency
 harness, the form implemented here is the one that satisfies the field
-equations (see
-tests/test_mismatch.py for the rejected variants).
+equations (see tests/test_mismatch.py for the rejected variants).
 
 Conventions: scalar or broadcastable array zeta/tau in, matching arrays
 out.  Each evaluator returns (omega_a, omega_b, state) where state is a
@@ -27,8 +28,6 @@ from .darboux import DressConstants, SolitonConstants
 from .errors import DegenerateConstants, ParameterGuard
 from .model import LambdaParams, SpectralData
 
-SCENARIOS = ("two_soliton", "slow", "fast", "zero_background", "exulton", "exulton_k")
-
 
 @dataclass(frozen=True)
 class ScenarioParams:
@@ -36,13 +35,9 @@ class ScenarioParams:
 
     params: LambdaParams
     spectral: SpectralData
-    scenario: str = "two_soliton"
+    scenario: str
     soliton: Optional[SolitonConstants] = None
     constants: Optional[DressConstants] = None
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
 
     def dress_constants(self) -> DressConstants:
         if self.constants is not None:
@@ -61,6 +56,7 @@ def _check_regular(sp: ScenarioParams):
     p, s = sp.params, sp.spectral
     _require(s.eps0 > p.omega0 > 0, "requires eps0 > omega0 > 0")
     _require(p.k == 0.0 and p.eta == 0.0, "closed form written for k = 0, eta = 0")
+    _require(sp.soliton is not None, "closed form parameterized by SolitonConstants")
 
 
 def _slow_phase(p: LambdaParams, s: SpectralData, a1: float, zeta, tau):
@@ -81,7 +77,6 @@ def two_soliton(sp: ScenarioParams, zeta, tau, want_state: bool = True):
     sweeps.
     """
     _check_regular(sp)
-    _require(sp.soliton is not None, "two_soliton is parameterized by SolitonConstants")
     p, s = sp.params, sp.spectral
     a1, a2, a3 = sp.soliton.a1, sp.soliton.a2, sp.soliton.a3
     om0, eps0, nu0, delta = p.omega0, s.eps0, p.nu0, p.delta
@@ -124,7 +119,6 @@ def two_soliton(sp: ScenarioParams, zeta, tau, want_state: bool = True):
 def slow_soliton(sp: ScenarioParams, zeta, tau):
     """Kink/pulse pair travelling at the reduced group velocity."""
     _check_regular(sp)
-    _require(sp.soliton is not None, "slow_soliton is parameterized by SolitonConstants")
     p, s = sp.params, sp.spectral
     om0, eps0, nu0, delta = p.omega0, s.eps0, p.nu0, p.delta
     w = np.real(s.root)
@@ -157,7 +151,6 @@ def slow_group_velocity(p: LambdaParams, s: SpectralData) -> float:
 def fast_soliton(sp: ScenarioParams, tau):
     """Light-speed dip riding the channel-a background; channel b stays dark."""
     _check_regular(sp)
-    _require(sp.soliton is not None, "fast_soliton is parameterized by SolitonConstants")
     _require(sp.soliton.a3 != 0.0, "fast soliton needs a3 != 0")
     p, s = sp.params, sp.spectral
     om0, eps0 = p.omega0, s.eps0
@@ -191,8 +184,7 @@ def zero_background(sp: ScenarioParams, zeta, tau):
     den = c2**2 * np.exp(e1 - m) + c3**2 * np.exp(e2 - m) + c1**2 * np.exp(e3 - m)
     oa = -4j * c1 * c3 * eps0 * np.exp(eps0 * tau - a_exp - m) / den
     ob = c2 / c3 * np.exp(1j * zeta * nu0 / (2.0 * (delta + 1j * eps0))) * oa
-    state = _dressed_state(sp, zeta, tau)
-    return oa, ob, state
+    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, cns, zeta, tau))
 
 
 def exulton(sp: ScenarioParams, zeta, tau):
@@ -219,8 +211,7 @@ def exulton(sp: ScenarioParams, zeta, tau):
         * (c2 + c3 * (1.0 + tau * om0))
         / den
     )
-    state = _dressed_state(sp, zeta, tau)
-    return oa, ob, state
+    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, cns, zeta, tau))
 
 
 def exulton_k(sp: ScenarioParams, zeta, tau):
@@ -236,6 +227,9 @@ def exulton_k(sp: ScenarioParams, zeta, tau):
     _require(p.omega0 > 0 and abs(s.eps0 - p.omega0) < darboux.DEGENERATE_TOL,
              "exulton_k requires eps0 = omega0 > 0")
     _require(p.eta == 0.0, "closed form written for eta = 0")
+    cns = sp.constants
+    _require(cns is not None and cns.c1 == 0.0 and cns.c2 == 0.0,
+             "exulton_k closed form written for DressConstants (0, 0, c3)")
     om0 = p.omega0
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -244,19 +238,6 @@ def exulton_k(sp: ScenarioParams, zeta, tau):
     oa = np.exp(1j * p.k * zeta) * om0 * (3.0 - ax2 + 4j * np.imag(x)) / (1.0 + ax2)
     ob = np.zeros_like(oa)
     return oa, ob, None
-
-
-def _dressed_state(sp: ScenarioParams, zeta, tau) -> np.ndarray:
-    """Unit state vector: image of the decoupled seed state under the dressing."""
-    p, s = sp.params, sp.spectral
-    c = sp.dress_constants()
-    psi3 = darboux.psi3_column(p, s, c, zeta, tau)
-    n2 = np.sum(np.abs(psi3) ** 2, axis=-1)
-    lam0 = s.lambda0
-    dark = model.dark_state(p.eta).pure
-    overlap = np.sum(np.conj(psi3) * dark, axis=-1)
-    v = (np.conj(lam0) - p.delta) * dark + (lam0 - np.conj(lam0)) * psi3 * (overlap / n2)[..., None]
-    return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
 
 
 def intensities_and_populations(fields, state):

@@ -28,10 +28,6 @@ CSV_HEADER = "zeta,tau,re_Oa,im_Oa,re_Ob,im_Ob,Ia,Ib,P1,P2,P3"
 
 ENGINES = ("analytic", "dressing", "numeric", "all")
 
-#: scenarios keyed by how tightly the two exact routes must agree
-FIELD_TOL = {"two_soliton": 1e-9, "slow": 1e-9, "fast": 1e-9,
-             "zero_background": 1e-8, "exulton": 1e-8, "exulton_k": 1e-8}
-
 
 @dataclass
 class ScenarioConfig:
@@ -125,10 +121,16 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig):
-    if cfg.scenario not in analytic.SCENARIOS and cfg.scenario not in scenarios.CANNED:
-        raise ParseError(f"unknown scenario {cfg.scenario!r}")
+    if cfg.scenario not in scenarios.REGISTRY:
+        raise ParseError(f"unknown scenario {cfg.scenario!r} (canned tags go through --scenario)")
     if cfg.engine not in ENGINES:
         raise ParseError(f"unknown engine {cfg.engine!r}")
+    if cfg.engine == "numeric" and scenarios.REGISTRY[cfg.scenario].boundary is None:
+        raise ParseError(f"scenario {cfg.scenario!r} refuses the numeric engine")
+    # the manifest echoes out as one key = value line, which must parse back
+    if "#" in cfg.out or cfg.out.strip() != cfg.out or cfg.out.splitlines() != [cfg.out]:
+        raise ParseError(f"out must be one non-empty line without '#' or surrounding "
+                         f"whitespace, got {cfg.out!r}")
     if cfg.omega0 < 0:
         raise ParseError(f"omega0 must be non-negative, got {cfg.omega0}")
     if cfg.nu0 <= 0:
@@ -146,6 +148,23 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"need tau_min < tau_max, got [{cfg.tau_min}, {cfg.tau_max}]")
     if not cfg.zeta_max > cfg.zeta_min:
         raise ParseError(f"need zeta_min < zeta_max, got [{cfg.zeta_min}, {cfg.zeta_max}]")
+
+
+def apply_canned(cfg: ScenarioConfig, tag: str):
+    """Copy a canned entry (scenario, parameters, lattice) onto cfg."""
+    if tag not in scenarios.CANNED:
+        raise KeyError(f"unknown canned scenario {tag!r}; have {sorted(scenarios.CANNED)}")
+    for key, value in scenarios.CANNED[tag].items():
+        if key == "name":
+            cfg.scenario = value
+        elif key == "grid":
+            for f in dc_fields(value):
+                setattr(cfg, f.name, getattr(value, f.name))
+        elif key in ("a", "c"):
+            for i, v in enumerate(value, start=1):
+                setattr(cfg, f"{key}{i}", v)
+        else:
+            setattr(cfg, key, value)
 
 
 def emit_manifest(cfg: ScenarioConfig, extra: Optional[dict] = None) -> str:
@@ -217,6 +236,8 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
     """Configured verification for one run: (failure list, report list)."""
     failures: List[str] = []
     reports: List[verify.ResidualReport] = []
+    if not grids:
+        failures.append("no grid was built")
 
     for name, sol in grids.items():
         rep = verify.audit_density(sol)
@@ -226,7 +247,8 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
             failures.append(f"audit[{name}]: {rep.max_abs:.2e} > {tol:.0e}")
 
     if "analytic" in grids and "dressing" in grids:
-        tol = cfg.field_tol if cfg.field_tol is not None else FIELD_TOL[sp.scenario]
+        default_tol = scenarios.REGISTRY[sp.scenario].field_tol
+        tol = cfg.field_tol if cfg.field_tol is not None else default_tol
         rep = verify.compare_solutions(grids["analytic"], grids["dressing"])
         rep.name = "compare[analytic vs dressing]"
         reports.append(rep)
@@ -291,10 +313,9 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     engines = [cfg.engine] if cfg.engine != "all" else ["analytic", "dressing", "numeric"]
-    if sp.scenario == "exulton_k" and "numeric" in engines:
-        # formal companion state cannot seed the propagator
-        engines = [e for e in engines if e != "numeric"]
-        _say(cfg, "note: numeric engine skipped for exulton_k (formal companion state)")
+    if scenarios.REGISTRY[sp.scenario].boundary is None and "numeric" in engines:
+        engines.remove("numeric")  # only under "all": _validate rejects an explicit request
+        _say(cfg, f"note: numeric engine skipped for {sp.scenario} (direct propagation refused)")
     grids = {}
     for eng in engines:
         _say(cfg, f"building {eng} grid for scenario {sp.scenario}")
@@ -355,31 +376,16 @@ def main(argv=None) -> int:
         else:
             cfg = ScenarioConfig()
         if args.scenario:
-            sp, grid = scenarios.canned_scenario(args.scenario)
-            entry = dict(scenarios.CANNED[args.scenario])
-            cfg.scenario = entry["name"]
-            cfg.nu0 = entry.get("nu0", cfg.nu0)
-            cfg.delta = entry.get("delta", cfg.delta)
-            cfg.omega0 = entry.get("omega0", cfg.omega0)
-            cfg.eps0 = entry.get("eps0", cfg.eps0)
-            cfg.k = entry.get("k", cfg.k)
-            if "a" in entry:
-                cfg.a1, cfg.a2, cfg.a3 = entry["a"]
-            if "c" in entry:
-                cfg.c1, cfg.c2, cfg.c3 = entry["c"]
-            cfg.tau_min, cfg.tau_max, cfg.n_tau = grid.tau_min, grid.tau_max, grid.n_tau
-            cfg.zeta_min, cfg.zeta_max, cfg.n_zeta = grid.zeta_min, grid.zeta_max, grid.n_zeta
-            cfg.out = args.out or f"out_{args.scenario}"
+            apply_canned(cfg, args.scenario)
+            cfg.out = f"out_{args.scenario}"
         if args.engine:
             cfg.engine = args.engine
         if args.out:
             cfg.out = args.out
         if args.quiet:
             cfg.quiet = True
-    except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError) as exc:
+        _validate(cfg)  # the overrides above are applied after parsing
+    except (ParseError, OSError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,13 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from . import algebra, model
-from .errors import (
-    DegenerateMapping,
-    DegeneratePsi,
-    DegenerateSeed,
-    ParameterGuard,
-    SpectralPole,
-)
+from .errors import DegenerateMapping, DegenerateSeed, ParameterGuard, SpectralPole
 from .model import D_MATRIX, LambdaParams, SpectralData
 
 #: below this |eps0 - omega0| the exponential basis columns coalesce
@@ -71,20 +65,6 @@ class SolitonConstants:
     def __post_init__(self):
         if self.a2 != 1.0:
             raise ValueError("a2 is fixed to 1 by convention")
-
-
-@dataclass(frozen=True)
-class SpectralMatrixL:
-    """Diagonal matrix spectral parameter of the dressing transformation."""
-
-    diag: Tuple[complex, complex, complex]
-
-    @classmethod
-    def for_eigenvalue(cls, lambda0: complex) -> "SpectralMatrixL":
-        return cls((np.conj(lambda0), np.conj(lambda0), lambda0))
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.diag, dtype=complex))
 
 
 def map_constants(a: SolitonConstants, s: SpectralData, omega0: float) -> DressConstants:
@@ -212,79 +192,6 @@ def confluent_seed_fundamental(p: LambdaParams, s: SpectralData, zeta: float, ta
     return phase * out
 
 
-def biorthogonal_partner(phi0) -> np.ndarray:
-    """Inverse-adjoint partner whose columns are biorthonormal to phi0's."""
-    return algebra.adjoint(algebra.inverse(phi0))
-
-
-def build_psi1(phi0, c: DressConstants) -> np.ndarray:
-    """Column matrix of the dressing operator.
-
-    Third column: the combination of phi0 columns selected by c.  First and
-    second: combinations of the partner's columns chosen so both are exactly
-    orthogonal to the third (a consequence of biorthonormality, for any c).
-    Columns are rescaled to unit peak magnitude; the dressing operator only
-    sees their spans, so the scaling is free and keeps the matrix inverse
-    well-behaved.
-    """
-    phi0 = np.asarray(phi0, dtype=complex)
-    phib = biorthogonal_partner(phi0)
-    c1, c2, c3 = c.as_tuple()
-    psi3 = c1 * phi0[:, 0] + c2 * phi0[:, 1] + c3 * phi0[:, 2]
-    psi1 = (np.conj(c2) + np.conj(c3)) * phib[:, 0] - np.conj(c1) * (phib[:, 1] + phib[:, 2])
-    psi2 = np.conj(c3) * phib[:, 1] - np.conj(c2) * phib[:, 2]
-    cols = []
-    for v in (psi1, psi2, psi3):
-        peak = np.max(np.abs(v))
-        if peak == 0.0:
-            raise DegeneratePsi("a dressing column vanished for these constants")
-        cols.append(v / peak)
-    psi = np.stack(cols, axis=-1)
-    scale = np.max(np.abs(psi))
-    if abs(algebra.det3(psi)) <= 1e-10 * scale**3:
-        raise DegeneratePsi("dressing column matrix is singular at this point")
-    return psi
-
-
-def sigma1(psi1, l1: SpectralMatrixL, shift: complex) -> np.ndarray:
-    """Dressing operator psi1 (L1 - shift) psi1^{-1}."""
-    psi1 = np.asarray(psi1, dtype=complex)
-    core = l1.matrix() - shift * np.eye(3)
-    return psi1 @ core @ algebra.inverse(psi1)
-
-
-def dress(seed_h, seed_rho, psi1, l1: SpectralMatrixL, delta: float):
-    """Dress a seed solution: new Hamiltonian and density matrix.
-
-    Uses the spectral form of the dressing operator built from the third
-    column of psi1 (valid because the construction keeps the other two
-    columns orthogonal to it, which is checked here).  The inverse at the
-    shifted argument is taken in closed form from the same decomposition,
-    so the transformation stays exact arbitrarily deep into the soliton
-    tails where the column matrix itself becomes ill-conditioned.
-    """
-    psi1 = np.asarray(psi1, dtype=complex)
-    lam0c, lam0c2, lam0 = l1.diag
-    if not np.isclose(lam0c, np.conj(lam0)) or not np.isclose(lam0c2, np.conj(lam0)):
-        raise ValueError("spectral matrix must be diag(conj(l0), conj(l0), l0)")
-    psi3 = psi1[:, 2]
-    n3 = np.linalg.norm(psi3)
-    ortho = max(abs(np.vdot(psi3, psi1[:, 0])), abs(np.vdot(psi3, psi1[:, 1])))
-    if ortho > 1e-8 * n3 * np.max(np.abs(psi1)):
-        raise DegeneratePsi(f"conjugate-channel columns not orthogonal to psi3 ({ortho:.2e})")
-    for lam in (lam0, lam0c):
-        if abs(lam - delta) <= model.POLE_GUARD:
-            raise SpectralPole("dressing shift collides with a spectral eigenvalue")
-    p3 = algebra.outer(psi3, psi3) / n3**2
-    s0 = lam0c * np.eye(3) + (lam0 - lam0c) * p3
-    h = np.asarray(seed_h, dtype=complex) - 0.5 * algebra.commutator(D_MATRIX, s0)
-    sd = s0 - delta * np.eye(3)
-    sd_inv = (np.eye(3) - p3) / (lam0c - delta) + p3 / (lam0 - delta)
-    rho = sd @ np.asarray(seed_rho, dtype=complex) @ sd_inv
-    model.extract_fields(h)  # post-check: raises NotLambdaStructured on failure
-    return h, rho
-
-
 # ---------------------------------------------------------------------------
 # grid engine
 # ---------------------------------------------------------------------------
@@ -381,6 +288,16 @@ def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau) 
     return _psi3_confluent(p, s, c, zeta, tau)
 
 
+def dressed_state(p: LambdaParams, s: SpectralData, psi3) -> np.ndarray:
+    """Unit state of the k = 0 dressing by columns psi3: the image of the decoupled state."""
+    n2 = np.sum(np.abs(psi3) ** 2, axis=-1)
+    lam0 = s.lambda0
+    dark = model.dark_state(p.eta).pure
+    overlap = np.sum(np.conj(psi3) * dark, axis=-1)
+    v = (np.conj(lam0) - p.delta) * dark + (lam0 - np.conj(lam0)) * psi3 * (overlap / n2)[..., None]
+    return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
+
+
 def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants,
                              zeta, tau, want_rho: bool = True):
     """Dressed fields (and density matrix) over broadcastable zeta/tau arrays.
@@ -406,21 +323,15 @@ def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants
 
     rho = None
     if want_rho:
-        seed_rho = seed_background_state(p)
-        lam0c = np.conj(lam0)
         if p.k == 0.0:
-            dark = model.dark_state(p.eta).pure
-            overlap = np.sum(np.conj(psi3) * dark, axis=-1)
-            v = (lam0c - p.delta) * dark + two_im * psi3 * (overlap / n2)[..., None]
-            vnorm = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
-            v = v / vnorm[..., None]
+            v = dressed_state(p, s, psi3)
             rho = algebra.outer(v, v)
         else:
             p3 = algebra.outer(psi3, psi3) / n2[..., None, None]
             eye = np.eye(3, dtype=complex)
-            sd = (lam0c - p.delta) * eye + two_im * p3
+            sd = (np.conj(lam0) - p.delta) * eye + two_im * p3
             r2 = abs(lam0 - p.delta) ** 2
-            rho = sd @ seed_rho @ algebra.adjoint(sd) / r2
+            rho = sd @ seed_background_state(p) @ algebra.adjoint(sd) / r2
 
     if p.k != 0.0:
         rot = np.exp(1j * p.k * zeta)

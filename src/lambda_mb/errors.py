@@ -9,14 +9,6 @@ class LambdaMBError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularMatrix(LambdaMBError):
-    """3x3 inverse requested for a matrix below the singularity guard."""
-
-
-class NotLambdaStructured(LambdaMBError):
-    """Hamiltonian does not have the two-coupling ladder structure."""
-
-
 class SpectralPole(LambdaMBError):
     """Evaluation requested at (or too close to) the lambda = Delta pole."""
 
@@ -27,10 +19,6 @@ class NotNormalized(LambdaMBError):
 
 class DegenerateSeed(LambdaMBError):
     """Seed basis columns coalesce (eps0 = Omega0); use the confluent basis."""
-
-
-class DegeneratePsi(LambdaMBError):
-    """Column matrix of the dressing construction is (numerically) singular."""
 
 
 class DegenerateMapping(LambdaMBError):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import model
 from .errors import BoundaryMismatch, StepUnstable
-from .model import D_MATRIX, LambdaParams
+from .model import LambdaParams
 
 #: admissible band for state eigenvalues during integration
 EIG_BAND = 1e-4
@@ -118,14 +118,6 @@ class SolutionGrid:
 # ---------------------------------------------------------------------------
 # state equation
 # ---------------------------------------------------------------------------
-
-def bloch_rhs(rho, f, delta: float) -> np.ndarray:
-    """Right-hand side of the state equation, i[(Delta/2)D - H(f), rho]."""
-    h = model.interaction_hamiltonian(f)
-    g = 0.5 * delta * D_MATRIX - h
-    rho = np.asarray(rho, dtype=complex)
-    return 1j * (g @ rho - rho @ g)
-
 
 def _generators(fa: np.ndarray, fb: np.ndarray, delta: float) -> np.ndarray:
     """M = iG at each field sample, G the Hermitian torque matrix: (n, 3, 3)."""

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import algebra
-from .errors import NotLambdaStructured, NotNormalized, SpectralPole
+from .errors import NotNormalized, SpectralPole
 
 #: signature matrix separating ground ({|1>, |2>}) from excited (|3>) sectors
 D_MATRIX = np.diag([1.0, 1.0, -1.0]).astype(complex)
@@ -156,30 +156,6 @@ def interaction_hamiltonian(fields) -> np.ndarray:
     h[..., 0, 2] = -0.5 * np.conj(oa)
     h[..., 1, 2] = -0.5 * np.conj(ob)
     return h
-
-
-def extract_fields(h, tol: float = 1e-8) -> FieldPair:
-    """Read the channel amplitudes back out of a ladder Hamiltonian.
-
-    Raises NotLambdaStructured when the diagonal, the 1-2 block or the
-    Hermiticity deviate beyond tol: downstream that signals a broken
-    dressing step, not a recoverable condition.
-    """
-    h = np.asarray(h, dtype=complex)
-    scale = max(float(np.max(np.abs(h))), 1.0)
-    herm = np.max(np.abs(h - algebra.adjoint(h)))
-    structure = max(
-        float(np.max(np.abs(h[..., 0, 0]))),
-        float(np.max(np.abs(h[..., 1, 1]))),
-        float(np.max(np.abs(h[..., 2, 2]))),
-        float(np.max(np.abs(h[..., 0, 1]))),
-        float(np.max(np.abs(h[..., 1, 0]))),
-    )
-    if herm > tol * scale or structure > tol * scale:
-        raise NotLambdaStructured(
-            f"hermiticity dev {herm:.2e}, structure dev {structure:.2e} (scale {scale:.2e})"
-        )
-    return FieldPair(-2.0 * h[..., 2, 0], -2.0 * h[..., 2, 1])
 
 
 def lax_u(lam: complex, h) -> np.ndarray:

@@ -1,14 +1,17 @@
-"""Scenario assembly: canned parameter sets and grid builders.
+"""Scenario assembly: the scenario registry, canned parameter sets and grid builders.
 
 A scenario couples a parameter bundle with the three ways to realize it
 (closed form, dressing engine, numerical propagation); the builders here
 return SolutionGrid objects that the verification harness and the CLI
-consume uniformly.
+consume uniformly.  What sets one scenario apart from another is its
+``Scenario`` record in ``REGISTRY``; no other code branches on a name.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,27 +26,72 @@ from .model import LambdaParams, SpectralData
 DEFAULT_PROBES = (1.0 + 1.0j, 0.7j, -2.0 + 0.5j)
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """What one closed-form scenario is, for every route and check.
+
+    evaluate: (sp, zeta, tau) -> (omega_a, omega_b, state), looking the
+    analytic evaluator up per call.  constants: "a" (soliton) or "c"
+    (dressing), with zero_a the soliton constant set to zero.  state: what
+    the evaluator returns, "density" or "vector", or none with the grid
+    carrying the decoupled projector ("dark") or the engine's formal
+    companion state ("formal").  field_tol: analytic-vs-dressing field
+    tolerance.  boundary: tau_min state of direct propagation, "edge" (the
+    closed form's own) or "dark" (the decoupled projector); None refuses.
+    """
+
+    name: str
+    evaluate: Callable
+    constants: str
+    state: str
+    field_tol: float
+    boundary: Optional[str]
+    zero_a: Optional[str] = None
+
+    def density(self, sp: ScenarioParams, state, zeta, tau) -> np.ndarray:
+        """The grid's state for what the evaluator returned."""
+        if self.state == "vector":
+            return algebra.outer(state, state)
+        if self.state == "dark":
+            return model.density_from_pure(model.dark_state(sp.params.eta))
+        if self.state == "formal":
+            # fields-only scenario: the engine's companion state gives the
+            # residual checks a zeta-evolution partner to difference
+            return darboux.dressed_fields_and_state(
+                sp.params, sp.spectral, sp.dress_constants(), zeta, tau)[2]
+        return state
+
+
+REGISTRY = {s.name: s for s in (
+    Scenario("two_soliton", lambda sp, z, t: analytic.two_soliton(sp, z, t),
+             "a", "density", 1e-9, "edge"),
+    Scenario("slow", lambda sp, z, t: analytic.slow_soliton(sp, z, t),
+             "a", "vector", 1e-9, "edge", zero_a="a3"),
+    Scenario("fast", lambda sp, z, t: analytic.fast_soliton(sp, t),
+             "a", "dark", 1e-9, "dark", zero_a="a1"),
+    Scenario("zero_background", lambda sp, z, t: analytic.zero_background(sp, z, t),
+             "c", "vector", 1e-8, "edge"),
+    Scenario("exulton", lambda sp, z, t: analytic.exulton(sp, z, t),
+             "c", "vector", 1e-8, "edge"),
+    Scenario("exulton_k", lambda sp, z, t: analytic.exulton_k(sp, z, t),
+             "c", "formal", 1e-8, None),
+)}
+
+
 def make_scenario(name: str, *, nu0=3.0, delta=0.0, omega0=1.0, eps0=2.0,
                   eta=0.0, k=0.0, a=(1.0, 1.0, 1.0), c=None) -> ScenarioParams:
     """Build a ScenarioParams bundle with the standard defaults."""
+    record = REGISTRY[name]
     params = LambdaParams(nu0=nu0, delta=delta, omega0=omega0, eta=eta, k=k)
     spectral = SpectralData.from_eps0(eps0, omega0)
-    soliton = None
-    constants = DressConstants(*c) if c is not None else None
-    if name in ("two_soliton", "slow", "fast"):
-        a1, a2, a3 = a
-        if name == "slow":
-            a3 = 0.0
-        if name == "fast":
-            a1 = 0.0
-        soliton = SolitonConstants(a1=a1, a3=a3, a2=a2)
-        constants = None
-    elif constants is None:
-        constants = DressConstants(1.0, 1.0, 1.0)
-    return ScenarioParams(
-        params=params, spectral=spectral, scenario=name,
-        soliton=soliton, constants=constants,
-    )
+    if record.constants == "a":
+        a = dict(zip(("a1", "a2", "a3"), a))
+        if record.zero_a is not None:
+            a[record.zero_a] = 0.0
+        return ScenarioParams(params=params, spectral=spectral, scenario=name,
+                              soliton=SolitonConstants(**a))
+    return ScenarioParams(params=params, spectral=spectral, scenario=name,
+                          constants=DressConstants(*(c if c is not None else (1.0, 1.0, 1.0))))
 
 
 #: canned scenario table: parameters and a lattice sized for desk-scale runs
@@ -93,40 +141,16 @@ def _full(arr, shape):
 
 def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Evaluate the closed-form scenario on the lattice."""
+    record = REGISTRY[sp.scenario]
     zz, tt = _mesh(grid)
-    name = sp.scenario
-    state_kind = "pure"
-    if name == "two_soliton":
-        oa, ob, state = analytic.two_soliton(sp, zz, tt)
-        rho = state  # already a projector from the dressing
-    elif name == "slow":
-        oa, ob, psi = analytic.slow_soliton(sp, zz, tt)
-        rho = algebra.outer(psi, psi)
-    elif name == "fast":
-        oa, ob, _ = analytic.fast_soliton(sp, tt)
-        dark = model.density_from_pure(model.dark_state(sp.params.eta))
-        rho = dark
-    elif name == "zero_background":
-        oa, ob, psi = analytic.zero_background(sp, zz, tt)
-        rho = algebra.outer(psi, psi)
-    elif name == "exulton":
-        oa, ob, psi = analytic.exulton(sp, zz, tt)
-        rho = algebra.outer(psi, psi)
-    elif name == "exulton_k":
-        oa, ob, _ = analytic.exulton_k(sp, zz, tt)
-        # fields-only scenario: attach the engine's formal companion state
-        # so residual checks have a zeta-evolution partner to difference
-        _, _, rho = darboux.dressed_fields_and_state(
-            sp.params, sp.spectral, sp.dress_constants(), zz, tt
-        )
-        state_kind = "formal"
-    else:
-        raise ParameterGuard(f"no analytic builder for scenario {name!r}")
+    oa, ob, state = record.evaluate(sp, zz, tt)
+    rho = record.density(sp, state, zz, tt)
     shape = (grid.n_zeta, grid.n_tau)
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
         rho=_full(rho, shape + (3, 3)),
-        state_kind=state_kind, meta={"engine": "analytic", "scenario": name},
+        state_kind="formal" if record.state == "formal" else "pure",
+        meta={"engine": "analytic", "scenario": sp.scenario},
     )
 
 
@@ -153,22 +177,20 @@ def build_numeric_grid(sp: ScenarioParams, grid: GridSpec,
     """Propagate the scenario's entry slice with the direct solver.
 
     The entry fields come from the closed form at zeta_min; the tau_min
-    state boundary is the scenario's own state there (the decoupled
-    projector for scenarios whose state is the constant dark state).
+    state boundary follows the scenario's record: its own closed-form state
+    along tau_min ("edge") or the decoupled projector ("dark").
     """
-    if sp.scenario == "exulton_k":
-        raise ParameterGuard(
-            "exulton_k has a formal companion state; direct propagation is not defined"
-        )
+    record = REGISTRY[sp.scenario]
+    if record.boundary is None:
+        raise ParameterGuard(f"{sp.scenario} has a {record.state} companion state; "
+                             "direct propagation is not defined")
     reference = build_analytic_grid(sp, GridSpec(
         grid.tau_min, grid.tau_max, grid.n_tau, grid.zeta_min, grid.zeta_max, 2,
     ))
     oa0 = reference.omega_a[0]
     ob0 = reference.omega_b[0]
-    if sp.scenario == "fast":
-        boundary = "dark"
-    else:
-        zetas = grid.zetas()
+    boundary = record.boundary
+    if boundary == "edge":
         edge = build_analytic_grid(sp, GridSpec(
             grid.tau_min, grid.tau_min + grid.h_tau, 3, grid.zeta_min, grid.zeta_max, grid.n_zeta,
         ))

@@ -1,0 +1,217 @@
+"""Pointwise dressing pipeline: the oracle the grid engine is tested against.
+
+One point at a time, the dressing is built from its definition: seed
+fundamental matrix (lambda_mb.darboux.seed_fundamental) -> biorthogonal
+partner -> column matrix psi1 -> dressing operator -> dressed Hamiltonian
+and density matrix, whose channel amplitudes extract_fields reads back
+out.  The grid engine (darboux.dressed_fields_and_state) assembles only
+the dressing column, with per-point exponent factoring, so this
+materialized construction is an independent route to the same solution;
+it is meant for moderate windows, where the seed basis stays well
+conditioned.  The exact 3x3 kernels it needs (determinant, adjugate,
+cofactor inverse with a scale-invariant singularity guard, commutator)
+live here with it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Tuple
+
+import numpy as np
+
+from lambda_mb import algebra, model
+from lambda_mb.darboux import DressConstants
+from lambda_mb.errors import LambdaMBError, SpectralPole
+from lambda_mb.model import D_MATRIX
+
+#: relative singularity guard: |det m| must exceed SINGULARITY_RTOL * ||m||^3
+SINGULARITY_RTOL = 1e-12
+
+
+class SingularMatrix(LambdaMBError):
+    """3x3 inverse requested for a matrix below the singularity guard."""
+
+
+class DegeneratePsi(LambdaMBError):
+    """Column matrix of the dressing construction is (numerically) singular."""
+
+
+class NotLambdaStructured(LambdaMBError):
+    """Hamiltonian does not have the two-coupling ladder structure."""
+
+
+# ---------------------------------------------------------------------------
+# exact 3x3 kernels
+# ---------------------------------------------------------------------------
+
+def det3(m) -> np.ndarray:
+    """Determinant by explicit expansion along the first row."""
+    m = algebra._as_matrix(m)
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def adjugate3(m) -> np.ndarray:
+    """Transposed cofactor matrix, so that m @ adjugate3(m) = det3(m) * I."""
+    m = algebra._as_matrix(m)
+    a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    out = np.empty_like(m)
+    out[..., 0, 0] = e * i - f * h
+    out[..., 0, 1] = c * h - b * i
+    out[..., 0, 2] = b * f - c * e
+    out[..., 1, 0] = f * g - d * i
+    out[..., 1, 1] = a * i - c * g
+    out[..., 1, 2] = c * d - a * f
+    out[..., 2, 0] = d * h - e * g
+    out[..., 2, 1] = b * g - a * h
+    out[..., 2, 2] = a * e - b * d
+    return out
+
+
+def inverse(m, rtol: float = SINGULARITY_RTOL) -> np.ndarray:
+    """Closed-form inverse with a scale-invariant singularity guard.
+
+    Raises SingularMatrix when |det| <= rtol * ||m||_max^3 for any stacked
+    entry; the guard is cubic in the entry scale so rescaling a matrix does
+    not change its verdict.
+    """
+    m = algebra._as_matrix(m)
+    scale = np.max(np.abs(m), axis=(-2, -1))
+    if np.any(scale == 0.0):
+        raise SingularMatrix("zero matrix has no inverse")
+    mn = m / scale[..., None, None]  # normalize first: guard and det overflow-free
+    det = det3(mn)
+    if np.any(np.abs(det) <= rtol):
+        raise SingularMatrix(
+            f"matrix inverse below singularity guard (min |det|/scale^3 = "
+            f"{float(np.min(np.abs(det))):.3e})"
+        )
+    return adjugate3(mn) / det[..., None, None] / scale[..., None, None]
+
+
+def commutator(a, b) -> np.ndarray:
+    """a @ b - b @ a."""
+    a, b = algebra._as_matrix(a), algebra._as_matrix(b)
+    return a @ b - b @ a
+
+
+# ---------------------------------------------------------------------------
+# dressing, one point at a time
+# ---------------------------------------------------------------------------
+
+def extract_fields(h, tol: float = 1e-8) -> model.FieldPair:
+    """Read the channel amplitudes back out of a ladder Hamiltonian.
+
+    Raises NotLambdaStructured when the diagonal, the 1-2 block or the
+    Hermiticity deviate beyond tol: downstream that signals a broken
+    dressing step, not a recoverable condition.
+    """
+    h = np.asarray(h, dtype=complex)
+    scale = max(float(np.max(np.abs(h))), 1.0)
+    herm = np.max(np.abs(h - algebra.adjoint(h)))
+    structure = max(
+        float(np.max(np.abs(h[..., 0, 0]))),
+        float(np.max(np.abs(h[..., 1, 1]))),
+        float(np.max(np.abs(h[..., 2, 2]))),
+        float(np.max(np.abs(h[..., 0, 1]))),
+        float(np.max(np.abs(h[..., 1, 0]))),
+    )
+    if herm > tol * scale or structure > tol * scale:
+        raise NotLambdaStructured(
+            f"hermiticity dev {herm:.2e}, structure dev {structure:.2e} (scale {scale:.2e})"
+        )
+    return model.FieldPair(-2.0 * h[..., 2, 0], -2.0 * h[..., 2, 1])
+
+
+@dataclass(frozen=True)
+class SpectralMatrixL:
+    """Diagonal matrix spectral parameter of the dressing transformation."""
+
+    diag: Tuple[complex, complex, complex]
+
+    @classmethod
+    def for_eigenvalue(cls, lambda0: complex) -> "SpectralMatrixL":
+        return cls((np.conj(lambda0), np.conj(lambda0), lambda0))
+
+    def matrix(self) -> np.ndarray:
+        return np.diag(np.asarray(self.diag, dtype=complex))
+
+
+
+
+def biorthogonal_partner(phi0) -> np.ndarray:
+    """Inverse-adjoint partner whose columns are biorthonormal to phi0's."""
+    return algebra.adjoint(inverse(phi0))
+
+
+def build_psi1(phi0, c: DressConstants) -> np.ndarray:
+    """Column matrix of the dressing operator.
+
+    Third column: the combination of phi0 columns selected by c.  First and
+    second: combinations of the partner's columns chosen so both are exactly
+    orthogonal to the third (a consequence of biorthonormality, for any c).
+    Columns are rescaled to unit peak magnitude; the dressing operator only
+    sees their spans, so the scaling is free and keeps the matrix inverse
+    well-behaved.
+    """
+    phi0 = np.asarray(phi0, dtype=complex)
+    phib = biorthogonal_partner(phi0)
+    c1, c2, c3 = c.as_tuple()
+    psi3 = c1 * phi0[:, 0] + c2 * phi0[:, 1] + c3 * phi0[:, 2]
+    psi1 = (np.conj(c2) + np.conj(c3)) * phib[:, 0] - np.conj(c1) * (phib[:, 1] + phib[:, 2])
+    psi2 = np.conj(c3) * phib[:, 1] - np.conj(c2) * phib[:, 2]
+    cols = []
+    for v in (psi1, psi2, psi3):
+        peak = np.max(np.abs(v))
+        if peak == 0.0:
+            raise DegeneratePsi("a dressing column vanished for these constants")
+        cols.append(v / peak)
+    psi = np.stack(cols, axis=-1)
+    scale = np.max(np.abs(psi))
+    if abs(det3(psi)) <= 1e-10 * scale**3:
+        raise DegeneratePsi("dressing column matrix is singular at this point")
+    return psi
+
+
+def sigma1(psi1, l1: SpectralMatrixL, shift: complex) -> np.ndarray:
+    """Dressing operator psi1 (L1 - shift) psi1^{-1}."""
+    psi1 = np.asarray(psi1, dtype=complex)
+    core = l1.matrix() - shift * np.eye(3)
+    return psi1 @ core @ inverse(psi1)
+
+
+def dress(seed_h, seed_rho, psi1, l1: SpectralMatrixL, delta: float):
+    """Dress a seed solution: new Hamiltonian and density matrix.
+
+    Uses the spectral form of the dressing operator built from the third
+    column of psi1 (valid because the construction keeps the other two
+    columns orthogonal to it, which is checked here).  The inverse at the
+    shifted argument is taken in closed form from the same decomposition,
+    so the transformation stays exact arbitrarily deep into the soliton
+    tails where the column matrix itself becomes ill-conditioned.
+    """
+    psi1 = np.asarray(psi1, dtype=complex)
+    lam0c, lam0c2, lam0 = l1.diag
+    if not np.isclose(lam0c, np.conj(lam0)) or not np.isclose(lam0c2, np.conj(lam0)):
+        raise ValueError("spectral matrix must be diag(conj(l0), conj(l0), l0)")
+    psi3 = psi1[:, 2]
+    n3 = np.linalg.norm(psi3)
+    ortho = max(abs(np.vdot(psi3, psi1[:, 0])), abs(np.vdot(psi3, psi1[:, 1])))
+    if ortho > 1e-8 * n3 * np.max(np.abs(psi1)):
+        raise DegeneratePsi(f"conjugate-channel columns not orthogonal to psi3 ({ortho:.2e})")
+    for lam in (lam0, lam0c):
+        if abs(lam - delta) <= model.POLE_GUARD:
+            raise SpectralPole("dressing shift collides with a spectral eigenvalue")
+    p3 = algebra.outer(psi3, psi3) / n3**2
+    s0 = lam0c * np.eye(3) + (lam0 - lam0c) * p3
+    h = np.asarray(seed_h, dtype=complex) - 0.5 * commutator(D_MATRIX, s0)
+    sd = s0 - delta * np.eye(3)
+    sd_inv = (np.eye(3) - p3) / (lam0c - delta) + p3 / (lam0 - delta)
+    rho = sd @ np.asarray(seed_rho, dtype=complex) @ sd_inv
+    extract_fields(h)  # post-check: raises NotLambdaStructured on failure
+    return h, rho

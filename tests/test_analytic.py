@@ -320,6 +320,14 @@ def test_exulton_k_origin_and_tails():
         assert abs(abs(oa_m) - 1.0) < 1e-3
 
 
+def test_exulton_k_guards_its_constants():
+    # the closed form is the c = (0, 0, c3) solution; other constants dress
+    # a different one (max |dOmega| = 2 against the engine at c = (1, 1, 1))
+    for c in ((1.0, 1.0, 1.0), (0.0, 0.5, 1.0), (0.5, 0.0, 1.0)):
+        with pytest.raises(ParameterGuard):
+            analytic.exulton_k(exulton_params(c=c, k=0.2, scenario="exulton_k"), 0.0, 0.0)
+
+
 def test_exulton_k_matches_engine():
     sp = exulton_params(c=(0.0, 0.0, 1.0), k=0.2, scenario="exulton_k", delta=0.4)
     c = sp.constants

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lambda_mb import cli, scenarios
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
@@ -34,6 +35,10 @@ def test_parse_rejects_bad_values():
         parse_config("no_such_key = 3\n")
     with pytest.raises(ParseError):
         parse_config("nu0 = banana\n")
+    with pytest.raises(ParseError, match="canned tags go through --scenario"):
+        parse_config("scenario = fig2\n")
+    with pytest.raises(ParseError, match="refuses the numeric engine"):
+        parse_config("scenario = exulton_k\nengine = numeric\n")
     err = None
     try:
         parse_config("nu0 = 3\nomega0 == 1\n")
@@ -52,13 +57,34 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
         parse_config(text)
 
 
-@pytest.mark.parametrize("text", ["delta = nan\n", "tau_min = 5\ntau_max = -5\n"])
+@pytest.mark.parametrize("text", [
+    "delta = nan\n", "tau_min = 5\ntau_max = -5\n", "scenario = fig2\n",
+    "scenario = exulton_k\nengine = numeric\n",
+])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
     path.write_text(text + f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--engine", "numeric"], ["--out", "{tmp}/a#1"], ["--out", " {tmp}/a"], ["--out", "{tmp}/a\n"],
+])
+def test_main_validates_the_config_after_its_overrides(tmp_path, capsys, argv):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"scenario = exulton_k\nout = {tmp_path / 'run'}\nquiet = true\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert cli.main([str(path), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_run_without_grids_cannot_pass():
+    cfg = parse_config(SMALL_SLOW)
+    failures, reports = cli._run_checks(cfg, cfg.scenario_params(), cfg.grid(), {})
+    assert failures == ["no grid was built"] and reports == []
 
 
 def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
@@ -86,6 +112,49 @@ def test_manifest_round_trip():
     text = emit_manifest(cfg)
     again = parse_config(text)
     assert again == cfg
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _configs(draw):
+    """A valid config for any registry scenario, every field drawn."""
+    name = draw(st.sampled_from(sorted(scenarios.REGISTRY)))
+    refused = scenarios.REGISTRY[name].boundary is None
+    tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    return cli.ScenarioConfig(
+        scenario=name,
+        engine=draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")])),
+        out=draw(st.text("abz09_-./ ", min_size=1, max_size=12).filter(lambda s: s == s.strip())),
+        nu0=draw(_POSITIVE), delta=draw(_FINITE), omega0=draw(st.floats(0.0, allow_infinity=False)),
+        eta=draw(_FINITE), k=draw(_FINITE), eps0=draw(_POSITIVE),
+        a1=draw(_FINITE), a2=draw(_FINITE), a3=draw(_FINITE),
+        c1=draw(st.none() | _FINITE), c2=draw(st.none() | _FINITE), c3=draw(st.none() | _FINITE),
+        tau_min=tau_min, tau_max=draw(st.floats(tau_min, 2e6, exclude_min=True)),
+        n_tau=draw(st.integers(3, 10**6)),
+        zeta_min=zeta_min, zeta_max=draw(st.floats(zeta_min, 2e6, exclude_min=True)),
+        n_zeta=draw(st.integers(2, 10**6)),
+        probe_lambdas=tuple(draw(st.lists(
+            st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=4))),
+        field_tol=draw(st.none() | _POSITIVE), numeric_tol=draw(_POSITIVE),
+        audit_tol=draw(_POSITIVE), numeric_audit_tol=draw(_POSITIVE),
+        order_band=(draw(_FINITE), draw(_FINITE)), quiet=draw(st.booleans()),
+    )
+
+
+@given(_configs())
+def test_manifest_round_trip_for_any_config(cfg):
+    assert parse_config(emit_manifest(cfg)) == cfg
+
+
+@pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
+def test_canned_copy_gives_the_canned_scenario(tag):
+    cfg = cli.ScenarioConfig()
+    cli.apply_canned(cfg, tag)
+    sp, grid = scenarios.canned_scenario(tag)
+    assert cfg.scenario_params() == sp and cfg.grid() == grid
 
 
 def test_run_scenario_writes_artifacts(tmp_path):

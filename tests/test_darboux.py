@@ -4,23 +4,19 @@ import numpy as np
 import pytest
 
 from lambda_mb import algebra, analytic, darboux, model
-from lambda_mb.darboux import (
-    DressConstants,
-    SolitonConstants,
+from lambda_mb.darboux import DressConstants, SolitonConstants, map_constants, seed_fundamental
+from lambda_mb.errors import DegenerateMapping, DegenerateSeed
+from lambda_mb.model import LambdaParams, SpectralData
+from pointwise_oracle import (
+    DegeneratePsi,
+    SingularMatrix,
     SpectralMatrixL,
+    biorthogonal_partner,
     build_psi1,
     dress,
-    map_constants,
-    seed_fundamental,
+    extract_fields,
     sigma1,
 )
-from lambda_mb.errors import (
-    DegenerateMapping,
-    DegeneratePsi,
-    DegenerateSeed,
-    SingularMatrix,
-)
-from lambda_mb.model import LambdaParams, SpectralData
 
 FIG2_P = LambdaParams(nu0=3.0, delta=0.0, omega0=1.0)
 FIG2_S = SpectralData.from_eps0(2.0, 1.0)
@@ -150,17 +146,17 @@ def test_seed_gate_confluent_k():
 
 def test_biorthogonal_partner_identity_and_unitary():
     eye = np.eye(3, dtype=complex)
-    assert np.allclose(darboux.biorthogonal_partner(eye), eye, atol=0)
+    assert np.allclose(biorthogonal_partner(eye), eye, atol=0)
     # a unitary basis is its own partner
     rng = np.random.default_rng(7)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(a)
-    assert np.max(np.abs(darboux.biorthogonal_partner(q) - q)) < 1e-13
+    assert np.max(np.abs(biorthogonal_partner(q) - q)) < 1e-13
 
 
 def test_biorthogonal_partner_delta_property():
     phi = seed_fundamental(FIG2_P, FIG2_S, 1.0, 1.0)
-    partner = darboux.biorthogonal_partner(phi)
+    partner = biorthogonal_partner(phi)
     for i in range(3):
         for j in range(3):
             got = algebra.scalar_product(partner[:, i], phi[:, j])
@@ -170,7 +166,7 @@ def test_biorthogonal_partner_delta_property():
 def test_build_psi1_selection():
     phi = seed_fundamental(FIG2_P, FIG2_S, 0.5, -0.3)
     psi = build_psi1(phi, DressConstants(0.0, 1.0, 0.0))
-    partner = darboux.biorthogonal_partner(phi)
+    partner = biorthogonal_partner(phi)
 
     def collinear(u, v):
         uu, vv = u / np.linalg.norm(u), v / np.linalg.norm(v)
@@ -228,7 +224,7 @@ def test_dress_degenerate_column_keeps_background_intensity():
         phi = seed_fundamental(p, s, z, t)
         psi = build_psi1(phi, DressConstants(0.0, 1.0, 0.0))
         h, rho = dress(h0, rho0, psi, l1, p.delta)
-        oa, ob = model.extract_fields(h)
+        oa, ob = extract_fields(h)
         assert abs(abs(oa) - p.omega0) < 1e-12
         assert abs(ob) < 1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-12
@@ -251,7 +247,7 @@ def test_dress_matches_closed_form_pointwise():
         phi = seed_fundamental(p, s, z, t)
         psi = build_psi1(phi, c)
         h, rho = dress(h0, rho0, psi, l1, p.delta)
-        oa, ob = model.extract_fields(h)
+        oa, ob = extract_fields(h)
         oa_ref, ob_ref, rho_ref = analytic.two_soliton(sp, z, t)
         assert abs(oa - oa_ref) < 1e-11
         assert abs(ob - ob_ref) < 1e-11

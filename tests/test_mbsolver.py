@@ -22,28 +22,6 @@ def slow_scenario(om0=1.0, eps0=2.0, delta=0.0):
     )
 
 
-def test_bloch_rhs_identity_commutes():
-    rho = np.eye(3, dtype=complex) / 3.0
-    assert np.max(np.abs(mbsolver.bloch_rhs(rho, (1.3 + 0.2j, -0.7j), 0.9))) == 0.0
-
-
-def test_bloch_rhs_dark_state_stationary():
-    out = mbsolver.bloch_rhs(DARK, (2.0, 0.0), 1.7)
-    assert np.max(np.abs(out)) < 1e-15
-
-
-def test_bloch_rhs_traceless_and_hermitian():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rho = 0.5 * (a + a.conj().T)
-        f = (complex(rng.standard_normal(), rng.standard_normal()),
-             complex(rng.standard_normal(), rng.standard_normal()))
-        out = mbsolver.bloch_rhs(rho, f, 0.3)
-        assert abs(np.trace(out)) < 1e-12
-        assert np.max(np.abs(out - out.conj().T)) < 1e-12
-
-
 def test_slice_constant_background_dark():
     grid = GridSpec(-5, 5, 101, 0, 1, 2)
     oa = np.full(grid.n_tau, 1.0, dtype=complex)

@@ -1,8 +1,11 @@
 """Structure checks for the canned scenarios: the qualitative features the
 reference surfaces are known for, asserted through the feature tracker."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lambda_mb import analytic, scenarios, verify
 from lambda_mb.mbsolver import GridSpec
@@ -75,3 +78,44 @@ def test_exulton_k_canned_runs_without_numeric():
 def test_unknown_canned_tag():
     with pytest.raises(KeyError):
         scenarios.canned_scenario("fig9")
+
+
+@st.composite
+def _inside_the_regime(draw, name):
+    """Parameters inside the scenario's regime of validity.
+
+    nu0 in [0.5, 5] and Delta in [-2, 2] throughout.  Soliton-constant
+    scenarios: omega0 in [0.2, 2], eps0 - omega0 in [0.1, 3], log a1 and
+    log a3 in [-3, 3].  Dressing-constant scenarios: |c_i| in [0.2, 2] with
+    either sign, and omega0 = 0 with eps0 in [0.3, 5] for the storage
+    regime, or eps0 = omega0 in [0.2, 2] at the degenerate point; the
+    rotating-background closed form is written for c = (0, 0, c3) and
+    |k| <= 0.3.
+    """
+    kw = dict(nu0=draw(st.floats(0.5, 5.0)), delta=draw(st.floats(-2.0, 2.0)))
+    if scenarios.REGISTRY[name].constants == "a":
+        omega0 = draw(st.floats(0.2, 2.0))
+        a1, a3 = (math.exp(draw(st.floats(-3.0, 3.0))) for _ in range(2))
+        kw.update(omega0=omega0, eps0=omega0 + draw(st.floats(0.1, 3.0)), a=(a1, 1.0, a3))
+    else:
+        kw["c"] = tuple(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.2, 2.0))
+                        for _ in range(3))
+        if name == "zero_background":
+            kw.update(omega0=0.0, eps0=draw(st.floats(0.3, 5.0)))
+        else:
+            kw["omega0"] = kw["eps0"] = draw(st.floats(0.2, 2.0))
+        if name == "exulton_k":
+            kw.update(k=draw(st.floats(-0.3, 0.3)), c=(0.0, 0.0, kw["c"][2]))
+    return scenarios.make_scenario(name, **kw)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
+@given(data=st.data())
+def test_closed_form_and_dressing_agree_across_the_regime(name, data):
+    sp = data.draw(_inside_the_regime(name))
+    grid = GridSpec(-6.0, 6.0, 25, 0.0, 3.0, 7)
+    ana = scenarios.build_analytic_grid(sp, grid)
+    drs = scenarios.build_dressed_grid(sp, grid)
+    assert verify.compare_solutions(ana, drs).max_abs <= scenarios.REGISTRY[name].field_tol
+    assert verify.audit_density(ana).max_abs <= 1e-8
+    assert verify.audit_density(drs).max_abs <= 1e-8
