@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import darboux, model
+from . import darboux
 from .darboux import DressConstants, SolitonConstants
 from .errors import DegenerateConstants, ParameterGuard
 from .model import LambdaParams, SpectralData
@@ -141,13 +141,6 @@ def slow_soliton(sp: ScenarioParams, zeta, tau):
     return oa, ob, state
 
 
-def slow_group_velocity(p: LambdaParams, s: SpectralData) -> float:
-    """Leading-order group velocity of the slow soliton, in units of c."""
-    if not (s.eps0 > 0 and p.nu0 > 0):
-        raise ParameterGuard("requires eps0 > 0 and nu0 > 0")
-    return p.omega0**2 * (p.delta**2 + s.eps0**2) / (2.0 * s.eps0**2 * p.nu0)
-
-
 def fast_soliton(sp: ScenarioParams, tau):
     """Light-speed dip riding the channel-a background; channel b stays dark."""
     _check_regular(sp)
@@ -238,19 +231,3 @@ def exulton_k(sp: ScenarioParams, zeta, tau):
     oa = np.exp(1j * p.k * zeta) * om0 * (3.0 - ax2 + 4j * np.imag(x)) / (1.0 + ax2)
     ob = np.zeros_like(oa)
     return oa, ob, None
-
-
-def intensities_and_populations(fields, state):
-    """Observables plotted for every scenario: |O_a|^2, |O_b|^2 and level populations."""
-    oa, ob = fields
-    ia = np.abs(np.asarray(oa)) ** 2
-    ib = np.abs(np.asarray(ob)) ** 2
-    if isinstance(state, model.AtomState):
-        pops = state.populations()
-    else:
-        arr = np.asarray(state)
-        if arr.shape[-2:] == (3, 3):
-            pops = np.real(np.stack([arr[..., i, i] for i in range(3)], axis=-1))
-        else:
-            pops = np.abs(arr) ** 2
-    return ia, ib, pops[..., 0], pops[..., 1], pops[..., 2]

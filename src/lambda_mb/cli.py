@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import analytic, scenarios, verify
+from . import analytic, model, scenarios, verify
 from .errors import LambdaMBError, ParseError
 from .mbsolver import GridSpec, SolutionGrid
 from .scenarios import DEFAULT_PROBES
@@ -148,6 +148,9 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"need tau_min < tau_max, got [{cfg.tau_min}, {cfg.tau_max}]")
     if not cfg.zeta_max > cfg.zeta_min:
         raise ParseError(f"need zeta_min < zeta_max, got [{cfg.zeta_min}, {cfg.zeta_max}]")
+    for lam in cfg.probe_lambdas:
+        if abs(lam - cfg.delta) <= model.POLE_GUARD:
+            raise ParseError(f"probe lambda {lam} sits on the Delta = {cfg.delta} pole")
 
 
 def apply_canned(cfg: ScenarioConfig, tag: str):
@@ -274,18 +277,12 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
             grid.tau_min, grid.tau_max, min(grid.n_tau, 161),
             grid.zeta_min, grid.zeta_max, min(grid.n_zeta, 161),
         )
-        coarse = scenarios.build_analytic_grid(sp, check_grid)
-        fine = scenarios.build_analytic_grid(sp, check_grid.refined())
-        pair_reports = [
-            (verify.pde_residual(coarse, sp.params), verify.pde_residual(fine, sp.params)),
-        ]
-        for lam in cfg.probe_lambdas:
-            pair_reports.append((
-                verify.zero_curvature_residual(coarse, lam, sp.params),
-                verify.zero_curvature_residual(fine, lam, sp.params),
-            ))
+        coarse = verify.residual_reports(scenarios.build_analytic_grid(sp, check_grid),
+                                         sp.params, cfg.probe_lambdas)
+        fine = verify.residual_reports(scenarios.build_analytic_grid(sp, check_grid.refined()),
+                                       sp.params, cfg.probe_lambdas)
         lo, hi = cfg.order_band
-        for rc, rf in pair_reports:
+        for rc, rf in zip(coarse, fine):
             if rc.max_abs < 1e-12 and rf.max_abs < 1e-12:
                 reports.append(rc)  # exact stationary solution
                 continue

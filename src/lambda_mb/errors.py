@@ -45,10 +45,6 @@ class GridMismatch(LambdaMBError):
     """Two solution grids do not share the same lattice."""
 
 
-class FeatureLost(LambdaMBError):
-    """Tracked extremum is absent, non-unique or not prominent enough."""
-
-
 class ParseError(LambdaMBError):
     """Config text could not be parsed; carries line/column information."""
 

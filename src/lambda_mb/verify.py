@@ -4,6 +4,15 @@ All derivative checks use second-order central stencils on interior nodes
 only; a genuine solution therefore shows residuals falling by ~4x when the
 grid is refined by 2x, and that convergence ratio (not the raw residual)
 is the pass criterion used by the acceptance suite.
+
+The field-equation (PDE) residual and the zero-curvature residual at every
+probe come from one shared-term pass per grid (residual_reports). D is
+constant and V = c rho is proportional to the state, so both residuals are
+sums of the same four entry-wise terms: the zeta difference of H, the tau
+difference of rho, [D, rho] = (d_i - d_j) rho_ij and [H, rho] from H's
+four non-zero entries. The pass builds them one matrix entry (i, j) at a
+time on the interior nodes and folds each report's max |x| and sum |x|^2
+as it goes, so no (..., 3, 3) array and no batched 3x3 product is formed.
 """
 
 from __future__ import annotations
@@ -15,9 +24,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import model
-from .errors import FeatureLost, GridMismatch, SpectralPole
+from .errors import GridMismatch, SpectralPole
 from .mbsolver import SolutionGrid
-from .model import D_MATRIX, LambdaParams
+from .model import LambdaParams
 
 
 @dataclass
@@ -58,52 +67,100 @@ def _interior(arr):
     return arr[1:-1, 1:-1]
 
 
-def _require_rho(solution: SolutionGrid, what: str) -> np.ndarray:
-    if solution.rho is None:
-        raise ValueError(f"{what} needs the full per-node state; rerun with keep_rho=True")
-    return solution.rho
+class _Norms:
+    """Running max |x| and sum |x|^2 over the entries of one residual.
+
+    ``width`` is the number of entries per node the residual has, zeros
+    included, so the quadratic mean divides as if every entry were added.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.max_abs = np.float64(0.0)
+        self.sum_sq = 0.0
+
+    def add(self, entry: np.ndarray):
+        mag = np.abs(entry)
+        # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must fail
+        self.max_abs = np.maximum(self.max_abs, mag.max())
+        self.sum_sq += np.square(mag, out=mag).sum()
+
+    def report(self, name, grid, lam=None) -> ResidualReport:
+        nodes = (grid.n_zeta - 2) * (grid.n_tau - 2)
+        l2 = float(np.sqrt(self.sum_sq / (self.width * nodes)))
+        return ResidualReport(name, float(self.max_abs), l2, (grid.h_tau, grid.h_zeta), lam)
 
 
-def _report(name, res, grid, lam=None) -> ResidualReport:
-    flat = np.abs(res).reshape(res.shape[0] * res.shape[1], -1)
-    max_abs = float(np.max(flat))
-    l2 = float(np.sqrt(np.mean(flat**2)))
-    return ResidualReport(name, max_abs, l2, (grid.h_tau, grid.h_zeta), lam)
+#: non-zero entries of [D, rho] = (d_i - d_j) rho_ij for D = diag(1, 1, -1)
+_D_COMMUTATOR = {(0, 2): 2.0, (1, 2): 2.0, (2, 0): -2.0, (2, 1): -2.0}
+
+
+def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list:
+    """PDE residual, then the zero-curvature residual at each probe lambda.
+
+    One pass over the 9 entries (i, j) of the interior nodes. Each entry's
+    terms are built once and shared by every report: dH (the zeta
+    difference of H, non-zero at the 4 coupling entries only), dRho (the
+    tau difference of rho), [D, rho] and [H, rho]. With c = i nu0 / 2(lam
+    - Delta), U = i lam D / 2 - i H and V = c rho, the residuals are
+
+        pde = (dH - i nu0 [D, rho] / 4,  dRho - i (Delta [D, rho] / 2 - [H, rho]))
+        zc  = dU - dV + [U, V] = -i dH - c dRho + c (i lam [D, rho] / 2 - i [H, rho])
+
+    entry by entry, which is the matmul form with D constant and V
+    proportional to rho; no full (..., 3, 3) array is built.
+    """
+    for lam in probes:
+        if abs(lam - p.delta) <= model.POLE_GUARD:
+            raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
+    grid = solution.grid
+    if grid.n_zeta < 3 or grid.n_tau < 3:
+        raise ValueError("residual check needs at least a 3x3 grid")
+    rho = solution.rho
+    if rho is None:
+        raise ValueError("residual check needs the full per-node state; rerun with keep_rho=True")
+    # the non-zero entries of model.interaction_hamiltonian
+    h = {(2, 0): -0.5 * solution.omega_a, (2, 1): -0.5 * solution.omega_b}
+    h[0, 2], h[1, 2] = np.conj(h[2, 0]), np.conj(h[2, 1])
+    h_in = {ij: _interior(v) for ij, v in h.items()}
+    rho_in = _interior(rho)
+
+    pde = _Norms(18)
+    zcs = []
+    for lam in probes:
+        c = 0.5j * p.nu0 / (lam - p.delta)
+        zcs.append((lam, c, c * 0.5j * lam, _Norms(9)))
+    q = 0.25j * p.nu0
+    for i in range(3):
+        for j in range(3):
+            # [H, rho]_ij = sum_k H_ik rho_kj - rho_ik H_kj over the non-zero H entries
+            h_rho = sum(h_in[i, k] * rho_in[..., k, j] for k in range(3) if (i, k) in h_in)
+            h_rho = h_rho - sum(rho_in[..., i, k] * h_in[k, j] for k in range(3) if (k, j) in h_in)
+            d_rho = _central_dtau(rho[..., i, j], grid.h_tau)
+            shared = -d_rho - 1j * h_rho  # c times this is -c dRho - i c [H, rho]
+            if (i, j) in h:
+                d_h = _central_dzeta(h[i, j], grid.h_zeta)
+                d_comm = _D_COMMUTATOR[i, j] * rho_in[..., i, j]
+                pde.add(d_h - q * d_comm)
+                pde.add(d_rho - 1j * (0.5 * p.delta * d_comm - h_rho))
+                for _, c, ck, norms in zcs:
+                    norms.add(c * shared + ck * d_comm - 1j * d_h)
+            else:
+                pde.add(d_rho + 1j * h_rho)
+                for _, c, _, norms in zcs:
+                    norms.add(c * shared)
+    return [pde.report("pde", grid)] + [
+        norms.report("zero_curvature", grid, lam) for lam, _, _, norms in zcs]
 
 
 def zero_curvature_residual(solution: SolutionGrid, lam: complex, p: LambdaParams) -> ResidualReport:
     """Compatibility residual of the auxiliary linear system at probe lambda."""
-    if abs(lam - p.delta) <= model.POLE_GUARD:
-        raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
-    grid = solution.grid
-    if grid.n_zeta < 3 or grid.n_tau < 3:
-        raise ValueError("zero-curvature check needs at least a 3x3 grid")
-    rho = _require_rho(solution, "zero_curvature_residual")
-    h = model.interaction_hamiltonian((solution.omega_a, solution.omega_b))
-    u = model.lax_u(lam, h)
-    v = model.lax_v(lam, rho, p)
-    res = (
-        _central_dzeta(u, grid.h_zeta)
-        - _central_dtau(v, grid.h_tau)
-        + _interior(u @ v - v @ u)
-    )
-    return _report("zero_curvature", res, grid, lam)
+    return residual_reports(solution, p, (lam,))[1]
 
 
 def pde_residual(solution: SolutionGrid, p: LambdaParams) -> ResidualReport:
     """Field equation and state equation residuals, combined elementwise max."""
-    grid = solution.grid
-    if grid.n_zeta < 3 or grid.n_tau < 3:
-        raise ValueError("residual check needs at least a 3x3 grid")
-    rho = _require_rho(solution, "pde_residual")
-    h = model.interaction_hamiltonian((solution.omega_a, solution.omega_b))
-    maxwell = _central_dzeta(h, grid.h_zeta) - 0.25j * p.nu0 * _interior(
-        D_MATRIX @ rho - rho @ D_MATRIX
-    )
-    g = 0.5 * p.delta * D_MATRIX - h
-    liouville = _central_dtau(rho, grid.h_tau) - 1j * _interior(g @ rho - rho @ g)
-    res = np.concatenate([maxwell, liouville], axis=-1)
-    return _report("pde", res, grid)
+    return residual_reports(solution, p)[0]
 
 
 def audit_density(solution: SolutionGrid) -> ResidualReport:
@@ -177,83 +234,15 @@ def compare_solutions(a: SolutionGrid, b: SolutionGrid, gauge_aware: bool = Fals
     )
 
 
-# ---------------------------------------------------------------------------
-# feature tracking
-# ---------------------------------------------------------------------------
-
-def _refine_parabolic(y, idx, x0, hx):
-    """Sub-cell extremum location by parabola through three points."""
-    ym, y0, yp = y[idx - 1], y[idx], y[idx + 1]
-    denom = ym - 2.0 * y0 + yp
-    if denom == 0.0:
-        return x0 + idx * hx
-    shift = 0.5 * (ym - yp) / denom
-    return x0 + (idx + shift) * hx
-
-
-def _track_rows(values, minimize, axis_coords, cross_coords, prominence_floor):
-    """Extremum position along axis 1 for every row; returns per-row coordinate."""
-    positions = []
-    kept = []
-    for i in range(values.shape[0]):
-        row = values[i]
-        idx = int(np.argmin(row) if minimize else np.argmax(row))
-        if idx == 0 or idx == len(row) - 1:
-            continue  # feature not interior for this row
-        prominence = (np.max(row) - row[idx]) if minimize else (row[idx] - np.min(row))
-        if prominence < prominence_floor:
-            continue
-        near = np.flatnonzero(np.abs(row - row[idx]) <= 1e-9 * max(prominence, 1e-300))
-        if near.size > 1 and (near.max() - near.min()) > 2:
-            raise FeatureLost("tracked extremum is not unique within a row")
-        positions.append(_refine_parabolic(row, idx, axis_coords[0],
-                                           axis_coords[1] - axis_coords[0]))
-        kept.append(cross_coords[i])
-    if len(kept) < 3:
-        raise FeatureLost("tracked extremum present in fewer than 3 slices")
-    return np.asarray(kept), np.asarray(positions)
-
-
-def measure_velocity(solution: SolutionGrid, tracker: str) -> float:
-    """Lab-frame speed of a tracked feature, in units of c.
-
-    tracker: "ia_min" (groove of the a-channel intensity), "ia_max"
-    (a-channel intensity peak), "ib_max" (b-channel peak), or "p1_max"
-    (population ridge of level 1; tracked across zeta per tau slice, which
-    stays well-posed for arrested features).  A feature at fixed lab speed
-    v obeys tau = (1/v - 1) zeta, so the fitted slope m of tau*(zeta)
-    gives v = 1/(1 + m); for the zeta-per-tau tracking the slope q of
-    zeta*(tau) gives v = q/(1 + q).
-    """
-    grid = solution.grid
-    taus, zetas = grid.taus(), grid.zetas()
-    if tracker in ("ia_min", "ia_max", "ib_max", "p3_max"):
-        if tracker == "ib_max":
-            values = solution.ib
-        elif tracker == "p3_max":
-            if solution.populations is None:
-                raise ValueError("p3 tracking needs populations on the grid")
-            values = solution.populations[..., 2]
-        else:
-            values = solution.ia
-        background = float(np.median(np.concatenate([solution.ia[:, 0], solution.ia[:, -1]])))
-        floor = 1e-3 * max(background, float(np.max(values)) * 1e-3)
-        zs, ts = _track_rows(values, tracker == "ia_min", taus, zetas, floor)
-        m = np.polyfit(zs, ts, 1)[0]
-        return 1.0 / (1.0 + m)
-    if tracker == "p1_max":
-        if solution.populations is None:
-            raise ValueError("p1 tracking needs populations on the grid")
-        values = solution.populations[..., 0].T  # rows = tau slices, cols = zeta
-        floor = 1e-3 * float(np.max(values))
-        ts, zs = _track_rows(values, False, zetas, taus, floor)
-        q = np.polyfit(ts, zs, 1)[0]
-        return q / (1.0 + q)
-    raise ValueError(f"unknown tracker {tracker!r}")
-
-
 def convergence_order(coarse: ResidualReport, fine: ResidualReport) -> float:
-    """Observed order between two refinements (h and h/2)."""
+    """Observed order between two refinements (h and h/2).
+
+    A zero fine residual gives inf, a zero coarse one -inf, a NaN gives NaN.
+    """
+    if math.isnan(coarse.max_abs) or math.isnan(fine.max_abs):
+        return math.nan
     if fine.max_abs == 0.0:
         return math.inf
+    if coarse.max_abs == 0.0:
+        return -math.inf
     return math.log2(coarse.max_abs / fine.max_abs)

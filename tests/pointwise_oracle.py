@@ -11,6 +11,11 @@ it is meant for moderate windows, where the seed basis stays well
 conditioned.  The exact 3x3 kernels it needs (determinant, adjugate,
 cofactor inverse with a scale-invariant singularity guard, commutator)
 live here with it.
+
+The residual stencils at the end are the matmul form of the field-equation
+and zero-curvature residuals: full (..., 3, 3) H, U and V arrays and
+batched 3x3 products, the reference that verify.residual_reports, which
+works entry by entry, is tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from lambda_mb import algebra, model
 from lambda_mb.darboux import DressConstants
 from lambda_mb.errors import LambdaMBError, SpectralPole
 from lambda_mb.model import D_MATRIX
+from lambda_mb.verify import ResidualReport
 
 #: relative singularity guard: |det m| must exceed SINGULARITY_RTOL * ||m||^3
 SINGULARITY_RTOL = 1e-12
@@ -215,3 +221,56 @@ def dress(seed_h, seed_rho, psi1, l1: SpectralMatrixL, delta: float):
     rho = sd @ np.asarray(seed_rho, dtype=complex) @ sd_inv
     extract_fields(h)  # post-check: raises NotLambdaStructured on failure
     return h, rho
+
+
+# ---------------------------------------------------------------------------
+# matmul residual stencils
+# ---------------------------------------------------------------------------
+
+def _central_dzeta(arr, h):
+    return (arr[2:, 1:-1] - arr[:-2, 1:-1]) / (2.0 * h)
+
+
+def _central_dtau(arr, h):
+    return (arr[1:-1, 2:] - arr[1:-1, :-2]) / (2.0 * h)
+
+
+def _interior(arr):
+    return arr[1:-1, 1:-1]
+
+
+def _report(name, res, grid, lam=None) -> ResidualReport:
+    flat = np.abs(res).reshape(res.shape[0] * res.shape[1], -1)
+    max_abs = float(np.max(flat))
+    l2 = float(np.sqrt(np.mean(flat**2)))
+    return ResidualReport(name, max_abs, l2, (grid.h_tau, grid.h_zeta), lam)
+
+
+def reference_zero_curvature_residual(solution, lam: complex, p) -> ResidualReport:
+    """dU/dzeta - dV/dtau + [U, V] from the full Lax matrices."""
+    if abs(lam - p.delta) <= model.POLE_GUARD:
+        raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
+    grid = solution.grid
+    h = model.interaction_hamiltonian((solution.omega_a, solution.omega_b))
+    u = model.lax_u(lam, h)
+    v = model.lax_v(lam, solution.rho, p)
+    res = (
+        _central_dzeta(u, grid.h_zeta)
+        - _central_dtau(v, grid.h_tau)
+        + _interior(u @ v - v @ u)
+    )
+    return _report("zero_curvature", res, grid, lam)
+
+
+def reference_pde_residual(solution, p) -> ResidualReport:
+    """Field equation and state equation residuals from full 3x3 products."""
+    grid = solution.grid
+    rho = solution.rho
+    h = model.interaction_hamiltonian((solution.omega_a, solution.omega_b))
+    maxwell = _central_dzeta(h, grid.h_zeta) - 0.25j * p.nu0 * _interior(
+        D_MATRIX @ rho - rho @ D_MATRIX
+    )
+    g = 0.5 * p.delta * D_MATRIX - h
+    liouville = _central_dtau(rho, grid.h_tau) - 1j * _interior(g @ rho - rho @ g)
+    res = np.concatenate([maxwell, liouville], axis=-1)
+    return _report("pde", res, grid)

@@ -14,6 +14,7 @@ from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.mbsolver import GridSpec, propagate
 from lambda_mb.model import LambdaParams, SpectralData
+import observables
 
 PROBES = (1.0 + 1.0j, 0.7j, -2.0 + 0.5j)
 
@@ -163,8 +164,8 @@ def test_criterion_6_group_velocity():
                         soliton=SolitonConstants(1.0, 0.0))
     grid = GridSpec(-2.0, 11.0, 1301, 0.0, 0.06, 61)
     sol = scenarios.build_analytic_grid(sp, grid)
-    v = verify.measure_velocity(sol, "ia_min")
-    formula = analytic.slow_group_velocity(p, s)
+    v = observables.measure_velocity(sol, "ia_min")
+    formula = observables.slow_group_velocity(p, s)
     rel = abs(v - formula) / formula
 
     # reference-parameter run: approximation regime violated, value reported only
@@ -173,8 +174,8 @@ def test_criterion_6_group_velocity():
                          soliton=SolitonConstants(1.0, 0.0))
     grid2 = GridSpec(-2.0, 50.0, 1041, 0.0, 8.0, 81)
     sol2 = scenarios.build_analytic_grid(sp2, grid2)
-    v2 = verify.measure_velocity(sol2, "ia_min")
-    f2 = analytic.slow_group_velocity(sp2.params, sp2.spectral)
+    v2 = observables.measure_velocity(sol2, "ia_min")
+    f2 = observables.slow_group_velocity(sp2.params, sp2.spectral)
     elapsed = time.time() - t0
     ok = rel < 0.05 and elapsed < 120.0
     _verdict(6, ok,
@@ -211,7 +212,7 @@ def test_criterion_8_stopped_polariton():
         scenario="zero_background", constants=DressConstants(1.0, 1.0, 1.0))
     grid = GridSpec(-14.0, -4.0, 501, -2.0, 2.0, 401)
     sol = scenarios.build_analytic_grid(sp, grid)
-    v = abs(verify.measure_velocity(sol, "p1_max"))
+    v = abs(observables.measure_velocity(sol, "p1_max"))
 
     sp0 = ScenarioParams(params=sp.params, spectral=sp.spectral,
                          scenario="zero_background", constants=DressConstants(0.0, 1.0, 1.0))

@@ -8,6 +8,7 @@ from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.errors import DegenerateConstants, ParameterGuard
 from lambda_mb.model import LambdaParams, SpectralData
+import observables
 
 
 def fig2(a1=1.0, a3=1.0, scenario="two_soliton", delta=0.0):
@@ -132,12 +133,12 @@ def test_slow_state_norm_and_consistency():
 def test_slow_group_velocity():
     p = LambdaParams(nu0=3.0, delta=0.0, omega0=1.0)
     s = SpectralData.from_eps0(2.0, 1.0)
-    assert abs(analytic.slow_group_velocity(p, s) - 1.0 / 6.0) < 1e-15
+    assert abs(observables.slow_group_velocity(p, s) - 1.0 / 6.0) < 1e-15
     stopped = LambdaParams(nu0=3.0, omega0=0.0)
-    assert analytic.slow_group_velocity(stopped, s) == 0.0
+    assert observables.slow_group_velocity(stopped, s) == 0.0
     doubled = LambdaParams(nu0=3.0, omega0=2.0)
-    assert abs(analytic.slow_group_velocity(doubled, s)
-               - 4.0 * analytic.slow_group_velocity(p, s)) < 1e-15
+    assert abs(observables.slow_group_velocity(doubled, s)
+               - 4.0 * observables.slow_group_velocity(p, s)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def test_exulton_k_matches_engine():
 # ---------------------------------------------------------------------------
 
 def test_intensities_and_populations_dark_background():
-    ia, ib, p1, p2, p3 = analytic.intensities_and_populations(
+    ia, ib, p1, p2, p3 = observables.intensities_and_populations(
         (1.0, 0.0), model.dark_state(0.0))
     assert (ia, ib, p1, p2, p3) == (1.0, 0.0, 0.0, 1.0, 0.0)
 
@@ -356,7 +357,7 @@ def test_populations_sum_to_one_for_pure_states():
     zz = np.linspace(0, 4, 5)[:, None]
     tt = np.linspace(-6, 6, 13)[None, :]
     oa, ob, psi = analytic.slow_soliton(sp, zz, tt)
-    _, _, p1, p2, p3 = analytic.intensities_and_populations((oa, ob), psi)
+    _, _, p1, p2, p3 = observables.intensities_and_populations((oa, ob), psi)
     assert np.max(np.abs(p1 + p2 + p3 - 1.0)) < 1e-10
 
 

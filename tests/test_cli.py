@@ -39,6 +39,8 @@ def test_parse_rejects_bad_values():
         parse_config("scenario = fig2\n")
     with pytest.raises(ParseError, match="refuses the numeric engine"):
         parse_config("scenario = exulton_k\nengine = numeric\n")
+    with pytest.raises(ParseError, match="Delta"):
+        parse_config("scenario = slow\ndelta = 0.5\nprobe_lambdas = 1+1j; 0.5+1e-10j\n")
     err = None
     try:
         parse_config("nu0 = 3\nomega0 == 1\n")
@@ -60,6 +62,7 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
 @pytest.mark.parametrize("text", [
     "delta = nan\n", "tau_min = 5\ntau_max = -5\n", "scenario = fig2\n",
     "scenario = exulton_k\nengine = numeric\n",
+    "scenario = slow\nengine = analytic\ndelta = 0.5\nprobe_lambdas = 0.5\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
@@ -105,6 +108,29 @@ def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
     assert "verdict: FAIL" in report
     assert [line for line in report.splitlines() if line.startswith("  - ")] == [
         "  - analytic vs dressing: nan > 1e-09"]
+
+
+def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
+    build = scenarios.build_analytic_grid
+    built = []
+
+    def nan_in_check_grids(sp, grid):
+        sol = build(sp, grid)
+        built.append(grid)
+        if len(built) > 1:  # the output grid comes first, then the two check grids
+            sol.rho[5, 7, 1, 2] = np.nan
+        return sol
+
+    monkeypatch.setattr(scenarios, "build_analytic_grid", nan_in_check_grids)
+    path = tmp_path / "cfg.txt"
+    path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path), "--check"]) == 1
+    assert len(built) == 3
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    assert "verdict: FAIL" in report
+    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+        f"  - {name}: convergence order nan outside [1.8, 2.2]"
+        for name in ["pde"] + ["zero_curvature"] * len(scenarios.DEFAULT_PROBES)]
 
 
 def test_manifest_round_trip():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from lambda_mb import analytic, scenarios, verify
 from lambda_mb.mbsolver import GridSpec
+import observables
 
 
 def test_fig2_gate_closes_for_the_slow_soliton():
@@ -17,7 +18,7 @@ def test_fig2_gate_closes_for_the_slow_soliton():
     # a-channel groove moves at the slow-soliton speed; the window keeps the
     # light-speed dip (whose zero crossings also touch I_a = 0) outside
     pre = scenarios.build_analytic_grid(sp, GridSpec(-18.0, -2.0, 801, 0.0, 2.0, 81))
-    v_pre = verify.measure_velocity(pre, "ia_min")
+    v_pre = observables.measure_velocity(pre, "ia_min")
     v_slow = 1.0 / (1.0 + sp.spectral.eps0 * sp.params.nu0 /
                     ((sp.params.delta**2 + sp.spectral.eps0**2)
                      * (sp.spectral.eps0 - np.real(sp.spectral.root))))
@@ -28,7 +29,7 @@ def test_fig2_gate_closes_for_the_slow_soliton():
     # the corridor where the two denominator exponentials balance, giving
     # v = (eps0 + root)/(eps0 + root + nu0 eps0/(Delta^2 + eps0^2)) ~ 0.71 here
     post = scenarios.build_analytic_grid(sp, GridSpec(-4.0, 10.0, 801, 4.0, 8.0, 51))
-    v_post = verify.measure_velocity(post, "ib_max")
+    v_post = observables.measure_velocity(post, "ib_max")
     w = float(np.real(sp.spectral.root))
     v_corridor = (sp.spectral.eps0 + w) / (
         sp.spectral.eps0 + w
@@ -47,13 +48,13 @@ def test_fig3_storage_and_reading_structure():
     # still in the lab frame
     window = GridSpec(-12.0, -3.0, 601, -2.5, 2.5, 301)
     sol = scenarios.build_analytic_grid(sp, window)
-    v_p1 = verify.measure_velocity(sol, "p1_max")
+    v_p1 = observables.measure_velocity(sol, "p1_max")
     assert abs(v_p1) < 1e-3
     # the reading excitation rides in at (near) light speed: its level-3
     # ridge sits near tau = 0 and barely drifts on the approach side
     approach = scenarios.build_analytic_grid(
         sp, GridSpec(-4.0, 2.0, 601, -2.5, -0.8, 171))
-    v_p3 = verify.measure_velocity(approach, "p3_max")
+    v_p3 = observables.measure_velocity(approach, "p3_max")
     assert 0.7 < v_p3 <= 1.01
 
 

@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lambda_mb import model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
-from lambda_mb.errors import FeatureLost, GridMismatch, SpectralPole
+from lambda_mb.errors import GridMismatch, SpectralPole
 from lambda_mb.mbsolver import GridSpec, SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
+import observables
+from observables import FeatureLost
+from pointwise_oracle import reference_pde_residual, reference_zero_curvature_residual
 
 
 def slow_sp(om0=1.0, eps0=2.0):
@@ -55,6 +62,77 @@ def test_residuals_second_order_on_analytic_grid():
     assert 1.8 < verify.convergence_order(zc, zf) < 2.2
 
 
+def _references(sol, p, probes):
+    return [reference_pde_residual(sol, p)] + [
+        reference_zero_curvature_residual(sol, lam, p) for lam in probes]
+
+
+def _assert_same_reports(got, want):
+    assert [r.name for r in got] == [r.name for r in want]
+    for g, w in zip(got, want):
+        assert g.lambda_probe == w.lambda_probe and g.grid_h == w.grid_h
+        np.testing.assert_allclose([g.max_abs, g.l2], [w.max_abs, w.l2], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
+def test_residual_reports_match_the_matmul_formulas(tag):
+    sp, g = scenarios.canned_scenario(tag)
+    sol = scenarios.build_analytic_grid(
+        sp, GridSpec(g.tau_min, g.tau_max, 41, g.zeta_min, g.zeta_max, 9))
+    got = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
+    want = _references(sol, sp.params, scenarios.DEFAULT_PROBES)
+    _assert_same_reports(got, want)
+    assert [r.as_text() for r in got] == [r.as_text() for r in want]
+
+
+_VALUES = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def _general_grids(draw):
+    """Any fields and any complex, non-Hermitian state on a lattice >= 3 x 3."""
+    n_zeta, n_tau = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    grid = GridSpec(-draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0)), n_tau,
+                    0.0, draw(st.floats(0.05, 5.0)), n_zeta)
+
+    def cplx(shape):
+        re, im = (draw(hnp.arrays(float, shape, elements=_VALUES)) for _ in range(2))
+        return re + 1j * im
+
+    shape = (n_zeta, n_tau)
+    return SolutionGrid(grid=grid, omega_a=cplx(shape), omega_b=cplx(shape),
+                        rho=cplx(shape + (3, 3)))
+
+
+@given(sol=_general_grids(), nu0=st.floats(0.1, 5.0), delta=st.floats(-2.0, 2.0),
+       offsets=st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(-math.pi, math.pi)),
+                        min_size=1, max_size=3))
+def test_residual_reports_match_the_matmul_formulas_for_any_state(sol, nu0, delta, offsets):
+    p = LambdaParams(nu0=nu0, delta=delta, omega0=1.0)
+    probes = tuple(delta + r * complex(math.cos(t), math.sin(t)) for r, t in offsets)
+    _assert_same_reports(verify.residual_reports(sol, p, probes), _references(sol, p, probes))
+
+
+def test_a_nan_in_one_state_entry_makes_every_residual_nan():
+    sp = slow_sp()
+    sol = scenarios.build_analytic_grid(sp, GridSpec(-8, 8, 41, 0, 4, 21))
+    sol.rho[7, 30, 0, 1] = np.nan
+    reports = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
+    assert len(reports) == 1 + len(scenarios.DEFAULT_PROBES)
+    assert all(math.isnan(r.max_abs) for r in reports)
+
+
+def test_convergence_order_on_zero_and_nan_residuals():
+    def rep(max_abs):
+        return verify.ResidualReport("pde", max_abs, max_abs, (0.1, 0.1))
+
+    assert verify.convergence_order(rep(4e-3), rep(1e-3)) == 2.0
+    assert verify.convergence_order(rep(0.0), rep(1e-3)) == -math.inf
+    assert verify.convergence_order(rep(1e-3), rep(0.0)) == math.inf
+    for coarse, fine in ((math.nan, 1e-3), (1e-3, math.nan), (math.nan, 0.0), (0.0, math.nan)):
+        assert math.isnan(verify.convergence_order(rep(coarse), rep(fine)))
+
+
 def test_pde_residual_detects_corruption():
     sp = slow_sp()
     grid = GridSpec(-8, 8, 81, 0, 4, 81)
@@ -97,7 +175,7 @@ def test_measure_velocity_synthetic_feature():
     sol = SolutionGrid(grid=grid, omega_a=np.sqrt(ia).astype(complex),
                        omega_b=np.zeros_like(ia, dtype=complex), state_kind="none",
                        populations=np.zeros((grid.n_zeta, grid.n_tau, 3)))
-    v = verify.measure_velocity(sol, "ia_min")
+    v = observables.measure_velocity(sol, "ia_min")
     assert abs(v - 1.0 / (1.0 + m)) < 1e-4
 
 
@@ -109,7 +187,7 @@ def test_measure_velocity_fast_soliton_light_speed():
     )
     grid = GridSpec(-6, 6, 301, 0, 3, 31)
     sol = scenarios.build_analytic_grid(sp, grid)
-    v = verify.measure_velocity(sol, "ia_max")  # light-speed feature is an intensity peak
+    v = observables.measure_velocity(sol, "ia_max")  # light-speed feature is an intensity peak
     assert abs(v - 1.0) < 1e-9
 
 
@@ -120,7 +198,7 @@ def test_measure_velocity_feature_lost():
                        state_kind="none",
                        populations=np.zeros((grid.n_zeta, grid.n_tau, 3)))
     with pytest.raises(FeatureLost):
-        verify.measure_velocity(sol, "ia_min")
+        observables.measure_velocity(sol, "ia_min")
 
 
 def test_report_text_round_trip_keys():
