@@ -277,8 +277,9 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
             grid.tau_min, grid.tau_max, min(grid.n_tau, 161),
             grid.zeta_min, grid.zeta_max, min(grid.n_zeta, 161),
         )
-        coarse = verify.residual_reports(scenarios.build_analytic_grid(sp, check_grid),
-                                         sp.params, cfg.probe_lambdas)
+        coarse_grid = (grids["analytic"] if check_grid == grid
+                       else scenarios.build_analytic_grid(sp, check_grid))
+        coarse = verify.residual_reports(coarse_grid, sp.params, cfg.probe_lambdas)
         fine = verify.residual_reports(scenarios.build_analytic_grid(sp, check_grid.refined()),
                                        sp.params, cfg.probe_lambdas)
         lo, hi = cfg.order_band

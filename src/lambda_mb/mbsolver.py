@@ -216,13 +216,16 @@ def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec) -
     p = _prefix_products(_step_maps(oa, ob, float(delta), grid.h_tau))
     out = _mul(_mul(p, rho0), np.conj(np.swapaxes(p, -1, -2)))
     out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+    if not np.isfinite(out).all():
+        # eigvalsh would end in LinAlgError, which is no LambdaMBError
+        raise StepUnstable("state slice holds non-finite entries")
     eig = np.linalg.eigvalsh(out)
-    if eig.min() < -EIG_BAND or eig.max() > 1.0 + EIG_BAND:
+    lo, hi = float(eig.min()), float(eig.max())
+    if not (lo >= -EIG_BAND and hi <= 1.0 + EIG_BAND):
         raise StepUnstable(
-            f"state eigenvalues left [{-EIG_BAND}, 1+{EIG_BAND}]: "
-            f"min {eig.min():.3e}, max {eig.max():.3e}"
+            f"state eigenvalues left [{-EIG_BAND}, 1+{EIG_BAND}]: min {lo:.3e}, max {hi:.3e}"
         )
-    _slice_audit.extremes = (float(eig.min()), float(eig.max()))
+    _slice_audit.extremes = (lo, hi)
     return out
 
 

@@ -13,6 +13,12 @@ difference of rho, [D, rho] = (d_i - d_j) rho_ij and [H, rho] from H's
 four non-zero entries. The pass builds them one matrix entry (i, j) at a
 time on the interior nodes and folds each report's max |x| and sum |x|^2
 as it goes, so no (..., 3, 3) array and no batched 3x3 product is formed.
+
+The density audit works the same way: one pass over the nine rho[..., i, j]
+views, a chunk of nodes at a time, with the extreme eigenvalues of each
+node from algebra.hermitian_eigenvalues (cyclic Jacobi on per-entry
+arrays) instead of LAPACK. Every maximum is NaN-propagating, so a
+non-finite state entry fails the audit instead of raising.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import model
+from . import algebra, model
 from .errors import GridMismatch, SpectralPole
 from .mbsolver import SolutionGrid
 from .model import LambdaParams
@@ -163,8 +169,26 @@ def pde_residual(solution: SolutionGrid, p: LambdaParams) -> ResidualReport:
     return residual_reports(solution, p)[0]
 
 
+#: nodes per chunk of the density audit: a chunk's entry arrays stay
+#: small, so the audit's working memory does not grow with the grid
+_AUDIT_CHUNK = 8192
+
+
+# a non-finite entry comes out as a NaN (or inf) metric; numpy's
+# invalid-value warnings on the way add nothing to that
+@np.errstate(invalid="ignore")
 def audit_density(solution: SolutionGrid) -> ResidualReport:
     """Hermiticity, trace, positivity and (when claimed) purity of the state.
+
+    One entry-wise pass over the nine rho[..., i, j] views, _AUDIT_CHUNK
+    nodes at a time. Per chunk it takes the Hermiticity defect from
+    2 |Im rho_ii| and |rho_ij - conj rho_ji|, the trace defect, the purity
+    defect |sum_ij |rho_ij|^2 - 1| of pure grids, and the smallest and
+    largest eigenvalue of the Hermitian part from
+    algebra.hermitian_eigenvalues (cyclic Jacobi, no LAPACK eigensolver).
+    Formal grids are scored on Hermiticity and trace only and skip the
+    eigenvalues. Every reduction propagates NaN, so a non-finite entry
+    gives a NaN metric, which fails any tolerance.
 
     For grids that no longer carry the full state, falls back to the
     streaming metrics the solver recorded while marching.
@@ -174,57 +198,60 @@ def audit_density(solution: SolutionGrid) -> ResidualReport:
         meta = solution.meta
         if "trace_dev" not in meta:
             raise ValueError("grid carries neither states nor streaming audit metrics")
-        metrics = [
+        worst = float(np.max([
             meta.get("hermiticity_dev", 0.0),
             meta["trace_dev"],
-            max(0.0, -meta["eig_min"]),
-            max(0.0, meta["eig_max"] - 1.0),
-        ]
-        worst = float(max(metrics))
+            np.maximum(0.0, -meta["eig_min"]),
+            np.maximum(0.0, meta["eig_max"] - 1.0),
+        ]))
         return ResidualReport("density_audit", worst, worst, (grid.h_tau, grid.h_zeta))
-    rho = solution.rho
-    herm = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
-    trace = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
-    eig = np.linalg.eigvalsh(0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2))))
-    neg = float(max(0.0, -eig.min()))
-    over = float(max(0.0, eig.max() - 1.0))
-    metrics = [herm, trace, neg, over]
-    if solution.state_kind == "pure":
-        frob2 = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
-        metrics.append(float(np.max(np.abs(frob2 - 1.0))))
-    if solution.state_kind == "formal":
-        # companion states are Hermitian/trace-one by construction but
-        # indefinite by design; positivity is reported, not scored
-        metrics = [herm, trace]
-    worst = float(max(metrics))
+    kind = solution.state_kind
+    rho = solution.rho.reshape(-1, 3, 3)
+    herm = trace = purity = np.float64(0.0)
+    lo, hi = np.float64(np.inf), np.float64(-np.inf)
+    for start in range(0, rho.shape[0], _AUDIT_CHUNK):
+        r = rho[start:start + _AUDIT_CHUNK]
+        d0, d1, d2 = (r[:, i, i] for i in range(3))
+        upper = [(r[:, i, j], r[:, j, i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        for d in (d0, d1, d2):
+            herm = np.maximum(herm, 2.0 * np.abs(d.imag).max())
+        for a, b in upper:
+            herm = np.maximum(herm, np.abs(a - np.conj(b)).max())
+        trace = np.maximum(trace, np.abs(d0 + d1 + d2 - 1.0).max())
+        if kind == "pure":
+            sq = [np.square(np.abs(r[:, i, j])) for i in range(3) for j in range(3)]
+            # np.sum's order over the 9 row-major entries: 8 pairwise, then the last
+            frob2 = (((sq[0] + sq[1]) + (sq[2] + sq[3]))
+                     + ((sq[4] + sq[5]) + (sq[6] + sq[7]))) + sq[8]
+            purity = np.maximum(purity, np.abs(frob2 - 1.0).max())
+        if kind != "formal":
+            eig = algebra.hermitian_eigenvalues(
+                d0.real, d1.real, d2.real, *(0.5 * (a + np.conj(b)) for a, b in upper))
+            lo, hi = np.minimum(lo, np.min(eig)), np.maximum(hi, np.max(eig))
+    metrics = [herm, trace]
+    # companion states are Hermitian/trace-one by construction but
+    # indefinite by design; positivity is not scored
+    if kind != "formal":
+        metrics += [np.maximum(0.0, -lo), np.maximum(0.0, hi - 1.0)]
+    if kind == "pure":
+        metrics.append(purity)
+    worst = float(np.max(metrics))
     rep = ResidualReport("density_audit", worst, worst, (grid.h_tau, grid.h_zeta))
-    if solution.state_kind == "formal":
+    if kind == "formal":
         rep.name = "density_audit[formal: positivity not claimed]"
     return rep
 
 
-def compare_solutions(a: SolutionGrid, b: SolutionGrid, gauge_aware: bool = False) -> ResidualReport:
-    """Elementwise distance between two grids on the same lattice.
-
-    gauge_aware compares |omega| and populations only, for solution pairs
-    that legitimately differ by a constant phase convention.
-    """
+def compare_solutions(a: SolutionGrid, b: SolutionGrid) -> ResidualReport:
+    """Elementwise distance between two grids on the same lattice."""
     if a.grid != b.grid:
         raise GridMismatch("solution grids live on different lattices")
-    if gauge_aware:
-        diffs = [
-            np.abs(np.abs(a.omega_a) - np.abs(b.omega_a)),
-            np.abs(np.abs(a.omega_b) - np.abs(b.omega_b)),
-        ]
-        if a.populations is not None and b.populations is not None:
-            diffs.append(np.max(np.abs(a.populations - b.populations), axis=-1))
-    else:
-        diffs = [
-            np.abs(a.omega_a - b.omega_a),
-            np.abs(a.omega_b - b.omega_b),
-        ]
-        if a.rho is not None and b.rho is not None:
-            diffs.append(np.max(np.abs(a.rho - b.rho), axis=(-2, -1)))
+    diffs = [
+        np.abs(a.omega_a - b.omega_a),
+        np.abs(a.omega_b - b.omega_b),
+    ]
+    if a.rho is not None and b.rho is not None:
+        diffs.append(np.max(np.abs(a.rho - b.rho), axis=(-2, -1)))
     stacked = np.stack(diffs)
     return ResidualReport(
         "compare",

@@ -15,7 +15,9 @@ live here with it.
 The residual stencils at the end are the matmul form of the field-equation
 and zero-curvature residuals: full (..., 3, 3) H, U and V arrays and
 batched 3x3 products, the reference that verify.residual_reports, which
-works entry by entry, is tested against.
+works entry by entry, is tested against. The density audit beside them
+takes its eigenvalues from LAPACK (np.linalg.eigvalsh), the reference for
+verify.audit_density and its entry-wise Jacobi eigenvalues.
 """
 
 from __future__ import annotations
@@ -274,3 +276,27 @@ def reference_pde_residual(solution, p) -> ResidualReport:
     liouville = _central_dtau(rho, grid.h_tau) - 1j * _interior(g @ rho - rho @ g)
     res = np.concatenate([maxwell, liouville], axis=-1)
     return _report("pde", res, grid)
+
+
+# ---------------------------------------------------------------------------
+# whole-array density audit
+# ---------------------------------------------------------------------------
+
+def reference_audit_density(solution) -> ResidualReport:
+    """Hermiticity, trace, positivity and purity from full (..., 3, 3) arrays."""
+    grid = solution.grid
+    rho = solution.rho
+    herm = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
+    trace = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
+    metrics = [herm, trace]
+    if solution.state_kind != "formal":
+        eig = np.linalg.eigvalsh(0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2))))
+        metrics += [max(0.0, -eig.min()), max(0.0, eig.max() - 1.0)]
+    if solution.state_kind == "pure":
+        frob2 = np.sum(np.abs(rho) ** 2, axis=(-2, -1))
+        metrics.append(float(np.max(np.abs(frob2 - 1.0))))
+    worst = float(max(metrics))
+    name = "density_audit"
+    if solution.state_kind == "formal":
+        name += "[formal: positivity not claimed]"
+    return ResidualReport(name, worst, worst, (grid.h_tau, grid.h_zeta))

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -114,23 +115,62 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
     build = scenarios.build_analytic_grid
     built = []
 
-    def nan_in_check_grids(sp, grid):
+    def nan_in_the_fine_check_grid(sp, grid):
         sol = build(sp, grid)
         built.append(grid)
-        if len(built) > 1:  # the output grid comes first, then the two check grids
+        if len(built) > 1:  # the output grid is also the coarse check grid
             sol.rho[5, 7, 1, 2] = np.nan
         return sol
 
-    monkeypatch.setattr(scenarios, "build_analytic_grid", nan_in_check_grids)
+    monkeypatch.setattr(scenarios, "build_analytic_grid", nan_in_the_fine_check_grid)
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path), "--check"]) == 1
-    assert len(built) == 3
+    assert len(built) == 2
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "verdict: FAIL" in report
     assert [line for line in report.splitlines() if line.startswith("  - ")] == [
         f"  - {name}: convergence order nan outside [1.8, 2.2]"
         for name in ["pde"] + ["zero_curvature"] * len(scenarios.DEFAULT_PROBES)]
+
+
+def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
+    build = scenarios.build_dressed_grid
+
+    def with_nan(sp, grid):
+        sol = build(sp, grid)
+        sol.rho[4, 9, 0, 1] = np.nan
+        return sol
+
+    monkeypatch.setattr(scenarios, "build_dressed_grid", with_nan)
+    path = tmp_path / "cfg.txt"
+    path.write_text(SMALL_SLOW.replace("engine = analytic", "engine = dressing")
+                    + f"out = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path)]) == 1
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    assert "check: density_audit\nmax_abs: nan\n" in report
+    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+        "  - audit[dressing]: nan > 1e-08"]
+
+
+@pytest.mark.parametrize("n_tau", [41, 171])
+def test_checks_build_the_coarse_check_grid_only_when_the_output_grid_is_not_it(
+        tmp_path, monkeypatch, n_tau):
+    build = scenarios.build_analytic_grid
+    built = []
+
+    def counted(sp, grid):
+        built.append(grid)
+        return build(sp, grid)
+
+    monkeypatch.setattr(scenarios, "build_analytic_grid", counted)
+    cfg = parse_config(SMALL_SLOW.replace("n_tau = 41", f"n_tau = {n_tau}"))
+    cfg.out, cfg.quiet = str(tmp_path / "run"), True
+    assert run_scenario(cfg, check_only=True) == 0
+    out = cfg.grid()
+    check = dataclasses.replace(out, n_tau=min(n_tau, 161))
+    coarse = [] if check == out else [check]
+    assert built == [out, *coarse, check.refined()]
 
 
 def test_manifest_round_trip():

@@ -98,6 +98,17 @@ def test_slice_eigenvalue_band_guard():
         integrate_bloch_slice((zero, zero), bad, 0.0, grid)
 
 
+@pytest.mark.parametrize("where", ["field_a", "field_b", "state"])
+def test_slice_with_a_non_finite_input_is_unstable(where):
+    grid = GridSpec(-5, 5, 51, 0, 1, 2)
+    oa = np.ones(grid.n_tau, dtype=complex)
+    ob = np.zeros(grid.n_tau, dtype=complex)
+    rho0 = DARK.copy()
+    {"field_a": oa, "field_b": ob, "state": rho0.reshape(-1)}[where][4] = np.nan
+    with pytest.raises(StepUnstable, match="non-finite"):
+        integrate_bloch_slice((oa, ob), rho0, 0.0, grid)
+
+
 def _dagger(a):
     return np.conj(np.swapaxes(a, -1, -2))
 

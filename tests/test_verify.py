@@ -1,11 +1,13 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lambda_mb import model, scenarios, verify
+from lambda_mb import algebra, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import GridMismatch, SpectralPole
@@ -13,7 +15,8 @@ from lambda_mb.mbsolver import GridSpec, SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
 import observables
 from observables import FeatureLost
-from pointwise_oracle import reference_pde_residual, reference_zero_curvature_residual
+from pointwise_oracle import (reference_audit_density, reference_pde_residual,
+                              reference_zero_curvature_residual)
 
 
 def slow_sp(om0=1.0, eps0=2.0):
@@ -155,6 +158,118 @@ def test_audit_density_flags_impurity_when_claimed():
                              rho=mixed, state_kind="pure")
     rep2 = verify.audit_density(sol_mixed)
     assert abs(rep2.max_abs - 2.0 / 3.0) < 1e-12  # purity defect of the mixed state
+
+
+def _canned_grids(tag, n_zeta):
+    sp, g = scenarios.canned_scenario(tag)
+    grid = GridSpec(g.tau_min, g.tau_max, g.n_tau, g.zeta_min, g.zeta_max, n_zeta)
+    return [scenarios.build_analytic_grid(sp, grid), scenarios.build_dressed_grid(sp, grid)]
+
+
+@pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
+def test_audit_density_matches_the_eigvalsh_audit(tag):
+    # exulton_k's grids are formal, every other tag's are pure
+    for sol in _canned_grids(tag, 21):
+        nodes = sol.grid.n_zeta * sol.grid.n_tau
+        assert nodes > verify._AUDIT_CHUNK and nodes % verify._AUDIT_CHUNK  # a partial last chunk
+        got, want = verify.audit_density(sol), reference_audit_density(sol)
+        assert got.name == want.name and got.grid_h == want.grid_h
+        assert abs(got.max_abs - want.max_abs) <= 1e-15 and got.l2 == got.max_abs
+        as_density = dataclasses.replace(sol, state_kind="density")
+        assert abs(verify.audit_density(as_density).max_abs
+                   - reference_audit_density(as_density).max_abs) <= 1e-15
+
+
+def test_audit_density_does_not_depend_on_the_chunking(monkeypatch):
+    sol = _canned_grids("fig4", 21)[0]
+    sol.rho[3:7] = algebra.outer(np.array([0.6, 0.8j, 0.0]), np.array([0.5, 0.5, 0.5 + 0.5j]))
+    whole = verify.audit_density(sol).max_abs
+    assert 0.5 < whole < 1.0
+    monkeypatch.setattr(verify, "_AUDIT_CHUNK", 1000)
+    assert verify.audit_density(sol).max_abs == whole
+
+
+@pytest.mark.parametrize("kind", ["pure", "formal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("node, entry", [  # a diagonal, an upper and a lower entry
+    (0, (1, 1)), (verify._AUDIT_CHUNK, (0, 2)), (-1, (2, 1))])
+def test_a_non_finite_state_entry_fails_the_audit(kind, value, node, entry):
+    sol = dataclasses.replace(_canned_grids("fig4", 21)[0], state_kind=kind)
+    sol.rho.reshape(-1, 3, 3)[node][entry] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        metric = verify.audit_density(sol).max_abs
+    assert not metric <= 1.0
+    if kind != "formal":  # the eigenvalue stage turns any non-finite node into NaN
+        assert math.isnan(metric)
+
+
+def test_audit_density_streaming_metrics_propagate_nan():
+    sol = constant_background_grid()
+    meta = {"trace_dev": 0.0, "eig_min": math.nan, "eig_max": 1.0}
+    streamed = dataclasses.replace(sol, rho=None, meta=meta)
+    assert math.isnan(verify.audit_density(streamed).max_abs)
+    meta.update(eig_min=0.0, eig_max=math.nan)
+    assert math.isnan(verify.audit_density(streamed).max_abs)
+
+
+def _hermitian_stack(family, rng, n):
+    """(n, 3, 3) Hermitian matrices of one family, about unit size."""
+    u = np.linalg.qr(rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)))[0]
+    if family == "rank1":  # pure states |v><v|
+        v = u[:, :, 0]
+        return algebra.outer(v, v)
+    if family == "degenerate":  # a double eigenvalue
+        a, b = rng.standard_normal((2, n))
+        lam = np.stack([a, a, b], axis=-1)
+    elif family == "scalar":
+        lam = np.repeat(rng.standard_normal((n, 1)), 3, axis=-1)
+    elif family == "diagonal":
+        return np.eye(3) * rng.standard_normal((n, 1, 3)) + 0j
+    elif family == "formal":  # trace one and indefinite, like the k != 0 companion states
+        lam = rng.standard_normal((n, 3))
+        lam[:, 0] = -np.abs(lam[:, 0])
+        lam[:, 2] = 1.0 - lam[:, 0] - lam[:, 1]
+    elif family == "subnormal":  # a diagonal state plus off-diagonal entries below 1e-300
+        m = np.eye(3) * rng.random((n, 1, 3)) + 0j
+        off = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))) * 5e-310
+        for (i, j), o in zip(((0, 1), (0, 2), (1, 2)), off.T):
+            m[:, i, j], m[:, j, i] = o, np.conj(o)
+        return m
+    else:  # generic Hermitian
+        lam = rng.standard_normal((n, 3))
+    return u @ (lam[:, :, None] * np.conj(np.swapaxes(u, -1, -2)))
+
+
+_FAMILIES = ["rank1", "degenerate", "scalar", "diagonal", "formal", "subnormal", "generic"]
+
+
+@given(family=st.sampled_from(_FAMILIES), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 64), exponent=st.integers(-150, 150) | st.just(0))
+def test_jacobi_eigenvalues_match_eigvalsh(family, seed, n, exponent):
+    a = _hermitian_stack(family, np.random.default_rng(seed), n) * 10.0**exponent
+    a = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))  # Hermitian to the last bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = algebra.hermitian_eigenvalues(
+            a[:, 0, 0].real, a[:, 1, 1].real, a[:, 2, 2].real, a[:, 0, 1], a[:, 0, 2], a[:, 1, 2])
+    want = np.linalg.eigvalsh(a)
+    norm = np.max(np.abs(want), axis=-1)
+    assert np.all(np.abs(np.sort(np.stack(got, axis=-1), axis=-1) - want)
+                  <= 1e-14 * np.maximum(1.0, norm)[:, None])
+
+
+def test_jacobi_eigenvalues_of_a_non_finite_node_are_nan():
+    # node 0 is finite; nodes 1-3 hold an inf diagonal, a NaN diagonal, an inf off-diagonal
+    d0 = np.array([1.0, np.inf, 0.0, 0.0])
+    d1 = np.array([0.5, 0.0, np.nan, 0.0])
+    x = np.array([0.1j, 0.0, 0.0, complex(0.0, np.inf)])
+    with np.errstate(invalid="ignore"):  # non-finite input may warn; only finite input may not
+        got = np.array(algebra.hermitian_eigenvalues(d0, d1, np.zeros(4), x, np.zeros(4),
+                                                     np.zeros(4)))
+    assert np.isnan(got[:, 1:]).all()
+    root = math.sqrt(0.25**2 + 0.1**2)
+    np.testing.assert_allclose(np.sort(got[:, 0]), [0.0, 0.75 - root, 0.75 + root])
 
 
 def test_compare_solutions_and_grid_guard():
