@@ -1,18 +1,21 @@
 """Closed-form evaluators for every exact solution the dressing can make.
 
 Field formulas are transcribed independently of the engine so that the two
-routes cross-check each other.  The two-soliton density matrix and the
-unit states of the storage and degenerate-point scenarios are the image of
-the decoupled seed state under the dressing operator, taken from the
-engine (darboux.dressed_fields_and_state, darboux.dressed_state); where a
+routes cross-check each other.  The unit states of the storage and
+degenerate-point scenarios are the image of the decoupled seed state under
+the dressing operator, taken from the engine (darboux.dressed_state); the
+two-soliton state has no closed expression of its own, and its registry
+record takes it from darboux.dressed_fields_and_state.  Where a
 circulating variant of a state or phase fails the self-consistency
 harness, the form implemented here is the one that satisfies the field
 equations (see tests/test_mismatch.py for the rejected variants).
 
 Conventions: scalar or broadcastable array zeta/tau in, matching arrays
 out.  Each evaluator returns (omega_a, omega_b, state) where state is a
-density matrix for the two-soliton, a unit amplitude vector for the other
-state-bearing scenarios, and None where the scenario defines fields only.
+unit amplitude vector (slow, zero_background, exulton) or None (fields
+only: two_soliton, fast, exulton_k).  Each evaluator first calls its
+guard_*, which raises outside the regime the formula is written for; the
+scenario registry applies the same guard on every route.
 """
 
 from __future__ import annotations
@@ -52,11 +55,48 @@ def _require(cond: bool, msg: str):
         raise ParameterGuard(msg)
 
 
-def _check_regular(sp: ScenarioParams):
+def guard_regular(sp: ScenarioParams):
     p, s = sp.params, sp.spectral
     _require(s.eps0 > p.omega0 > 0, "requires eps0 > omega0 > 0")
     _require(p.k == 0.0 and p.eta == 0.0, "closed form written for k = 0, eta = 0")
     _require(sp.soliton is not None, "closed form parameterized by SolitonConstants")
+
+
+def guard_slow(sp: ScenarioParams):
+    guard_regular(sp)
+    _require(sp.soliton.a1 != 0.0, "slow soliton needs a1 != 0")
+
+
+def guard_fast(sp: ScenarioParams):
+    guard_regular(sp)
+    _require(sp.soliton.a3 != 0.0, "fast soliton needs a3 != 0")
+
+
+def guard_zero_background(sp: ScenarioParams):
+    p = sp.params
+    _require(p.omega0 == 0.0, "zero_background requires omega0 = 0")
+    _require(p.eta == 0.0 and p.k == 0.0, "closed form written for eta = 0, k = 0")
+    _require(sp.constants is not None, "zero_background is parameterized by DressConstants")
+    if sp.constants.c3 == 0.0:
+        raise DegenerateConstants("c3 = 0 leaves the slow phase undefined")
+
+
+def guard_exulton(sp: ScenarioParams):
+    p, s = sp.params, sp.spectral
+    _require(p.omega0 > 0 and abs(s.eps0 - p.omega0) < darboux.DEGENERATE_TOL,
+             "exulton requires eps0 = omega0 > 0")
+    _require(p.eta == 0.0 and p.k == 0.0, "closed form written for eta = 0, k = 0")
+    _require(sp.constants is not None, "exulton is parameterized by DressConstants")
+
+
+def guard_exulton_k(sp: ScenarioParams):
+    p, s = sp.params, sp.spectral
+    _require(p.omega0 > 0 and abs(s.eps0 - p.omega0) < darboux.DEGENERATE_TOL,
+             "exulton_k requires eps0 = omega0 > 0")
+    _require(p.eta == 0.0, "closed form written for eta = 0")
+    cns = sp.constants
+    _require(cns is not None and cns.c1 == 0.0 and cns.c2 == 0.0,
+             "exulton_k closed form written for DressConstants (0, 0, c3)")
 
 
 def _slow_phase(p: LambdaParams, s: SpectralData, a1: float, zeta, tau):
@@ -68,15 +108,14 @@ def _slow_phase(p: LambdaParams, s: SpectralData, a1: float, zeta, tau):
     )
 
 
-def two_soliton(sp: ScenarioParams, zeta, tau, want_state: bool = True):
+def two_soliton(sp: ScenarioParams, zeta, tau):
     """Interacting slow + fast pair on the finite background.
 
-    Fields are the closed rational-exponential form; the density matrix is
-    the dressed projector (the interacting state has no separate closed
-    expression of its own).  want_state=False skips it for large field-only
-    sweeps.
+    Fields only, in the closed rational-exponential form; the interacting
+    state has no closed expression of its own, so the registry takes the
+    dressed projector for it.
     """
-    _check_regular(sp)
+    guard_regular(sp)
     p, s = sp.params, sp.spectral
     a1, a2, a3 = sp.soliton.a1, sp.soliton.a2, sp.soliton.a3
     om0, eps0, nu0, delta = p.omega0, s.eps0, p.nu0, p.delta
@@ -109,16 +148,12 @@ def two_soliton(sp: ScenarioParams, zeta, tau, want_state: bool = True):
         )
     )
     ob = num_b / den
-    rho = None
-    if want_state:
-        c = sp.dress_constants()
-        _, _, rho = darboux.dressed_fields_and_state(p, s, c, zeta, tau, want_rho=True)
-    return oa, ob, rho
+    return oa, ob, None
 
 
 def slow_soliton(sp: ScenarioParams, zeta, tau):
     """Kink/pulse pair travelling at the reduced group velocity."""
-    _check_regular(sp)
+    guard_slow(sp)
     p, s = sp.params, sp.spectral
     om0, eps0, nu0, delta = p.omega0, s.eps0, p.nu0, p.delta
     w = np.real(s.root)
@@ -143,8 +178,7 @@ def slow_soliton(sp: ScenarioParams, zeta, tau):
 
 def fast_soliton(sp: ScenarioParams, tau):
     """Light-speed dip riding the channel-a background; channel b stays dark."""
-    _check_regular(sp)
-    _require(sp.soliton.a3 != 0.0, "fast soliton needs a3 != 0")
+    guard_fast(sp)
     p, s = sp.params, sp.spectral
     om0, eps0 = p.omega0, s.eps0
     w = np.real(s.root)
@@ -158,14 +192,9 @@ def fast_soliton(sp: ScenarioParams, tau):
 
 def zero_background(sp: ScenarioParams, zeta, tau):
     """Stopped-polariton solution at vanishing background intensity."""
+    guard_zero_background(sp)
     p, s = sp.params, sp.spectral
-    _require(p.omega0 == 0.0, "zero_background requires omega0 = 0")
-    _require(p.eta == 0.0 and p.k == 0.0, "closed form written for eta = 0, k = 0")
-    cns = sp.constants
-    _require(cns is not None, "zero_background is parameterized by DressConstants")
-    if cns.c3 == 0.0:
-        raise DegenerateConstants("c3 = 0 leaves the slow phase undefined")
-    c1, c2, c3 = cns.as_tuple()
+    c1, c2, c3 = sp.constants.as_tuple()
     eps0, nu0, delta = s.eps0, p.nu0, p.delta
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -177,18 +206,14 @@ def zero_background(sp: ScenarioParams, zeta, tau):
     den = c2**2 * np.exp(e1 - m) + c3**2 * np.exp(e2 - m) + c1**2 * np.exp(e3 - m)
     oa = -4j * c1 * c3 * eps0 * np.exp(eps0 * tau - a_exp - m) / den
     ob = c2 / c3 * np.exp(1j * zeta * nu0 / (2.0 * (delta + 1j * eps0))) * oa
-    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, cns, zeta, tau))
+    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, sp.constants, zeta, tau))
 
 
 def exulton(sp: ScenarioParams, zeta, tau):
     """Rational-in-tau solution at the degenerate point eps0 = omega0."""
+    guard_exulton(sp)
     p, s = sp.params, sp.spectral
-    _require(p.omega0 > 0 and abs(s.eps0 - p.omega0) < darboux.DEGENERATE_TOL,
-             "exulton requires eps0 = omega0 > 0")
-    _require(p.eta == 0.0 and p.k == 0.0, "closed form written for eta = 0, k = 0")
-    cns = sp.constants
-    _require(cns is not None, "exulton is parameterized by DressConstants")
-    c1, c2, c3 = cns.as_tuple()
+    c1, c2, c3 = sp.constants.as_tuple()
     om0, nu0, delta = p.omega0, p.nu0, p.delta
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -204,7 +229,7 @@ def exulton(sp: ScenarioParams, zeta, tau):
         * (c2 + c3 * (1.0 + tau * om0))
         / den
     )
-    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, cns, zeta, tau))
+    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, sp.constants, zeta, tau))
 
 
 def exulton_k(sp: ScenarioParams, zeta, tau):
@@ -216,13 +241,8 @@ def exulton_k(sp: ScenarioParams, zeta, tau):
     |tau| -> infinity at fixed zeta.  A variant with the background term
     left unrotated fails the field equations (tests/test_mismatch.py).
     """
+    guard_exulton_k(sp)
     p, s = sp.params, sp.spectral
-    _require(p.omega0 > 0 and abs(s.eps0 - p.omega0) < darboux.DEGENERATE_TOL,
-             "exulton_k requires eps0 = omega0 > 0")
-    _require(p.eta == 0.0, "closed form written for eta = 0")
-    cns = sp.constants
-    _require(cns is not None and cns.c1 == 0.0 and cns.c2 == 0.0,
-             "exulton_k closed form written for DressConstants (0, 0, c3)")
     om0 = p.omega0
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)

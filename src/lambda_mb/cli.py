@@ -121,6 +121,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _validate(cfg: ScenarioConfig):
+    """Raise ParseError on an unusable config; return the (ScenarioParams, GridSpec) it makes."""
     if cfg.scenario not in scenarios.REGISTRY:
         raise ParseError(f"unknown scenario {cfg.scenario!r} (canned tags go through --scenario)")
     if cfg.engine not in ENGINES:
@@ -131,26 +132,18 @@ def _validate(cfg: ScenarioConfig):
     if "#" in cfg.out or cfg.out.strip() != cfg.out or cfg.out.splitlines() != [cfg.out]:
         raise ParseError(f"out must be one non-empty line without '#' or surrounding "
                          f"whitespace, got {cfg.out!r}")
-    if cfg.omega0 < 0:
-        raise ParseError(f"omega0 must be non-negative, got {cfg.omega0}")
-    if cfg.nu0 <= 0:
-        raise ParseError(f"nu0 must be positive, got {cfg.nu0}")
-    if cfg.eps0 <= 0:
-        raise ParseError(f"eps0 must be positive, got {cfg.eps0}")
-    if cfg.n_tau < 3 or cfg.n_zeta < 2:
-        raise ParseError("need n_tau >= 3 and n_zeta >= 2")
     for f in dc_fields(ScenarioConfig):
         value = getattr(cfg, f.name)
         numbers = value if isinstance(value, tuple) else (value,)
         if any(isinstance(x, (float, complex)) and not cmath.isfinite(x) for x in numbers):
             raise ParseError(f"{f.name} must be finite, got {value}")
-    if not cfg.tau_max > cfg.tau_min:
-        raise ParseError(f"need tau_min < tau_max, got [{cfg.tau_min}, {cfg.tau_max}]")
-    if not cfg.zeta_max > cfg.zeta_min:
-        raise ParseError(f"need zeta_min < zeta_max, got [{cfg.zeta_min}, {cfg.zeta_max}]")
     for lam in cfg.probe_lambdas:
         if abs(lam - cfg.delta) <= model.POLE_GUARD:
             raise ParseError(f"probe lambda {lam} sits on the Delta = {cfg.delta} pole")
+    try:
+        return cfg.scenario_params(), cfg.grid()
+    except (ValueError, LambdaMBError) as exc:
+        raise ParseError(str(exc)) from None
 
 
 def apply_canned(cfg: ScenarioConfig, tag: str):
@@ -304,9 +297,7 @@ def _fields_only(sol: SolutionGrid) -> SolutionGrid:
 
 def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
     """Execute one configured run; returns the process exit code."""
-    _validate(cfg)
-    sp = cfg.scenario_params()
-    grid = cfg.grid()
+    sp, grid = _validate(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 

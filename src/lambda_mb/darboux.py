@@ -37,6 +37,10 @@ DEGENERATE_TOL = 1e-8
 #: finite-difference residual threshold of the seed verification gate
 SEED_GATE_TOL = 1e-6
 
+#: (zeta, tau) points and central-difference step of the seed verification gate
+SEED_GATE_POINTS = ((0.3, -0.7), (1.1, 0.4), (2.3, 1.9))
+SEED_GATE_FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class DressConstants:
@@ -292,20 +296,20 @@ def dressed_state(p: LambdaParams, s: SpectralData, psi3) -> np.ndarray:
     """Unit state of the k = 0 dressing by columns psi3: the image of the decoupled state."""
     n2 = np.sum(np.abs(psi3) ** 2, axis=-1)
     lam0 = s.lambda0
-    dark = model.dark_state(p.eta).pure
+    dark = model.dark_state(p.eta)
     overlap = np.sum(np.conj(psi3) * dark, axis=-1)
     v = (np.conj(lam0) - p.delta) * dark + (lam0 - np.conj(lam0)) * psi3 * (overlap / n2)[..., None]
     return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
 
 
 def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants,
-                             zeta, tau, want_rho: bool = True):
-    """Dressed fields (and density matrix) over broadcastable zeta/tau arrays.
+                             zeta, tau):
+    """Dressed fields and density matrix over broadcastable zeta/tau arrays.
 
-    Returns (omega_a, omega_b, rho) in the physical frame; rho is None when
-    want_rho is false.  For k != 0 the dressing happens in the rotated
-    frame on the companion background state and the result is conjugated
-    back, which multiplies the fields by exp(i*k*zeta).
+    Returns (omega_a, omega_b, rho) in the physical frame.  For k != 0 the
+    dressing happens in the rotated frame on the companion background state
+    and the result is conjugated back, which multiplies the fields by
+    exp(i*k*zeta).
     """
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -321,33 +325,26 @@ def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants
     oa = oa_seed - 2.0 * two_im * p31
     ob = ob_seed - 2.0 * two_im * p32
 
-    rho = None
-    if want_rho:
-        if p.k == 0.0:
-            v = dressed_state(p, s, psi3)
-            rho = algebra.outer(v, v)
-        else:
-            p3 = algebra.outer(psi3, psi3) / n2[..., None, None]
-            eye = np.eye(3, dtype=complex)
-            sd = (np.conj(lam0) - p.delta) * eye + two_im * p3
-            r2 = abs(lam0 - p.delta) ** 2
-            rho = sd @ seed_background_state(p) @ algebra.adjoint(sd) / r2
-
-    if p.k != 0.0:
-        rot = np.exp(1j * p.k * zeta)
-        oa = oa * rot
-        ob = ob * rot
-        if rho is not None:
-            ph = np.broadcast_to(np.exp(-1j * p.k * zeta), oa.shape)
-            rho = rho.copy()
-            rho[..., 0, 2] *= ph
-            rho[..., 1, 2] *= ph
-            rho[..., 2, 0] *= np.conj(ph)
-            rho[..., 2, 1] *= np.conj(ph)
+    if p.k == 0.0:
+        v = dressed_state(p, s, psi3)
+        return oa, ob, algebra.outer(v, v)
+    p3 = algebra.outer(psi3, psi3) / n2[..., None, None]
+    eye = np.eye(3, dtype=complex)
+    sd = (np.conj(lam0) - p.delta) * eye + two_im * p3
+    r2 = abs(lam0 - p.delta) ** 2
+    rho = sd @ seed_background_state(p) @ algebra.adjoint(sd) / r2
+    rot = np.exp(1j * p.k * zeta)
+    oa = oa * rot
+    ob = ob * rot
+    ph = np.broadcast_to(np.exp(-1j * p.k * zeta), oa.shape)
+    rho[..., 0, 2] *= ph
+    rho[..., 1, 2] *= ph
+    rho[..., 2, 0] *= np.conj(ph)
+    rho[..., 2, 1] *= np.conj(ph)
     return oa, ob, rho
 
 
-def seed_residual_report(p: LambdaParams, s: SpectralData, points=None, h: float = 1e-5) -> dict:
+def seed_residual_report(p: LambdaParams, s: SpectralData) -> dict:
     """Finite-difference verification of the seed the engine will dress.
 
     Checks both linear systems at lambda0 against the seed Hamiltonian and
@@ -357,8 +354,7 @@ def seed_residual_report(p: LambdaParams, s: SpectralData, points=None, h: float
     (rotating fields with the pure decoupled state), which fails; the
     result documents why the engine dresses in the rotated frame.
     """
-    if points is None:
-        points = [(0.3, -0.7), (1.1, 0.4), (2.3, 1.9)]
+    h = SEED_GATE_FD_STEP
     fam = seed_family(p, s)
 
     def basis(z, t):
@@ -375,7 +371,7 @@ def seed_residual_report(p: LambdaParams, s: SpectralData, points=None, h: float
 
     worst_t = worst_z = 0.0
     worst_naive = 0.0
-    for z, t in points:
+    for z, t in SEED_GATE_POINTS:
         phi = basis(z, t)
         scale = np.max(np.abs(phi))
         dt = (basis(z, t + h) - basis(z, t - h)) / (2 * h)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -105,14 +105,6 @@ class SolutionGrid:
             self.populations = np.real(
                 np.stack([self.rho[..., i, i] for i in range(3)], axis=-1)
             )
-
-    @property
-    def ia(self) -> np.ndarray:
-        return np.abs(self.omega_a) ** 2
-
-    @property
-    def ib(self) -> np.ndarray:
-        return np.abs(self.omega_b) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -255,45 +247,40 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
     return (oa_next, ob_next), rho_next
 
 
-BoundaryRho = Union[str, np.ndarray, Callable[[float], np.ndarray]]
-
-
-def _boundary_provider(boundary_rho: BoundaryRho, p: LambdaParams, zetas: np.ndarray):
+def _boundary_provider(boundary_rho, p: LambdaParams, n_zeta: int):
     if isinstance(boundary_rho, str):
         if boundary_rho != "dark":
             raise ValueError(f"unknown boundary rule {boundary_rho!r}")
         dark = model.density_from_pure(model.dark_state(p.eta))
         return lambda i: dark, True
-    if callable(boundary_rho):
-        return lambda i: np.asarray(boundary_rho(zetas[i]), dtype=complex), False
     arr = np.asarray(boundary_rho, dtype=complex)
-    if arr.shape == (3, 3):
-        return lambda i: arr, False
-    if arr.shape != (len(zetas), 3, 3):
-        raise ValueError("boundary array must be (n_zeta, 3, 3) or (3, 3)")
+    if arr.shape != (n_zeta, 3, 3):
+        raise ValueError("boundary array must be (n_zeta, 3, 3)")
     return lambda i: arr[i], False
 
 
-def propagate(initial_fields, boundary_rho: BoundaryRho, p: LambdaParams,
-              grid: GridSpec, keep_rho: Optional[bool] = None) -> SolutionGrid:
+def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> SolutionGrid:
     """March the full system from the entry-face slice.
 
     initial_fields: pair of (n_tau,) complex arrays at zeta_min.
-    boundary_rho: the tau_min state rule: "dark", a fixed 3x3, a
-    (n_zeta, 3, 3) array, or a callable of zeta.
+    boundary_rho: the tau_min state rule, "dark" (the decoupled projector
+    on every slice) or an (n_zeta, 3, 3) array.
 
     With the "dark" rule the entry fields must approach the configured
     background at the tau edges (within 1e-4), otherwise the boundary
-    data would contradict the input pulse; explicitly supplied boundary
-    data carries that consistency by construction and skips the check.
+    data would contradict the input pulse; an explicit boundary array
+    carries that consistency by construction and skips the check.
+
+    Grids of more than RHO_STORAGE_LIMIT nodes keep no per-node state, only
+    the populations and the streamed audit metrics in meta.
     """
-    zetas, taus = grid.zetas(), grid.taus()
+    zetas = grid.zetas()
     oa0 = np.asarray(initial_fields[0], dtype=complex).copy()
     ob0 = np.asarray(initial_fields[1], dtype=complex).copy()
     if oa0.shape != (grid.n_tau,) or ob0.shape != (grid.n_tau,):
         raise ValueError("initial field slices must match the tau grid")
 
-    provider, is_dark_rule = _boundary_provider(boundary_rho, p, zetas)
+    provider, is_dark_rule = _boundary_provider(boundary_rho, p, grid.n_zeta)
     if is_dark_rule:
         # finite-density sanity: edge intensities must sit on the background
         # (phases are free there; kinks legitimately approach -background)
@@ -307,13 +294,12 @@ def propagate(initial_fields, boundary_rho: BoundaryRho, p: LambdaParams,
                 f"entry intensities deviate from the background by {edge_dev:.2e} at the tau edges"
             )
 
-    if keep_rho is None:
-        keep_rho = grid.n_zeta * grid.n_tau <= RHO_STORAGE_LIMIT
+    store_rho = grid.n_zeta * grid.n_tau <= RHO_STORAGE_LIMIT
 
     omega_a = np.empty((grid.n_zeta, grid.n_tau), dtype=complex)
     omega_b = np.empty_like(omega_a)
     pops = np.empty((grid.n_zeta, grid.n_tau, 3))
-    rho_full = np.empty((grid.n_zeta, grid.n_tau, 3, 3), dtype=complex) if keep_rho else None
+    rho_full = np.empty((grid.n_zeta, grid.n_tau, 3, 3), dtype=complex) if store_rho else None
     trace_dev = 0.0
     eig_lo, eig_hi = np.inf, -np.inf
 
@@ -324,7 +310,7 @@ def propagate(initial_fields, boundary_rho: BoundaryRho, p: LambdaParams,
         lo, hi = _slice_audit.extremes
         omega_a[i], omega_b[i] = oa, ob
         pops[i] = np.real(np.stack([rho_slice[:, j, j] for j in range(3)], axis=-1))
-        if keep_rho:
+        if store_rho:
             rho_full[i] = rho_slice
         tr = np.trace(rho_slice, axis1=-2, axis2=-1).real
         trace_dev = max(trace_dev, float(np.max(np.abs(tr - 1.0))))
@@ -347,6 +333,5 @@ def propagate(initial_fields, boundary_rho: BoundaryRho, p: LambdaParams,
             "trace_dev": trace_dev,
             "eig_min": eig_lo,
             "eig_max": eig_hi,
-            "hermiticity_dev": 0.0,  # enforced by symmetrizing each slice
         },
     )

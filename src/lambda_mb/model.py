@@ -2,15 +2,14 @@
 
 Everything lives in dimensionless units with hbar = c = 1: zeta = z/c and
 tau = t - z/c are both "times", Rabi amplitudes are frequencies, and the
-coupling nu0 absorbs the atomic density.  The carrier-frequency splitting
-omega12 and the optical wavelength travel along as inert metadata only.
+coupling nu0 absorbs the atomic density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +39,6 @@ class LambdaParams:
     omega0: float = 1.0
     eta: float = 0.0
     k: float = 0.0
-    omega12_hz: Optional[float] = None  # informational only
-    lambda_nm: Optional[float] = None   # informational only
 
     def __post_init__(self):
         if not self.nu0 > 0:
@@ -86,59 +83,6 @@ class FieldPair(NamedTuple):
     omega_b: complex
 
 
-class AtomState:
-    """Atomic state, either a pure amplitude vector or a density matrix."""
-
-    def __init__(self, *, pure=None, density=None):
-        if (pure is None) == (density is None):
-            raise ValueError("provide exactly one of pure= or density=")
-        if pure is not None:
-            v = np.asarray(pure, dtype=complex)
-            if v.shape[-1] != 3:
-                raise ValueError("pure state must have 3 components")
-            norm = np.sqrt(np.abs(algebra.scalar_product(v, v)))
-            if np.any(np.abs(norm - 1.0) > 1e-10):
-                raise NotNormalized(f"pure state norm deviates by {np.max(np.abs(norm - 1.0)):.2e}")
-            self.pure = v
-            self.density = None
-        else:
-            m = np.asarray(density, dtype=complex)
-            if m.shape[-2:] != (3, 3):
-                raise ValueError("density matrix must be 3x3")
-            herm = np.max(np.abs(m - algebra.adjoint(m)))
-            if herm > 1e-12:
-                raise ValueError(f"density matrix not Hermitian (dev {herm:.2e})")
-            tr = np.trace(m, axis1=-2, axis2=-1)
-            if np.max(np.abs(tr - 1.0)) > 1e-10:
-                raise ValueError("density matrix trace must be 1")
-            eig = np.linalg.eigvalsh(m)
-            if np.min(eig) < -1e-8 or np.max(eig) > 1 + 1e-8:
-                raise ValueError("density matrix eigenvalues outside [0, 1]")
-            self.pure = None
-            self.density = m
-
-    @classmethod
-    def from_pure(cls, v) -> "AtomState":
-        return cls(pure=v)
-
-    @classmethod
-    def from_density(cls, m) -> "AtomState":
-        return cls(density=m)
-
-    @property
-    def is_pure(self) -> bool:
-        return self.pure is not None
-
-    def density_matrix(self) -> np.ndarray:
-        if self.density is not None:
-            return self.density
-        return algebra.outer(self.pure, self.pure)
-
-    def populations(self) -> np.ndarray:
-        rho = self.density_matrix()
-        return np.real(np.stack([rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2]], axis=-1))
-
-
 def interaction_hamiltonian(fields) -> np.ndarray:
     """Ladder coupling Hamiltonian for the two channels.
 
@@ -172,21 +116,16 @@ def lax_v(lam: complex, rho, p: LambdaParams) -> np.ndarray:
     return 0.5j * p.nu0 / (lam - p.delta) * rho
 
 
-def dark_state(eta: float) -> AtomState:
-    """Ground-sublevel superposition decoupled from the background light."""
+def dark_state(eta: float) -> np.ndarray:
+    """Unit (3,) ground-sublevel superposition decoupled from the background light."""
     if not 0.0 <= eta <= math.pi / 2:
         raise ValueError(f"eta must lie in [0, pi/2], got {eta}")
-    return AtomState(pure=np.array([-math.sin(eta), math.cos(eta), 0.0], dtype=complex))
+    return np.array([-math.sin(eta), math.cos(eta), 0.0], dtype=complex)
 
 
 def density_from_pure(psi) -> np.ndarray:
     """Projector |psi><psi| with a renormalization tolerance of 1e-4."""
-    if isinstance(psi, AtomState):
-        if not psi.is_pure:
-            raise ValueError("expected a pure state")
-        v = psi.pure
-    else:
-        v = np.asarray(psi, dtype=complex)
+    v = np.asarray(psi, dtype=complex)
     norm = np.sqrt(np.abs(algebra.scalar_product(v, v)))
     if np.any(np.abs(norm - 1.0) > 1e-4):
         raise NotNormalized(f"norm deviates by {np.max(np.abs(norm - 1.0)):.2e}")

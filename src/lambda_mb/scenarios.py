@@ -31,10 +31,12 @@ class Scenario:
     """What one closed-form scenario is, for every route and check.
 
     evaluate: (sp, zeta, tau) -> (omega_a, omega_b, state), looking the
-    analytic evaluator up per call.  constants: "a" (soliton) or "c"
-    (dressing), with zero_a the soliton constant set to zero.  state: what
-    the evaluator returns, "density" or "vector", or none with the grid
-    carrying the decoupled projector ("dark") or the engine's formal
+    analytic evaluator up per call.  guard: the evaluator's regime check
+    (analytic.guard_*), which make_scenario applies for every route.
+    constants: "a" (soliton) or "c" (dressing), with zero_a the soliton
+    constant set to zero.  state: "vector" when the evaluator returns a
+    unit vector; otherwise the grid carries the dressed projector
+    ("dressed"), the decoupled projector ("dark") or the engine's formal
     companion state ("formal").  field_tol: analytic-vs-dressing field
     tolerance.  boundary: tau_min state of direct propagation, "edge" (the
     closed form's own) or "dark" (the decoupled projector); None refuses.
@@ -42,6 +44,7 @@ class Scenario:
 
     name: str
     evaluate: Callable
+    guard: Callable
     constants: str
     state: str
     field_tol: float
@@ -54,33 +57,31 @@ class Scenario:
             return algebra.outer(state, state)
         if self.state == "dark":
             return model.density_from_pure(model.dark_state(sp.params.eta))
-        if self.state == "formal":
-            # fields-only scenario: the engine's companion state gives the
-            # residual checks a zeta-evolution partner to difference
-            return darboux.dressed_fields_and_state(
-                sp.params, sp.spectral, sp.dress_constants(), zeta, tau)[2]
-        return state
+        # "dressed" or "formal": the engine's state at the same constants,
+        # the pure projector at k = 0 and the formal companion otherwise
+        return darboux.dressed_fields_and_state(
+            sp.params, sp.spectral, sp.dress_constants(), zeta, tau)[2]
 
 
 REGISTRY = {s.name: s for s in (
     Scenario("two_soliton", lambda sp, z, t: analytic.two_soliton(sp, z, t),
-             "a", "density", 1e-9, "edge"),
+             analytic.guard_regular, "a", "dressed", 1e-9, "edge"),
     Scenario("slow", lambda sp, z, t: analytic.slow_soliton(sp, z, t),
-             "a", "vector", 1e-9, "edge", zero_a="a3"),
+             analytic.guard_slow, "a", "vector", 1e-9, "edge", zero_a="a3"),
     Scenario("fast", lambda sp, z, t: analytic.fast_soliton(sp, t),
-             "a", "dark", 1e-9, "dark", zero_a="a1"),
+             analytic.guard_fast, "a", "dark", 1e-9, "dark", zero_a="a1"),
     Scenario("zero_background", lambda sp, z, t: analytic.zero_background(sp, z, t),
-             "c", "vector", 1e-8, "edge"),
+             analytic.guard_zero_background, "c", "vector", 1e-8, "edge"),
     Scenario("exulton", lambda sp, z, t: analytic.exulton(sp, z, t),
-             "c", "vector", 1e-8, "edge"),
+             analytic.guard_exulton, "c", "vector", 1e-8, "edge"),
     Scenario("exulton_k", lambda sp, z, t: analytic.exulton_k(sp, z, t),
-             "c", "formal", 1e-8, None),
+             analytic.guard_exulton_k, "c", "formal", 1e-8, None),
 )}
 
 
 def make_scenario(name: str, *, nu0=3.0, delta=0.0, omega0=1.0, eps0=2.0,
                   eta=0.0, k=0.0, a=(1.0, 1.0, 1.0), c=None) -> ScenarioParams:
-    """Build a ScenarioParams bundle with the standard defaults."""
+    """Build a ScenarioParams bundle with the standard defaults, inside the record's regime."""
     record = REGISTRY[name]
     params = LambdaParams(nu0=nu0, delta=delta, omega0=omega0, eta=eta, k=k)
     spectral = SpectralData.from_eps0(eps0, omega0)
@@ -88,10 +89,12 @@ def make_scenario(name: str, *, nu0=3.0, delta=0.0, omega0=1.0, eps0=2.0,
         a = dict(zip(("a1", "a2", "a3"), a))
         if record.zero_a is not None:
             a[record.zero_a] = 0.0
-        return ScenarioParams(params=params, spectral=spectral, scenario=name,
-                              soliton=SolitonConstants(**a))
-    return ScenarioParams(params=params, spectral=spectral, scenario=name,
-                          constants=DressConstants(*(c if c is not None else (1.0, 1.0, 1.0))))
+        constants = {"soliton": SolitonConstants(**a)}
+    else:
+        constants = {"constants": DressConstants(*(c if c is not None else (1.0, 1.0, 1.0)))}
+    sp = ScenarioParams(params=params, spectral=spectral, scenario=name, **constants)
+    record.guard(sp)
+    return sp
 
 
 #: canned scenario table: parameters and a lattice sized for desk-scale runs
@@ -119,15 +122,6 @@ CANNED = {
     "exulton_k": dict(name="exulton_k", eps0=1.0, omega0=1.0, k=0.2,
                       c=(0.0, 0.0, 1.0), grid=GridSpec(-10.0, 10.0, 501, 0.0, 6.0, 241)),
 }
-
-
-def canned_scenario(tag: str):
-    """Return (ScenarioParams, GridSpec) for a canned scenario tag."""
-    if tag not in CANNED:
-        raise KeyError(f"unknown canned scenario {tag!r}; have {sorted(CANNED)}")
-    entry = dict(CANNED[tag])
-    grid = entry.pop("grid")
-    return make_scenario(**entry), grid
 
 
 def _mesh(grid: GridSpec):
@@ -172,8 +166,7 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     )
 
 
-def build_numeric_grid(sp: ScenarioParams, grid: GridSpec,
-                       keep_rho=None) -> SolutionGrid:
+def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Propagate the scenario's entry slice with the direct solver.
 
     The entry fields come from the closed form at zeta_min; the tau_min
@@ -195,6 +188,6 @@ def build_numeric_grid(sp: ScenarioParams, grid: GridSpec,
             grid.tau_min, grid.tau_min + grid.h_tau, 3, grid.zeta_min, grid.zeta_max, grid.n_zeta,
         ))
         boundary = np.ascontiguousarray(edge.rho[:, 0])
-    sol = propagate((oa0, ob0), boundary, sp.params, grid, keep_rho=keep_rho)
+    sol = propagate((oa0, ob0), boundary, sp.params, grid)
     sol.meta.update({"scenario": sp.scenario})
     return sol

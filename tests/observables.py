@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from lambda_mb import model
 from lambda_mb.errors import LambdaMBError, ParameterGuard
 from lambda_mb.mbsolver import SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
@@ -34,14 +33,11 @@ def intensities_and_populations(fields, state):
     oa, ob = fields
     ia = np.abs(np.asarray(oa)) ** 2
     ib = np.abs(np.asarray(ob)) ** 2
-    if isinstance(state, model.AtomState):
-        pops = state.populations()
+    arr = np.asarray(state)
+    if arr.shape[-2:] == (3, 3):
+        pops = np.real(np.stack([arr[..., i, i] for i in range(3)], axis=-1))
     else:
-        arr = np.asarray(state)
-        if arr.shape[-2:] == (3, 3):
-            pops = np.real(np.stack([arr[..., i, i] for i in range(3)], axis=-1))
-        else:
-            pops = np.abs(arr) ** 2
+        pops = np.abs(arr) ** 2
     return ia, ib, pops[..., 0], pops[..., 1], pops[..., 2]
 
 
@@ -96,15 +92,16 @@ def measure_velocity(solution: SolutionGrid, tracker: str) -> float:
     grid = solution.grid
     taus, zetas = grid.taus(), grid.zetas()
     if tracker in ("ia_min", "ia_max", "ib_max", "p3_max"):
+        ia = np.abs(solution.omega_a) ** 2
         if tracker == "ib_max":
-            values = solution.ib
+            values = np.abs(solution.omega_b) ** 2
         elif tracker == "p3_max":
             if solution.populations is None:
                 raise ValueError("p3 tracking needs populations on the grid")
             values = solution.populations[..., 2]
         else:
-            values = solution.ia
-        background = float(np.median(np.concatenate([solution.ia[:, 0], solution.ia[:, -1]])))
+            values = ia
+        background = float(np.median(np.concatenate([ia[:, 0], ia[:, -1]])))
         floor = 1e-3 * max(background, float(np.max(values)) * 1e-3)
         zs, ts = _track_rows(values, tracker == "ia_min", taus, zetas, floor)
         m = np.polyfit(zs, ts, 1)[0]

@@ -63,7 +63,7 @@ def test_criterion_2_reduction_limits():
         params=LambdaParams(nu0=3.0, omega0=1.0),
         spectral=SpectralData.from_eps0(2.0, 1.0),
         scenario="two_soliton", soliton=SolitonConstants(1.0, 0.0))
-    oa2, ob2, _ = analytic.two_soliton(sp_slow_full, zz, tt, want_state=False)
+    oa2, ob2, _ = analytic.two_soliton(sp_slow_full, zz, tt)
     sp_slow = ScenarioParams(params=sp_slow_full.params, spectral=sp_slow_full.spectral,
                              scenario="slow", soliton=SolitonConstants(1.0, 0.0))
     oas, obs, _ = analytic.slow_soliton(sp_slow, zz, tt)
@@ -71,7 +71,7 @@ def test_criterion_2_reduction_limits():
 
     sp_fast_full = ScenarioParams(params=sp_slow_full.params, spectral=sp_slow_full.spectral,
                                   scenario="two_soliton", soliton=SolitonConstants(0.0, 1.0))
-    oa2f, ob2f, _ = analytic.two_soliton(sp_fast_full, zz, tt, want_state=False)
+    oa2f, ob2f, _ = analytic.two_soliton(sp_fast_full, zz, tt)
     sp_fast = ScenarioParams(params=sp_slow_full.params, spectral=sp_slow_full.spectral,
                              scenario="fast", soliton=SolitonConstants(0.0, 1.0))
     oaf, obf, _ = analytic.fast_soliton(sp_fast, tt)
@@ -132,14 +132,13 @@ def test_criterion_5_solver_tracking():
     def run(n_tau, n_zeta):
         grid = GridSpec(-20.0, 20.0, n_tau, 0.0, 8.0, n_zeta)
         zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
-        oa_ref, ob_ref, _ = analytic.two_soliton(sp, zz, tt, want_state=False)
+        oa_ref, ob_ref, _ = analytic.two_soliton(sp, zz, tt)
         oa0 = np.ascontiguousarray(oa_ref[0])
         ob0 = np.ascontiguousarray(ob_ref[0])
         c = sp.dress_constants()
         _, _, rho_edge = darboux.dressed_fields_and_state(
             sp.params, sp.spectral, c, grid.zetas(), np.full(grid.n_zeta, grid.tau_min))
-        sol = propagate((oa0, ob0), np.ascontiguousarray(rho_edge), sp.params, grid,
-                        keep_rho=False)
+        sol = propagate((oa0, ob0), np.ascontiguousarray(rho_edge), sp.params, grid)
         scale = float(np.max(np.abs(oa_ref)))
         err = max(float(np.max(np.abs(sol.omega_a - oa_ref))),
                   float(np.max(np.abs(sol.omega_b - ob_ref)))) / scale

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lambda_mb import analytic, darboux, model
+from lambda_mb import analytic, darboux, model, scenarios
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.errors import DegenerateConstants, ParameterGuard
@@ -45,7 +45,8 @@ def exulton_params(c=(1.0, 1.0, 1.0), delta=0.0, om0=1.0, k=0.0, scenario="exult
 def test_two_soliton_a3_zero_is_slow_soliton():
     zz = np.linspace(0, 8, 9)[:, None]
     tt = np.linspace(-15, 15, 31)[None, :]
-    oa2, ob2, rho2 = analytic.two_soliton(fig2(a3=0.0), zz, tt)
+    oa2, ob2, _ = analytic.two_soliton(fig2(a3=0.0), zz, tt)
+    rho2 = scenarios.REGISTRY["two_soliton"].density(fig2(a3=0.0), None, zz, tt)
     oa1, ob1, psi = analytic.slow_soliton(fig2(a3=0.0, scenario="slow"), zz, tt)
     assert np.max(np.abs(oa2 - oa1)) < 1e-12
     assert np.max(np.abs(ob2 - ob1)) < 1e-12
@@ -77,7 +78,7 @@ def test_two_soliton_delta_nonzero_matches_engine():
     tt = np.linspace(-8, 8, 17)[None, :]
     oa, ob, _ = analytic.two_soliton(sp, zz, tt)
     oa_e, ob_e, _ = darboux.dressed_fields_and_state(
-        sp.params, sp.spectral, c, zz, tt, want_rho=False)
+        sp.params, sp.spectral, c, zz, tt)
     assert np.max(np.abs(oa - oa_e)) < 1e-12
     assert np.max(np.abs(ob - ob_e)) < 1e-12
 
@@ -337,7 +338,7 @@ def test_exulton_k_matches_engine():
         z, t = rng.uniform(0, 8), rng.uniform(-8, 8)
         oa, ob, _ = analytic.exulton_k(sp, z, t)
         oa_e, ob_e, _ = darboux.dressed_fields_and_state(
-            sp.params, sp.spectral, c, z, t, want_rho=False)
+            sp.params, sp.spectral, c, z, t)
         assert abs(oa - oa_e) < 1e-12
         assert abs(ob) == 0.0 and abs(ob_e) < 1e-12
 

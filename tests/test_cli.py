@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lambda_mb import cli, scenarios
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
+from scenario_inputs import canned_scenario, regime_keywords
 
 SMALL_SLOW = """
 # compact slow-soliton run
@@ -64,6 +65,13 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "delta = nan\n", "tau_min = 5\ntau_max = -5\n", "scenario = fig2\n",
     "scenario = exulton_k\nengine = numeric\n",
     "scenario = slow\nengine = analytic\ndelta = 0.5\nprobe_lambdas = 0.5\n",
+    # a value its type refuses, or one outside the scenario's regime, on
+    # every route: the dressing-only runs below would otherwise pass on a
+    # grid that is not the named scenario
+    "eta = 2\n", "a2 = 2\n", "scenario = exulton\neps0 = 1\nc1 = 0\nc2 = 0\nc3 = 0\n",
+    "scenario = exulton\nengine = dressing\neps0 = 0.5\nomega0 = 1\n",
+    "scenario = zero_background\nengine = dressing\nomega0 = 0\nc1 = 1\nc2 = 1\nc3 = 0\n",
+    "scenario = slow\nengine = dressing\na1 = 0\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
@@ -78,7 +86,9 @@ def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
 ])
 def test_main_validates_the_config_after_its_overrides(tmp_path, capsys, argv):
     path = tmp_path / "cfg.txt"
-    path.write_text(f"scenario = exulton_k\nout = {tmp_path / 'run'}\nquiet = true\n")
+    path.write_text("scenario = exulton_k\neps0 = 1\nc1 = 0\nc2 = 0\nc3 = 1\n"
+                    f"out = {tmp_path / 'run'}\nquiet = true\n")
+    parse_config(path.read_text())  # valid until the override
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert cli.main([str(path), *argv]) == 2
     assert capsys.readouterr().err.startswith("config error:")
@@ -186,18 +196,27 @@ _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 @st.composite
 def _configs(draw):
-    """A valid config for any registry scenario, every field drawn."""
+    """A valid config for any registry scenario, every field but eta drawn.
+
+    The scenario's physical parameters and constants come from inside its
+    regime (scenario_inputs.regime_keywords; eta stays 0, the only value a
+    record accepts); nu0, Delta, the lattice, the probes and the
+    tolerances are drawn over their whole valid range.
+    """
     name = draw(st.sampled_from(sorted(scenarios.REGISTRY)))
     refused = scenarios.REGISTRY[name].boundary is None
+    regime = draw(regime_keywords(name))
+    # the constants a scenario does not take are free
+    a = regime.get("a") or tuple(draw(_FINITE) for _ in range(3))
+    c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))
     tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     return cli.ScenarioConfig(
         scenario=name,
         engine=draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")])),
         out=draw(st.text("abz09_-./ ", min_size=1, max_size=12).filter(lambda s: s == s.strip())),
-        nu0=draw(_POSITIVE), delta=draw(_FINITE), omega0=draw(st.floats(0.0, allow_infinity=False)),
-        eta=draw(_FINITE), k=draw(_FINITE), eps0=draw(_POSITIVE),
-        a1=draw(_FINITE), a2=draw(_FINITE), a3=draw(_FINITE),
-        c1=draw(st.none() | _FINITE), c2=draw(st.none() | _FINITE), c3=draw(st.none() | _FINITE),
+        nu0=draw(_POSITIVE), delta=draw(_FINITE), omega0=regime["omega0"],
+        k=regime.get("k", 0.0), eps0=regime["eps0"],
+        a1=a[0], a2=a[1], a3=a[2], c1=c[0], c2=c[1], c3=c[2],
         tau_min=tau_min, tau_max=draw(st.floats(tau_min, 2e6, exclude_min=True)),
         n_tau=draw(st.integers(3, 10**6)),
         zeta_min=zeta_min, zeta_max=draw(st.floats(zeta_min, 2e6, exclude_min=True)),
@@ -219,7 +238,7 @@ def test_manifest_round_trip_for_any_config(cfg):
 def test_canned_copy_gives_the_canned_scenario(tag):
     cfg = cli.ScenarioConfig()
     cli.apply_canned(cfg, tag)
-    sp, grid = scenarios.canned_scenario(tag)
+    sp, grid = canned_scenario(tag)
     assert cfg.scenario_params() == sp and cfg.grid() == grid
 
 

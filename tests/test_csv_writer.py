@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lambda_mb import scenarios
 from lambda_mb.cli import CSV_HEADER, write_grid_csv
 from lambda_mb.mbsolver import GridSpec, SolutionGrid
+from scenario_inputs import canned_scenario
 
 
 def reference_write_grid_csv(path: Path, sol: SolutionGrid):
@@ -41,7 +42,7 @@ def written_bytes(tmp_path: Path, sol: SolutionGrid):
 
 
 def _reduced(tag: str, n_zeta: int = 5):
-    sp, g = scenarios.canned_scenario(tag)
+    sp, g = canned_scenario(tag)
     return sp, GridSpec(g.tau_min, g.tau_max, g.n_tau, g.zeta_min, g.zeta_max, n_zeta)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lambda_mb import algebra, analytic, darboux, model
+from lambda_mb import algebra, analytic, darboux, model, scenarios
 from lambda_mb.darboux import DressConstants, SolitonConstants, map_constants, seed_fundamental
 from lambda_mb.errors import DegenerateMapping, DegenerateSeed
 from lambda_mb.model import LambdaParams, SpectralData
@@ -248,7 +248,8 @@ def test_dress_matches_closed_form_pointwise():
         psi = build_psi1(phi, c)
         h, rho = dress(h0, rho0, psi, l1, p.delta)
         oa, ob = extract_fields(h)
-        oa_ref, ob_ref, rho_ref = analytic.two_soliton(sp, z, t)
+        oa_ref, ob_ref, _ = analytic.two_soliton(sp, z, t)
+        rho_ref = scenarios.REGISTRY["two_soliton"].density(sp, None, z, t)
         assert abs(oa - oa_ref) < 1e-11
         assert abs(ob - ob_ref) < 1e-11
         assert np.max(np.abs(rho - rho_ref)) < 1e-9
@@ -265,7 +266,7 @@ def test_dressed_grid_boundary_recovery():
     c = fig2_constants()
     taus = np.array([[-150.0, 150.0]])
     zetas = np.array([[0.0], [4.0], [8.0]])
-    oa, ob, _ = darboux.dressed_fields_and_state(p, s, c, zetas, taus, want_rho=False)
+    oa, ob, _ = darboux.dressed_fields_and_state(p, s, c, zetas, taus)
     assert np.max(np.abs(np.abs(oa) - p.omega0)) < 1e-6
     assert np.max(np.abs(ob)) < 1e-6
 
@@ -284,7 +285,7 @@ def test_dressed_state_similar_to_projector_across_grid():
 
 
 def test_dressed_grid_zero_curvature_three_probes():
-    from lambda_mb import scenarios, verify
+    from lambda_mb import verify
     from lambda_mb.mbsolver import GridSpec
 
     sp = analytic.ScenarioParams(params=FIG2_P, spectral=FIG2_S,

@@ -38,7 +38,7 @@ def test_two_soliton_b_channel_zeta_exponent_sign():
     p, s = sp.params, sp.spectral
     c = sp.dress_constants()
     z, t = 4.0, 1.0
-    oa_e, ob_e, _ = darboux.dressed_fields_and_state(p, s, c, z, t, want_rho=False)
+    oa_e, ob_e, _ = darboux.dressed_fields_and_state(p, s, c, z, t)
     _, ob_impl, _ = analytic.two_soliton(sp, z, t)
     assert abs(ob_impl - ob_e) < 1e-12
 

@@ -78,19 +78,19 @@ def test_lax_v_trace_passthrough():
 
 
 def test_dark_state_values():
-    assert np.array_equal(model.dark_state(0.0).pure, [0, 1, 0])
-    assert np.allclose(model.dark_state(math.pi / 2).pure, [-1, 0, 0], atol=1e-15)
-    assert np.allclose(model.dark_state(math.pi / 4).pure,
+    assert np.array_equal(model.dark_state(0.0), [0, 1, 0])
+    assert np.allclose(model.dark_state(math.pi / 2), [-1, 0, 0], atol=1e-15)
+    assert np.allclose(model.dark_state(math.pi / 4),
                        [-1 / math.sqrt(2), 1 / math.sqrt(2), 0], atol=1e-15)
     for eta in np.linspace(0, math.pi / 2, 7):
-        assert model.dark_state(eta).pure[2] == 0.0
+        assert model.dark_state(eta)[2] == 0.0
 
 
 def test_dark_state_annihilated_by_background():
     # channel-b amplitude vanishes at eta = 0, so the decoupled state sees no light
     p = LambdaParams(nu0=3.0, omega0=1.0, eta=0.0)
     h = model.interaction_hamiltonian(model.background_fields(p, 0.0))
-    v = h @ model.dark_state(0.0).pure
+    v = h @ model.dark_state(0.0)
     assert np.max(np.abs(v)) < 1e-15
 
 
@@ -133,13 +133,3 @@ def test_spectral_data_branches():
     assert s_eq.root == 0.0
     s_osc = SpectralData.from_eps0(1.0, 2.0)
     assert abs(s_osc.root - 1j * math.sqrt(3)) < 1e-15
-
-
-def test_atom_state_validation():
-    with pytest.raises(NotNormalized):
-        model.AtomState(pure=[1.0, 1.0, 0.0])
-    ok = model.AtomState(pure=[0, 1, 0])
-    assert np.array_equal(ok.populations(), [0, 1, 0])
-    bad = np.diag([0.7, 0.5, -0.2]).astype(complex)
-    with pytest.raises(ValueError):
-        model.AtomState(density=bad)

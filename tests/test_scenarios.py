@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_mb import analytic, scenarios, verify
+from lambda_mb import cli, scenarios, verify
 from lambda_mb.mbsolver import GridSpec
 import observables
+from scenario_inputs import canned_scenario, regime_keywords
 
 
 def test_fig2_gate_closes_for_the_slow_soliton():
-    sp, _ = scenarios.canned_scenario("fig2")
+    sp, _ = canned_scenario("fig2")
     # the canned constants put the collision near zeta = 2.7.  Before it the
     # a-channel groove moves at the slow-soliton speed; the window keeps the
     # light-speed dip (whose zero crossings also touch I_a = 0) outside
@@ -39,11 +40,11 @@ def test_fig2_gate_closes_for_the_slow_soliton():
 
     # and the post-collision b signal is intense compared to the pre-collision
     # slow pulse
-    assert np.max(post.ib) > 2.0 * np.max(pre.ib)
+    assert np.max(np.abs(post.omega_b) ** 2) > 2.0 * np.max(np.abs(pre.omega_b) ** 2)
 
 
 def test_fig3_storage_and_reading_structure():
-    sp, _ = scenarios.canned_scenario("fig3")
+    sp, _ = canned_scenario("fig3")
     # before the reading pulse arrives the stored polarization peak stands
     # still in the lab frame
     window = GridSpec(-12.0, -3.0, 601, -2.5, 2.5, 301)
@@ -59,7 +60,7 @@ def test_fig3_storage_and_reading_structure():
 
 
 def test_fig4_scenario_dual_route_agreement():
-    sp, _ = scenarios.canned_scenario("fig4")
+    sp, _ = canned_scenario("fig4")
     grid = GridSpec(-8.0, 8.0, 161, 0.0, 5.0, 81)
     ana = scenarios.build_analytic_grid(sp, grid)
     drs = scenarios.build_dressed_grid(sp, grid)
@@ -68,7 +69,7 @@ def test_fig4_scenario_dual_route_agreement():
 
 
 def test_exulton_k_canned_runs_without_numeric():
-    sp, grid = scenarios.canned_scenario("exulton_k")
+    sp, grid = canned_scenario("exulton_k")
     small = GridSpec(grid.tau_min, grid.tau_max, 81, grid.zeta_min, grid.zeta_max, 41)
     ana = scenarios.build_analytic_grid(sp, small)
     assert ana.state_kind == "formal"
@@ -78,36 +79,12 @@ def test_exulton_k_canned_runs_without_numeric():
 
 def test_unknown_canned_tag():
     with pytest.raises(KeyError):
-        scenarios.canned_scenario("fig9")
+        cli.apply_canned(cli.ScenarioConfig(), "fig9")
 
 
-@st.composite
-def _inside_the_regime(draw, name):
-    """Parameters inside the scenario's regime of validity.
-
-    nu0 in [0.5, 5] and Delta in [-2, 2] throughout.  Soliton-constant
-    scenarios: omega0 in [0.2, 2], eps0 - omega0 in [0.1, 3], log a1 and
-    log a3 in [-3, 3].  Dressing-constant scenarios: |c_i| in [0.2, 2] with
-    either sign, and omega0 = 0 with eps0 in [0.3, 5] for the storage
-    regime, or eps0 = omega0 in [0.2, 2] at the degenerate point; the
-    rotating-background closed form is written for c = (0, 0, c3) and
-    |k| <= 0.3.
-    """
-    kw = dict(nu0=draw(st.floats(0.5, 5.0)), delta=draw(st.floats(-2.0, 2.0)))
-    if scenarios.REGISTRY[name].constants == "a":
-        omega0 = draw(st.floats(0.2, 2.0))
-        a1, a3 = (math.exp(draw(st.floats(-3.0, 3.0))) for _ in range(2))
-        kw.update(omega0=omega0, eps0=omega0 + draw(st.floats(0.1, 3.0)), a=(a1, 1.0, a3))
-    else:
-        kw["c"] = tuple(draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.2, 2.0))
-                        for _ in range(3))
-        if name == "zero_background":
-            kw.update(omega0=0.0, eps0=draw(st.floats(0.3, 5.0)))
-        else:
-            kw["omega0"] = kw["eps0"] = draw(st.floats(0.2, 2.0))
-        if name == "exulton_k":
-            kw.update(k=draw(st.floats(-0.3, 0.3)), c=(0.0, 0.0, kw["c"][2]))
-    return scenarios.make_scenario(name, **kw)
+def _inside_the_regime(name):
+    """A ScenarioParams bundle inside the scenario's regime of validity."""
+    return regime_keywords(name).map(lambda kw: scenarios.make_scenario(name, **kw))
 
 
 @pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))

@@ -17,6 +17,7 @@ import observables
 from observables import FeatureLost
 from pointwise_oracle import (reference_audit_density, reference_pde_residual,
                               reference_zero_curvature_residual)
+from scenario_inputs import canned_scenario
 
 
 def slow_sp(om0=1.0, eps0=2.0):
@@ -79,7 +80,7 @@ def _assert_same_reports(got, want):
 
 @pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
 def test_residual_reports_match_the_matmul_formulas(tag):
-    sp, g = scenarios.canned_scenario(tag)
+    sp, g = canned_scenario(tag)
     sol = scenarios.build_analytic_grid(
         sp, GridSpec(g.tau_min, g.tau_max, 41, g.zeta_min, g.zeta_max, 9))
     got = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
@@ -161,7 +162,7 @@ def test_audit_density_flags_impurity_when_claimed():
 
 
 def _canned_grids(tag, n_zeta):
-    sp, g = scenarios.canned_scenario(tag)
+    sp, g = canned_scenario(tag)
     grid = GridSpec(g.tau_min, g.tau_max, g.n_tau, g.zeta_min, g.zeta_max, n_zeta)
     return [scenarios.build_analytic_grid(sp, grid), scenarios.build_dressed_grid(sp, grid)]
 
