@@ -1,28 +1,16 @@
 """Exact-size complex linear algebra for the 3-dimensional state space.
 
-All routines accept stacked operands: a "matrix" is any ndarray of shape
-(..., 3, 3) and a "vector" any ndarray of shape (..., 3), so the same code
-serves single points and full (zeta, tau) grids. The eigenvalue kernel
-takes its Hermitian stack entry by entry instead, as six (N,) arrays, so a
-caller can feed it strided views of a grid without forming a 3x3 array.
+scalar_product takes stacked (..., 3) vectors.  The projector and the
+eigenvalue kernel work entry by entry: a vector is its three components
+and a Hermitian 3x3 stack its diagonal and upper entries, each an array
+of any broadcastable shape, so the same code serves single points and
+full (zeta, tau) grids, and a caller can feed strided views of a grid
+without forming a stacked array.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _as_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape[-2:] != (3, 3):
-        raise ValueError(f"expected trailing shape (3, 3), got {m.shape}")
-    return m
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose, entry (i, j) -> conj(entry (j, i))."""
-    m = _as_matrix(m)
-    return np.conj(np.swapaxes(m, -1, -2))
 
 
 def scalar_product(u, v) -> np.ndarray:
@@ -32,11 +20,22 @@ def scalar_product(u, v) -> np.ndarray:
     return np.sum(np.conj(u) * v, axis=-1)
 
 
-def outer(u, v) -> np.ndarray:
-    """|u><v| for stacked vectors: result[..., i, j] = u_i * conj(v_j)."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return u[..., :, None] * np.conj(v)[..., None, :]
+def projector(v) -> np.ndarray:
+    """|v><v| filled entry by entry: result[..., i, j] = v[i] * conj(v[j]).
+
+    v: the three components, each an array of the broadcast shape (a
+    stacked (..., 3) vector is passed as np.moveaxis(v, -1, 0)).  Every
+    entry is its own product, as a stacked outer product computes it, so
+    the diagonal keeps whatever rounding the complex product gives.
+    """
+    v = [np.asarray(x, dtype=complex) for x in v]
+    shape = np.broadcast_shapes(*(x.shape for x in v))
+    cv = [np.conj(x) for x in v]
+    out = np.empty(shape + (3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            np.multiply(v[i], cv[j], out=out[..., i, j])
+    return out
 
 
 #: cap on cyclic Jacobi sweeps; the states of the canned grids converge

@@ -17,6 +17,15 @@ companion background state; the engine dresses there and conjugates the
 result back.  A finite-difference gate verifies whichever seed the engine
 is about to dress and refuses to proceed on a basis that is not actually
 a solution of its linear system.
+
+The grid engine works entry by entry on arrays of the lattice shape: the
+column is three arrays, every length-3 sum is (x0 + x1) + x2 (numpy's
+order for a last-axis reduction, so k = 0 grids keep the bits of the
+stacked form), and the only 3x3 stack formed is the state itself.  The
+one-fold dressing factor is the identity plus a rank-one projector
+(Zakharov and Shabat, Funct. Anal. Appl. 13, 166, 1979), so the k != 0
+state is the companion background plus rank-one terms, with no batched
+3x3 product.
 """
 
 from __future__ import annotations
@@ -244,42 +253,59 @@ def _psi3_vanishing(p, s, c, zeta, tau):
 
 
 def _psi3_confluent(p, s, c, zeta, tau):
+    """Exponential column plus the secular pair, entry by entry.
+
+    The secular pair is the constant column (i, 0, 1) and its polynomial
+    partner (i (omega0 T - 1), 0, omega0 T + 1).  Every entry is
+    c1 * col1 + (c2 * pol2 + c3 * pol3) * exp(-m), with each operation on
+    the same operand types as in the stacked reference
+    (tests/pointwise_oracle.py), so even the signed zeros of the empty
+    entries agree with it.
+    """
     if p.eta != 0.0:
         raise ParameterGuard("confluent seed derived for eta = 0")
     om0 = p.omega0
     mu1, _, tvar = _mu_exponents(p, s, zeta, tau)
     c1, c2, c3 = c.as_tuple()
-    zero = np.zeros_like(tvar)
-    shape = zero.shape + (3,)
-    # secular pair: constant column and its polynomial partner
-    pol2 = np.stack([1j * np.ones_like(tvar), zero, np.ones_like(tvar)], axis=-1)
-    pol3 = np.stack([1j * (om0 * tvar - 1.0), zero, om0 * tvar + 1.0], axis=-1)
+    zero = np.zeros(tvar.shape, dtype=complex)
+    one = np.ones(tvar.shape, dtype=complex)
     m = np.maximum(np.real(mu1), 0.0) if c1 != 0.0 else np.zeros_like(np.real(mu1))
-    col1 = np.zeros(shape, dtype=complex)
-    col1[..., 1] = np.exp(mu1 - m)
-    return c1 * col1 + (c2 * pol2 + c3 * pol3) * np.exp(-m)[..., None]
+    decay = np.exp(-m)
+    pol2 = (1j * one, zero, one)
+    pol3 = (1j * (om0 * tvar - 1.0), zero, (om0 * tvar + 1.0) + zero)
+    col1 = (zero, np.exp(mu1 - m), zero)
+    return tuple(c1 * a + (c2 * b + c3 * d) * decay for a, b, d in zip(col1, pol2, pol3))
 
 
 def _combine_columns(frame_cols, coefs, exponents):
-    """Sum coef * column * exp(exponent) with the largest active real part factored out."""
-    reals = [np.real(np.asarray(e)) for e, cf in zip(exponents, coefs)]
-    active = [r for r, cf in zip(reals, coefs) if cf != 0.0]
-    m = active[0]
-    for r in active[1:]:
-        m = np.maximum(m, r)
-    out = 0.0
-    for col, cf, ex in zip(frame_cols, coefs, exponents):
-        if cf == 0.0:
-            continue
-        out = out + cf * np.asarray(col) * np.exp(np.asarray(ex) - m)[..., None]
-    return out
+    """Sum coef * column * exp(exponent) with the largest active real part factored out.
+
+    Entry by entry: returns the three entries of the sum.  Each sum starts
+    from 0.0, as the stacked reference's does; a term whose coefficient
+    times column entry is exactly zero adds a signed zero to a partial
+    sum that is never -0.0, which changes no bit, so it is skipped.
+    """
+    active = [(cf, np.asarray(col), np.asarray(ex))
+              for col, cf, ex in zip(frame_cols, coefs, exponents) if cf != 0.0]
+    m = np.real(active[0][2])
+    for _, _, ex in active[1:]:
+        m = np.maximum(m, np.real(ex))
+    out = [None, None, None]
+    for cf, col, ex in active:
+        scaled = cf * col
+        e = np.exp(ex - m)
+        for i in range(3):
+            if scaled[i] != 0.0:
+                out[i] = (0.0 if out[i] is None else out[i]) + scaled[i] * e
+    return tuple(np.zeros(m.shape, dtype=complex) if o is None else o for o in out)
 
 
-def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau) -> np.ndarray:
+def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau):
     """Dressing column over broadcastable (zeta, tau) arrays, family-dispatched.
 
-    Normalized per point only up to a common factor; everything downstream
-    is invariant under that scale.
+    Returns the column entry by entry, as three arrays of the broadcast
+    shape.  Normalized per point only up to a common factor; everything
+    downstream is invariant under that scale.
     """
     _check_pole(p, s)
     fam = seed_family(p, s)
@@ -292,56 +318,105 @@ def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau) 
     return _psi3_confluent(p, s, c, zeta, tau)
 
 
-def dressed_state(p: LambdaParams, s: SpectralData, psi3) -> np.ndarray:
-    """Unit state of the k = 0 dressing by columns psi3: the image of the decoupled state."""
-    n2 = np.sum(np.abs(psi3) ** 2, axis=-1)
+def _norm2(v):
+    """Squared length of a column given entry by entry, summed in numpy's order."""
+    return (np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2) + np.abs(v[2]) ** 2
+
+
+def _unit_state(p: LambdaParams, s: SpectralData, psi3, n2):
+    """Entries of the k = 0 dressed unit state; n2 is _norm2(psi3)."""
     lam0 = s.lambda0
     dark = model.dark_state(p.eta)
-    overlap = np.sum(np.conj(psi3) * dark, axis=-1)
-    v = (np.conj(lam0) - p.delta) * dark + (lam0 - np.conj(lam0)) * psi3 * (overlap / n2)[..., None]
-    return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
+    overlap = ((np.conj(psi3[0]) * dark[0] + np.conj(psi3[1]) * dark[1])
+               + np.conj(psi3[2]) * dark[2])
+    shift = (np.conj(lam0) - p.delta) * dark
+    weight = overlap / n2
+    v = [shift[i] + (lam0 - np.conj(lam0)) * psi3[i] * weight for i in range(3)]
+    norm = np.sqrt(_norm2(v))
+    return tuple(x / norm for x in v)
+
+
+def dressed_state(p: LambdaParams, s: SpectralData, psi3) -> np.ndarray:
+    """Unit state of the k = 0 dressing by columns psi3: the image of the decoupled state.
+
+    psi3 is the column entry by entry (psi3_column); returns the state as
+    one (..., 3) array.
+    """
+    return np.stack(_unit_state(p, s, psi3, _norm2(psi3)), axis=-1)
+
+
+def _formal_state(p: LambdaParams, s: SpectralData, psi3, n2, zeta) -> np.ndarray:
+    """k != 0 state sd B sd^dagger / r2 as a rank-one update of B, in the physical frame.
+
+    With sd = alpha I + beta u u^dagger, u = psi3 / |psi3|, w = B u:
+
+        rho_ij = (|alpha|^2 B_ij + alpha conj(beta) w_i conj(u_j)
+                  + conj(alpha) beta u_i conj(w_j)
+                  + |beta|^2 (u^dagger w) u_i conj(u_j)) / r2
+               = |alpha|^2 B_ij / r2 + x_i conj(u_j) + u_i conj(x_j),
+
+    x = (alpha conj(beta) w + |beta|^2 (u^dagger w) u / 2) / r2.  The upper
+    triangle is computed and the lower one is its conjugate, so the state
+    is Hermitian to the bit; the (0, 2) and (1, 2) entries carry the
+    frame phase exp(-i k zeta).
+    """
+    lam0 = s.lambda0
+    alpha = np.conj(lam0) - p.delta
+    beta = lam0 - np.conj(lam0)
+    r2 = abs(lam0 - p.delta) ** 2
+    b = seed_background_state(p)
+    inv = 1.0 / np.sqrt(n2)
+    u = [x * inv for x in psi3]
+    w = [np.zeros_like(u[0]) for _ in range(3)]
+    for i, j in zip(*np.nonzero(b)):
+        w[i] += b[i, j] * u[j]
+    uw = sum(np.real(np.conj(u[i]) * w[i]) for i in range(3))
+    x = [(alpha * np.conj(beta) / r2) * w[i] + (0.5 * abs(beta) ** 2 / r2) * uw * u[i]
+         for i in range(3)]
+    ph = np.exp(-1j * p.k * zeta)
+    rho = np.empty(u[0].shape + (3, 3), dtype=complex)
+    base = abs(alpha) ** 2 / r2 * b
+    for i in range(3):
+        rho[..., i, i] = base[i, i].real + 2.0 * np.real(x[i] * np.conj(u[i]))
+        for j in range(i + 1, 3):
+            entry = base[i, j] + x[i] * np.conj(u[j]) + u[i] * np.conj(x[j])
+            if j == 2:
+                entry = entry * ph
+            rho[..., i, j] = entry
+            rho[..., j, i] = np.conj(entry)
+    return rho
 
 
 def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants,
                              zeta, tau):
     """Dressed fields and density matrix over broadcastable zeta/tau arrays.
 
-    Returns (omega_a, omega_b, rho) in the physical frame.  For k != 0 the
-    dressing happens in the rotated frame on the companion background state
-    and the result is conjugated back, which multiplies the fields by
-    exp(i*k*zeta).
+    Returns (omega_a, omega_b, rho) in the physical frame, worked entry by
+    entry on arrays of the broadcast shape; rho is the one (..., 3, 3)
+    array that is formed.  k = 0: the projector onto the dressed unit
+    state.  k != 0: the dressing happens in the rotated frame on the
+    companion background state, whose image is a rank-one update of it
+    (_formal_state), and the result is conjugated back, which multiplies
+    the fields by exp(i*k*zeta).
     """
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
     psi3 = psi3_column(p, s, c, zeta, tau)
-    n2 = np.sum(np.abs(psi3) ** 2, axis=-1)
+    n2 = _norm2(psi3)
     lam0 = s.lambda0
     two_im = lam0 - np.conj(lam0)  # 2i eps0
 
     ce, se = math.cos(p.eta), math.sin(p.eta)
     oa_seed, ob_seed = p.omega0 * ce, p.omega0 * se
-    p31 = psi3[..., 2] * np.conj(psi3[..., 0]) / n2
-    p32 = psi3[..., 2] * np.conj(psi3[..., 1]) / n2
+    p31 = psi3[2] * np.conj(psi3[0]) / n2
+    p32 = psi3[2] * np.conj(psi3[1]) / n2
     oa = oa_seed - 2.0 * two_im * p31
     ob = ob_seed - 2.0 * two_im * p32
 
     if p.k == 0.0:
-        v = dressed_state(p, s, psi3)
-        return oa, ob, algebra.outer(v, v)
-    p3 = algebra.outer(psi3, psi3) / n2[..., None, None]
-    eye = np.eye(3, dtype=complex)
-    sd = (np.conj(lam0) - p.delta) * eye + two_im * p3
-    r2 = abs(lam0 - p.delta) ** 2
-    rho = sd @ seed_background_state(p) @ algebra.adjoint(sd) / r2
+        return oa, ob, algebra.projector(_unit_state(p, s, psi3, n2))
     rot = np.exp(1j * p.k * zeta)
-    oa = oa * rot
-    ob = ob * rot
-    ph = np.broadcast_to(np.exp(-1j * p.k * zeta), oa.shape)
-    rho[..., 0, 2] *= ph
-    rho[..., 1, 2] *= ph
-    rho[..., 2, 0] *= np.conj(ph)
-    rho[..., 2, 1] *= np.conj(ph)
-    return oa, ob, rho
+    return oa * rot, ob * rot, _formal_state(p, s, psi3, n2, zeta)
 
 
 def seed_residual_report(p: LambdaParams, s: SpectralData) -> dict:

@@ -102,9 +102,9 @@ class SolutionGrid:
         if self.omega_a.shape != expected or self.omega_b.shape != expected:
             raise ValueError("field arrays must be shaped (n_zeta, n_tau)")
         if self.populations is None and self.rho is not None:
-            self.populations = np.real(
-                np.stack([self.rho[..., i, i] for i in range(3)], axis=-1)
-            )
+            self.populations = np.empty(self.rho.shape[:-1], dtype=float)
+            for i in range(3):
+                self.populations[..., i] = self.rho[..., i, i].real
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def density_from_pure(psi) -> np.ndarray:
     if np.any(np.abs(norm - 1.0) > 1e-4):
         raise NotNormalized(f"norm deviates by {np.max(np.abs(norm - 1.0)):.2e}")
     v = v / norm[..., None] if v.ndim > 1 else v / norm
-    return algebra.outer(v, v)
+    return algebra.projector(np.moveaxis(v, -1, 0))
 
 
 def background_fields(p: LambdaParams, zeta) -> FieldPair:

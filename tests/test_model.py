@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lambda_mb import algebra, model
+from lambda_mb import model
 from lambda_mb.errors import NotNormalized, SpectralPole
 from lambda_mb.model import FieldPair, LambdaParams, SpectralData
-from pointwise_oracle import NotLambdaStructured, extract_fields
+from pointwise_oracle import NotLambdaStructured, adjoint, extract_fields
 
 
 def test_interaction_hamiltonian_zero():
@@ -26,7 +26,7 @@ def test_interaction_hamiltonian_complex_amplitudes():
     assert h[2, 1] == -1j
     assert h[0, 2] == np.conj(h[2, 0])
     assert h[1, 2] == np.conj(h[2, 1])
-    assert np.max(np.abs(h - algebra.adjoint(h))) == 0.0
+    assert np.max(np.abs(h - adjoint(h))) == 0.0
 
 
 def test_extract_fields_round_trip():

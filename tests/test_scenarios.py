@@ -97,3 +97,64 @@ def test_closed_form_and_dressing_agree_across_the_regime(name, data):
     assert verify.compare_solutions(ana, drs).max_abs <= scenarios.REGISTRY[name].field_tol
     assert verify.audit_density(ana).max_abs <= 1e-8
     assert verify.audit_density(drs).max_abs <= 1e-8
+
+
+def _arrays(sol):
+    return [a for a in (sol.omega_a, sol.omega_b, sol.rho, sol.populations) if a is not None]
+
+
+@pytest.mark.parametrize("tag", ["fig2", "fig3", "fig4", "fast", "slow", "exulton_k"])
+def test_two_builds_share_no_memory(tag):
+    sp, canned = canned_scenario(tag)
+    grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
+    for build in (scenarios.build_analytic_grid, scenarios.build_dressed_grid):
+        first, second = build(sp, grid), build(sp, grid)
+        arrays = _arrays(first) + _arrays(second)
+        for i, a in enumerate(arrays):
+            assert a.flags.writeable and a.flags.c_contiguous
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
+def test_full_keeps_only_an_array_that_is_the_grids_own():
+    owned = np.zeros((2, 5), dtype=complex)
+    assert scenarios._full(owned, (2, 5)) is owned
+    base = np.zeros((4, 5), dtype=complex)
+    frozen = np.zeros((2, 5), dtype=complex)
+    frozen.flags.writeable = False
+    # a grid-shaped C-contiguous view of other data, and a read-only array
+    for arr, source in ((base[:2], base), (frozen, frozen)):
+        got = scenarios._full(arr, (2, 5))
+        assert got.flags.writeable and got.flags.owndata
+        assert not np.shares_memory(got, source)
+
+
+def test_broadcast_evaluator_outputs_become_full_writable_arrays():
+    # fast's fields depend on tau alone, (1, n_tau), and its state is the
+    # constant (3, 3) dark projector
+    sp, canned = canned_scenario("fast")
+    grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
+    zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
+    oa, ob, _ = scenarios.REGISTRY["fast"].evaluate(sp, zz, tt)
+    assert oa.shape == ob.shape == (1, grid.n_tau)
+    sol = scenarios.build_analytic_grid(sp, grid)
+    for arr, shape in ((sol.omega_a, (9, 41)), (sol.omega_b, (9, 41)), (sol.rho, (9, 41, 3, 3))):
+        assert arr.shape == shape
+        assert arr.flags.writeable and arr.flags.c_contiguous and arr.flags.owndata
+    before = sol.rho[1, 1].copy()
+    sol.omega_a[0, 0] = 7.0
+    sol.rho[0, 0, 1, 1] = 7.0
+    assert sol.omega_a[1, 0] != 7.0
+    assert np.array_equal(sol.rho[1, 1], before)
+
+
+@pytest.mark.parametrize("tag", ["fig2", "exulton_k"])
+def test_populations_are_contiguous_float64_of_the_diagonal(tag):
+    sp, canned = canned_scenario(tag)
+    grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
+    sol = scenarios.build_dressed_grid(sp, grid)
+    pops = sol.populations
+    assert pops.dtype == np.float64 and pops.shape == (9, 41, 3)
+    assert pops.flags.c_contiguous and pops.flags.owndata
+    want = np.real(np.stack([sol.rho[..., i, i] for i in range(3)], axis=-1))
+    assert pops.tobytes() == np.ascontiguousarray(want).tobytes()

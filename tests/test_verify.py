@@ -15,7 +15,7 @@ from lambda_mb.mbsolver import GridSpec, SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
 import observables
 from observables import FeatureLost
-from pointwise_oracle import (reference_audit_density, reference_pde_residual,
+from pointwise_oracle import (outer, reference_audit_density, reference_pde_residual,
                               reference_zero_curvature_residual)
 from scenario_inputs import canned_scenario
 
@@ -183,7 +183,7 @@ def test_audit_density_matches_the_eigvalsh_audit(tag):
 
 def test_audit_density_does_not_depend_on_the_chunking(monkeypatch):
     sol = _canned_grids("fig4", 21)[0]
-    sol.rho[3:7] = algebra.outer(np.array([0.6, 0.8j, 0.0]), np.array([0.5, 0.5, 0.5 + 0.5j]))
+    sol.rho[3:7] = outer(np.array([0.6, 0.8j, 0.0]), np.array([0.5, 0.5, 0.5 + 0.5j]))
     whole = verify.audit_density(sol).max_abs
     assert 0.5 < whole < 1.0
     monkeypatch.setattr(verify, "_AUDIT_CHUNK", 1000)
@@ -219,7 +219,7 @@ def _hermitian_stack(family, rng, n):
     u = np.linalg.qr(rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)))[0]
     if family == "rank1":  # pure states |v><v|
         v = u[:, :, 0]
-        return algebra.outer(v, v)
+        return outer(v, v)
     if family == "degenerate":  # a double eigenvalue
         a, b = rng.standard_normal((2, n))
         lam = np.stack([a, a, b], axis=-1)
