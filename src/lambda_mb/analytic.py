@@ -1,21 +1,21 @@
 """Closed-form evaluators for every exact solution the dressing can make.
 
 Field formulas are transcribed independently of the engine so that the two
-routes cross-check each other.  The unit states of the storage and
-degenerate-point scenarios are the image of the decoupled seed state under
-the dressing operator, taken from the engine (darboux.dressed_state); the
-two-soliton state has no closed expression of its own, and its registry
-record takes it from darboux.dressed_fields_and_state.  Where a
-circulating variant of a state or phase fails the self-consistency
-harness, the form implemented here is the one that satisfies the field
-equations (see tests/test_mismatch.py for the rejected variants).
+routes cross-check each other.  The storage, degenerate-point and
+two-soliton states have no closed expression here: the storage and
+degenerate-point states are the image of the decoupled seed state under
+the dressing operator, and the scenario registry takes all three from the
+engine (darboux.dressed_density).  Where a circulating variant of a state
+or phase fails the self-consistency harness, the form implemented here is
+the one that satisfies the field equations (see tests/test_mismatch.py for
+the rejected variants).
 
 Conventions: scalar or broadcastable array zeta/tau in, matching arrays
-out.  Each evaluator returns (omega_a, omega_b, state) where state is a
-unit amplitude vector (slow, zero_background, exulton) or None (fields
-only: two_soliton, fast, exulton_k).  Each evaluator first calls its
-guard_*, which raises outside the regime the formula is written for; the
-scenario registry applies the same guard on every route.
+out.  Each evaluator returns (omega_a, omega_b, state) where state is the
+unit amplitude vector of the slow soliton, or None (fields only: every
+other evaluator).  Each evaluator first calls its guard_*, which raises
+outside the regime the formula is written for; the scenario registry
+applies the same guard on every route.
 """
 
 from __future__ import annotations
@@ -206,13 +206,13 @@ def zero_background(sp: ScenarioParams, zeta, tau):
     den = c2**2 * np.exp(e1 - m) + c3**2 * np.exp(e2 - m) + c1**2 * np.exp(e3 - m)
     oa = -4j * c1 * c3 * eps0 * np.exp(eps0 * tau - a_exp - m) / den
     ob = c2 / c3 * np.exp(1j * zeta * nu0 / (2.0 * (delta + 1j * eps0))) * oa
-    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, sp.constants, zeta, tau))
+    return oa, ob, None
 
 
 def exulton(sp: ScenarioParams, zeta, tau):
     """Rational-in-tau solution at the degenerate point eps0 = omega0."""
     guard_exulton(sp)
-    p, s = sp.params, sp.spectral
+    p = sp.params
     c1, c2, c3 = sp.constants.as_tuple()
     om0, nu0, delta = p.omega0, p.nu0, p.delta
     zeta = np.asarray(zeta, dtype=float)
@@ -229,7 +229,7 @@ def exulton(sp: ScenarioParams, zeta, tau):
         * (c2 + c3 * (1.0 + tau * om0))
         / den
     )
-    return oa, ob, darboux.dressed_state(p, s, darboux.psi3_column(p, s, sp.constants, zeta, tau))
+    return oa, ob, None
 
 
 def exulton_k(sp: ScenarioParams, zeta, tau):

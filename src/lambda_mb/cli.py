@@ -128,6 +128,9 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"unknown engine {cfg.engine!r}")
     if cfg.engine == "numeric" and scenarios.REGISTRY[cfg.scenario].boundary is None:
         raise ParseError(f"scenario {cfg.scenario!r} refuses the numeric engine")
+    if cfg.engine in ("analytic", "all") and cfg.n_zeta < 3:
+        raise ParseError(f"the residual checks of the analytic grid need n_zeta >= 3, "
+                         f"got {cfg.n_zeta}")
     # the manifest echoes out as one key = value line, which must parse back
     if "#" in cfg.out or cfg.out.strip() != cfg.out or cfg.out.splitlines() != [cfg.out]:
         raise ParseError(f"out must be one non-empty line without '#' or surrounding "

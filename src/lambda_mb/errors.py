@@ -17,10 +17,6 @@ class NotNormalized(LambdaMBError):
     """Pure state vector is too far from unit norm to renormalize silently."""
 
 
-class DegenerateSeed(LambdaMBError):
-    """Seed basis columns coalesce (eps0 = Omega0); use the confluent basis."""
-
-
 class DegenerateMapping(LambdaMBError):
     """Soliton-constant mapping is singular (eps0 <= Omega0)."""
 

@@ -25,7 +25,6 @@ fixed grids, no adaptivity, no parallel reductions.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -186,18 +185,13 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
     return out
 
 
-#: eigenvalue extremes of the last slice integrated on this thread; propagate
-#: reads them after each call, because the traced public calls (this
-#: function and maxwell_step) must keep returning bare arrays
-_slice_audit = threading.local()
-
-
-def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec) -> np.ndarray:
+def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec):
     """March the state along tau through one zeta slice.
 
-    f_of_tau: pair of (n_tau,) complex arrays.  Returns (n_tau, 3, 3),
-    Hermitian to the last bit.  Eigenvalues are audited for the whole
-    slice and a band violation aborts the run.
+    f_of_tau: pair of (n_tau,) complex arrays.  Returns the (n_tau, 3, 3)
+    slice, Hermitian to the last bit, and its (min, max) eigenvalue.
+    Eigenvalues are audited for the whole slice and a band violation
+    aborts the run.
     """
     oa, ob = f_of_tau
     oa = np.asarray(oa, dtype=complex)
@@ -217,8 +211,7 @@ def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec) -
         raise StepUnstable(
             f"state eigenvalues left [{-EIG_BAND}, 1+{EIG_BAND}]: min {lo:.3e}, max {hi:.3e}"
         )
-    _slice_audit.extremes = (lo, hi)
-    return out
+    return out, (lo, hi)
 
 
 def _field_derivative(rho_slice, nu0: float):
@@ -233,18 +226,19 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
 
     Predict with the current slice's state, re-integrate the state on the
     predicted fields, then update with the averaged derivative.  Returns
-    (fields at zeta + h_zeta, state slice there).
+    (fields at zeta + h_zeta, state slice there, its eigenvalue extremes).
     """
     oa, ob = f_slice
     doa, dob = _field_derivative(rho_slice, p.nu0)
     oa_pred = oa + h_zeta * doa
     ob_pred = ob + h_zeta * dob
-    rho_pred = integrate_bloch_slice((oa_pred, ob_pred), rho_boundary_next, p.delta, grid)
+    rho_pred, _ = integrate_bloch_slice((oa_pred, ob_pred), rho_boundary_next, p.delta, grid)
     doa2, dob2 = _field_derivative(rho_pred, p.nu0)
     oa_next = oa + 0.5 * h_zeta * (doa + doa2)
     ob_next = ob + 0.5 * h_zeta * (dob + dob2)
-    rho_next = integrate_bloch_slice((oa_next, ob_next), rho_boundary_next, p.delta, grid)
-    return (oa_next, ob_next), rho_next
+    rho_next, extremes = integrate_bloch_slice((oa_next, ob_next), rho_boundary_next,
+                                               p.delta, grid)
+    return (oa_next, ob_next), rho_next, extremes
 
 
 def _boundary_provider(boundary_rho, p: LambdaParams, n_zeta: int):
@@ -304,10 +298,8 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> 
     eig_lo, eig_hi = np.inf, -np.inf
 
     oa, ob = oa0, ob0
-    rho_slice = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
+    rho_slice, (lo, hi) = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
     for i in range(grid.n_zeta):
-        # the slice's own audit: the last integrate_bloch_slice call made it
-        lo, hi = _slice_audit.extremes
         omega_a[i], omega_b[i] = oa, ob
         pops[i] = np.real(np.stack([rho_slice[:, j, j] for j in range(3)], axis=-1))
         if store_rho:
@@ -317,7 +309,7 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> 
         eig_lo = min(eig_lo, lo)
         eig_hi = max(eig_hi, hi)
         if i + 1 < grid.n_zeta:
-            (oa, ob), rho_slice = maxwell_step(
+            (oa, ob), rho_slice, (lo, hi) = maxwell_step(
                 rho_slice, (oa, ob), p, grid.h_zeta, provider(i + 1), grid
             )
 

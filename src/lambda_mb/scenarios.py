@@ -5,6 +5,10 @@ A scenario couples a parameter bundle with the three ways to realize it
 return SolutionGrid objects that the verification harness and the CLI
 consume uniformly.  What sets one scenario apart from another is its
 ``Scenario`` record in ``REGISTRY``; no other code branches on a name.
+On both exact routes a grid's state kind follows k: a projector at
+k = 0, the formal companion state otherwise.  Every dressing build runs
+the seed verification gate first and keeps its report in
+``meta["seed_gate"]``.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ class Scenario:
     (analytic.guard_*), which make_scenario applies for every route.
     constants: "a" (soliton) or "c" (dressing), with zero_a the soliton
     constant set to zero.  state: "vector" when the evaluator returns a
-    unit vector; otherwise the grid carries the dressed projector
-    ("dressed"), the decoupled projector ("dark") or the engine's formal
-    companion state ("formal").  field_tol: analytic-vs-dressing field
-    tolerance.  boundary: tau_min state of direct propagation, "edge" (the
-    closed form's own) or "dark" (the decoupled projector); None refuses.
+    unit vector; otherwise the grid carries the decoupled projector
+    ("dark") or the dressing engine's state at the same constants
+    ("dressed": the dressed projector at k = 0, the formal companion state
+    at k != 0).  field_tol: analytic-vs-dressing field tolerance.
+    boundary: tau_min state of direct propagation, "edge" (the closed
+    form's own) or "dark" (the decoupled projector); None refuses.
     """
 
     name: str
@@ -57,10 +62,7 @@ class Scenario:
             return algebra.projector(np.moveaxis(state, -1, 0))
         if self.state == "dark":
             return model.density_from_pure(model.dark_state(sp.params.eta))
-        # "dressed" or "formal": the engine's state at the same constants,
-        # the pure projector at k = 0 and the formal companion otherwise
-        return darboux.dressed_fields_and_state(
-            sp.params, sp.spectral, sp.dress_constants(), zeta, tau)[2]
+        return darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(), zeta, tau)
 
 
 REGISTRY = {s.name: s for s in (
@@ -71,11 +73,11 @@ REGISTRY = {s.name: s for s in (
     Scenario("fast", lambda sp, z, t: analytic.fast_soliton(sp, t),
              analytic.guard_fast, "a", "dark", 1e-9, "dark", zero_a="a1"),
     Scenario("zero_background", lambda sp, z, t: analytic.zero_background(sp, z, t),
-             analytic.guard_zero_background, "c", "vector", 1e-8, "edge"),
+             analytic.guard_zero_background, "c", "dressed", 1e-8, "edge"),
     Scenario("exulton", lambda sp, z, t: analytic.exulton(sp, z, t),
-             analytic.guard_exulton, "c", "vector", 1e-8, "edge"),
+             analytic.guard_exulton, "c", "dressed", 1e-8, "edge"),
     Scenario("exulton_k", lambda sp, z, t: analytic.exulton_k(sp, z, t),
-             analytic.guard_exulton_k, "c", "formal", 1e-8, None),
+             analytic.guard_exulton_k, "c", "dressed", 1e-8, None),
 )}
 
 
@@ -144,6 +146,11 @@ def _full(arr, shape):
     return np.array(np.broadcast_to(arr, shape), order="C")
 
 
+def _state_kind(p: LambdaParams) -> str:
+    """What an exact-route grid's state is: a projector at k = 0, formal otherwise."""
+    return "pure" if p.k == 0.0 else "formal"
+
+
 def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Evaluate the closed-form scenario on the lattice."""
     record = REGISTRY[sp.scenario]
@@ -154,7 +161,7 @@ def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
         rho=_full(rho, shape + (3, 3)),
-        state_kind="formal" if record.state == "formal" else "pure",
+        state_kind=_state_kind(sp.params),
         meta={"engine": "analytic", "scenario": sp.scenario},
     )
 
@@ -164,16 +171,13 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     p, s = sp.params, sp.spectral
     c = sp.dress_constants()
     meta = {"engine": "dressing", "scenario": sp.scenario,
-            "constants": c.as_tuple()}
-    if p.k != 0.0:
-        meta["seed_gate"] = darboux.verify_seed_or_raise(p, s)
+            "constants": c.as_tuple(), "seed_gate": darboux.verify_seed_or_raise(p, s)}
     zz, tt = _mesh(grid)
     oa, ob, rho = darboux.dressed_fields_and_state(p, s, c, zz, tt)
-    state_kind = "pure" if p.k == 0.0 else "formal"
     shape = (grid.n_zeta, grid.n_tau)
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
-        rho=_full(rho, shape + (3, 3)), state_kind=state_kind, meta=meta,
+        rho=_full(rho, shape + (3, 3)), state_kind=_state_kind(p), meta=meta,
     )
 
 
@@ -186,7 +190,7 @@ def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """
     record = REGISTRY[sp.scenario]
     if record.boundary is None:
-        raise ParameterGuard(f"{sp.scenario} has a {record.state} companion state; "
+        raise ParameterGuard(f"{sp.scenario} has a formal companion state; "
                              "direct propagation is not defined")
     reference = build_analytic_grid(sp, GridSpec(
         grid.tau_min, grid.tau_max, grid.n_tau, grid.zeta_min, grid.zeta_max, 2,

@@ -186,12 +186,13 @@ def test_zero_background_c1_zero_is_stored_polarization():
     sp = zb_params(c=(0.0, 1.0, 1.0))
     zz = np.linspace(-2, 2, 5)[:, None]
     tt = np.linspace(-3, 3, 7)[None, :]
-    oa, ob, psi = analytic.zero_background(sp, zz, tt)
+    oa, ob, _ = analytic.zero_background(sp, zz, tt)
     assert np.max(np.abs(oa)) == 0.0 and np.max(np.abs(ob)) == 0.0
-    p1 = np.abs(psi[..., 0]) ** 2
+    rho = scenarios.REGISTRY["zero_background"].density(sp, None, zz, tt)
+    p1 = rho[..., 0, 0].real
     assert np.max(np.abs(p1 - p1[:, :1])) < 1e-12  # stationary along tau
     assert np.max(p1) > 0.5
-    p3 = np.abs(psi[..., 2]) ** 2
+    p3 = rho[..., 2, 2].real
     assert np.max(p3) < 1e-28  # no excited-state population without fields
 
 
@@ -201,11 +202,14 @@ def test_zero_background_state_matches_engine():
     rng = np.random.default_rng(3)
     for _ in range(15):
         z, t = rng.uniform(-2, 3), rng.uniform(-3, 2)
-        oa, ob, psi = analytic.zero_background(sp, z, t)
-        assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
-        oa_e, ob_e, rho = darboux.dressed_fields_and_state(sp.params, sp.spectral, c, z, t)
+        oa, ob, state = analytic.zero_background(sp, z, t)
+        assert state is None  # the registry takes the engine's state
+        oa_e, ob_e, _ = darboux.dressed_fields_and_state(sp.params, sp.spectral, c, z, t)
         assert abs(oa - oa_e) < 1e-12 and abs(ob - ob_e) < 1e-12
-        assert np.max(np.abs(rho - np.outer(psi, np.conj(psi)))) < 1e-12
+        # the dressed state is the projector onto a unit vector
+        rho = scenarios.REGISTRY["zero_background"].density(sp, None, z, t)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho @ rho - rho)) < 1e-12
 
 
 def test_zero_background_guards():
@@ -225,11 +229,14 @@ def test_exulton_matches_engine():
     rng = np.random.default_rng(5)
     for _ in range(20):
         z, t = rng.uniform(0, 5), rng.uniform(-6, 6)
-        oa, ob, psi = analytic.exulton(sp, z, t)
-        assert abs(np.vdot(psi, psi).real - 1.0) < 1e-12
-        oa_e, ob_e, rho = darboux.dressed_fields_and_state(sp.params, sp.spectral, c, z, t)
+        oa, ob, state = analytic.exulton(sp, z, t)
+        assert state is None  # the registry takes the engine's state
+        oa_e, ob_e, _ = darboux.dressed_fields_and_state(sp.params, sp.spectral, c, z, t)
         assert abs(oa - oa_e) < 1e-12 and abs(ob - ob_e) < 1e-12
-        assert np.max(np.abs(rho - np.outer(psi, np.conj(psi)))) < 1e-12
+        # the dressed state is the projector onto a unit vector
+        rho = scenarios.REGISTRY["exulton"].density(sp, None, z, t)
+        assert abs(np.trace(rho) - 1.0) < 1e-12
+        assert np.max(np.abs(rho @ rho - rho)) < 1e-12
 
 
 def test_exulton_c3_zero_is_plain_kink():

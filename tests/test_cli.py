@@ -72,6 +72,9 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "scenario = exulton\nengine = dressing\neps0 = 0.5\nomega0 = 1\n",
     "scenario = zero_background\nengine = dressing\nomega0 = 0\nc1 = 1\nc2 = 1\nc3 = 0\n",
     "scenario = slow\nengine = dressing\na1 = 0\n",
+    # the residual checks of the analytic grid need three zeta rows
+    "scenario = slow\nengine = analytic\nn_zeta = 2\nn_tau = 41\n",
+    "scenario = slow\nengine = all\nn_zeta = 2\nn_tau = 41\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
@@ -210,9 +213,10 @@ def _configs(draw):
     a = regime.get("a") or tuple(draw(_FINITE) for _ in range(3))
     c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))
     tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
+    engine = draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")]))
     return cli.ScenarioConfig(
         scenario=name,
-        engine=draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")])),
+        engine=engine,
         out=draw(st.text("abz09_-./ ", min_size=1, max_size=12).filter(lambda s: s == s.strip())),
         nu0=draw(_POSITIVE), delta=draw(_FINITE), omega0=regime["omega0"],
         k=regime.get("k", 0.0), eps0=regime["eps0"],
@@ -220,7 +224,8 @@ def _configs(draw):
         tau_min=tau_min, tau_max=draw(st.floats(tau_min, 2e6, exclude_min=True)),
         n_tau=draw(st.integers(3, 10**6)),
         zeta_min=zeta_min, zeta_max=draw(st.floats(zeta_min, 2e6, exclude_min=True)),
-        n_zeta=draw(st.integers(2, 10**6)),
+        # the analytic route's residual checks need three zeta rows
+        n_zeta=draw(st.integers(3 if engine in ("analytic", "all") else 2, 10**6)),
         probe_lambdas=tuple(draw(st.lists(
             st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=4))),
         field_tol=draw(st.none() | _POSITIVE), numeric_tol=draw(_POSITIVE),

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lambda_mb import algebra, analytic, darboux, model, scenarios
 from lambda_mb.darboux import DressConstants, SolitonConstants, map_constants, seed_fundamental
-from lambda_mb.errors import DegenerateMapping, DegenerateSeed
+from lambda_mb.errors import DegenerateMapping, ParameterGuard
+from lambda_mb.mbsolver import GridSpec
 from lambda_mb.model import LambdaParams, SpectralData
 from pointwise_oracle import (
     DegeneratePsi,
@@ -17,6 +19,7 @@ from pointwise_oracle import (
     extract_fields,
     sigma1,
 )
+from scenario_inputs import canned_scenario, regime_keywords
 
 FIG2_P = LambdaParams(nu0=3.0, delta=0.0, omega0=1.0)
 FIG2_S = SpectralData.from_eps0(2.0, 1.0)
@@ -65,13 +68,6 @@ def test_seed_vanishing_background_dark_column():
     assert np.allclose(phi[:, 0], np.array([0, 1, 0]) * np.exp(mu1), atol=1e-14)
 
 
-def test_seed_degenerate_guard():
-    p = LambdaParams(nu0=3.0, omega0=1.0)
-    s = SpectralData.from_eps0(1.0, 1.0)
-    with pytest.raises(DegenerateSeed):
-        seed_fundamental(p, s, 0.0, 0.0)
-
-
 def _fd_residuals(basis, u_mat, v_mat, z, t, h):
     phi = basis(z, t)
     scale = np.max(np.abs(phi))
@@ -106,15 +102,19 @@ def test_seed_solves_linear_system_second_order(eta, delta):
 
 
 def test_confluent_seed_solves_linear_system():
+    # at eps0 = omega0 seed_fundamental stacks the confluent columns: the
+    # exponential one, the limit column (i, 0, 1) and its secular partner
     p = LambdaParams(nu0=3.0, delta=0.2, omega0=1.0)
     s = SpectralData.from_eps0(1.0, 1.0)
+    assert darboux.seed_family(p, s) == "confluent"
+    assert np.array_equal(seed_fundamental(p, s, 0.0, 0.0)[:, 1], [1j, 0.0, 1.0])
     h_bg = model.interaction_hamiltonian((1.0, 0.0))
     u = model.lax_u(s.lambda0, h_bg)
     rho = model.density_from_pure(model.dark_state(0.0))
     v = model.lax_v(s.lambda0, rho, p)
 
     def basis(z, t):
-        return darboux.confluent_seed_fundamental(p, s, z, t)
+        return seed_fundamental(p, s, z, t)
 
     rt1, rz1 = _fd_residuals(basis, u, v, 0.9, 1.4, 1e-3)
     rt2, rz2 = _fd_residuals(basis, u, v, 0.9, 1.4, 5e-4)
@@ -124,12 +124,12 @@ def test_confluent_seed_solves_linear_system():
 
 
 def test_seed_gate_k_nonzero():
-    # the naive reading (rotating fields + pure decoupled state) is not a
-    # seed of the printed basis; the rotated-frame companion is
+    # the rotated-frame companion state carries the rotating seed; the
+    # naive reading that does not is rejected in test_mismatch.py
     p = LambdaParams(nu0=3.0, delta=0.0, omega0=1.0, k=0.2)
     report = darboux.seed_residual_report(p, FIG2_S)
+    assert report["family"] == "regular"
     assert report["passed"]
-    assert report["naive_gauge_residual"] > 1e-3
 
 
 def test_seed_gate_confluent_k():
@@ -138,6 +138,68 @@ def test_seed_gate_confluent_k():
     report = darboux.seed_residual_report(p, s)
     assert report["family"] == "confluent"
     assert report["passed"]
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
+@given(data=st.data())
+def test_seed_gate_passes_across_every_regime(name, data):
+    sp = scenarios.make_scenario(name, **data.draw(regime_keywords(name)))
+    report = darboux.verify_seed_or_raise(sp.params, sp.spectral)
+    assert report["passed"]
+    assert report["family"] == darboux.seed_family(sp.params, sp.spectral)
+
+
+def test_seed_gate_fails_on_a_nan_basis(monkeypatch):
+    p, s = FIG2_P, FIG2_S
+    good = darboux.seed_fundamental
+
+    def nan_at_one_point(p_, s_, z, t):
+        phi = good(p_, s_, z, t)
+        return phi * np.nan if (z, t) == darboux.SEED_GATE_POINTS[1] else phi
+
+    monkeypatch.setattr(darboux, "seed_fundamental", nan_at_one_point)
+    report = darboux.seed_residual_report(p, s)
+    assert math.isnan(report["tau_residual"]) and not report["passed"]
+    with pytest.raises(ParameterGuard, match="seed verification gate failed"):
+        darboux.verify_seed_or_raise(p, s)
+
+
+@pytest.mark.parametrize("gap", [0.5e-8, 2e-8])
+@pytest.mark.parametrize("k", [0.0, 0.2])
+@pytest.mark.parametrize("delta", [0.0, 0.4])
+def test_seed_gate_passes_on_both_sides_of_the_degenerate_switch(gap, k, delta):
+    # below DEGENERATE_TOL the confluent columns stand in for the two
+    # nearly coalesced exponential ones; either basis solves its system
+    p = LambdaParams(nu0=3.0, delta=delta, omega0=1.0, k=k)
+    s = SpectralData.from_eps0(1.0 + gap, 1.0)
+    report = darboux.seed_residual_report(p, s)
+    assert report["family"] == ("confluent" if gap < darboux.DEGENERATE_TOL else "regular")
+    assert report["passed"]
+
+
+@pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
+def test_every_dressing_grid_carries_a_passing_seed_gate(tag):
+    sp, canned = canned_scenario(tag)
+    grid = GridSpec(canned.tau_min, canned.tau_max, 5, canned.zeta_min, canned.zeta_max, 3)
+    gate = scenarios.build_dressed_grid(sp, grid).meta["seed_gate"]
+    assert gate["passed"]
+    assert gate["family"] == darboux.seed_family(sp.params, sp.spectral)
+
+
+@pytest.mark.parametrize("omega0, eps0", [(1.0, 2.0), (0.0, 2.0), (1.0, 1.0)])
+@pytest.mark.parametrize("cs", [(1.0, 1.0, 1.0), (0.7, 0.0, -1.3), (0.0, 0.0, 1.0)])
+def test_dressing_column_combines_the_gated_seed_columns(omega0, eps0, cs):
+    # psi3_column is the seed basis times the constants (the vanishing
+    # family labels its columns (c2, c3, c1)), up to the per-point scale
+    p = LambdaParams(nu0=3.0, delta=0.3, omega0=omega0)
+    s = SpectralData.from_eps0(eps0, omega0)
+    c = DressConstants(*cs)
+    weights = np.array(cs if omega0 > 0 else (cs[1], cs[2], cs[0]), dtype=complex)
+    for z, t in darboux.SEED_GATE_POINTS:
+        want = seed_fundamental(p, s, z, t) @ weights
+        got = np.array([x for x in darboux.psi3_column(p, s, c, z, t)])
+        assert abs(abs(np.vdot(got, want)) - np.linalg.norm(got) * np.linalg.norm(want)) \
+            <= 1e-13 * np.linalg.norm(got) * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

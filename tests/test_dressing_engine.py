@@ -81,13 +81,16 @@ def test_k0_canned_grids_are_bit_identical_to_the_stacked_formulas(tag, route):
 @pytest.mark.parametrize("tag", [t for t in K0_TAGS
                                  if scenarios.REGISTRY[scenarios.CANNED[t]["name"]].constants == "c"])
 def test_closed_form_states_from_the_engine_are_bit_identical(tag):
-    # zero_background and exulton take their unit state from dressed_state
+    # zero_background and exulton take their state from dressed_density,
+    # the state dressed_fields_and_state forms
     sp, grid = canned_scenario(tag)
     p, s, c = sp.params, sp.spectral, sp.constants
     zz, tt = grid.zetas()[::20, None], grid.taus()[None, :]
-    got = darboux.dressed_state(p, s, darboux.psi3_column(p, s, c, zz, tt))
-    assert _same_bits(got, po.stacked_dressed_state(p, s, po.stacked_psi3(p, s, c, zz, tt)))
-    assert _same_bits(scenarios.REGISTRY[sp.scenario].evaluate(sp, zz, tt)[2], got)
+    got = darboux.dressed_density(p, s, c, zz, tt)
+    v = po.stacked_dressed_state(p, s, po.stacked_psi3(p, s, c, zz, tt))
+    assert _same_bits(got, po.outer(v, v))
+    assert _same_bits(got, darboux.dressed_fields_and_state(p, s, c, zz, tt)[2])
+    assert _same_bits(scenarios.REGISTRY[sp.scenario].density(sp, None, zz, tt), got)
 
 
 @given(nu0=st.floats(0.5, 5.0), delta=st.floats(-2.0, 2.0), omega0=st.floats(0.2, 2.0),

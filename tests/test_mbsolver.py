@@ -26,7 +26,7 @@ def test_slice_constant_background_dark():
     grid = GridSpec(-5, 5, 101, 0, 1, 2)
     oa = np.full(grid.n_tau, 1.0, dtype=complex)
     ob = np.zeros(grid.n_tau, dtype=complex)
-    out = integrate_bloch_slice((oa, ob), DARK, 0.7, grid)
+    out, _ = integrate_bloch_slice((oa, ob), DARK, 0.7, grid)
     assert np.max(np.abs(out - DARK)) < 1e-10
 
 
@@ -39,7 +39,7 @@ def test_slice_free_rotation_closed_form():
     rho0 = a @ a.conj().T
     rho0 = rho0 / np.trace(rho0)
     zero = np.zeros(grid.n_tau, dtype=complex)
-    out = integrate_bloch_slice((zero, zero), rho0, delta, grid)
+    out, _ = integrate_bloch_slice((zero, zero), rho0, delta, grid)
     taus = grid.taus()
     d = np.array([1.0, 1.0, -1.0])
     for idx in (100, 250, 400):
@@ -62,7 +62,7 @@ def test_slice_fourth_order_core_with_exact_midpoints():
         taus = grid.taus()
         oa = (0.3 + 0.25 * taus).astype(complex)
         ob = (0.1 - 0.05 * taus).astype(complex)
-        return integrate_bloch_slice((oa, ob), rho0, 0.4, grid), grid
+        return integrate_bloch_slice((oa, ob), rho0, 0.4, grid)[0], grid
 
     ref, _ = run2(3201)
     errs = []
@@ -84,7 +84,7 @@ def test_slice_fourth_order_against_sampled_analytic_fields():
         taus = grid.taus()
         oa, ob, psi = analytic.slow_soliton(sp, 0.0, taus)
         rho_ref = psi[..., :, None] * np.conj(psi)[..., None, :]
-        out = integrate_bloch_slice((oa, ob), rho_ref[0], sp.params.delta, grid)
+        out, _ = integrate_bloch_slice((oa, ob), rho_ref[0], sp.params.delta, grid)
         errs.append(np.max(np.abs(out - rho_ref)))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 26.0
@@ -128,10 +128,12 @@ def test_slice_is_unitary_conjugation_for_any_fields(data, n_tau, span, delta, m
     ob = data.draw(arrays(complex, n_tau, elements=_amplitudes))
     rho0 = mix @ _dagger(mix) + 0.05 * np.eye(3)
     rho0 /= np.trace(rho0).real
-    out = integrate_bloch_slice((oa, ob), rho0, delta, grid)
+    out, (lo, hi) = integrate_bloch_slice((oa, ob), rho0, delta, grid)
     assert np.array_equal(out, _dagger(out))
     assert np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho0))) < 1e-12
+    eig = np.linalg.eigvalsh(out)
+    assert (lo, hi) == (float(eig.min()), float(eig.max()))
     # the blocked prefix product is the plain sequential chain of the same maps
     maps = mbsolver._step_maps(oa, ob, delta, grid.h_tau)
     blocked = mbsolver._prefix_products(maps)
@@ -147,8 +149,8 @@ def test_maxwell_step_dark_background_fixed_point():
     oa = np.full(grid.n_tau, 1.0, dtype=complex)
     ob = np.zeros(grid.n_tau, dtype=complex)
     p = LambdaParams(nu0=3.0, omega0=1.0)
-    rho_slice = integrate_bloch_slice((oa, ob), DARK, p.delta, grid)
-    (oa2, ob2), _ = maxwell_step(rho_slice, (oa, ob), p, grid.h_zeta, DARK, grid)
+    rho_slice, _ = integrate_bloch_slice((oa, ob), DARK, p.delta, grid)
+    (oa2, ob2), _, _ = maxwell_step(rho_slice, (oa, ob), p, grid.h_zeta, DARK, grid)
     assert np.array_equal(oa2, oa)
     assert np.array_equal(ob2, ob)
 
@@ -165,13 +167,13 @@ def test_maxwell_step_orders():
         oa0, ob0, psi0 = analytic.slow_soliton(sp, 0.0, taus)
         oa1, ob1, _ = analytic.slow_soliton(sp, h_zeta, taus)
         rho0 = (psi0[..., :, None] * np.conj(psi0)[..., None, :])
-        rho_slice = integrate_bloch_slice((oa0, ob0), rho0[0], p.delta, grid)
+        rho_slice, _ = integrate_bloch_slice((oa0, ob0), rho0[0], p.delta, grid)
         doa, dob = 1j * p.nu0 * rho_slice[:, 2, 0], 1j * p.nu0 * rho_slice[:, 2, 1]
         euler = max(np.max(np.abs(oa0 + h_zeta * doa - oa1)),
                     np.max(np.abs(ob0 + h_zeta * dob - ob1)))
         psi_b = analytic.slow_soliton(sp, h_zeta, taus[0])[2]
         rho_b = np.outer(psi_b, np.conj(psi_b))
-        (oa_h, ob_h), _ = maxwell_step(rho_slice, (oa0, ob0), p, h_zeta, rho_b, grid)
+        (oa_h, ob_h), _, _ = maxwell_step(rho_slice, (oa0, ob0), p, h_zeta, rho_b, grid)
         heun = max(np.max(np.abs(oa_h - oa1)), np.max(np.abs(ob_h - ob1)))
         return euler, heun
 

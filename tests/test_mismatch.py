@@ -140,3 +140,30 @@ def test_stored_polarization_state_normalization():
     sol = scenarios.build_analytic_grid(sp, grid)
     rep = verify.audit_density(sol)
     assert rep.max_abs < 1e-12
+
+
+def test_rotating_seed_naive_gauge():
+    # variant: the k != 0 seed read in the physical frame, with the rotating
+    # background fields and the pure decoupled state.  The seed basis does
+    # not solve that linear system; it solves the rotated-frame one with
+    # the companion background state, which is the seed gate's reading.
+    p = LambdaParams(nu0=3.0, delta=0.0, omega0=1.0, k=0.2)
+    s = SpectralData.from_eps0(2.0, 1.0)
+    assert darboux.verify_seed_or_raise(p, s)["passed"]
+
+    def basis(z, t):
+        return darboux.seed_fundamental(p, s, z, t)
+
+    h = darboux.SEED_GATE_FD_STEP
+    v_naive = model.lax_v(s.lambda0, model.density_from_pure(model.dark_state(p.eta)), p)
+    worst = 0.0
+    for z, t in darboux.SEED_GATE_POINTS:
+        phi = basis(z, t)
+        scale = np.max(np.abs(phi))
+        dt = (basis(z, t + h) - basis(z, t - h)) / (2 * h)
+        dz = (basis(z + h, t) - basis(z - h, t)) / (2 * h)
+        u_naive = model.lax_u(s.lambda0,
+                              model.interaction_hamiltonian(model.background_fields(p, z)))
+        worst = max(worst, np.max(np.abs(dt - u_naive @ phi)) / scale,
+                    np.max(np.abs(dz - v_naive @ phi)) / scale)
+    assert worst > 1e-3
