@@ -68,6 +68,20 @@ def test_seed_vanishing_background_dark_column():
     assert np.allclose(phi[:, 0], np.array([0, 1, 0]) * np.exp(mu1), atol=1e-14)
 
 
+def test_seed_degenerate_guard():
+    # eps0 = omega0 no longer raises: the guard routes it to the confluent
+    # basis, which is finite and invertible there, and it still refuses the
+    # eta != 0 reading the confluent columns were not derived for
+    p = LambdaParams(nu0=3.0, omega0=1.0)
+    s = SpectralData.from_eps0(1.0, 1.0)
+    assert darboux.seed_family(p, s) == "confluent"
+    phi = seed_fundamental(p, s, 0.0, 0.0)
+    assert np.all(np.isfinite(phi))
+    assert abs(np.linalg.det(phi)) > 1e-3
+    with pytest.raises(ParameterGuard):
+        seed_fundamental(LambdaParams(nu0=3.0, omega0=1.0, eta=0.3), s, 0.0, 0.0)
+
+
 def _fd_residuals(basis, u_mat, v_mat, z, t, h):
     phi = basis(z, t)
     scale = np.max(np.abs(phi))
