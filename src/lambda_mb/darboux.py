@@ -15,10 +15,11 @@ For k != 0 the background phase rotates in zeta.  The rotated frame makes
 the seed autonomous again at the cost of a mixed (and indefinite)
 companion background state; the engine dresses there and conjugates the
 result back.  psi3_column combines the seed columns with the constants,
-and seed_fundamental stacks the same columns into the basis matrix; a
-finite-difference gate on that matrix, run on every dressing build,
+and seed_frame stacks the same columns with their exponents; a
+finite-difference gate on that frame, run on every dressing build,
 refuses to proceed on a basis that is not a solution of its linear
-system.
+system.  The gate never forms an exponential, so its verdict does not
+depend on how fast a column grows.
 
 The grid engine works entry by entry on arrays of the lattice shape: the
 column is three arrays, every length-3 sum is (x0 + x1) + x2 (numpy's
@@ -106,11 +107,6 @@ def map_constants(a: SolitonConstants, s: SpectralData, omega0: float) -> DressC
 # seed basis
 # ---------------------------------------------------------------------------
 
-def _check_pole(p: LambdaParams, s: SpectralData):
-    if abs(s.lambda0 - p.delta) <= model.POLE_GUARD:
-        raise SpectralPole("seed evaluation at the lambda0 = Delta pole")
-
-
 def seed_family(p: LambdaParams, s: SpectralData) -> str:
     if p.omega0 == 0.0:
         return "vanishing"
@@ -168,7 +164,8 @@ def seed_columns(p: LambdaParams, s: SpectralData, zeta, tau):
     partner (i (omega0 T - 1), 0, omega0 T + 1), polynomial in the shifted
     time T, which carry no exponential.
     """
-    _check_pole(p, s)
+    if abs(s.lambda0 - p.delta) <= model.POLE_GUARD:
+        raise SpectralPole("seed evaluation at the lambda0 = Delta pole")
     fam = seed_family(p, s)
     if fam != "regular" and p.eta != 0.0:
         raise ParameterGuard(f"{fam} seed derived for eta = 0")
@@ -183,22 +180,28 @@ def seed_columns(p: LambdaParams, s: SpectralData, zeta, tau):
         return fam, (e[1], e[0], e[2]), (mu1, -mu2, mu2)
     om0 = p.omega0
     zero = np.zeros(tvar.shape, dtype=complex)
-    one = np.ones(tvar.shape, dtype=complex)
     secular = (1j * (om0 * tvar - 1.0), zero, (om0 * tvar + 1.0) + zero)
-    return fam, (e[1], (1j * one, zero, one), secular), (mu1, 0.0, 0.0)
+    return fam, (e[1], (1j + zero, zero, 1.0 + zero), secular), (mu1, 0.0, 0.0)
 
 
-def seed_fundamental(p: LambdaParams, s: SpectralData, zeta, tau) -> np.ndarray:
-    """Seed fundamental matrix, (..., 3, 3): the seed_columns stacked, every family."""
+def seed_frame(p: LambdaParams, s: SpectralData, zeta, tau):
+    """The seed basis without its exponentials: the seed_columns stacked.
+
+    Returns the columns as one (..., 3, 3) array and their exponents, the
+    k-phase's included, as one (..., 3) array; basis column j is
+    frame[..., :, j] * exp(exponents[..., j]).
+    """
     _, cols, exps = seed_columns(p, s, zeta, tau)
     zeta = np.asarray(zeta, dtype=float)
-    phase = np.exp(1j * p.k * p.delta * zeta / (2.0 * (s.lambda0 - p.delta)))
-    out = np.empty(np.broadcast_shapes(zeta.shape, np.shape(tau)) + (3, 3), dtype=complex)
-    for j, (col, ex) in enumerate(zip(cols, exps)):
-        weight = np.exp(ex) * phase
+    kap = 1j * p.k * p.delta * zeta / (2.0 * (s.lambda0 - p.delta))
+    shape = np.broadcast_shapes(zeta.shape, np.shape(tau))
+    mat = np.empty(shape + (3, 3), dtype=complex)
+    ex = np.empty(shape + (3,), dtype=complex)
+    for j, (col, e) in enumerate(zip(cols, exps)):
+        ex[..., j] = e + kap
         for i in range(3):
-            out[..., i, j] = col[i] * weight
-    return out
+            mat[..., i, j] = col[i]
+    return mat, ex
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +219,7 @@ def seed_background_state(p: LambdaParams) -> np.ndarray:
     dark = model.density_from_pure(model.dark_state(p.eta))
     if p.k == 0.0:
         return dark
-    ce, se = math.cos(p.eta), math.sin(p.eta)
-    h_const = model.interaction_hamiltonian((p.omega0 * ce, p.omega0 * se))
+    h_const = model.interaction_hamiltonian(model.background_fields(p, 0.0))
     return (
         p.k * p.delta / p.nu0 * (np.eye(3) + D_MATRIX)
         - 2.0 * p.k / p.nu0 * h_const
@@ -269,8 +271,10 @@ def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau):
     (col1, col2, col3), mu1 = cols, exps[0]
     m = np.maximum(np.real(mu1), 0.0) if c1 != 0.0 else np.zeros_like(np.real(mu1))
     decay = np.exp(-m)
-    # the unit column's entries: its exponential, or the secular columns' zero array
-    first = tuple(np.exp(mu1 - m) if x else col2[1] for x in col1)
+    # col1 is a unit column: c1 * col1 * exp(mu1 - m) is c1 * exp(mu1 - m)
+    # where col1 holds 1 and c1 * 0 elsewhere, as in the stacked reference
+    zero = np.zeros(np.shape(m), dtype=complex)
+    first = tuple(np.exp(mu1 - m) if x == 1.0 else zero for x in col1)
     return tuple(c1 * a + (c2 * b + c3 * d) * decay for a, b, d in zip(first, col2, col3))
 
 
@@ -365,8 +369,7 @@ def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants
     lam0 = s.lambda0
     two_im = lam0 - np.conj(lam0)  # 2i eps0
 
-    ce, se = math.cos(p.eta), math.sin(p.eta)
-    oa_seed, ob_seed = p.omega0 * ce, p.omega0 * se
+    oa_seed, ob_seed = model.background_fields(p, 0.0)
     p31 = psi3[2] * np.conj(psi3[0]) / n2
     p32 = psi3[2] * np.conj(psi3[1]) / n2
     oa = oa_seed - 2.0 * two_im * p31
@@ -380,29 +383,33 @@ def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants
 def seed_residual_report(p: LambdaParams, s: SpectralData) -> dict:
     """Finite-difference verification of the seed the engine will dress.
 
-    Evaluates seed_fundamental, the stacked seed_columns that psi3_column
-    combines, and checks both linear systems at lambda0 against the seed
-    Hamiltonian and companion state actually used (for k != 0: constant
-    fields and the rotated-frame state, with the extra i*k*D/2 drift in
-    the zeta system).
+    Checks the seed_columns that psi3_column combines against both linear
+    systems L at lambda0, with the seed Hamiltonian and companion state
+    actually used (for k != 0: constant fields and the rotated-frame
+    state, with the extra i*k*D/2 drift in the zeta system).  No
+    exponential is formed: divided by exp(ex_j), column j's residual is
+    d col_j + col_j d ex_j - L col_j, the column differenced centrally and
+    the exponent, affine in (zeta, tau), by its exact unit difference.  It
+    is taken relative to the column's largest entry, so the verdict does
+    not depend on how fast the column grows.
     """
     h = SEED_GATE_FD_STEP
     lam0 = s.lambda0
-    ce, se = math.cos(p.eta), math.sin(p.eta)
-    h_const = model.interaction_hamiltonian((p.omega0 * ce, p.omega0 * se))
+    h_const = model.interaction_hamiltonian(model.background_fields(p, 0.0))
     u_mat = model.lax_u(lam0, h_const)
     v_mat = model.lax_v(lam0, seed_background_state(p), p) + 0.5j * p.k * D_MATRIX
 
-    res_t, res_z = [], []
+    res = {"tau": [], "zeta": []}
     for z, t in SEED_GATE_POINTS:
-        phi = seed_fundamental(p, s, z, t)
-        scale = np.max(np.abs(phi))
-        dt = (seed_fundamental(p, s, z, t + h) - seed_fundamental(p, s, z, t - h)) / (2 * h)
-        dz = (seed_fundamental(p, s, z + h, t) - seed_fundamental(p, s, z - h, t)) / (2 * h)
-        res_t.append(np.max(np.abs(dt - u_mat @ phi)) / scale)
-        res_z.append(np.max(np.abs(dz - v_mat @ phi)) / scale)
+        mat, ex = seed_frame(p, s, z, t)
+        for name, lax, dz, dt in (("tau", u_mat, 0.0, 1.0), ("zeta", v_mat, 1.0, 0.0)):
+            dmat = (seed_frame(p, s, z + h * dz, t + h * dt)[0]
+                    - seed_frame(p, s, z - h * dz, t - h * dt)[0]) / (2 * h)
+            rate = seed_frame(p, s, z + dz, t + dt)[1] - ex
+            r = dmat + mat * rate - lax @ mat
+            res[name].append(np.max(np.abs(r), axis=0) / np.max(np.abs(mat), axis=0))
     # np.max, not max: a NaN residual must reach the verdict and fail it
-    worst_t, worst_z = float(np.max(res_t)), float(np.max(res_z))
+    worst_t, worst_z = float(np.max(res["tau"])), float(np.max(res["zeta"]))
     return {
         "family": seed_family(p, s),
         "tau_residual": worst_t,

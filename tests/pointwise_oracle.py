@@ -1,10 +1,10 @@
 """Pointwise dressing pipeline: the oracle the grid engine is tested against.
 
 One point at a time, the dressing is built from its definition: seed
-fundamental matrix (lambda_mb.darboux.seed_fundamental) -> biorthogonal
-partner -> column matrix psi1 -> dressing operator -> dressed Hamiltonian
-and density matrix, whose channel amplitudes extract_fields reads back
-out.  The grid engine (darboux.dressed_fields_and_state) assembles only
+fundamental matrix (seed_fundamental: darboux.seed_frame times its
+exponentials) -> biorthogonal partner -> column matrix psi1 -> dressing
+operator -> dressed Hamiltonian and density matrix, whose channel
+amplitudes extract_fields reads back out.  The grid engine (darboux.dressed_fields_and_state) assembles only
 the dressing column, with per-point exponent factoring, so this
 materialized construction is an independent route to the same solution;
 it is meant for moderate windows, where the seed basis stays well
@@ -179,6 +179,12 @@ class SpectralMatrixL:
         return np.diag(np.asarray(self.diag, dtype=complex))
 
 
+
+
+def seed_fundamental(p, s, zeta, tau) -> np.ndarray:
+    """Seed fundamental matrix, (..., 3, 3), every family: the engine's seed frame exponentiated."""
+    mat, ex = darboux.seed_frame(p, s, zeta, tau)
+    return mat * np.exp(ex)[..., None, :]
 
 
 def biorthogonal_partner(phi0) -> np.ndarray:

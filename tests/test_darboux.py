@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambda_mb import algebra, analytic, darboux, model, scenarios
-from lambda_mb.darboux import DressConstants, SolitonConstants, map_constants, seed_fundamental
+from lambda_mb.darboux import DressConstants, SolitonConstants, map_constants
 from lambda_mb.errors import DegenerateMapping, ParameterGuard
 from lambda_mb.mbsolver import GridSpec
 from lambda_mb.model import LambdaParams, SpectralData
@@ -17,6 +17,7 @@ from pointwise_oracle import (
     build_psi1,
     dress,
     extract_fields,
+    seed_fundamental,
     sigma1,
 )
 from scenario_inputs import canned_scenario, regime_keywords
@@ -165,17 +166,70 @@ def test_seed_gate_passes_across_every_regime(name, data):
 
 def test_seed_gate_fails_on_a_nan_basis(monkeypatch):
     p, s = FIG2_P, FIG2_S
-    good = darboux.seed_fundamental
+    good = darboux.seed_columns
 
     def nan_at_one_point(p_, s_, z, t):
-        phi = good(p_, s_, z, t)
-        return phi * np.nan if (z, t) == darboux.SEED_GATE_POINTS[1] else phi
+        fam, cols, exps = good(p_, s_, z, t)
+        if (z, t) == darboux.SEED_GATE_POINTS[1]:
+            cols = tuple(tuple(x * np.nan for x in col) for col in cols)
+        return fam, cols, exps
 
-    monkeypatch.setattr(darboux, "seed_fundamental", nan_at_one_point)
+    monkeypatch.setattr(darboux, "seed_columns", nan_at_one_point)
     report = darboux.seed_residual_report(p, s)
     assert math.isnan(report["tau_residual"]) and not report["passed"]
     with pytest.raises(ParameterGuard, match="seed verification gate failed"):
         darboux.verify_seed_or_raise(p, s)
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("zero_background", dict(omega0=0.0, eps0=0.3, nu0=25.0)),
+    ("zero_background", dict(omega0=0.0, eps0=0.3, nu0=400.0)),
+    ("two_soliton", dict(omega0=0.1, eps0=0.2, nu0=16.0)),
+    ("two_soliton", dict(omega0=1.0, eps0=100.0)),
+    ("exulton", dict(omega0=1.0, eps0=1.0, nu0=100.0)),
+    ("exulton_k", dict(omega0=1.0, eps0=1.0, nu0=100.0, k=0.2, c=(0.0, 0.0, 1.0))),
+])
+def test_seed_gate_passes_on_fast_growing_columns(name, kw):
+    # growth rates of about 40 to 700 per unit of zeta or tau: differencing
+    # the raw exponentials failed these (or overflowed to NaN), while the
+    # engine, which factors the exponent out, builds them
+    sp = scenarios.make_scenario(name, **kw)
+    grid = GridSpec(-2.0, 2.0, 7, 0.0, 1.0, 5)
+    sol = scenarios.build_dressed_grid(sp, grid)
+    gate = sol.meta["seed_gate"]
+    assert gate["passed"]
+    assert max(gate["tau_residual"], gate["zeta_residual"]) < 1e-10
+    assert np.isfinite(sol.omega_a).all() and np.isfinite(sol.rho).all()
+
+
+@given(nu0=st.floats(0.5, 1e3), delta=st.floats(-2.0, 2.0), eps0=st.floats(0.2, 1e3),
+       k=st.floats(-0.3, 0.3), family=st.sampled_from(["regular", "vanishing", "confluent"]))
+def test_seed_gate_passes_at_any_growth_rate(nu0, delta, eps0, k, family):
+    # no bound on nu0 or eps0 is set by the guards, so the gate is held far
+    # beyond the regime sweep, at column growth rates up to about 1e4
+    omega0 = {"regular": 0.5 * eps0, "vanishing": 0.0, "confluent": eps0}[family]
+    p = LambdaParams(nu0=nu0, delta=delta, omega0=omega0, k=0.0 if family == "vanishing" else k)
+    s = SpectralData.from_eps0(eps0, omega0)
+    report = darboux.seed_residual_report(p, s)
+    assert report["family"] == family
+    assert max(report["tau_residual"], report["zeta_residual"]) < 1e-9
+
+
+@pytest.mark.parametrize("mutate", ["exponent", "column"])
+def test_seed_gate_fails_on_a_wrong_basis(monkeypatch, mutate):
+    # a column that solves neither system, or the right column under a wrong
+    # exponent rate, is refused
+    p, s = FIG2_P, FIG2_S
+    good = darboux.seed_columns
+
+    def wrong(p_, s_, z, t):
+        fam, cols, exps = good(p_, s_, z, t)
+        if mutate == "exponent":
+            return fam, cols, (exps[0], 1.01 * exps[1], exps[2])
+        return fam, (cols[0], cols[2], cols[2] * np.array([1.0, 1.0, 1.01])), exps
+
+    monkeypatch.setattr(darboux, "seed_columns", wrong)
+    assert not darboux.seed_residual_report(p, s)["passed"]
 
 
 @pytest.mark.parametrize("gap", [0.5e-8, 2e-8])

@@ -18,6 +18,7 @@ from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.mbsolver import GridSpec, SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
+from pointwise_oracle import seed_fundamental
 
 
 def fig2(a1=1.0, a3=1.0, scenario="two_soliton"):
@@ -152,7 +153,7 @@ def test_rotating_seed_naive_gauge():
     assert darboux.verify_seed_or_raise(p, s)["passed"]
 
     def basis(z, t):
-        return darboux.seed_fundamental(p, s, z, t)
+        return seed_fundamental(p, s, z, t)
 
     h = darboux.SEED_GATE_FD_STEP
     v_naive = model.lax_v(s.lambda0, model.density_from_pure(model.dark_state(p.eta)), p)
