@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
+from itertools import repeat
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -140,8 +142,25 @@ def _validate(cfg: ScenarioConfig):
         numbers = value if isinstance(value, tuple) else (value,)
         if any(isinstance(x, (float, complex)) and not cmath.isfinite(x) for x in numbers):
             raise ParseError(f"{f.name} must be finite, got {value}")
+    # a check that cannot pass, or passes by checking nothing, is unusable
+    lo, hi = cfg.order_band
+    if not lo < hi:
+        raise ParseError(f"order_band needs lo < hi, got {lo}; {hi}")
+    for key in ("audit_tol", "numeric_audit_tol", "numeric_tol", "field_tol"):
+        tol = getattr(cfg, key)
+        if tol is not None and not tol > 0:
+            raise ParseError(f"{key} must be > 0, got {tol}")
+    if cfg.engine in ("analytic", "all") and not cfg.probe_lambdas:
+        raise ParseError("probe_lambdas is empty: the zero-curvature check of the "
+                         "analytic grid needs at least one probe")
     for lam in cfg.probe_lambdas:
-        if abs(lam - cfg.delta) <= model.POLE_GUARD:
+        try:
+            dist = abs(lam - cfg.delta)
+        except OverflowError:
+            dist = math.inf
+        if not math.isfinite(dist):
+            raise ParseError(f"probe lambda {lam}: |lambda - Delta| overflows a float")
+        if dist <= model.POLE_GUARD:
             raise ParseError(f"probe lambda {lam} sits on the Delta = {cfg.delta} pole")
     try:
         return cfg.scenario_params(), cfg.grid()
@@ -189,41 +208,65 @@ def emit_manifest(cfg: ScenarioConfig, extra: Optional[dict] = None) -> str:
 def _intensities(row: np.ndarray) -> list:
     """|z|² per node, computed as ``abs(z) ** 2`` on scalars."""
     try:
-        return [abs(x) ** 2 for x in row.tolist()]
+        return list(map(pow, map(abs, row.tolist()), repeat(2)))
     except OverflowError:
         # Python floats raise where numpy scalars overflow to inf
         return [abs(x) ** 2 for x in row]
 
 
+def _fixed_text(column: np.ndarray) -> Optional[str]:
+    """The text of a column that holds one float64 bit pattern on every node, else None.
+
+    Bits, not values, are compared, so +0.0, -0.0 and NaN stay distinct.
+    """
+    bits = column.view(np.uint64)
+    if (bits == bits.flat[0]).all():
+        return format(float(column.flat[0]), ".12g")
+    return None
+
+
 def write_grid_csv(path: Path, sol: SolutionGrid):
     """Row-major (zeta outer, tau inner) CSV with 12 significant digits.
 
-    Each zeta row is one ``%``-format call over an (n_tau, 11) float64
-    block; ``%.12g`` and ``format(x, ".12g")`` share CPython's float
-    repr, so the bytes equal a per-value writer's. The intensities Ia and
-    Ib are Python's ``abs(z) ** 2`` on Python scalars, not ``np.abs(f)
-    ** 2``: numpy's vectorized modulus and square differ in the last bit
-    on some nodes, and that can flip the 12th digit (|Oa|² at Oa =
-    -1.011271921149302 is written 1.0226708985, numpy's square gives
-    1.02267089851).
+    Every value is written as ``format(x, ".12g")`` writes it, and each
+    distinct string is formatted once. The row template is built once per
+    grid: it holds the tau strings and the text of every *fixed* column, one
+    float64 bit pattern on every node (`_fixed_text`). Each zeta row joins
+    its zeta string into the template, and one ``%`` call formats the *live*
+    columns from an (n_tau, n_live) float64 block; ``%.12g`` and ``format``
+    share CPython's float repr. The intensities Ia and Ib are Python's
+    ``abs(z) ** 2`` on Python scalars, not ``np.abs(f) ** 2``: numpy's
+    vectorized modulus and square differ in the last bit on some nodes, and
+    that can flip the 12th digit (|Oa|² at Oa = -1.011271921149302 is
+    written 1.0226708985, numpy's square gives 1.02267089851). An intensity
+    column is fixed when both parts of its field are.
     """
-    zetas, taus = sol.grid.zetas(), sol.grid.taus()
-    n_tau = sol.grid.n_tau
-    block = np.zeros((n_tau, len(CSV_HEADER.split(","))))
-    block[:, 1] = taus
-    fmt = (",".join(["%.12g"] * block.shape[1]) + "\n") * n_tau
+    fields = (sol.omega_a, sol.omega_b)
+    # columns re_Oa .. P3 in CSV order; the intensity columns hold their field
+    columns = [np.asarray(part, dtype=float) for f in fields for part in (f.real, f.imag)]
+    texts = [_fixed_text(c) for c in columns]
+    for f, re_text, im_text in zip(fields, texts[0::2], texts[1::2]):
+        columns.append(f)
+        fixed = re_text is not None and im_text is not None
+        texts.append(format(float(_intensities(f.reshape(-1)[:1])[0]), ".12g") if fixed else None)
+    if sol.populations is None:
+        texts += ["0"] * 3
+    else:
+        pops = np.asarray(sol.populations, dtype=float)
+        columns += [pops[..., k] for k in range(3)]
+        texts += [_fixed_text(c) for c in columns[6:]]
+    live = [(k, columns[k]) for k, text in enumerate(texts) if text is None]
+
+    line_end = "," + ",".join("%.12g" if t is None else t for t in texts) + "\n"
+    # zeta_text.join(template) puts the zeta string in front of every line
+    template = [""] + ["," + format(t, ".12g") + line_end for t in sol.grid.taus().tolist()]
+    block = np.empty((sol.grid.n_tau, len(live)))
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i, z in enumerate(zetas):
-            oa, ob = sol.omega_a[i], sol.omega_b[i]
-            block[:, 0] = z
-            block[:, 2], block[:, 3] = oa.real, oa.imag
-            block[:, 4], block[:, 5] = ob.real, ob.imag
-            block[:, 6] = _intensities(oa)
-            block[:, 7] = _intensities(ob)
-            if sol.populations is not None:
-                block[:, 8:] = sol.populations[i]
-            fh.write(fmt % tuple(block.ravel().tolist()))
+        for i, z in enumerate(sol.grid.zetas().tolist()):
+            for col, (k, column) in enumerate(live):
+                block[:, col] = _intensities(column[i]) if k in (4, 5) else column[i]
+            fh.write(format(z, ".12g").join(template) % tuple(block.ravel().tolist()))
 
 
 def _say(cfg, msg):

@@ -1,11 +1,12 @@
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_mb import cli, scenarios
+from lambda_mb import cli, model, scenarios
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
 from scenario_inputs import canned_scenario, regime_keywords
@@ -75,6 +76,19 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     # the residual checks of the analytic grid need three zeta rows
     "scenario = slow\nengine = analytic\nn_zeta = 2\nn_tau = 41\n",
     "scenario = slow\nengine = all\nn_zeta = 2\nn_tau = 41\n",
+    # a check that cannot pass, or that passes by checking nothing
+    "scenario = slow\nengine = analytic\norder_band = 2.2; 1.8\n",
+    "scenario = slow\nengine = analytic\norder_band = 2; 2\n",
+    "scenario = slow\nengine = analytic\naudit_tol = -1\n",
+    "scenario = slow\nengine = analytic\naudit_tol = 0\n",
+    "scenario = fast\nengine = numeric\nnumeric_audit_tol = 0\n",
+    "scenario = slow\nengine = analytic\nnumeric_tol = 0\n",
+    "scenario = slow\nengine = dressing\nfield_tol = -1e-9\n",
+    "scenario = slow\nengine = analytic\nprobe_lambdas = ;\n",
+    "scenario = slow\nengine = all\nprobe_lambdas =\n",
+    # |lambda - Delta| beyond the float range: complex abs raises OverflowError
+    "scenario = slow\nengine = analytic\nprobe_lambdas = 1.7e308+1.7e308j\n",
+    "scenario = slow\nengine = analytic\ndelta = -1.7e308\nprobe_lambdas = 1.7e308\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
@@ -197,6 +211,14 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+def _usable_probe(lam: complex, delta: float) -> bool:
+    """Off the Delta pole, at a distance that a float holds."""
+    try:
+        return model.POLE_GUARD < abs(lam - delta) < math.inf
+    except OverflowError:
+        return False
+
+
 @st.composite
 def _configs(draw):
     """A valid config for any registry scenario, every field but eta drawn.
@@ -214,11 +236,12 @@ def _configs(draw):
     c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))
     tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     engine = draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")]))
+    delta = draw(_FINITE)
     return cli.ScenarioConfig(
         scenario=name,
         engine=engine,
         out=draw(st.text("abz09_-./ ", min_size=1, max_size=12).filter(lambda s: s == s.strip())),
-        nu0=draw(_POSITIVE), delta=draw(_FINITE), omega0=regime["omega0"],
+        nu0=draw(_POSITIVE), delta=delta, omega0=regime["omega0"],
         k=regime.get("k", 0.0), eps0=regime["eps0"],
         a1=a[0], a2=a[1], a3=a[2], c1=c[0], c2=c[1], c3=c[2],
         tau_min=tau_min, tau_max=draw(st.floats(tau_min, 2e6, exclude_min=True)),
@@ -226,11 +249,15 @@ def _configs(draw):
         zeta_min=zeta_min, zeta_max=draw(st.floats(zeta_min, 2e6, exclude_min=True)),
         # the analytic route's residual checks need three zeta rows
         n_zeta=draw(st.integers(3 if engine in ("analytic", "all") else 2, 10**6)),
+        # the analytic grid's zero-curvature check needs a probe
         probe_lambdas=tuple(draw(st.lists(
-            st.complex_numbers(allow_nan=False, allow_infinity=False), max_size=4))),
+            st.complex_numbers(allow_nan=False, allow_infinity=False).filter(
+                lambda lam: _usable_probe(lam, delta)),
+            min_size=1 if engine in ("analytic", "all") else 0, max_size=4))),
         field_tol=draw(st.none() | _POSITIVE), numeric_tol=draw(_POSITIVE),
         audit_tol=draw(_POSITIVE), numeric_audit_tol=draw(_POSITIVE),
-        order_band=(draw(_FINITE), draw(_FINITE)), quiet=draw(st.booleans()),
+        order_band=tuple(sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))),
+        quiet=draw(st.booleans()),
     )
 
 

@@ -109,3 +109,91 @@ def test_random_fields_match_reference(tmp_path_factory, n_tau, complex_fields, 
     with np.errstate(over="ignore"):
         new, ref = written_bytes(tmp_path_factory.mktemp("csv"), sol)
     assert new == ref
+
+
+# columns that hold one bit pattern on every node are written from the row
+# template; these cases mix them with live columns of every kind
+_CONSTANTS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1.0, 5e-324]
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i·im part by part: ``re + 1j * im`` would turn an infinite part into NaN."""
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+@st.composite
+def _part(draw, shape):
+    """One CSV part: bit-constant, constant except at one node, or varying."""
+    kind = draw(st.sampled_from(["fixed", "one_off", "varying"]))
+    if kind == "varying":
+        return draw(arrays(np.float64, shape, elements=st.one_of(_REALS, st.sampled_from(_CONSTANTS))))
+    value = draw(st.sampled_from(_CONSTANTS))
+    part = np.full(shape, value)
+    if kind == "one_off":
+        node = (draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1)))
+        part[node] = draw(st.sampled_from([x for x in _CONSTANTS + [2.5] if _bits(x) != _bits(value)]))
+    return part
+
+
+@settings(max_examples=120)
+@given(
+    n_zeta=st.integers(2, 4),
+    n_tau=st.integers(3, 8),
+    complex_fields=st.booleans(),
+    with_populations=st.booleans(),
+    data=st.data(),
+)
+def test_fixed_and_live_columns_match_reference(tmp_path_factory, n_zeta, n_tau, complex_fields,
+                                                with_populations, data):
+    shape = (n_zeta, n_tau)
+    part = lambda: data.draw(_part(shape))
+    if complex_fields:
+        oa, ob = _complex(part(), part()), _complex(part(), part())
+    else:
+        oa, ob = part(), part()
+    pops = np.stack([part() for _ in range(3)], axis=-1) if with_populations else None
+    grid = GridSpec(-1.0, 1.0, n_tau, 0.0, 1.0, n_zeta)
+    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, populations=pops, state_kind="none")
+    with np.errstate(over="ignore"):
+        new, ref = written_bytes(tmp_path_factory.mktemp("csv"), sol)
+    assert new == ref
+
+
+def test_one_negative_zero_keeps_a_zero_column_live(tmp_path):
+    grid = GridSpec(-1.0, 1.0, 4, 0.0, 1.0, 3)
+    oa = np.zeros((3, 4))
+    oa[2, 1] = -0.0
+    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=np.ones((3, 4)),
+                       populations=np.zeros((3, 4, 3)))
+    new, ref = written_bytes(tmp_path, sol)
+    assert new == ref
+    assert [line.split(b",")[2] for line in new.splitlines()[1:]] == [b"0"] * 9 + [b"-0"] + [b"0"] * 2
+
+
+def test_complex_field_with_one_constant_part(tmp_path):
+    grid = GridSpec(-1.0, 1.0, 5, 0.0, 1.0, 3)
+    varying = np.linspace(-2.0, 2.0, 15).reshape(3, 5)
+    oa = _complex(varying, np.full((3, 5), -0.5))
+    ob = _complex(np.full((3, 5), -0.0), np.exp(varying))
+    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob,
+                       populations=np.stack([varying, np.ones((3, 5)), varying ** 2], axis=-1))
+    new, ref = written_bytes(tmp_path, sol)
+    assert new == ref
+    assert {line.split(b",")[3] for line in new.splitlines()[1:]} == {b"-0.5"}
+
+
+def test_every_column_fixed_on_two_zeta_rows(tmp_path):
+    grid = GridSpec(-1.0, 1.0, 3, 0.0, 1.0, 2)
+    sol = SolutionGrid(grid=grid, omega_a=np.full((2, 3), 1e300 + 0j), omega_b=np.zeros((2, 3)))
+    assert sol.populations is None
+    with np.errstate(over="ignore"):
+        new, ref = written_bytes(tmp_path, sol)
+    assert new == ref
+    assert new.splitlines()[1:] == [b"%s,%s,1e+300,0,0,0,inf,0,0,0,0" % (z, t)
+                                    for z in (b"0", b"1") for t in (b"-1", b"0", b"1")]
