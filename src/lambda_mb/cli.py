@@ -225,6 +225,16 @@ def _fixed_text(column: np.ndarray) -> Optional[str]:
     return None
 
 
+def _rows_repeat(columns, n_rows: int) -> bool:
+    """Whether each (n_rows, n_tau) column holds the bits of its first row on every row.
+
+    Bits are compared as `_fixed_text` compares them; the scan stops at the
+    first row that differs.
+    """
+    bits = [column.view(np.uint64) for column in columns]
+    return all(np.array_equal(b[i], b[0]) for i in range(1, n_rows) for b in bits)
+
+
 def write_grid_csv(path: Path, sol: SolutionGrid):
     """Row-major (zeta outer, tau inner) CSV with 12 significant digits.
 
@@ -239,7 +249,10 @@ def write_grid_csv(path: Path, sol: SolutionGrid):
     vectorized modulus and square differ in the last bit on some nodes, and
     that can flip the 12th digit (|Oa|² at Oa = -1.011271921149302 is
     written 1.0226708985, numpy's square gives 1.02267089851). An intensity
-    column is fixed when both parts of its field are.
+    column is fixed when both parts of its field are. When every live column
+    repeats its first row on every zeta row (`_rows_repeat`, as on a grid
+    that does not depend on zeta), the lines of one row are formatted once
+    and each zeta row joins its zeta string into them.
     """
     fields = (sol.omega_a, sol.omega_b)
     # columns re_Oa .. P3 in CSV order; the intensity columns hold their field
@@ -261,12 +274,23 @@ def write_grid_csv(path: Path, sol: SolutionGrid):
     # zeta_text.join(template) puts the zeta string in front of every line
     template = [""] + ["," + format(t, ".12g") + line_end for t in sol.grid.taus().tolist()]
     block = np.empty((sol.grid.n_tau, len(live)))
+
+    def row_values(i):
+        for col, (k, column) in enumerate(live):
+            block[:, col] = _intensities(column[i]) if k in (4, 5) else column[i]
+        return tuple(block.ravel().tolist())
+
+    zetas = [format(z, ".12g") for z in sol.grid.zetas().tolist()]
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i, z in enumerate(sol.grid.zetas().tolist()):
-            for col, (k, column) in enumerate(live):
-                block[:, col] = _intensities(column[i]) if k in (4, 5) else column[i]
-            fh.write(format(z, ".12g").join(template) % tuple(block.ravel().tolist()))
+        # an intensity repeats where both parts of its field do
+        if _rows_repeat([column for k, column in live if k not in (4, 5)], len(zetas)):
+            lines = [""] + ("".join(template) % row_values(0)).splitlines(keepends=True)
+            for z in zetas:
+                fh.write(z.join(lines))
+        else:
+            for i, z in enumerate(zetas):
+                fh.write(z.join(template) % row_values(i))
 
 
 def _say(cfg, msg):

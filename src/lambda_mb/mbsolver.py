@@ -12,14 +12,20 @@ tau step gets its own map A_j from the fourth-order Magnus exponent
     Omega_j = (h/6)(M_j + 4 M_{j+1/2} + M_{j+1}) + (h^2/12)[M_{j+1}, M_j]
 
 (Simpson weights; the midpoint fields come from the cubic stencil), and
-A_j is its [2/2] Pade exponential, which is exactly unitary.  All maps of
-a slice are built in one batched solve.  The running products
+A_j is its [2/2] Pade exponential, which is exactly unitary; the inverse
+in it is an adjugate over a determinant.  The running products
 P_j = A_{j-1}...A_0 come from a blocked prefix product (about sqrt(n)
 blocks: a sequential sweep inside the blocks, batched across them, then
-the carries between blocks), and rho_j = P_j rho_0 P_j^dagger.  The state
-is therefore Hermitian, keeps its trace and its spectrum up to rounding,
-for any boundary state, mixed ones included.  Runs are deterministic:
-fixed grids, no adaptivity, no parallel reductions.
+the carries between blocks), and rho_j = P_j rho_0 P_j^dagger, of which
+the diagonal and upper entries are computed and the lower ones are their
+conjugates.  The state is therefore Hermitian to the last bit, keeps its
+trace and its spectrum up to rounding, for any boundary state, mixed ones
+included; the algebra Jacobi kernel audits its spectrum.  A stack of 3x3
+matrices is held entry-major, a (3, 3, n) array whose entries are
+contiguous rows over the tau nodes, so each numpy call covers the whole
+slice rather than one matrix; no 3x3 solve or eigenvalue goes to LAPACK.
+Runs are deterministic: fixed grids, no adaptivity, no parallel
+reductions.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import model
+from . import algebra, model
 from .errors import BoundaryMismatch, StepUnstable
 from .model import LambdaParams
 
@@ -110,15 +116,28 @@ class SolutionGrid:
 # state equation
 # ---------------------------------------------------------------------------
 
+#: the diagonal and upper entries (i, j) of a Hermitian 3x3, in that order
+_UPPER_ROWS = [0, 1, 2, 0, 0, 1]
+_UPPER_COLS = [0, 1, 2, 1, 2, 2]
+
+#: the indices i + 1 and i + 2 (mod 3) of each index i, for the cofactors
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 product a @ b of entry-major stacks (3, 3, ...), broadcast over the rest."""
+    return (a[:, :, None] * b[None]).sum(axis=1)
+
+
 def _generators(fa: np.ndarray, fb: np.ndarray, delta: float) -> np.ndarray:
-    """M = iG at each field sample, G the Hermitian torque matrix: (n, 3, 3)."""
-    m = np.zeros(fa.shape + (3, 3), dtype=complex)
-    m[:, 0, 0] = m[:, 1, 1] = 0.5j * delta
-    m[:, 2, 2] = -0.5j * delta
-    m[:, 2, 0] = 0.5j * fa
-    m[:, 2, 1] = 0.5j * fb
-    m[:, 0, 2] = 0.5j * np.conj(fa)
-    m[:, 1, 2] = 0.5j * np.conj(fb)
+    """M = iG at each field sample, G the Hermitian torque matrix: (3, 3, n)."""
+    m = np.zeros((3, 3) + fa.shape, dtype=complex)
+    m[0, 0] = m[1, 1] = 0.5j * delta
+    m[2, 2] = -0.5j * delta
+    m[2, 0] = 0.5j * fa
+    m[2, 1] = 0.5j * fb
+    m[0, 2] = 0.5j * np.conj(fa)
+    m[1, 2] = 0.5j * np.conj(fb)
     return m
 
 
@@ -137,51 +156,59 @@ def _half_step_fields(f: np.ndarray) -> np.ndarray:
     return half
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Broadcast 3x3 product a @ b as three rank-one updates.
-
-    numpy's matmul pays a per-matrix dispatch on stacks of 3x3 matrices;
-    the unrolled sum runs at about twice its speed on a whole slice.
-    """
-    out = a[..., :, 0, None] * b[..., None, 0, :]
-    out += a[..., :, 1, None] * b[..., None, 1, :]
-    out += a[..., :, 2, None] * b[..., None, 2, :]
-    return out
-
-
 def _step_maps(oa: np.ndarray, ob: np.ndarray, delta: float, h: float) -> np.ndarray:
-    """Unitary fourth-order maps A_j, rho_{j+1} = A_j rho_j A_j^dagger: (n-1, 3, 3)."""
+    """Unitary fourth-order maps A_j, rho_{j+1} = A_j rho_j A_j^dagger: (3, 3, n-1).
+
+    M is affine in the fields, so (M_j + 4 M_{j+1/2} + M_{j+1}) / 6 is M at
+    the Simpson average of the fields, and Omega = h M_simpson +
+    (h^2/12)[M_{j+1}, M_j] is anti-Hermitian.  A = D^-1 D^dagger with
+    D = I - Omega/2 + Omega^2/12, so D^dagger = I + Omega/2 + Omega^2/12.
+    D^-1 is the adjugate C^T over det D = sum_j D[0, j] C[0, j], C the
+    cofactors.  D is normal and each of its eigenvalues has modulus >= 1,
+    so det D never vanishes.
+    """
     m = _generators(oa, ob, delta)
-    m_half = _generators(_half_step_fields(oa), _half_step_fields(ob), delta)
-    m0, m1 = m[:-1], m[1:]
-    omega = (h / 6.0) * (m0 + 4.0 * m_half + m1) + (h * h / 12.0) * (_mul(m1, m0) - _mul(m0, m1))
-    even = np.eye(3) + _mul(omega, omega) / 12.0
-    return np.linalg.solve(even - 0.5 * omega, even + 0.5 * omega)
+    simpson_a, simpson_b = ((f[:-1] + 4.0 * _half_step_fields(f) + f[1:]) / 6.0 for f in (oa, ob))
+    # M is anti-Hermitian, so M_j M_{j+1} = (M_{j+1} M_j)^dagger
+    m10 = _product(m[..., 1:], m[..., :-1])
+    omega = (h * _generators(simpson_a, simpson_b, delta)
+             + (h * h / 12.0) * (m10 - np.conj(m10.swapaxes(0, 1))))
+    d = _product(omega, omega) / 12.0 - 0.5 * omega
+    for i in range(3):
+        d[i, i] += 1.0
+    # C[i, j] = D[i+1, j+1] D[i+2, j+2] - D[i+1, j+2] D[i+2, j+1]
+    d_next, d_after = d[_NEXT], d[_AFTER]
+    cof = d_next[:, _NEXT] * d_after[:, _AFTER] - d_next[:, _AFTER] * d_after[:, _NEXT]
+    det = d[0, 0] * cof[0, 0] + d[0, 1] * cof[0, 1] + d[0, 2] * cof[0, 2]
+    maps = _product(cof.swapaxes(0, 1), np.conj(d.swapaxes(0, 1)))
+    maps /= det
+    return maps
 
 
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
-    """P_j = A_{j-1}...A_0 for j = 0..n-1 (P_0 = I) from n-1 maps: (n, 3, 3).
+    """P_j = A_{j-1}...A_0 for j = 0..n-1 (P_0 = I) from n-1 maps: (3, 3, n).
 
     Blocked scan: the maps are cut into about sqrt(n) blocks, each block is
     swept sequentially (all blocks at once), the block carries are chained
-    sequentially, and one batched product applies them.
+    sequentially, and one product over all blocks applies them.
     """
-    n_maps = maps.shape[0]
+    n_maps = maps.shape[-1]
     size = math.isqrt(n_maps - 1) + 1  # ceil(sqrt(n_maps))
     n_blocks = -(-n_maps // size)
-    blocks = np.empty((n_blocks * size, 3, 3), dtype=complex)
-    blocks[:n_maps] = maps
-    blocks[n_maps:] = np.eye(3)
-    blocks = blocks.reshape(n_blocks, size, 3, 3)
+    eye = np.eye(3)[..., None]
+    blocks = np.empty((3, 3, n_blocks * size), dtype=complex)
+    blocks[..., :n_maps] = maps
+    blocks[..., n_maps:] = eye
+    blocks = blocks.reshape(3, 3, n_blocks, size)
     for k in range(1, size):
-        blocks[:, k] = _mul(blocks[:, k], blocks[:, k - 1])
-    carries = np.empty((n_blocks, 3, 3), dtype=complex)
-    carries[0] = np.eye(3)
+        blocks[..., k] = _product(blocks[..., k], blocks[..., k - 1])
+    carries = np.empty((3, 3, n_blocks), dtype=complex)
+    carries[..., :1] = eye
     for q in range(1, n_blocks):
-        carries[q] = blocks[q - 1, -1] @ carries[q - 1]
-    out = np.empty((n_maps + 1, 3, 3), dtype=complex)
-    out[0] = np.eye(3)
-    out[1:] = _mul(blocks, carries[:, None]).reshape(-1, 3, 3)[:n_maps]
+        carries[..., q] = blocks[..., q - 1, -1] @ carries[..., q - 1]
+    out = np.empty((3, 3, n_maps + 1), dtype=complex)
+    out[..., :1] = eye
+    out[..., 1:] = _product(blocks, carries[..., None]).reshape(3, 3, -1)[..., :n_maps]
     return out
 
 
@@ -199,18 +226,23 @@ def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec):
     if oa.shape != (grid.n_tau,) or ob.shape != (grid.n_tau,):
         raise ValueError("field slice length must match the tau grid")
     rho0 = np.asarray(rho_initial, dtype=complex)
+    if not (np.isfinite(oa).all() and np.isfinite(ob).all() and np.isfinite(rho0).all()):
+        raise StepUnstable("non-finite fields or state entering the slice")
     p = _prefix_products(_step_maps(oa, ob, float(delta), grid.h_tau))
-    out = _mul(_mul(p, rho0), np.conj(np.swapaxes(p, -1, -2)))
-    out = 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
-    if not np.isfinite(out).all():
-        # eigvalsh would end in LinAlgError, which is no LambdaMBError
-        raise StepUnstable("state slice holds non-finite entries")
-    eig = np.linalg.eigvalsh(out)
+    # entry (i, j) of P rho0 P^dagger is sum_k (P rho0)[i, k] conj(P[j, k]); the
+    # diagonal and upper entries are computed, the lower ones are their conjugates
+    left = _product(p, rho0[..., None])[_UPPER_ROWS]
+    entries = (left * np.conj(p[_UPPER_COLS])).sum(axis=1)
+    entries[:3] = entries[:3].real
+    eig = np.array(algebra.hermitian_eigenvalues(*entries[:3].real, *entries[3:]))
     lo, hi = float(eig.min()), float(eig.max())
     if not (lo >= -EIG_BAND and hi <= 1.0 + EIG_BAND):
         raise StepUnstable(
             f"state eigenvalues left [{-EIG_BAND}, 1+{EIG_BAND}]: min {lo:.3e}, max {hi:.3e}"
         )
+    out = np.empty((grid.n_tau, 3, 3), dtype=complex)
+    out[:, _UPPER_ROWS, _UPPER_COLS] = entries.T
+    out[:, _UPPER_COLS[3:], _UPPER_ROWS[3:]] = np.conj(entries[3:]).T
     return out, (lo, hi)
 
 
@@ -301,11 +333,10 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> 
     rho_slice, (lo, hi) = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
     for i in range(grid.n_zeta):
         omega_a[i], omega_b[i] = oa, ob
-        pops[i] = np.real(np.stack([rho_slice[:, j, j] for j in range(3)], axis=-1))
+        pops[i] = rho_slice.diagonal(axis1=1, axis2=2).real
         if store_rho:
             rho_full[i] = rho_slice
-        tr = np.trace(rho_slice, axis1=-2, axis2=-1).real
-        trace_dev = max(trace_dev, float(np.max(np.abs(tr - 1.0))))
+        trace_dev = max(trace_dev, float(np.max(np.abs(pops[i].sum(axis=1) - 1.0))))
         eig_lo = min(eig_lo, lo)
         eig_hi = max(eig_hi, hi)
         if i + 1 < grid.n_zeta:

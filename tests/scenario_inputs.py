@@ -1,8 +1,8 @@
 """Scenario inputs only the tests build.
 
-canned_scenario expands a canned tag straight through make_scenario, a
-second path beside the CLI's apply_canned copy; regime_keywords draws
-make_scenario keywords inside a registry record's regime of validity.
+canned_scenario expands a canned tag as the CLI does, through
+apply_canned; regime_keywords draws make_scenario keywords inside a
+registry record's regime of validity.
 """
 
 from __future__ import annotations
@@ -11,14 +11,14 @@ import math
 
 from hypothesis import strategies as st
 
-from lambda_mb import scenarios
+from lambda_mb import cli, scenarios
 
 
 def canned_scenario(tag: str):
     """(ScenarioParams, GridSpec) of a canned tag."""
-    entry = dict(scenarios.CANNED[tag])
-    grid = entry.pop("grid")
-    return scenarios.make_scenario(**entry), grid
+    cfg = cli.ScenarioConfig()
+    cli.apply_canned(cfg, tag)
+    return cfg.scenario_params(), cfg.grid()
 
 
 @st.composite

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from lambda_mb import cli, model, scenarios
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
-from scenario_inputs import canned_scenario, regime_keywords
+from scenario_inputs import regime_keywords
 
 SMALL_SLOW = """
 # compact slow-soliton run
@@ -268,10 +268,12 @@ def test_manifest_round_trip_for_any_config(cfg):
 
 @pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
 def test_canned_copy_gives_the_canned_scenario(tag):
+    # the config copy builds what the canned entry builds straight through make_scenario
+    entry = dict(scenarios.CANNED[tag])
+    grid = entry.pop("grid")
     cfg = cli.ScenarioConfig()
     cli.apply_canned(cfg, tag)
-    sp, grid = canned_scenario(tag)
-    assert cfg.scenario_params() == sp and cfg.grid() == grid
+    assert cfg.scenario_params() == scenarios.make_scenario(**entry) and cfg.grid() == grid
 
 
 def test_run_scenario_writes_artifacts(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lambda_mb import scenarios
+from lambda_mb import cli, scenarios
 from lambda_mb.cli import CSV_HEADER, write_grid_csv
 from lambda_mb.mbsolver import GridSpec, SolutionGrid
 from scenario_inputs import canned_scenario
@@ -197,3 +197,49 @@ def test_every_column_fixed_on_two_zeta_rows(tmp_path):
     assert new == ref
     assert new.splitlines()[1:] == [b"%s,%s,1e+300,0,0,0,inf,0,0,0,0" % (z, t)
                                     for z in (b"0", b"1") for t in (b"-1", b"0", b"1")]
+
+
+@settings(max_examples=120)
+@given(
+    n_zeta=st.integers(2, 5),
+    n_tau=st.integers(3, 8),
+    complex_fields=st.booleans(),
+    with_populations=st.booleans(),
+    one_off=st.booleans(),
+    data=st.data(),
+)
+def test_zeta_independent_grids_match_reference(tmp_path_factory, n_zeta, n_tau, complex_fields,
+                                                with_populations, one_off, data):
+    # every part repeats its first zeta row, so the writer formats one row
+    # for all of them; with one_off a single node breaks the repetition
+    n_parts = (4 if complex_fields else 2) + (3 if with_populations else 0)
+    parts = [np.repeat(data.draw(_part((1, n_tau))), n_zeta, axis=0) for _ in range(n_parts)]
+    if one_off:
+        part = parts[data.draw(st.integers(0, n_parts - 1))]
+        node = (data.draw(st.integers(0, n_zeta - 1)), data.draw(st.integers(0, n_tau - 1)))
+        part[node] = data.draw(st.sampled_from([x for x in _CONSTANTS + [2.5]
+                                                if _bits(x) != _bits(part[node])]))
+    if complex_fields:
+        oa, ob = _complex(parts[0], parts[1]), _complex(parts[2], parts[3])
+    else:
+        oa, ob = parts[0], parts[1]
+    pops = np.stack(parts[-3:], axis=-1) if with_populations else None
+    grid = GridSpec(-1.0, 1.0, n_tau, 0.0, 1.0, n_zeta)
+    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, populations=pops, state_kind="none")
+    with np.errstate(over="ignore"):
+        new, ref = written_bytes(tmp_path_factory.mktemp("csv"), sol)
+    assert new == ref
+
+
+@pytest.mark.parametrize("build", [scenarios.build_analytic_grid, scenarios.build_dressed_grid,
+                                   scenarios.build_numeric_grid])
+def test_fast_grids_repeat_their_rows_and_fig2_does_not(build):
+    # the fast soliton's fields and state depend on tau alone, on every route
+    def float_columns(sol):
+        return ([part(f) for f in (sol.omega_a, sol.omega_b) for part in (np.real, np.imag)]
+                + [sol.populations[..., k] for k in range(3)])
+
+    sol = build(*_reduced("fast", n_zeta=9))
+    assert cli._rows_repeat(float_columns(sol), sol.grid.n_zeta)
+    sol = scenarios.build_analytic_grid(*_reduced("fig2"))
+    assert not cli._rows_repeat(float_columns(sol), sol.grid.n_zeta)

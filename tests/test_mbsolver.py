@@ -12,6 +12,10 @@ from lambda_mb.model import LambdaParams, SpectralData
 
 DARK = model.density_from_pure(model.dark_state(0.0))
 
+#: the slice audit (a Jacobi kernel) against LAPACK's eigvalsh on trace-one
+#: states: each is accurate to a few ulps of the norm, which is at most 1
+EIG_TOL = 1e-14
+
 
 def slow_scenario(om0=1.0, eps0=2.0, delta=0.0):
     return ScenarioParams(
@@ -133,15 +137,51 @@ def test_slice_is_unitary_conjugation_for_any_fields(data, n_tau, span, delta, m
     assert np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho0))) < 1e-12
     eig = np.linalg.eigvalsh(out)
-    assert (lo, hi) == (float(eig.min()), float(eig.max()))
-    # the blocked prefix product is the plain sequential chain of the same maps
+    assert abs(lo - eig.min()) <= EIG_TOL and abs(hi - eig.max()) <= EIG_TOL
+    # the blocked prefix product is the plain sequential chain of the same
+    # maps; both are entry-major (3, 3, n) stacks
     maps = mbsolver._step_maps(oa, ob, delta, grid.h_tau)
     blocked = mbsolver._prefix_products(maps)
     chain = np.eye(3, dtype=complex)
-    assert np.array_equal(blocked[0], chain)
-    for j, a in enumerate(maps):
-        chain = a @ chain
-        assert np.max(np.abs(blocked[j + 1] - chain)) < 1e-13
+    assert blocked.shape == (3, 3, n_tau)
+    assert np.array_equal(blocked[..., 0], chain)
+    for j in range(n_tau - 1):
+        chain = maps[..., j] @ chain
+        assert np.max(np.abs(blocked[..., j + 1] - chain)) < 1e-13
+
+
+def _pade_maps_by_solve(oa, ob, delta, h):
+    """The slice's maps from the (n, 3, 3) Magnus exponents and LAPACK's solve.
+
+    Omega_j = (h/6)(M_j + 4 M_{j+1/2} + M_{j+1}) + (h^2/12)[M_{j+1}, M_j] and
+    A_j = (I - Omega/2 + Omega^2/12)^-1 (I + Omega/2 + Omega^2/12): (n-1, 3, 3).
+    """
+    def generators(fa, fb):
+        m = np.zeros(fa.shape + (3, 3), dtype=complex)
+        m[:, 0, 0] = m[:, 1, 1] = 0.5j * delta
+        m[:, 2, 2] = -0.5j * delta
+        m[:, 2, 0], m[:, 2, 1] = 0.5j * fa, 0.5j * fb
+        m[:, 0, 2], m[:, 1, 2] = 0.5j * np.conj(fa), 0.5j * np.conj(fb)
+        return m
+
+    m = generators(oa, ob)
+    m_half = generators(mbsolver._half_step_fields(oa), mbsolver._half_step_fields(ob))
+    m0, m1 = m[:-1], m[1:]
+    omega = (h / 6.0) * (m0 + 4.0 * m_half + m1) + (h * h / 12.0) * (m1 @ m0 - m0 @ m1)
+    even = np.eye(3) + omega @ omega / 12.0
+    return np.linalg.solve(even - 0.5 * omega, even + 0.5 * omega)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_tau=st.integers(3, 200), h=st.floats(1e-4, 1.0),
+       delta=st.floats(-3.0, 3.0))
+def test_adjugate_pade_maps_match_a_solve_and_stay_unitary(data, n_tau, h, delta):
+    oa = data.draw(arrays(complex, n_tau, elements=_amplitudes))
+    ob = data.draw(arrays(complex, n_tau, elements=_amplitudes))
+    maps = np.moveaxis(mbsolver._step_maps(oa, ob, delta, h), -1, 0)
+    assert maps.shape == (n_tau - 1, 3, 3)
+    assert np.max(np.abs(maps - _pade_maps_by_solve(oa, ob, delta, h))) < 1e-13
+    assert np.max(np.abs(maps @ _dagger(maps) - np.eye(3))) < 1e-14
 
 
 def test_maxwell_step_dark_background_fixed_point():
@@ -234,5 +274,5 @@ def test_propagate_meta_audit_equals_a_recompute():
     sp = slow_scenario(delta=0.4)
     sol = scenarios.build_numeric_grid(sp, GridSpec(-8.0, 8.0, 161, 0.0, 0.5, 11))
     eig = np.linalg.eigvalsh(sol.rho)
-    assert sol.meta["eig_min"] == float(eig.min())
-    assert sol.meta["eig_max"] == float(eig.max())
+    assert abs(sol.meta["eig_min"] - eig.min()) <= EIG_TOL
+    assert abs(sol.meta["eig_max"] - eig.max()) <= EIG_TOL

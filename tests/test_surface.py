@@ -1,10 +1,13 @@
-"""Every name the package defines is used by the package or the benchmark.
+"""The package's surface: every name it defines is used, and no module calls LAPACK.
 
 A top-level or class-level name in src/lambda_mb that only the tests
 reach belongs in tests/.  A name counts as used when src/ or bench/ reads
 it (a loaded name or attribute), imports it, passes it as a keyword, or,
 in bench/, spells it as a string constant: the benchmark's traced layers
 name the functions they wrap that way.
+
+No module names linalg (numpy.linalg, scipy.linalg or an import of
+either), so no package code reaches LAPACK.
 """
 
 import ast
@@ -56,3 +59,29 @@ def test_every_package_name_is_used_outside_the_tests():
               for qualified, name in _defined(ast.parse(path.read_text(encoding="utf-8")))
               if not (name.startswith("__") and name.endswith("__")) and name not in used]
     assert unused == []
+
+
+def _linalg_uses(tree):
+    """Line numbers where a tree names linalg: an attribute, a name or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+        else:
+            continue
+        if "linalg" in name.split("."):
+            yield node.lineno
+
+
+def test_no_package_module_uses_linalg():
+    # every 3x3 solve, inverse and eigenvalue in the package is written out
+    # entry by entry (algebra, darboux, mbsolver); none goes to LAPACK
+    uses = [f"{path.name}:{line}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for line in _linalg_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert uses == []
