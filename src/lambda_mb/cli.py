@@ -15,7 +15,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
-from itertools import repeat
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -29,6 +28,9 @@ from .scenarios import DEFAULT_PROBES
 CSV_HEADER = "zeta,tau,re_Oa,im_Oa,re_Ob,im_Ob,Ia,Ib,P1,P2,P3"
 
 ENGINES = ("analytic", "dressing", "numeric", "all")
+
+#: lines per block of the CSV writer, in whole zeta rows
+_BLOCK_LINES = 8192
 
 
 @dataclass
@@ -205,22 +207,35 @@ def emit_manifest(cfg: ScenarioConfig, extra: Optional[dict] = None) -> str:
     return text
 
 
-def _intensities(row: np.ndarray) -> list:
-    """|z|² per node, computed as ``abs(z) ** 2`` on scalars."""
+def _modulus(field: np.ndarray) -> np.ndarray:
+    """|z| per node as Python's ``abs(z)`` gives it: ``np.hypot`` of the parts.
+
+    numpy's complex ``abs`` is not Python's: it differs in the last bit on
+    some nodes.
+    """
+    if np.iscomplexobj(field):
+        with np.errstate(over="ignore"):  # inf where |z| overflows
+            return np.hypot(field.real, field.imag)
+    return np.abs(field)
+
+
+def _square(h: float) -> float:
+    """Python's ``pow(h, 2)``, the square of an intensity; inf where it overflows."""
     try:
-        return list(map(pow, map(abs, row.tolist()), repeat(2)))
+        return pow(h, 2)
     except OverflowError:
-        # Python floats raise where numpy scalars overflow to inf
-        return [abs(x) ** 2 for x in row]
+        return math.inf
 
 
 def _fixed_text(column: np.ndarray) -> Optional[str]:
     """The text of a column that holds one float64 bit pattern on every node, else None.
 
-    Bits, not values, are compared, so +0.0, -0.0 and NaN stay distinct.
+    Bits, not values, are compared, so +0.0, -0.0 and NaN stay distinct. The
+    scan goes a few rows at a time and stops at the first that differs.
     """
     bits = column.view(np.uint64)
-    if (bits == bits.flat[0]).all():
+    first = bits.flat[0]
+    if all((bits[i:i + 64] == first).all() for i in range(0, len(bits), 64)):
         return format(float(column.flat[0]), ".12g")
     return None
 
@@ -235,62 +250,113 @@ def _rows_repeat(columns, n_rows: int) -> bool:
     return all(np.array_equal(b[i], b[0]) for i in range(1, n_rows) for b in bits)
 
 
+def _text_bytes(texts: List[bytes]) -> np.ndarray:
+    """(len(texts), width) array of the texts, NUL-padded to the longest."""
+    width = max(map(len, texts))
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+
+
 def write_grid_csv(path: Path, sol: SolutionGrid):
     """Row-major (zeta outer, tau inner) CSV with 12 significant digits.
 
-    Every value is written as ``format(x, ".12g")`` writes it, and each
-    distinct string is formatted once. The row template is built once per
-    grid: it holds the tau strings and the text of every *fixed* column, one
-    float64 bit pattern on every node (`_fixed_text`). Each zeta row joins
-    its zeta string into the template, and one ``%`` call formats the *live*
-    columns from an (n_tau, n_live) float64 block; ``%.12g`` and ``format``
-    share CPython's float repr. The intensities Ia and Ib are Python's
-    ``abs(z) ** 2`` on Python scalars, not ``np.abs(f) ** 2``: numpy's
-    vectorized modulus and square differ in the last bit on some nodes, and
-    that can flip the 12th digit (|Oa|² at Oa = -1.011271921149302 is
-    written 1.0226708985, numpy's square gives 1.02267089851). An intensity
+    Every value is written as ``format(x, ".12g")`` writes it. The writer
+    builds blocks of whole zeta rows, as many as fit in about 8,192 lines
+    (one row at least), as NUL-padded byte arrays with one fixed slot per
+    cell, and drops the NULs with ``bytes.translate`` before writing. A
+    line template built once per grid holds the tau strings and the text of
+    every *fixed* column, one float64 bit pattern on every node
+    (`_fixed_text`); each block copies it and writes its zeta strings. Each
+    *live* column goes through `g12.write_slots`, which writes the text of every
+    value whose 12-digit rounding it can certify, and ``format`` writes the
+    rest into the same slots. The intensities Ia and Ib are the text of
+    ``pow(h, 2)`` on Python floats, with h = |z| as Python's ``abs`` gives it
+    (`_modulus`); numpy's square of h differs from it in the last bit on
+    some nodes, which can flip the 12th digit, so the kernel certifies h*h
+    with a margin that covers one ulp and ``format`` writes ``pow(h, 2)``
+    wherever it does not. An intensity that overflows is inf. An intensity
     column is fixed when both parts of its field are. When every live column
     repeats its first row on every zeta row (`_rows_repeat`, as on a grid
-    that does not depend on zeta), the lines of one row are formatted once
-    and each zeta row joins its zeta string into them.
+    that does not depend on zeta), the lines of one row are built once and
+    each zeta row joins its zeta string into them.
     """
+    # imported here, so that a run that writes no CSV (--check) never builds its tables
+    from . import g12
+
+    grid = sol.grid
     fields = (sol.omega_a, sol.omega_b)
-    # columns re_Oa .. P3 in CSV order; the intensity columns hold their field
-    columns = [np.asarray(part, dtype=float) for f in fields for part in (f.real, f.imag)]
-    texts = [_fixed_text(c) for c in columns]
-    for f, re_text, im_text in zip(fields, texts[0::2], texts[1::2]):
-        columns.append(f)
-        fixed = re_text is not None and im_text is not None
-        texts.append(format(float(_intensities(f.reshape(-1)[:1])[0]), ".12g") if fixed else None)
+    # (text, column, field) of re_Oa .. P3 in CSV order: a fixed column has its
+    # text, a live part its column, a live intensity its field; a real field's
+    # imaginary part is the text 0 (its .imag would be a grid of zeros)
+    cells = []
+    for f in fields:
+        if np.iscomplexobj(f):
+            cells += [(_fixed_text(part), part, None) for part in (f.real, f.imag)]
+        else:
+            part = np.asarray(f, dtype=float)
+            cells += [(_fixed_text(part), part, None), ("0", None, None)]
+    for f, (re_text, _, _), (im_text, _, _) in zip(fields, cells[0::2], cells[1::2]):
+        if re_text is None or im_text is None:
+            cells.append((None, None, f))
+        else:
+            cells.append((format(_square(float(_modulus(f.reshape(-1)[:1])[0])), ".12g"), None, None))
     if sol.populations is None:
-        texts += ["0"] * 3
+        cells += [("0", None, None)] * 3
     else:
         pops = np.asarray(sol.populations, dtype=float)
-        columns += [pops[..., k] for k in range(3)]
-        texts += [_fixed_text(c) for c in columns[6:]]
-    live = [(k, columns[k]) for k, text in enumerate(texts) if text is None]
+        cells += [(_fixed_text(pops[..., k]), pops[..., k], None) for k in range(3)]
 
-    line_end = "," + ",".join("%.12g" if t is None else t for t in texts) + "\n"
-    # zeta_text.join(template) puts the zeta string in front of every line
-    template = [""] + ["," + format(t, ".12g") + line_end for t in sol.grid.taus().tolist()]
-    block = np.empty((sol.grid.n_tau, len(live)))
+    zeta_texts = [format(z, ".12g").encode() for z in grid.zetas().tolist()]
+    zetas = _text_bytes(zeta_texts)
+    taus = _text_bytes([format(t, ".12g").encode() for t in grid.taus().tolist()])
+    # line layout: zeta slot, ',', tau slot, then each cell; a live cell is a
+    # g12 slot on a word boundary, so a block reads as 64-bit words
+    line = bytearray(zetas.shape[1]) + b"," + bytes(taus.shape[1])
+    live = []
+    for text, column, f in cells:
+        if text is None:
+            line += bytes(-len(line) % 8)
+            live.append((len(line) // 8, column, f))
+            line += bytes(g12.SLOT)
+        else:
+            line += ("," + text).encode()
+    line += b"\n" + bytes(-(len(line) + 1) % 8)
+    template = np.tile(np.frombuffer(line, dtype=np.uint8), (grid.n_tau, 1))
+    tau_start = zetas.shape[1] + 1
+    template[:, tau_start:tau_start + taus.shape[1]] = taus
 
-    def row_values(i):
-        for col, (k, column) in enumerate(live):
-            block[:, col] = _intensities(column[i]) if k in (4, 5) else column[i]
-        return tuple(block.ravel().tolist())
+    def block(z0: int, z1: int, with_zeta: bool) -> bytearray:
+        buf = bytearray(template.size * (z1 - z0))
+        lines = np.frombuffer(buf, dtype=np.uint8).reshape(z1 - z0, grid.n_tau, -1)
+        lines[...] = template
+        if with_zeta:
+            lines[:, :, :zetas.shape[1]] = zetas[z0:z1, None, :]
+        words = lines.reshape(-1, template.shape[1]).view(g12.WORD)
+        for slot, column, f in live:
+            if f is None:
+                values = exact = column[z0:z1].reshape(-1)
+            else:
+                exact = _modulus(f[z0:z1]).reshape(-1)
+                with np.errstate(over="ignore"):
+                    values = exact * exact
+            fallback = g12.write_slots(values, words[:, slot:slot + 3])
+            if fallback.size:
+                xs = exact[fallback].tolist()
+                if f is not None:
+                    xs = map(_square, xs)
+                words[fallback, slot:slot + 3] = g12.text_slots([format(x, ".12g") for x in xs])
+        return buf.translate(None, b"\0")
 
-    zetas = [format(z, ".12g") for z in sol.grid.zetas().tolist()]
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+    with path.open("wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
         # an intensity repeats where both parts of its field do
-        if _rows_repeat([column for k, column in live if k not in (4, 5)], len(zetas)):
-            lines = [""] + ("".join(template) % row_values(0)).splitlines(keepends=True)
-            for z in zetas:
+        if _rows_repeat([column for _, column, f in live if f is None], grid.n_zeta):
+            lines = [b""] + block(0, 1, with_zeta=False).splitlines(keepends=True)
+            for z in zeta_texts:
                 fh.write(z.join(lines))
         else:
-            for i, z in enumerate(zetas):
-                fh.write(z.join(template) % row_values(i))
+            rows = max(1, _BLOCK_LINES // grid.n_tau)
+            for z0 in range(0, grid.n_zeta, rows):
+                fh.write(block(z0, min(z0 + rows, grid.n_zeta), with_zeta=True))
 
 
 def _say(cfg, msg):

@@ -298,7 +298,10 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> 
     carries that consistency by construction and skips the check.
 
     Grids of more than RHO_STORAGE_LIMIT nodes keep no per-node state, only
-    the populations and the streamed audit metrics in meta.
+    the populations and the streamed audit metrics in meta. Their
+    Hermiticity defect ``meta["herm_dev"]`` is 0 by construction, not by
+    measurement: every slice writes its diagonal as a real part and its
+    lower entries as the conjugates of the upper ones.
     """
     zetas = grid.zetas()
     oa0 = np.asarray(initial_fields[0], dtype=complex).copy()
@@ -353,6 +356,7 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> 
         state_kind="density",
         meta={
             "engine": "numeric",
+            "herm_dev": 0.0,
             "trace_dev": trace_dev,
             "eig_min": eig_lo,
             "eig_max": eig_hi,

@@ -198,7 +198,9 @@ def audit_density(solution: SolutionGrid) -> ResidualReport:
     gives a NaN metric, which fails any tolerance.
 
     For grids that no longer carry the full state, falls back to the
-    streaming metrics the solver recorded while marching.
+    streaming metrics the solver recorded while marching: the Hermiticity
+    defect it reports, its trace drift and its eigenvalue excursions. A
+    grid without a Hermiticity report scores NaN.
     """
     grid = solution.grid
     if solution.rho is None:
@@ -206,6 +208,7 @@ def audit_density(solution: SolutionGrid) -> ResidualReport:
         if "trace_dev" not in meta:
             raise ValueError("grid carries neither states nor streaming audit metrics")
         worst = float(np.max([
+            meta.get("herm_dev", np.nan),
             meta["trace_dev"],
             np.maximum(0.0, -meta["eig_min"]),
             np.maximum(0.0, meta["eig_max"] - 1.0),

@@ -1,6 +1,7 @@
 """sha256 digests of every file that the canned command-line runs write.
 
     python tests/canned_digests.py [CHECKOUT]
+    python tests/canned_digests.py CHECKOUT_A CHECKOUT_B
 
 Runs the nine canned tags under ``--engine analytic`` and ``--engine
 dressing``, and ``fast`` and ``fig4`` under ``--engine numeric``, with the
@@ -8,12 +9,16 @@ package under ``CHECKOUT/src`` (default: the checkout holding this script).
 Each run writes into a temporary directory under a fixed relative ``--out``
 name, ``<tag>-<engine>``, so the manifests compare too. Prints
 ``sha256  path`` for each grid CSV, residual report and manifest: 60 lines.
-Run it on two checkouts and compare the outputs to see that a change keeps
-every byte. Exits 1 if a run did not exit 0.
+Exits 1 if a run did not exit 0.
+
+With two checkouts, runs the digests of each in its own process and prints
+only the paths whose digests differ (or that one side lacks); exits 1 if
+any do, or if a run of either side did not exit 0.
 """
 
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -45,5 +50,23 @@ def main(argv) -> int:
     return status
 
 
+def compare(checkouts) -> int:
+    """Print the paths whose digests differ between two checkouts; 1 if any do."""
+    procs = [subprocess.Popen([sys.executable, __file__, str(root)], stdout=subprocess.PIPE,
+                              text=True) for root in checkouts]
+    digests = []
+    status = 0
+    for proc in procs:
+        out, _ = proc.communicate()
+        status |= proc.returncode != 0
+        digests.append(dict(reversed(line.split("  ", 1)) for line in out.splitlines()))
+    a, b = digests
+    differ = sorted(path for path in a.keys() | b.keys() if a.get(path) != b.get(path))
+    for path in differ:
+        print(path)
+    return int(status or bool(differ))
+
+
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    args = sys.argv[1:]
+    raise SystemExit(compare(args) if len(args) == 2 else main(args))

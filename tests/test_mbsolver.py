@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lambda_mb import analytic, mbsolver, model, scenarios
+from lambda_mb import analytic, mbsolver, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import BoundaryMismatch, StepUnstable
 from lambda_mb.mbsolver import GridSpec, integrate_bloch_slice, maxwell_step, propagate
 from lambda_mb.model import LambdaParams, SpectralData
+from scenario_inputs import canned_scenario
 
 DARK = model.density_from_pure(model.dark_state(0.0))
 
@@ -276,3 +277,20 @@ def test_propagate_meta_audit_equals_a_recompute():
     eig = np.linalg.eigvalsh(sol.rho)
     assert abs(sol.meta["eig_min"] - eig.min()) <= EIG_TOL
     assert abs(sol.meta["eig_max"] - eig.max()) <= EIG_TOL
+
+
+@pytest.mark.parametrize("tag", ["slow", "fig4"])  # dark and array boundary rules
+def test_every_stored_slice_is_hermitian_and_streamed_grids_report_it(monkeypatch, tag):
+    sp, g = canned_scenario(tag)
+    grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_min + 10 * g.h_zeta, 11)
+    sol = scenarios.build_numeric_grid(sp, grid)
+    # bit for bit on every stored slice, so the reported defect is exact
+    assert np.array_equal(sol.rho, _dagger(sol.rho))
+    assert sol.meta["herm_dev"] == 0.0
+    monkeypatch.setattr(mbsolver, "RHO_STORAGE_LIMIT", grid.n_zeta * grid.n_tau - 1)
+    streamed = scenarios.build_numeric_grid(sp, grid)
+    assert streamed.rho is None and streamed.meta["herm_dev"] == 0.0
+    assert np.array_equal(streamed.populations, sol.populations)
+    meta = streamed.meta
+    assert verify.audit_density(streamed).max_abs == max(
+        meta["herm_dev"], meta["trace_dev"], -meta["eig_min"], meta["eig_max"] - 1.0, 0.0)

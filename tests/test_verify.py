@@ -214,6 +214,15 @@ def test_audit_density_streaming_metrics_propagate_nan():
     assert math.isnan(verify.audit_density(streamed).max_abs)
 
 
+def test_streamed_audit_folds_in_the_hermiticity_report():
+    sol = constant_background_grid()
+    meta = {"herm_dev": 2e-3, "trace_dev": 1e-9, "eig_min": 0.0, "eig_max": 1.0}
+    streamed = dataclasses.replace(sol, rho=None, meta=meta)
+    assert verify.audit_density(streamed).max_abs == 2e-3
+    del meta["herm_dev"]  # no report is no check: the audit fails
+    assert math.isnan(verify.audit_density(streamed).max_abs)
+
+
 def _hermitian_stack(family, rng, n):
     """(n, 3, 3) Hermitian matrices of one family, about unit size."""
     u = np.linalg.qr(rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3)))[0]
