@@ -207,7 +207,7 @@ def test_a_non_finite_state_entry_fails_the_audit(kind, value, node, entry):
 
 def test_audit_density_streaming_metrics_propagate_nan():
     sol = constant_background_grid()
-    meta = {"trace_dev": 0.0, "eig_min": math.nan, "eig_max": 1.0}
+    meta = {"herm_dev": 0.0, "trace_dev": 0.0, "eig_min": math.nan, "eig_max": 1.0}
     streamed = dataclasses.replace(sol, rho=None, meta=meta)
     assert math.isnan(verify.audit_density(streamed).max_abs)
     meta.update(eig_min=0.0, eig_max=math.nan)
