@@ -4,8 +4,8 @@ scalar_product takes stacked (..., 3) vectors.  The projector and the
 eigenvalue kernel work entry by entry: a vector is its three components
 and a Hermitian 3x3 stack its diagonal and upper entries, each an array
 of any broadcastable shape, so the same code serves single points and
-full (zeta, tau) grids, and a caller can feed strided views of a grid
-without forming a stacked array.
+full (zeta, tau) grids.  A stack of matrices is entry-major, (3, 3, ...),
+so each entry is one contiguous array over the nodes.
 """
 
 from __future__ import annotations
@@ -21,20 +21,22 @@ def scalar_product(u, v) -> np.ndarray:
 
 
 def projector(v) -> np.ndarray:
-    """|v><v| filled entry by entry: result[..., i, j] = v[i] * conj(v[j]).
+    """|v><v| filled entry by entry, entry-major: result[i, j] = v[i] * conj(v[j]).
 
     v: the three components, each an array of the broadcast shape (a
-    stacked (..., 3) vector is passed as np.moveaxis(v, -1, 0)).  Every
-    entry is its own product, as a stacked outer product computes it, so
-    the diagonal keeps whatever rounding the complex product gives.
+    stacked (..., 3) vector is passed as np.moveaxis(v, -1, 0)); the
+    result is (3, 3) + that shape, a single 3x3 matrix for scalar
+    components.  Every entry is its own product, as a stacked outer
+    product computes it, so the diagonal keeps whatever rounding the
+    complex product gives.
     """
     v = [np.asarray(x, dtype=complex) for x in v]
     shape = np.broadcast_shapes(*(x.shape for x in v))
     cv = [np.conj(x) for x in v]
-    out = np.empty(shape + (3, 3), dtype=complex)
+    out = np.empty((3, 3) + shape, dtype=complex)
     for i in range(3):
         for j in range(3):
-            np.multiply(v[i], cv[j], out=out[..., i, j])
+            np.multiply(v[i], cv[j], out=out[i, j, ...])
     return out
 
 

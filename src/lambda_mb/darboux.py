@@ -24,12 +24,13 @@ depend on how fast a column grows.
 The grid engine works entry by entry on arrays of the lattice shape: the
 column is three arrays, every length-3 sum is (x0 + x1) + x2 (numpy's
 order for a last-axis reduction, so k = 0 grids keep the bits of the
-stacked form), and the only 3x3 stack formed is the state itself.  The
-one-fold dressing factor is the identity plus a rank-one projector
-(Zakharov and Shabat, Funct. Anal. Appl. 13, 166, 1979), so the k != 0
-state is the companion background plus rank-one terms, with no batched
-3x3 product.  dressed_density forms that state alone; the closed forms
-take their states from it.
+stacked form), and the only 3x3 stack formed is the state itself,
+entry-major (3, 3, ...) as a grid holds it.  The one-fold dressing
+factor is the identity plus a rank-one projector (Zakharov and Shabat,
+Funct. Anal. Appl. 13, 166, 1979), so the k != 0 state is the companion
+background plus rank-one terms, with no batched 3x3 product.
+dressed_density forms that state alone; the closed forms take their
+states from it.
 """
 
 from __future__ import annotations
@@ -309,7 +310,8 @@ def _formal_state(p: LambdaParams, s: SpectralData, psi3, n2, zeta) -> np.ndarra
     x = (alpha conj(beta) w + |beta|^2 (u^dagger w) u / 2) / r2.  The upper
     triangle is computed and the lower one is its conjugate, so the state
     is Hermitian to the bit; the (0, 2) and (1, 2) entries carry the
-    frame phase exp(-i k zeta).
+    frame phase exp(-i k zeta).  The state is entry-major, (3, 3) + the
+    grid shape, each entry written as one whole array.
     """
     lam0 = s.lambda0
     alpha = np.conj(lam0) - p.delta
@@ -325,16 +327,16 @@ def _formal_state(p: LambdaParams, s: SpectralData, psi3, n2, zeta) -> np.ndarra
     x = [(alpha * np.conj(beta) / r2) * w[i] + (0.5 * abs(beta) ** 2 / r2) * uw * u[i]
          for i in range(3)]
     ph = np.exp(-1j * p.k * zeta)
-    rho = np.empty(u[0].shape + (3, 3), dtype=complex)
+    rho = np.empty((3, 3) + u[0].shape, dtype=complex)
     base = abs(alpha) ** 2 / r2 * b
     for i in range(3):
-        rho[..., i, i] = base[i, i].real + 2.0 * np.real(x[i] * np.conj(u[i]))
+        rho[i, i] = base[i, i].real + 2.0 * np.real(x[i] * np.conj(u[i]))
         for j in range(i + 1, 3):
             entry = base[i, j] + x[i] * np.conj(u[j]) + u[i] * np.conj(x[j])
             if j == 2:
                 entry = entry * ph
-            rho[..., i, j] = entry
-            rho[..., j, i] = np.conj(entry)
+            rho[i, j] = entry
+            rho[j, i] = np.conj(entry)
     return rho
 
 
@@ -349,7 +351,7 @@ def _column_and_state(p: LambdaParams, s: SpectralData, c: DressConstants, zeta,
 
 
 def dressed_density(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau) -> np.ndarray:
-    """The dressed density matrix alone, (..., 3, 3): the state dressed_fields_and_state returns."""
+    """The dressed density matrix alone, entry-major (3, 3, ...): dressed_fields_and_state's."""
     return _column_and_state(p, s, c, zeta, tau)[2]
 
 
@@ -358,12 +360,13 @@ def dressed_fields_and_state(p: LambdaParams, s: SpectralData, c: DressConstants
     """Dressed fields and density matrix over broadcastable zeta/tau arrays.
 
     Returns (omega_a, omega_b, rho) in the physical frame, worked entry by
-    entry on arrays of the broadcast shape; rho is the one (..., 3, 3)
-    array that is formed.  k = 0: the projector onto the dressed unit
-    state.  k != 0: the dressing happens in the rotated frame on the
-    companion background state, whose image is a rank-one update of it
-    (_formal_state), and the result is conjugated back, which multiplies
-    the fields by exp(i*k*zeta).
+    entry on arrays of the broadcast shape; rho is the one 3x3 stack that
+    is formed, entry-major: (3, 3) + the broadcast shape, so rho[i, j] is
+    one contiguous array over the nodes.  k = 0: the projector onto the
+    dressed unit state.  k != 0: the dressing happens in the rotated frame
+    on the companion background state, whose image is a rank-one update
+    of it (_formal_state), and the result is conjugated back, which
+    multiplies the fields by exp(i*k*zeta).
     """
     psi3, n2, rho = _column_and_state(p, s, c, zeta, tau)
     lam0 = s.lambda0

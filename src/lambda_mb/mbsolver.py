@@ -88,8 +88,10 @@ class GridSpec:
 class SolutionGrid:
     """Fields plus atomic state sampled on a GridSpec lattice.
 
-    rho is (n_zeta, n_tau, 3, 3) when retained; populations are always
-    present.  state_kind records what the state claims to be: 'pure'
+    rho is entry-major, (3, 3, n_zeta, n_tau), when retained: rho[i, j]
+    is the (n_zeta, n_tau) array of one matrix entry.  populations are
+    always present, (n_zeta, n_tau, 3), populations[..., k] the real part
+    of rho[k, k].  state_kind records what the state claims to be: 'pure'
     (projector onto a unit vector), 'density' (statistical), 'formal'
     (Hermitian trace-one companion that is not positive), or 'none'.
     """
@@ -106,10 +108,16 @@ class SolutionGrid:
         expected = (self.grid.n_zeta, self.grid.n_tau)
         if self.omega_a.shape != expected or self.omega_b.shape != expected:
             raise ValueError("field arrays must be shaped (n_zeta, n_tau)")
+        if self.rho is not None and self.rho.shape != (3, 3) + expected:
+            raise ValueError(f"rho must be shaped (3, 3, n_zeta, n_tau) = {(3, 3) + expected}, "
+                             f"got {self.rho.shape}")
+        if self.populations is not None and self.populations.shape != expected + (3,):
+            raise ValueError(f"populations must be shaped (n_zeta, n_tau, 3) = {expected + (3,)}, "
+                             f"got {self.populations.shape}")
         if self.populations is None and self.rho is not None:
-            self.populations = np.empty(self.rho.shape[:-1], dtype=float)
-            for i in range(3):
-                self.populations[..., i] = self.rho[..., i, i].real
+            self.populations = np.empty(expected + (3,), dtype=float)
+            for k in range(3):
+                self.populations[..., k] = self.rho[k, k].real
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +223,10 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
 def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec):
     """March the state along tau through one zeta slice.
 
-    f_of_tau: pair of (n_tau,) complex arrays.  Returns the (n_tau, 3, 3)
-    slice, Hermitian to the last bit, and its (min, max) eigenvalue.
-    Eigenvalues are audited for the whole slice and a band violation
-    aborts the run.
+    f_of_tau: pair of (n_tau,) complex arrays.  Returns the entry-major
+    (3, 3, n_tau) slice, Hermitian to the last bit, and its (min, max)
+    eigenvalue.  Eigenvalues are audited for the whole slice and a band
+    violation aborts the run.
     """
     oa, ob = f_of_tau
     oa = np.asarray(oa, dtype=complex)
@@ -240,15 +248,15 @@ def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec):
         raise StepUnstable(
             f"state eigenvalues left [{-EIG_BAND}, 1+{EIG_BAND}]: min {lo:.3e}, max {hi:.3e}"
         )
-    out = np.empty((grid.n_tau, 3, 3), dtype=complex)
-    out[:, _UPPER_ROWS, _UPPER_COLS] = entries.T
-    out[:, _UPPER_COLS[3:], _UPPER_ROWS[3:]] = np.conj(entries[3:]).T
+    out = np.empty((3, 3, grid.n_tau), dtype=complex)
+    out[_UPPER_ROWS, _UPPER_COLS] = entries
+    out[_UPPER_COLS[3:], _UPPER_ROWS[3:]] = np.conj(entries[3:])
     return out, (lo, hi)
 
 
 def _field_derivative(rho_slice, nu0: float):
-    doa = 1j * nu0 * rho_slice[:, 2, 0]
-    dob = 1j * nu0 * rho_slice[:, 2, 1]
+    doa = 1j * nu0 * rho_slice[2, 0]
+    dob = 1j * nu0 * rho_slice[2, 1]
     return doa, dob
 
 
@@ -256,7 +264,9 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
                  rho_boundary_next, grid: GridSpec):
     """One predictor-corrector step of the fields in zeta.
 
-    Predict with the current slice's state, re-integrate the state on the
+    rho_slice is the current slice's entry-major (3, 3, n_tau) state and
+    rho_boundary_next the 3x3 tau_min state of the next slice.  Predict
+    with the current slice's state, re-integrate the state on the
     predicted fields, then update with the averaged derivative.  Returns
     (fields at zeta + h_zeta, state slice there, its eigenvalue extremes).
     """
@@ -328,7 +338,7 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> 
     omega_a = np.empty((grid.n_zeta, grid.n_tau), dtype=complex)
     omega_b = np.empty_like(omega_a)
     pops = np.empty((grid.n_zeta, grid.n_tau, 3))
-    rho_full = np.empty((grid.n_zeta, grid.n_tau, 3, 3), dtype=complex) if store_rho else None
+    rho_full = np.empty((3, 3, grid.n_zeta, grid.n_tau), dtype=complex) if store_rho else None
     trace_dev = 0.0
     eig_lo, eig_hi = np.inf, -np.inf
 
@@ -336,9 +346,10 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> 
     rho_slice, (lo, hi) = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
     for i in range(grid.n_zeta):
         omega_a[i], omega_b[i] = oa, ob
-        pops[i] = rho_slice.diagonal(axis1=1, axis2=2).real
+        for k in range(3):
+            pops[i, :, k] = rho_slice[k, k].real
         if store_rho:
-            rho_full[i] = rho_slice
+            rho_full[:, :, i] = rho_slice
         trace_dev = max(trace_dev, float(np.max(np.abs(pops[i].sum(axis=1) - 1.0))))
         eig_lo = min(eig_lo, lo)
         eig_hi = max(eig_hi, hi)

@@ -124,7 +124,11 @@ def dark_state(eta: float) -> np.ndarray:
 
 
 def density_from_pure(psi) -> np.ndarray:
-    """Projector |psi><psi| with a renormalization tolerance of 1e-4."""
+    """Projector |psi><psi| with a renormalization tolerance of 1e-4.
+
+    A (3,) vector gives its 3x3 matrix; a stack of (..., 3) vectors gives
+    the entry-major (3, 3, ...) stack, as algebra.projector does.
+    """
     v = np.asarray(psi, dtype=complex)
     norm = np.sqrt(np.abs(algebra.scalar_product(v, v)))
     if np.any(np.abs(norm - 1.0) > 1e-4):

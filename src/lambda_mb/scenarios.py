@@ -57,11 +57,17 @@ class Scenario:
     zero_a: Optional[str] = None
 
     def density(self, sp: ScenarioParams, state, zeta, tau) -> np.ndarray:
-        """The grid's state for what the evaluator returned."""
+        """The grid's entry-major (3, 3, ...) state for what the evaluator returned."""
         if self.state == "vector":
             return algebra.projector(np.moveaxis(state, -1, 0))
         if self.state == "dark":
-            return model.density_from_pure(model.dark_state(sp.params.eta))
+            dark = model.density_from_pure(model.dark_state(sp.params.eta))
+            rho = np.empty((3, 3) + np.broadcast_shapes(np.shape(zeta), np.shape(tau)),
+                           dtype=complex)
+            for i in range(3):
+                for j in range(3):
+                    rho[i, j] = dark[i, j]
+            return rho
         return darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(), zeta, tau)
 
 
@@ -135,9 +141,9 @@ def _full(arr, shape):
 
     An array that already owns its data, is C-contiguous and writable and
     has the grid shape is the grid's own and is kept as it is; anything
-    else (a broadcast evaluator output, a view, a constant state) is
-    copied out to the full shape in C order; numpy's default order would
-    keep the column layout of a (1, n_tau) broadcast.
+    else (a broadcast evaluator output, a view) is copied out to the full
+    shape in C order; numpy's default order would keep the column layout
+    of a (1, n_tau) broadcast.
     """
     flags = getattr(arr, "flags", None)
     if (flags is not None and arr.shape == shape and flags.owndata
@@ -160,7 +166,7 @@ def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     shape = (grid.n_zeta, grid.n_tau)
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
-        rho=_full(rho, shape + (3, 3)),
+        rho=_full(rho, (3, 3) + shape),
         state_kind=_state_kind(sp.params),
         meta={"engine": "analytic", "scenario": sp.scenario},
     )
@@ -177,7 +183,7 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     shape = (grid.n_zeta, grid.n_tau)
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
-        rho=_full(rho, shape + (3, 3)), state_kind=_state_kind(p), meta=meta,
+        rho=_full(rho, (3, 3) + shape), state_kind=_state_kind(p), meta=meta,
     )
 
 
@@ -202,7 +208,8 @@ def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
         edge = build_analytic_grid(sp, GridSpec(
             grid.tau_min, grid.tau_min + grid.h_tau, 3, grid.zeta_min, grid.zeta_max, grid.n_zeta,
         ))
-        boundary = np.ascontiguousarray(edge.rho[:, 0])
+        # the (n_zeta, 3, 3) matrices of the tau_min column
+        boundary = np.ascontiguousarray(edge.rho[:, :, :, 0].transpose(2, 0, 1))
     sol = propagate((oa0, ob0), boundary, sp.params, grid)
     sol.meta.update({"scenario": sp.scenario})
     return sol

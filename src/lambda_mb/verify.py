@@ -5,6 +5,9 @@ only; a genuine solution therefore shows residuals falling by ~4x when the
 grid is refined by 2x, and that convergence ratio (not the raw residual)
 is the pass criterion used by the acceptance suite.
 
+A grid's state is entry-major, (3, 3, n_zeta, n_tau), so each matrix
+entry rho[i, j] is one contiguous (n_zeta, n_tau) array.
+
 The field-equation (PDE) residual and the zero-curvature residual at every
 probe come from one shared-term pass per grid (residual_reports). D is
 constant and V = c rho is proportional to the state, so both residuals are
@@ -12,11 +15,14 @@ sums of the same four entry-wise terms: the zeta difference of H, the tau
 difference of rho, [D, rho] = (d_i - d_j) rho_ij and [H, rho] from H's
 four non-zero entries. The pass builds them one matrix entry (i, j) at a
 time on the interior nodes and folds each report's max |x| and sum |x|^2
-as it goes, so no (..., 3, 3) array and no batched 3x3 product is formed.
+as it goes, so no 3x3 stack and no batched 3x3 product is formed. The
+stencils multiply a complex difference by 1 / (2h): numpy divides a
+complex array by a real scalar as a product with its reciprocal, so the
+bits are those of the division.
 
-The density audit works the same way: one pass over the nine rho[..., i, j]
-views, a chunk of nodes at a time, with the extreme eigenvalues of each
-node from algebra.hermitian_eigenvalues (cyclic Jacobi on per-entry
+The density audit works the same way: one pass over the nine entry rows
+rho[i, j], a chunk of nodes at a time, with the extreme eigenvalues of
+each node from algebra.hermitian_eigenvalues (cyclic Jacobi on per-entry
 arrays) instead of LAPACK. Every maximum is NaN-propagating, so a
 non-finite state entry fails the audit instead of raising.
 """
@@ -61,16 +67,38 @@ class ResidualReport:
         return "\n".join(lines)
 
 
+def _quotient(diff, h):
+    """diff / (2h), the central-difference quotient.
+
+    A complex diff is multiplied by 1 / (2h), which is how numpy divides a
+    complex array by a real scalar: the same bits, several times faster. A
+    real diff (the fields of a real closed form) is divided, because a
+    real quotient is rounded once and a product with the reciprocal twice.
+    """
+    if np.iscomplexobj(diff):
+        return diff * (1.0 / (2.0 * h))
+    return diff / (2.0 * h)
+
+
 def _central_dzeta(arr, h):
-    return (arr[2:, 1:-1] - arr[:-2, 1:-1]) / (2.0 * h)
+    return _quotient(arr[2:, 1:-1] - arr[:-2, 1:-1], h)
 
 
 def _central_dtau(arr, h):
-    return (arr[1:-1, 2:] - arr[1:-1, :-2]) / (2.0 * h)
+    return _quotient(arr[1:-1, 2:] - arr[1:-1, :-2], h)
 
 
 def _interior(arr):
     return arr[1:-1, 1:-1]
+
+
+def _sum(terms):
+    """t0 + t1 + ... in that order, started from the first (fresh) term."""
+    terms = iter(terms)
+    total = next(terms)
+    for t in terms:
+        total += t
+    return total
 
 
 class _Norms:
@@ -114,7 +142,7 @@ def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list
         zc  = dU - dV + [U, V] = -i dH - c dRho + c (i lam [D, rho] / 2 - i [H, rho])
 
     entry by entry, which is the matmul form with D constant and V
-    proportional to rho; no full (..., 3, 3) array is built.
+    proportional to rho; no 3x3 stack is built.
     """
     for lam in probes:
         if abs(lam - p.delta) <= model.POLE_GUARD:
@@ -130,7 +158,7 @@ def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list
     h = {(2, 0): -0.5 * solution.omega_a, (2, 1): -0.5 * solution.omega_b}
     h[0, 2], h[1, 2] = np.conj(h[2, 0]), np.conj(h[2, 1])
     h_in = {ij: _interior(v) for ij, v in h.items()}
-    rho_in = _interior(rho)
+    rho_in = {(i, j): _interior(rho[i, j]) for i in range(3) for j in range(3)}
 
     pde = _Norms(18)
     zcs = []
@@ -140,18 +168,20 @@ def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list
     q = 0.25j * p.nu0
     for i in range(3):
         for j in range(3):
-            # [H, rho]_ij = sum_k H_ik rho_kj - rho_ik H_kj over the non-zero H entries
-            h_rho = sum(h_in[i, k] * rho_in[..., k, j] for k in range(3) if (i, k) in h_in)
-            h_rho = h_rho - sum(rho_in[..., i, k] * h_in[k, j] for k in range(3) if (k, j) in h_in)
-            d_rho = _central_dtau(rho[..., i, j], grid.h_tau)
+            # [H, rho]_ij = sum_k H_ik rho_kj - rho_ik H_kj over the non-zero H
+            # entries; every entry has at least one term on each side
+            h_rho = _sum(h_in[i, k] * rho_in[k, j] for k in range(3) if (i, k) in h_in)
+            h_rho -= _sum(rho_in[i, k] * h_in[k, j] for k in range(3) if (k, j) in h_in)
+            d_rho = _central_dtau(rho[i, j], grid.h_tau)
             shared = -d_rho - 1j * h_rho  # c times this is -c dRho - i c [H, rho]
             if (i, j) in h:
                 d_h = _central_dzeta(h[i, j], grid.h_zeta)
-                d_comm = _D_COMMUTATOR[i, j] * rho_in[..., i, j]
+                d_comm = _D_COMMUTATOR[i, j] * rho_in[i, j]
                 pde.add(d_h - q * d_comm)
                 pde.add(d_rho - 1j * (0.5 * p.delta * d_comm - h_rho))
+                i_dh = 1j * d_h
                 for _, c, ck, norms in zcs:
-                    norms.add(c * shared + ck * d_comm - 1j * d_h)
+                    norms.add(c * shared + ck * d_comm - i_dh)
             else:
                 pde.add(d_rho + 1j * h_rho)
                 for _, c, _, norms in zcs:
@@ -187,7 +217,7 @@ _AUDIT_CHUNK = 8192
 def audit_density(solution: SolutionGrid) -> ResidualReport:
     """Hermiticity, trace, positivity and (when claimed) purity of the state.
 
-    One entry-wise pass over the nine rho[..., i, j] views, _AUDIT_CHUNK
+    One entry-wise pass over the nine entry rows rho[i, j], _AUDIT_CHUNK
     nodes at a time. Per chunk it takes the Hermiticity defect from
     2 |Im rho_ii| and |rho_ij - conj rho_ji|, the trace defect, the purity
     defect |sum_ij |rho_ij|^2 - 1| of pure grids, and the smallest and
@@ -215,20 +245,20 @@ def audit_density(solution: SolutionGrid) -> ResidualReport:
         ]))
         return ResidualReport("density_audit", worst, worst, (grid.h_tau, grid.h_zeta))
     kind = solution.state_kind
-    rho = solution.rho.reshape(-1, 3, 3)
+    rho = solution.rho.reshape(3, 3, -1)
     herm = trace = purity = np.float64(0.0)
     lo, hi = np.float64(np.inf), np.float64(-np.inf)
-    for start in range(0, rho.shape[0], _AUDIT_CHUNK):
-        r = rho[start:start + _AUDIT_CHUNK]
-        d0, d1, d2 = (r[:, i, i] for i in range(3))
-        upper = [(r[:, i, j], r[:, j, i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    for start in range(0, rho.shape[-1], _AUDIT_CHUNK):
+        r = rho[:, :, start:start + _AUDIT_CHUNK]
+        d0, d1, d2 = (r[i, i] for i in range(3))
+        upper = [(r[i, j], r[j, i]) for i, j in ((0, 1), (0, 2), (1, 2))]
         for d in (d0, d1, d2):
             herm = np.maximum(herm, 2.0 * np.abs(d.imag).max())
         for a, b in upper:
             herm = np.maximum(herm, np.abs(a - np.conj(b)).max())
         trace = np.maximum(trace, np.abs(d0 + d1 + d2 - 1.0).max())
         if kind == "pure":
-            sq = [np.square(np.abs(r[:, i, j])) for i in range(3) for j in range(3)]
+            sq = [np.square(np.abs(r[i, j])) for i in range(3) for j in range(3)]
             # np.sum's order over the 9 row-major entries: 8 pairwise, then the last
             frob2 = (((sq[0] + sq[1]) + (sq[2] + sq[3]))
                      + ((sq[4] + sq[5]) + (sq[6] + sq[7]))) + sq[8]
@@ -260,7 +290,7 @@ def compare_solutions(a: SolutionGrid, b: SolutionGrid) -> ResidualReport:
         np.abs(a.omega_b - b.omega_b),
     ]
     if a.rho is not None and b.rho is not None:
-        diffs.append(np.max(np.abs(a.rho - b.rho), axis=(-2, -1)))
+        diffs.append(np.max(np.abs(a.rho - b.rho), axis=(0, 1)))
     stacked = np.stack(diffs)
     return ResidualReport(
         "compare",

@@ -25,7 +25,15 @@ and zero-curvature residuals: full (..., 3, 3) H, U and V arrays and
 batched 3x3 products, the reference that verify.residual_reports, which
 works entry by entry, is tested against. The density audit beside them
 takes its eigenvalues from LAPACK (np.linalg.eigvalsh), the reference for
-verify.audit_density and its entry-wise Jacobi eigenvalues.
+verify.audit_density and its entry-wise Jacobi eigenvalues. A grid holds
+its state entry-major, (3, 3, n_zeta, n_tau); these references read it
+through node_major, the (n_zeta, n_tau, 3, 3) view of the same data.
+
+Last come the strided pass: verify.residual_reports and
+verify.audit_density as they were written for a node-major grid, where
+every entry rho[..., i, j] is a view strided by a whole 3x3 matrix,
+frozen and adapted only by reading the state through node_major.  The
+entry-major code is held to them bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from typing import Tuple
 
 import numpy as np
 
-from lambda_mb import darboux, model
+from lambda_mb import algebra, darboux, model
 from lambda_mb.darboux import DressConstants
 from lambda_mb.errors import LambdaMBError, SpectralPole
 from lambda_mb.model import D_MATRIX
@@ -361,6 +369,11 @@ def _report(name, res, grid, lam=None) -> ResidualReport:
     return ResidualReport(name, max_abs, l2, (grid.h_tau, grid.h_zeta), lam)
 
 
+def node_major(rho) -> np.ndarray:
+    """The (..., 3, 3) view of an entry-major (3, 3, ...) state."""
+    return np.moveaxis(rho, (0, 1), (-2, -1))
+
+
 def reference_zero_curvature_residual(solution, lam: complex, p) -> ResidualReport:
     """dU/dzeta - dV/dtau + [U, V] from the full Lax matrices."""
     if abs(lam - p.delta) <= model.POLE_GUARD:
@@ -368,7 +381,7 @@ def reference_zero_curvature_residual(solution, lam: complex, p) -> ResidualRepo
     grid = solution.grid
     h = model.interaction_hamiltonian((solution.omega_a, solution.omega_b))
     u = model.lax_u(lam, h)
-    v = model.lax_v(lam, solution.rho, p)
+    v = model.lax_v(lam, node_major(solution.rho), p)
     res = (
         _central_dzeta(u, grid.h_zeta)
         - _central_dtau(v, grid.h_tau)
@@ -380,7 +393,7 @@ def reference_zero_curvature_residual(solution, lam: complex, p) -> ResidualRepo
 def reference_pde_residual(solution, p) -> ResidualReport:
     """Field equation and state equation residuals from full 3x3 products."""
     grid = solution.grid
-    rho = solution.rho
+    rho = node_major(solution.rho)
     h = model.interaction_hamiltonian((solution.omega_a, solution.omega_b))
     maxwell = _central_dzeta(h, grid.h_zeta) - 0.25j * p.nu0 * _interior(
         D_MATRIX @ rho - rho @ D_MATRIX
@@ -398,7 +411,7 @@ def reference_pde_residual(solution, p) -> ResidualReport:
 def reference_audit_density(solution) -> ResidualReport:
     """Hermiticity, trace, positivity and purity from full (..., 3, 3) arrays."""
     grid = solution.grid
-    rho = solution.rho
+    rho = node_major(solution.rho)
     herm = float(np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2)))))
     trace = float(np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)))
     metrics = [herm, trace]
@@ -413,3 +426,119 @@ def reference_audit_density(solution) -> ResidualReport:
     if solution.state_kind == "formal":
         name += "[formal: positivity not claimed]"
     return ResidualReport(name, worst, worst, (grid.h_tau, grid.h_zeta))
+
+
+# ---------------------------------------------------------------------------
+# the strided pass: entry-wise residuals and audit on a node-major state
+# ---------------------------------------------------------------------------
+
+class _StridedNorms:
+    """Running max |x| and sum |x|^2 over the entries of one residual."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.max_abs = np.float64(0.0)
+        self.sum_sq = 0.0
+
+    def add(self, entry: np.ndarray):
+        mag = np.abs(entry)
+        self.max_abs = np.maximum(self.max_abs, mag.max())
+        self.sum_sq += np.square(mag, out=mag).sum()
+
+    def report(self, name, grid, lam=None) -> ResidualReport:
+        nodes = (grid.n_zeta - 2) * (grid.n_tau - 2)
+        l2 = float(np.sqrt(self.sum_sq / (self.width * nodes)))
+        return ResidualReport(name, float(self.max_abs), l2, (grid.h_tau, grid.h_zeta), lam)
+
+
+_STRIDED_D_COMMUTATOR = {(0, 2): 2.0, (1, 2): 2.0, (2, 0): -2.0, (2, 1): -2.0}
+
+
+def strided_residual_reports(solution, p, probes=()) -> list:
+    """PDE residual, then the zero-curvature residual at each probe lambda.
+
+    One pass over the 9 entries (i, j) of the interior nodes, each entry a
+    strided view rho[..., i, j] of the node-major state, differenced by
+    dividing by 2h; each [H, rho] sum starts from 0.
+    """
+    for lam in probes:
+        if abs(lam - p.delta) <= model.POLE_GUARD:
+            raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
+    grid = solution.grid
+    if grid.n_zeta < 3 or grid.n_tau < 3:
+        raise ValueError("residual check needs at least a 3x3 grid")
+    rho = node_major(solution.rho)
+    h = {(2, 0): -0.5 * solution.omega_a, (2, 1): -0.5 * solution.omega_b}
+    h[0, 2], h[1, 2] = np.conj(h[2, 0]), np.conj(h[2, 1])
+    h_in = {ij: _interior(v) for ij, v in h.items()}
+    rho_in = _interior(rho)
+
+    pde = _StridedNorms(18)
+    zcs = []
+    for lam in probes:
+        c = 0.5j * p.nu0 / (lam - p.delta)
+        zcs.append((lam, c, c * 0.5j * lam, _StridedNorms(9)))
+    q = 0.25j * p.nu0
+    for i in range(3):
+        for j in range(3):
+            h_rho = sum(h_in[i, k] * rho_in[..., k, j] for k in range(3) if (i, k) in h_in)
+            h_rho = h_rho - sum(rho_in[..., i, k] * h_in[k, j] for k in range(3) if (k, j) in h_in)
+            d_rho = _central_dtau(rho[..., i, j], grid.h_tau)
+            shared = -d_rho - 1j * h_rho
+            if (i, j) in h:
+                d_h = _central_dzeta(h[i, j], grid.h_zeta)
+                d_comm = _STRIDED_D_COMMUTATOR[i, j] * rho_in[..., i, j]
+                pde.add(d_h - q * d_comm)
+                pde.add(d_rho - 1j * (0.5 * p.delta * d_comm - h_rho))
+                for _, c, ck, norms in zcs:
+                    norms.add(c * shared + ck * d_comm - 1j * d_h)
+            else:
+                pde.add(d_rho + 1j * h_rho)
+                for _, c, _, norms in zcs:
+                    norms.add(c * shared)
+    return [pde.report("pde", grid)] + [
+        norms.report("zero_curvature", grid, lam) for lam, _, _, norms in zcs]
+
+
+_STRIDED_AUDIT_CHUNK = 8192
+
+
+@np.errstate(invalid="ignore")
+def strided_audit_density(solution) -> ResidualReport:
+    """Hermiticity, trace, positivity and purity over (n, 3, 3) chunks of the state.
+
+    Only grids that carry their state; every reduction propagates NaN.
+    """
+    grid = solution.grid
+    kind = solution.state_kind
+    rho = node_major(solution.rho).reshape(-1, 3, 3)
+    herm = trace = purity = np.float64(0.0)
+    lo, hi = np.float64(np.inf), np.float64(-np.inf)
+    for start in range(0, rho.shape[0], _STRIDED_AUDIT_CHUNK):
+        r = rho[start:start + _STRIDED_AUDIT_CHUNK]
+        d0, d1, d2 = (r[:, i, i] for i in range(3))
+        upper = [(r[:, i, j], r[:, j, i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+        for d in (d0, d1, d2):
+            herm = np.maximum(herm, 2.0 * np.abs(d.imag).max())
+        for a, b in upper:
+            herm = np.maximum(herm, np.abs(a - np.conj(b)).max())
+        trace = np.maximum(trace, np.abs(d0 + d1 + d2 - 1.0).max())
+        if kind == "pure":
+            sq = [np.square(np.abs(r[:, i, j])) for i in range(3) for j in range(3)]
+            frob2 = (((sq[0] + sq[1]) + (sq[2] + sq[3]))
+                     + ((sq[4] + sq[5]) + (sq[6] + sq[7]))) + sq[8]
+            purity = np.maximum(purity, np.abs(frob2 - 1.0).max())
+        if kind != "formal":
+            eig = algebra.hermitian_eigenvalues(
+                d0.real, d1.real, d2.real, *(0.5 * (a + np.conj(b)) for a, b in upper))
+            lo, hi = np.minimum(lo, np.min(eig)), np.maximum(hi, np.max(eig))
+    metrics = [herm, trace]
+    if kind != "formal":
+        metrics += [np.maximum(0.0, -lo), np.maximum(0.0, hi - 1.0)]
+    if kind == "pure":
+        metrics.append(purity)
+    worst = float(np.max(metrics))
+    rep = ResidualReport("density_audit", worst, worst, (grid.h_tau, grid.h_zeta))
+    if kind == "formal":
+        rep.name = "density_audit[formal: positivity not claimed]"
+    return rep

@@ -138,7 +138,9 @@ def test_criterion_5_solver_tracking():
         c = sp.dress_constants()
         _, _, rho_edge = darboux.dressed_fields_and_state(
             sp.params, sp.spectral, c, grid.zetas(), np.full(grid.n_zeta, grid.tau_min))
-        sol = propagate((oa0, ob0), np.ascontiguousarray(rho_edge), sp.params, grid)
+        # the (n_zeta, 3, 3) boundary matrices of the entry-major tau_min column
+        sol = propagate((oa0, ob0), np.ascontiguousarray(np.moveaxis(rho_edge, -1, 0)),
+                        sp.params, grid)
         scale = float(np.max(np.abs(oa_ref)))
         err = max(float(np.max(np.abs(sol.omega_a - oa_ref))),
                   float(np.max(np.abs(sol.omega_b - ob_ref)))) / scale
@@ -218,7 +220,7 @@ def test_criterion_8_stopped_polariton():
     zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
     oa, ob, _ = analytic.zero_background(sp0, zz, tt)
     fields_zero = float(max(np.max(np.abs(oa)), np.max(np.abs(ob)))) == 0.0
-    p1 = scenarios.REGISTRY["zero_background"].density(sp0, None, zz, tt)[..., 0, 0].real
+    p1 = scenarios.REGISTRY["zero_background"].density(sp0, None, zz, tt)[0, 0].real
     stationary = float(np.max(np.abs(p1 - p1[:, :1]))) < 1e-12
     nonzero = float(np.max(p1)) > 0.5
     elapsed = time.time() - t0
@@ -232,7 +234,7 @@ def _hermiticity_defect(rho):
     """max |rho - rho^dagger| over a stored state, entry by entry; None when no state is stored."""
     if rho is None:
         return None
-    return max(float(np.max(np.abs(rho[..., i, j] - np.conj(rho[..., j, i]))))
+    return max(float(np.max(np.abs(rho[i, j] - np.conj(rho[j, i]))))
                for i in range(3) for j in range(i, 3))
 
 

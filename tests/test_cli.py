@@ -146,7 +146,7 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
         sol = build(sp, grid)
         built.append(grid)
         if len(built) > 1:  # the output grid is also the coarse check grid
-            sol.rho[5, 7, 1, 2] = np.nan
+            sol.rho[1, 2, 5, 7] = np.nan
         return sol
 
     monkeypatch.setattr(scenarios, "build_analytic_grid", nan_in_the_fine_check_grid)
@@ -166,7 +166,7 @@ def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
 
     def with_nan(sp, grid):
         sol = build(sp, grid)
-        sol.rho[4, 9, 0, 1] = np.nan
+        sol.rho[0, 1, 4, 9] = np.nan
         return sol
 
     monkeypatch.setattr(scenarios, "build_dressed_grid", with_nan)

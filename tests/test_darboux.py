@@ -407,6 +407,8 @@ def test_dressed_state_similar_to_projector_across_grid():
     zz = np.linspace(0, 8, 21)[:, None]
     tt = np.linspace(-20, 20, 41)[None, :]
     _, _, rho = darboux.dressed_fields_and_state(p, s, c, zz, tt)
+    assert rho.shape == (3, 3, 21, 41)
+    rho = np.moveaxis(rho, (0, 1), (-2, -1))  # the (21, 41, 3, 3) stack of node matrices
     herm = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))))
     tr = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0))
     eig = np.linalg.eigvalsh(rho)

@@ -9,6 +9,7 @@ from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import BoundaryMismatch, StepUnstable
 from lambda_mb.mbsolver import GridSpec, integrate_bloch_slice, maxwell_step, propagate
 from lambda_mb.model import LambdaParams, SpectralData
+from pointwise_oracle import node_major
 from scenario_inputs import canned_scenario
 
 DARK = model.density_from_pure(model.dark_state(0.0))
@@ -27,12 +28,31 @@ def slow_scenario(om0=1.0, eps0=2.0, delta=0.0):
     )
 
 
+def test_solution_grid_rejects_a_state_or_populations_of_the_wrong_shape():
+    grid = GridSpec(-1.0, 1.0, 5, 0.0, 1.0, 4)
+    fields = np.zeros((4, 5), dtype=complex)
+    # a stack of the wrong length, the node-major form and swapped lattice axes
+    for rho in (np.zeros((7, 3, 3), complex), np.zeros((4, 5, 3, 3), complex),
+                np.zeros((3, 3, 5, 4), complex)):
+        with pytest.raises(ValueError, match=r"\(3, 3, n_zeta, n_tau\) = \(3, 3, 4, 5\)"):
+            mbsolver.SolutionGrid(grid, fields, fields, rho=rho)
+    for pops in (np.zeros((7, 3)), np.zeros((4, 5)), np.zeros((5, 4, 3))):
+        with pytest.raises(ValueError, match=r"\(n_zeta, n_tau, 3\) = \(4, 5, 3\)"):
+            mbsolver.SolutionGrid(grid, fields, fields, populations=pops)
+    rho = np.zeros((3, 3, 4, 5), complex)
+    rho[1, 1] = 1.0
+    sol = mbsolver.SolutionGrid(grid, fields, fields, rho=rho)
+    assert sol.populations.shape == (4, 5, 3)
+    assert np.array_equal(sol.populations[..., 1], np.ones((4, 5)))
+
+
 def test_slice_constant_background_dark():
     grid = GridSpec(-5, 5, 101, 0, 1, 2)
     oa = np.full(grid.n_tau, 1.0, dtype=complex)
     ob = np.zeros(grid.n_tau, dtype=complex)
     out, _ = integrate_bloch_slice((oa, ob), DARK, 0.7, grid)
-    assert np.max(np.abs(out - DARK)) < 1e-10
+    assert out.shape == (3, 3, grid.n_tau)
+    assert np.max(np.abs(out - DARK[:, :, None])) < 1e-10
 
 
 def test_slice_free_rotation_closed_form():
@@ -50,9 +70,9 @@ def test_slice_free_rotation_closed_form():
     for idx in (100, 250, 400):
         ph = np.exp(0.5j * delta * taus[idx] * d)
         expect = ph[:, None] * rho0 * np.conj(ph)[None, :]
-        assert np.max(np.abs(out[idx] - expect)) < 1e-9
+        assert np.max(np.abs(out[..., idx] - expect)) < 1e-9
     # diagonal entries never move
-    diags = np.stack([out[:, i, i].real for i in range(3)], axis=-1)
+    diags = np.stack([out[i, i].real for i in range(3)], axis=-1)
     assert np.max(np.abs(diags - diags[0])) < 1e-12
 
 
@@ -74,7 +94,7 @@ def test_slice_fourth_order_core_with_exact_midpoints():
     for n in (101, 201):
         out, grid = run2(n)
         stride = (3201 - 1) // (n - 1)
-        errs.append(np.max(np.abs(out - ref[::stride])))
+        errs.append(np.max(np.abs(out - ref[..., ::stride])))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 26.0  # ~16x per halving
 
@@ -90,7 +110,7 @@ def test_slice_fourth_order_against_sampled_analytic_fields():
         oa, ob, psi = analytic.slow_soliton(sp, 0.0, taus)
         rho_ref = psi[..., :, None] * np.conj(psi)[..., None, :]
         out, _ = integrate_bloch_slice((oa, ob), rho_ref[0], sp.params.delta, grid)
-        errs.append(np.max(np.abs(out - rho_ref)))
+        errs.append(np.max(np.abs(node_major(out) - rho_ref)))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 26.0
 
@@ -134,6 +154,8 @@ def test_slice_is_unitary_conjugation_for_any_fields(data, n_tau, span, delta, m
     rho0 = mix @ _dagger(mix) + 0.05 * np.eye(3)
     rho0 /= np.trace(rho0).real
     out, (lo, hi) = integrate_bloch_slice((oa, ob), rho0, delta, grid)
+    assert out.shape == (3, 3, n_tau)
+    out = node_major(out)
     assert np.array_equal(out, _dagger(out))
     assert np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho0))) < 1e-12
@@ -209,7 +231,7 @@ def test_maxwell_step_orders():
         oa1, ob1, _ = analytic.slow_soliton(sp, h_zeta, taus)
         rho0 = (psi0[..., :, None] * np.conj(psi0)[..., None, :])
         rho_slice, _ = integrate_bloch_slice((oa0, ob0), rho0[0], p.delta, grid)
-        doa, dob = 1j * p.nu0 * rho_slice[:, 2, 0], 1j * p.nu0 * rho_slice[:, 2, 1]
+        doa, dob = 1j * p.nu0 * rho_slice[2, 0], 1j * p.nu0 * rho_slice[2, 1]
         euler = max(np.max(np.abs(oa0 + h_zeta * doa - oa1)),
                     np.max(np.abs(ob0 + h_zeta * dob - ob1)))
         psi_b = analytic.slow_soliton(sp, h_zeta, taus[0])[2]
@@ -274,7 +296,7 @@ def test_propagate_meta_audit_equals_a_recompute():
     # propagate folds in each slice's own audit instead of running it twice
     sp = slow_scenario(delta=0.4)
     sol = scenarios.build_numeric_grid(sp, GridSpec(-8.0, 8.0, 161, 0.0, 0.5, 11))
-    eig = np.linalg.eigvalsh(sol.rho)
+    eig = np.linalg.eigvalsh(node_major(sol.rho))
     assert abs(sol.meta["eig_min"] - eig.min()) <= EIG_TOL
     assert abs(sol.meta["eig_max"] - eig.max()) <= EIG_TOL
 
@@ -285,7 +307,7 @@ def test_every_stored_slice_is_hermitian_and_streamed_grids_report_it(monkeypatc
     grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_min + 10 * g.h_zeta, 11)
     sol = scenarios.build_numeric_grid(sp, grid)
     # bit for bit on every stored slice, so the reported defect is exact
-    assert np.array_equal(sol.rho, _dagger(sol.rho))
+    assert np.array_equal(node_major(sol.rho), _dagger(node_major(sol.rho)))
     assert sol.meta["herm_dev"] == 0.0
     monkeypatch.setattr(mbsolver, "RHO_STORAGE_LIMIT", grid.n_zeta * grid.n_tau - 1)
     streamed = scenarios.build_numeric_grid(sp, grid)

@@ -70,7 +70,8 @@ def test_slow_state_middle_component_sign():
         sol = SolutionGrid(grid=grid,
                            omega_a=np.array(np.broadcast_to(oa, shape)),
                            omega_b=np.array(np.broadcast_to(ob, shape)),
-                           rho=np.array(np.broadcast_to(rho, shape + (3, 3))),
+                           rho=np.array(np.broadcast_to(np.moveaxis(rho, (-2, -1), (0, 1)),
+                                                        (3, 3) + shape), order="C"),
                            state_kind="pure")
         return verify.pde_residual(sol, p).max_abs
 

@@ -1,4 +1,5 @@
-"""The package's surface: every name it defines is used, and no module calls LAPACK.
+"""The package's surface: every name it defines is used, no module calls LAPACK,
+and every grid builder holds its state entry-major.
 
 A top-level or class-level name in src/lambda_mb that only the tests
 reach belongs in tests/.  A name counts as used when src/ or bench/ reads
@@ -8,10 +9,22 @@ name the functions they wrap that way.
 
 No module names linalg (numpy.linalg, scipy.linalg or an import of
 either), so no package code reaches LAPACK.
+
+The grids of build_analytic_grid, build_dressed_grid and
+build_numeric_grid hold an owned, C-contiguous (3, 3, n_zeta, n_tau)
+state, whose diagonal rows the populations copy bit for bit, so no
+producer can bring back the node-major (n_zeta, n_tau, 3, 3) form.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lambda_mb import mbsolver, scenarios
+from lambda_mb.mbsolver import GridSpec
+from scenario_inputs import canned_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lambda_mb"
@@ -85,3 +98,32 @@ def test_no_package_module_uses_linalg():
             for path in sorted(PACKAGE.glob("*.py"))
             for line in _linalg_uses(ast.parse(path.read_text(encoding="utf-8")))]
     assert uses == []
+
+
+def _assert_entry_major(sol, stored_rho):
+    """sol holds its own entry-major state, or none; its populations are stored_rho's diagonal."""
+    g = sol.grid
+    if sol.rho is not None:
+        assert sol.rho is stored_rho
+        assert sol.rho.shape == (3, 3, g.n_zeta, g.n_tau) and sol.rho.dtype == complex
+        assert sol.rho.flags.owndata and sol.rho.flags.c_contiguous
+    assert sol.populations.shape == (g.n_zeta, g.n_tau, 3)
+    for k in range(3):
+        assert sol.populations[..., k].tobytes() == stored_rho[k, k].real.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
+def test_every_builder_holds_an_entry_major_state(name, monkeypatch):
+    sp, canned = canned_scenario(name)
+    grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
+    for build in (scenarios.build_analytic_grid, scenarios.build_dressed_grid):
+        sol = build(sp, grid)
+        _assert_entry_major(sol, sol.rho)
+    if scenarios.REGISTRY[name].boundary is None:
+        return
+    stored = scenarios.build_numeric_grid(sp, grid)
+    _assert_entry_major(stored, stored.rho)
+    monkeypatch.setattr(mbsolver, "RHO_STORAGE_LIMIT", grid.n_zeta * grid.n_tau - 1)
+    streamed = scenarios.build_numeric_grid(sp, grid)
+    assert streamed.rho is None
+    _assert_entry_major(streamed, stored.rho)

@@ -16,8 +16,9 @@ from lambda_mb.model import LambdaParams, SpectralData
 import observables
 from observables import FeatureLost
 from pointwise_oracle import (outer, reference_audit_density, reference_pde_residual,
-                              reference_zero_curvature_residual)
-from scenario_inputs import canned_scenario
+                              reference_zero_curvature_residual, strided_audit_density,
+                              strided_residual_reports)
+from scenario_inputs import canned_scenario, regime_keywords
 
 
 def slow_sp(om0=1.0, eps0=2.0):
@@ -34,7 +35,7 @@ def constant_background_grid(grid=None):
     oa = np.ones((grid.n_zeta, grid.n_tau), complex)
     ob = np.zeros_like(oa)
     dark = model.density_from_pure(model.dark_state(0.0))
-    rho = np.broadcast_to(dark, oa.shape + (3, 3)).copy()
+    rho = np.broadcast_to(dark[:, :, None, None], (3, 3) + oa.shape).copy()
     return SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, rho=rho, state_kind="pure")
 
 
@@ -105,7 +106,7 @@ def _general_grids(draw):
 
     shape = (n_zeta, n_tau)
     return SolutionGrid(grid=grid, omega_a=cplx(shape), omega_b=cplx(shape),
-                        rho=cplx(shape + (3, 3)))
+                        rho=cplx((3, 3) + shape))
 
 
 @given(sol=_general_grids(), nu0=st.floats(0.1, 5.0), delta=st.floats(-2.0, 2.0),
@@ -117,13 +118,79 @@ def test_residual_reports_match_the_matmul_formulas_for_any_state(sol, nu0, delt
     _assert_same_reports(verify.residual_reports(sol, p, probes), _references(sol, p, probes))
 
 
+def _same_float(a, b):
+    """Equal to the bit, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(scenarios.REGISTRY)),
+       route=st.sampled_from(["analytic", "dressing"]), n_tau=st.integers(3, 41),
+       n_zeta=st.integers(3, 21), nan=st.booleans())
+def test_entry_major_pass_is_bit_equal_to_the_strided_pass(data, name, route, n_tau, n_zeta,
+                                                           nan):
+    sp = scenarios.make_scenario(name, **data.draw(regime_keywords(name)))
+    canned = canned_scenario(name)[1]
+    grid = GridSpec(canned.tau_min, canned.tau_max, n_tau, canned.zeta_min, canned.zeta_max,
+                    n_zeta)
+    build = scenarios.build_analytic_grid if route == "analytic" else scenarios.build_dressed_grid
+    sol = build(sp, grid)
+    if data.draw(st.booleans()):
+        probes = scenarios.DEFAULT_PROBES
+    else:
+        offsets = data.draw(st.lists(st.tuples(st.floats(0.1, 3.0), st.floats(-math.pi, math.pi)),
+                                     min_size=1, max_size=3))
+        probes = tuple(sp.params.delta + r * complex(math.cos(t), math.sin(t)) for r, t in offsets)
+    if nan:  # at an interior node, which every residual reads
+        z, t = data.draw(st.integers(1, n_zeta - 2)), data.draw(st.integers(1, n_tau - 2))
+        i, j = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        sol.rho[i, j, z, t] = np.nan
+    got = verify.residual_reports(sol, sp.params, probes)
+    want = strided_residual_reports(sol, sp.params, probes)
+    assert [(r.name, r.lambda_probe, r.grid_h) for r in got] == [
+        (r.name, r.lambda_probe, r.grid_h) for r in want]
+    for g, w in zip(got, want):
+        assert _same_float(g.max_abs, w.max_abs) and _same_float(g.l2, w.l2)
+        assert math.isnan(g.max_abs) == nan
+    audit, strided = verify.audit_density(sol), strided_audit_density(sol)
+    assert audit.name == strided.name and _same_float(audit.max_abs, strided.max_abs)
+    if nan:
+        assert not audit.max_abs <= 1.0
+
+
 def test_a_nan_in_one_state_entry_makes_every_residual_nan():
     sp = slow_sp()
     sol = scenarios.build_analytic_grid(sp, GridSpec(-8, 8, 41, 0, 4, 21))
-    sol.rho[7, 30, 0, 1] = np.nan
+    sol.rho[0, 1, 7, 30] = np.nan
     reports = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
     assert len(reports) == 1 + len(scenarios.DEFAULT_PROBES)
     assert all(math.isnan(r.max_abs) for r in reports)
+
+
+def _magnitudes(draw, shape):
+    """Positive floats m * 10**e, m in [1, 10) and e in [-150, 150]."""
+    mantissa = draw(hnp.arrays(float, shape, elements=st.floats(1.0, 10.0, exclude_max=True)))
+    exponent = draw(hnp.arrays(int, shape, elements=st.integers(-150, 150)))
+    return mantissa * 10.0 ** exponent
+
+
+@given(data=st.data(), n=st.integers(1, 64), scalar=st.booleans())
+def test_multiplying_by_the_reciprocal_is_the_complex_division(data, n, scalar):
+    """x * (1.0 / d) equals x / d bit for bit, x complex and d positive real.
+
+    numpy divides a complex array by a real scalar or array as each part
+    times 1 / d, so the two agree wherever each quotient is a normal float;
+    the residual stencils rely on exactly that. Outside that range (a zero,
+    subnormal or overflowing quotient) nothing is claimed: the sign of a
+    zero quotient, for one, can differ. Parts and divisors here have
+    decimal exponents within +-150, so every quotient is normal.
+    """
+    signs = data.draw(hnp.arrays(float, (2, n), elements=st.sampled_from((-1.0, 1.0))))
+    x = signs[0] * _magnitudes(data.draw, n) + 1j * signs[1] * _magnitudes(data.draw, n)
+    d = float(_magnitudes(data.draw, 1)[0]) if scalar else _magnitudes(data.draw, n)
+    want = x / d
+    parts = np.abs(want.view(float))
+    assert np.all((parts >= np.finfo(float).tiny) & np.isfinite(parts))
+    assert (x * (1.0 / d)).tobytes() == want.tobytes()
 
 
 def test_convergence_order_on_zero_and_nan_residuals():
@@ -154,7 +221,8 @@ def test_audit_density_flags_impurity_when_claimed():
     sol = constant_background_grid()
     rep = verify.audit_density(sol)
     assert rep.max_abs < 1e-12
-    mixed = np.broadcast_to(np.eye(3, dtype=complex) / 3, sol.rho.shape).copy()
+    mixed = np.broadcast_to(np.eye(3, dtype=complex)[:, :, None, None] / 3,
+                            sol.rho.shape).copy()
     sol_mixed = SolutionGrid(grid=sol.grid, omega_a=sol.omega_a, omega_b=sol.omega_b,
                              rho=mixed, state_kind="pure")
     rep2 = verify.audit_density(sol_mixed)
@@ -183,7 +251,8 @@ def test_audit_density_matches_the_eigvalsh_audit(tag):
 
 def test_audit_density_does_not_depend_on_the_chunking(monkeypatch):
     sol = _canned_grids("fig4", 21)[0]
-    sol.rho[3:7] = outer(np.array([0.6, 0.8j, 0.0]), np.array([0.5, 0.5, 0.5 + 0.5j]))
+    sol.rho[:, :, 3:7] = outer(np.array([0.6, 0.8j, 0.0]),
+                               np.array([0.5, 0.5, 0.5 + 0.5j]))[:, :, None, None]
     whole = verify.audit_density(sol).max_abs
     assert 0.5 < whole < 1.0
     monkeypatch.setattr(verify, "_AUDIT_CHUNK", 1000)
@@ -196,7 +265,9 @@ def test_audit_density_does_not_depend_on_the_chunking(monkeypatch):
     (0, (1, 1)), (verify._AUDIT_CHUNK, (0, 2)), (-1, (2, 1))])
 def test_a_non_finite_state_entry_fails_the_audit(kind, value, node, entry):
     sol = dataclasses.replace(_canned_grids("fig4", 21)[0], state_kind=kind)
-    sol.rho.reshape(-1, 3, 3)[node][entry] = value
+    sol.rho.reshape(3, 3, -1)[entry][node] = value
+    # a reshape that copied would have dropped the write
+    assert np.count_nonzero(~np.isfinite(sol.rho)) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         metric = verify.audit_density(sol).max_abs
