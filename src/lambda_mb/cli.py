@@ -401,16 +401,22 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
 
     if "analytic" in grids:
         # residual convergence runs on a capped lattice over the same domain
-        # so high-resolution output grids do not inflate the check cost
+        # so high-resolution output grids do not inflate the check cost; the
+        # pass reads each check lattice from the closed form in blocks of zeta
+        # rows, so none is stored, and reads the output grid as stored when it
+        # is the coarse lattice
         check_grid = GridSpec(
             grid.tau_min, grid.tau_max, min(grid.n_tau, 161),
             grid.zeta_min, grid.zeta_max, min(grid.n_zeta, 161),
         )
-        coarse_grid = (grids["analytic"] if check_grid == grid
-                       else scenarios.build_analytic_grid(sp, check_grid))
-        coarse = verify.residual_reports(coarse_grid, sp.params, cfg.probe_lambdas)
-        fine = verify.residual_reports(scenarios.build_analytic_grid(sp, check_grid.refined()),
-                                       sp.params, cfg.probe_lambdas)
+
+        def closed_form_reports(lattice):
+            rows = scenarios.closed_form_rows(sp, lattice)
+            return verify.lattice_residual_reports(lattice, rows, sp.params, cfg.probe_lambdas)
+
+        coarse = (verify.residual_reports(grids["analytic"], sp.params, cfg.probe_lambdas)
+                  if check_grid == grid else closed_form_reports(check_grid))
+        fine = closed_form_reports(check_grid.refined())
         lo, hi = cfg.order_band
         for rc, rf in zip(coarse, fine):
             if rc.max_abs < 1e-12 and rf.max_abs < 1e-12:

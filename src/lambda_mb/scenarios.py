@@ -157,12 +157,16 @@ def _state_kind(p: LambdaParams) -> str:
     return "pure" if p.k == 0.0 else "formal"
 
 
+def _closed_form(sp: ScenarioParams, zeta, tau):
+    """The record's fields and entry-major state on a (zeta, tau) mesh."""
+    record = REGISTRY[sp.scenario]
+    oa, ob, state = record.evaluate(sp, zeta, tau)
+    return oa, ob, record.density(sp, state, zeta, tau)
+
+
 def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Evaluate the closed-form scenario on the lattice."""
-    record = REGISTRY[sp.scenario]
-    zz, tt = _mesh(grid)
-    oa, ob, state = record.evaluate(sp, zz, tt)
-    rho = record.density(sp, state, zz, tt)
+    oa, ob, rho = _closed_form(sp, *_mesh(grid))
     shape = (grid.n_zeta, grid.n_tau)
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
@@ -170,6 +174,31 @@ def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
         state_kind=_state_kind(sp.params),
         meta={"engine": "analytic", "scenario": sp.scenario},
     )
+
+
+def closed_form_rows(sp: ScenarioParams, grid: GridSpec):
+    """The closed form as a row source of the lattice, for the residual pass.
+
+    rows(z0, z1) evaluates the record at grid.zetas()[z0:z1] and
+    grid.taus() through the function that build_analytic_grid calls once
+    for all rows, and returns (omega_a, omega_b, rho) as read-only arrays
+    of the block's shape, (z1 - z0, n_tau) and (3, 3, z1 - z0, n_tau).
+    Nothing of the lattice is stored. A k = 0 block is bit-identical to the
+    same rows of the stored grid. An exulton_k block can differ from them
+    in the last bit: numpy reuses a temporary of 256 KiB or more as the
+    output of the next operation, so on a whole lattice it computes
+    x * conj(u) as conj(u) * x, and its complex product is not
+    commutative to the bit.
+    """
+    zetas, taus = _mesh(grid)
+
+    def rows(z0: int, z1: int):
+        zz = zetas[z0:z1]
+        shape = (len(zz), grid.n_tau)
+        oa, ob, rho = _closed_form(sp, zz, taus)
+        return (np.broadcast_to(oa, shape), np.broadcast_to(ob, shape),
+                np.broadcast_to(rho, (3, 3) + shape))
+    return rows
 
 
 def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:

@@ -9,16 +9,25 @@ A grid's state is entry-major, (3, 3, n_zeta, n_tau), so each matrix
 entry rho[i, j] is one contiguous (n_zeta, n_tau) array.
 
 The field-equation (PDE) residual and the zero-curvature residual at every
-probe come from one shared-term pass per grid (residual_reports). D is
-constant and V = c rho is proportional to the state, so both residuals are
-sums of the same four entry-wise terms: the zeta difference of H, the tau
-difference of rho, [D, rho] = (d_i - d_j) rho_ij and [H, rho] from H's
-four non-zero entries. The pass builds them one matrix entry (i, j) at a
-time on the interior nodes and folds each report's max |x| and sum |x|^2
-as it goes, so no 3x3 stack and no batched 3x3 product is formed. The
+probe come from one shared-term pass per lattice
+(lattice_residual_reports). D is constant and V = c rho is proportional
+to the state, so both residuals are sums of the same four entry-wise
+terms: the zeta difference of H, the tau difference of rho,
+[D, rho] = (d_i - d_j) rho_ij and [H, rho] from H's four non-zero
+entries. The pass builds them one matrix entry (i, j) at a time on the
+interior nodes and folds each report's max |x| and sum |x|^2 as it goes,
+so no 3x3 stack and no batched 3x3 product is formed. Each
+zero-curvature entry is a combination of the PDE entries at the same
+node, so the probes add work on the four coupling entries only. The
 stencils multiply a complex difference by 1 / (2h): numpy divides a
 complex array by a real scalar as a product with its reciprocal, so the
 bits are those of the division.
+
+The pass reads the lattice from a row source, in blocks of whole zeta rows
+with one halo row on either side, so it holds one block at a time:
+residual_reports reads a stored grid's rows as views, and the command
+line's check lattices come from the closed form
+(scenarios.closed_form_rows) and are never stored.
 
 The density audit works the same way: one pass over the nine entry rows
 rho[i, j], a chunk of nodes at a time, with the extreme eigenvalues of
@@ -37,7 +46,7 @@ import numpy as np
 
 from . import algebra, model
 from .errors import GridMismatch, SpectralPole
-from .mbsolver import SolutionGrid
+from .mbsolver import GridSpec, SolutionGrid
 from .model import LambdaParams
 
 
@@ -113,11 +122,10 @@ class _Norms:
         self.max_abs = np.float64(0.0)
         self.sum_sq = 0.0
 
-    def add(self, entry: np.ndarray):
-        mag = np.abs(entry)
+    def add(self, top, sum_sq):
         # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must fail
-        self.max_abs = np.maximum(self.max_abs, mag.max())
-        self.sum_sq += np.square(mag, out=mag).sum()
+        self.max_abs = np.maximum(self.max_abs, top)
+        self.sum_sq += sum_sq
 
     def report(self, name, grid, lam=None) -> ResidualReport:
         nodes = (grid.n_zeta - 2) * (grid.n_tau - 2)
@@ -125,69 +133,118 @@ class _Norms:
         return ResidualReport(name, float(self.max_abs), l2, (grid.h_tau, grid.h_zeta), lam)
 
 
+def _magnitudes(entry, mag):
+    """(max |x|, sum |x|^2) of one residual entry, through the scratch array mag."""
+    np.abs(entry, out=mag)
+    top = mag.max()
+    return top, np.square(mag, out=mag).sum()
+
+
 #: non-zero entries of [D, rho] = (d_i - d_j) rho_ij for D = diag(1, 1, -1)
 _D_COMMUTATOR = {(0, 2): 2.0, (1, 2): 2.0, (2, 0): -2.0, (2, 1): -2.0}
+
+#: interior nodes per block of the residual pass, in whole zeta rows (one
+#: at least): a block's entry arrays stay small, so the pass's working
+#: memory does not grow with the lattice
+_RESIDUAL_BLOCK = 8192
+
+#: nodes per chunk of the density audit: a chunk's entry arrays stay
+#: small, so the audit's working memory does not grow with the grid
+_AUDIT_CHUNK = 8192
 
 
 def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list:
     """PDE residual, then the zero-curvature residual at each probe lambda.
 
-    One pass over the 9 entries (i, j) of the interior nodes. Each entry's
-    terms are built once and shared by every report: dH (the zeta
-    difference of H, non-zero at the 4 coupling entries only), dRho (the
-    tau difference of rho), [D, rho] and [H, rho]. With c = i nu0 / 2(lam
-    - Delta), U = i lam D / 2 - i H and V = c rho, the residuals are
-
-        pde = (dH - i nu0 [D, rho] / 4,  dRho - i (Delta [D, rho] / 2 - [H, rho]))
-        zc  = dU - dV + [U, V] = -i dH - c dRho + c (i lam [D, rho] / 2 - i [H, rho])
-
-    entry by entry, which is the matmul form with D constant and V
-    proportional to rho; no 3x3 stack is built.
+    The pass of lattice_residual_reports over the stored grid, whose
+    blocks of zeta rows it reads as views.
     """
-    for lam in probes:
-        if abs(lam - p.delta) <= model.POLE_GUARD:
-            raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
-    grid = solution.grid
-    if grid.n_zeta < 3 or grid.n_tau < 3:
-        raise ValueError("residual check needs at least a 3x3 grid")
     rho = solution.rho
     if rho is None:
         raise ValueError("residual check needs the full per-node state, which the solver "
                          "keeps only on grids of at most RHO_STORAGE_LIMIT nodes")
-    # the non-zero entries of model.interaction_hamiltonian
-    h = {(2, 0): -0.5 * solution.omega_a, (2, 1): -0.5 * solution.omega_b}
-    h[0, 2], h[1, 2] = np.conj(h[2, 0]), np.conj(h[2, 1])
-    h_in = {ij: _interior(v) for ij, v in h.items()}
-    rho_in = {(i, j): _interior(rho[i, j]) for i in range(3) for j in range(3)}
+    oa, ob = solution.omega_a, solution.omega_b
+    return lattice_residual_reports(
+        solution.grid, lambda z0, z1: (oa[z0:z1], ob[z0:z1], rho[:, :, z0:z1]), p, probes)
+
+
+def lattice_residual_reports(grid: GridSpec, rows, p: LambdaParams, probes=()) -> list:
+    """PDE residual, then the zero-curvature residual at each probe lambda.
+
+    rows(z0, z1) -> (omega_a, omega_b, rho) gives zeta rows z0 to z1 - 1
+    of the lattice, rho entry-major (3, 3, z1 - z0, n_tau). The pass asks
+    for blocks of whole interior rows, _RESIDUAL_BLOCK interior nodes or
+    one row, each with one halo row on either side, so no more than a
+    block of the lattice is held at a time.
+
+    One pass over the 9 entries (i, j) of each block's interior nodes.
+    Each entry's terms are built once: dH (the zeta difference of H,
+    non-zero at the 4 coupling entries only), dRho (the tau difference of
+    rho), [D, rho] and [H, rho]. With c = i nu0 / 2(lam - Delta), U = i lam
+    D / 2 - i H and V = c rho, the residuals are
+
+        pde = (P1, P2) = (dH - i nu0 [D, rho] / 4,  dRho - i (Delta [D, rho] / 2 - [H, rho]))
+        zc  = dU - dV + [U, V] = -i dH - c dRho + c (i lam [D, rho] / 2 - i [H, rho])
+
+    entry by entry, which is the matmul form with D constant and V
+    proportional to rho; no 3x3 stack is built. The zero-curvature entries
+    fold out of the PDE ones: zc = -i P1 - c P2 on the coupling entries
+    and zc = -c P2 on the other five, where P1 is 0. Those five take no
+    per-probe work: their max |zc| and sum |zc|^2 are |c| and |c|^2 times
+    the PDE ones. The fold rounds differently from the expanded form: on
+    the canned check lattices the reports move by at most 6.2e-13 relative.
+    """
+    for lam in probes:
+        if abs(lam - p.delta) <= model.POLE_GUARD:
+            raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
+    if grid.n_zeta < 3 or grid.n_tau < 3:
+        raise ValueError("residual check needs at least a 3x3 grid")
+    n_in = grid.n_tau - 2
+    block = max(1, _RESIDUAL_BLOCK // n_in)
+    mag = np.empty((block, n_in))
+    zc = np.empty((block, n_in), dtype=complex)
 
     pde = _Norms(18)
-    zcs = []
-    for lam in probes:
-        c = 0.5j * p.nu0 / (lam - p.delta)
-        zcs.append((lam, c, c * 0.5j * lam, _Norms(9)))
+    free = _Norms(5)  # the PDE entries off the coupling entries, where zc = -c P2
+    zcs = [(lam, 0.5j * p.nu0 / (lam - p.delta), _Norms(9)) for lam in probes]
     q = 0.25j * p.nu0
-    for i in range(3):
-        for j in range(3):
-            # [H, rho]_ij = sum_k H_ik rho_kj - rho_ik H_kj over the non-zero H
-            # entries; every entry has at least one term on each side
-            h_rho = _sum(h_in[i, k] * rho_in[k, j] for k in range(3) if (i, k) in h_in)
-            h_rho -= _sum(rho_in[i, k] * h_in[k, j] for k in range(3) if (k, j) in h_in)
-            d_rho = _central_dtau(rho[i, j], grid.h_tau)
-            shared = -d_rho - 1j * h_rho  # c times this is -c dRho - i c [H, rho]
-            if (i, j) in h:
-                d_h = _central_dzeta(h[i, j], grid.h_zeta)
-                d_comm = _D_COMMUTATOR[i, j] * rho_in[i, j]
-                pde.add(d_h - q * d_comm)
-                pde.add(d_rho - 1j * (0.5 * p.delta * d_comm - h_rho))
-                i_dh = 1j * d_h
-                for _, c, ck, norms in zcs:
-                    norms.add(c * shared + ck * d_comm - i_dh)
-            else:
-                pde.add(d_rho + 1j * h_rho)
-                for _, c, _, norms in zcs:
-                    norms.add(c * shared)
-    return [pde.report("pde", grid)] + [
-        norms.report("zero_curvature", grid, lam) for lam, _, _, norms in zcs]
+    for r0 in range(1, grid.n_zeta - 1, block):
+        r1 = min(r0 + block, grid.n_zeta - 1)
+        oa, ob, rho = rows(r0 - 1, r1 + 1)
+        m, z = mag[:r1 - r0], zc[:r1 - r0]
+        # the non-zero entries of model.interaction_hamiltonian
+        h = {(2, 0): -0.5 * oa, (2, 1): -0.5 * ob}
+        h[0, 2], h[1, 2] = np.conj(h[2, 0]), np.conj(h[2, 1])
+        h_in = {ij: _interior(v) for ij, v in h.items()}
+        rho_in = {(i, j): _interior(rho[i, j]) for i in range(3) for j in range(3)}
+        for i in range(3):
+            for j in range(3):
+                # [H, rho]_ij = sum_k H_ik rho_kj - rho_ik H_kj over the non-zero H
+                # entries; every entry has at least one term on each side
+                h_rho = _sum(h_in[i, k] * rho_in[k, j] for k in range(3) if (i, k) in h_in)
+                h_rho -= _sum(rho_in[i, k] * h_in[k, j] for k in range(3) if (k, j) in h_in)
+                d_rho = _central_dtau(rho[i, j], grid.h_tau)
+                if (i, j) in h:
+                    d_comm = _D_COMMUTATOR[i, j] * rho_in[i, j]
+                    p1 = _central_dzeta(h[i, j], grid.h_zeta) - q * d_comm
+                    p2 = d_rho - 1j * (0.5 * p.delta * d_comm - h_rho)
+                    pde.add(*_magnitudes(p1, m))
+                    pde.add(*_magnitudes(p2, m))
+                    i_p1 = np.multiply(p1, 1j, out=p1)
+                    for _, c, norms in zcs:
+                        # -zc, whose magnitude is that of zc
+                        np.multiply(p2, c, out=z)
+                        z += i_p1
+                        norms.add(*_magnitudes(z, m))
+                else:
+                    norms = _magnitudes(d_rho + 1j * h_rho, m)
+                    pde.add(*norms)
+                    free.add(*norms)
+    reports = [pde.report("pde", grid)]
+    for lam, c, norms in zcs:
+        norms.add(abs(c) * free.max_abs, abs(c) ** 2 * free.sum_sq)
+        reports.append(norms.report("zero_curvature", grid, lam))
+    return reports
 
 
 def zero_curvature_residual(solution: SolutionGrid, lam: complex, p: LambdaParams) -> ResidualReport:
@@ -204,11 +261,6 @@ def pde_residual(solution: SolutionGrid, p: LambdaParams) -> ResidualReport:
     Kept for the benchmark's traced spans; the CLI calls residual_reports.
     """
     return residual_reports(solution, p)[0]
-
-
-#: nodes per chunk of the density audit: a chunk's entry arrays stay
-#: small, so the audit's working memory does not grow with the grid
-_AUDIT_CHUNK = 8192
 
 
 # a non-finite entry comes out as a NaN (or inf) metric; numpy's

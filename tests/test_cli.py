@@ -139,21 +139,27 @@ def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
 
 
 def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
-    build = scenarios.build_analytic_grid
-    built = []
+    source = scenarios.closed_form_rows
+    read = []
 
-    def nan_in_the_fine_check_grid(sp, grid):
-        sol = build(sp, grid)
-        built.append(grid)
-        if len(built) > 1:  # the output grid is also the coarse check grid
-            sol.rho[1, 2, 5, 7] = np.nan
-        return sol
+    def nan_in_the_fine_check_lattice(sp, grid):
+        rows = source(sp, grid)
+        read.append(grid)
 
-    monkeypatch.setattr(scenarios, "build_analytic_grid", nan_in_the_fine_check_grid)
+        def with_nan(z0, z1):
+            oa, ob, rho = rows(z0, z1)
+            if z0 <= 5 < z1:
+                rho = rho.copy()
+                rho[1, 2, 5 - z0, 7] = np.nan
+            return oa, ob, rho
+        return with_nan
+
+    monkeypatch.setattr(scenarios, "closed_form_rows", nan_in_the_fine_check_lattice)
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path), "--check"]) == 1
-    assert len(built) == 2
+    # the output grid is also the coarse check lattice
+    assert read == [parse_config(SMALL_SLOW).grid().refined()]
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "verdict: FAIL" in report
     assert [line for line in report.splitlines() if line.startswith("  - ")] == [
@@ -181,23 +187,29 @@ def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n_tau", [41, 171])
-def test_checks_build_the_coarse_check_grid_only_when_the_output_grid_is_not_it(
+def test_checks_read_the_coarse_check_lattice_only_when_the_output_grid_is_not_it(
         tmp_path, monkeypatch, n_tau):
-    build = scenarios.build_analytic_grid
-    built = []
+    build, source = scenarios.build_analytic_grid, scenarios.closed_form_rows
+    built, read = [], []
 
-    def counted(sp, grid):
+    def counted_build(sp, grid):
         built.append(grid)
         return build(sp, grid)
 
-    monkeypatch.setattr(scenarios, "build_analytic_grid", counted)
+    def counted_source(sp, grid):
+        read.append(grid)
+        return source(sp, grid)
+
+    monkeypatch.setattr(scenarios, "build_analytic_grid", counted_build)
+    monkeypatch.setattr(scenarios, "closed_form_rows", counted_source)
     cfg = parse_config(SMALL_SLOW.replace("n_tau = 41", f"n_tau = {n_tau}"))
     cfg.out, cfg.quiet = str(tmp_path / "run"), True
     assert run_scenario(cfg, check_only=True) == 0
     out = cfg.grid()
     check = dataclasses.replace(out, n_tau=min(n_tau, 161))
     coarse = [] if check == out else [check]
-    assert built == [out, *coarse, check.refined()]
+    assert built == [out]  # no check lattice is ever stored
+    assert read == [*coarse, check.refined()]
 
 
 def test_manifest_round_trip():
