@@ -6,6 +6,9 @@ and a Hermitian 3x3 stack its diagonal and upper entries, each an array
 of any broadcastable shape, so the same code serves single points and
 full (zeta, tau) grids.  A stack of matrices is entry-major, (3, 3, ...),
 so each entry is one contiguous array over the nodes.
+
+state_figures is the density audit's kernel: verify.audit_density runs it
+on each chunk of a stored state, and the solver on each slice it writes.
 """
 
 from __future__ import annotations
@@ -111,3 +114,39 @@ def hermitian_eigenvalues(d0, d1, d2, a01, a02, a12):
         if np.all((np.abs(x) <= floor) & (np.abs(y) <= floor)):
             break
     return tuple(np.where(finite, d, np.nan) for d in (d0, d1, d2))
+
+
+# a non-finite entry comes out as a NaN (or inf) figure; numpy's
+# invalid-value warnings on the way add nothing to that
+@np.errstate(invalid="ignore")
+def state_figures(r, kind: str) -> dict:
+    """Defects of an entry-major (3, 3, n) state that claims to be of the given kind.
+
+    herm_dev is the largest of 2 |Im r_ii| and |r_ij - conj r_ji|, trace_dev
+    the largest |tr r - 1|. A 'pure' state adds purity_dev, the largest
+    |sum_ij |r_ij|^2 - 1|. Any kind but 'formal' adds eig_min and eig_max,
+    the extreme eigenvalues of the Hermitian part from hermitian_eigenvalues.
+    Every reduction propagates NaN, so a non-finite entry gives NaN figures.
+    """
+    d0, d1, d2 = (r[i, i] for i in range(3))
+    upper = [(r[i, j], r[j, i]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    figures = {
+        "herm_dev": np.max([2.0 * np.abs(d.imag).max() for d in (d0, d1, d2)]
+                           + [np.abs(a - np.conj(b)).max() for a, b in upper]),
+        "trace_dev": np.abs(d0 + d1 + d2 - 1.0).max(),
+    }
+    if kind == "pure":
+        sq = [np.square(np.abs(r[i, j])) for i in range(3) for j in range(3)]
+        # np.sum's order over the 9 row-major entries: 8 pairwise, then the last
+        frob2 = (((sq[0] + sq[1]) + (sq[2] + sq[3])) + ((sq[4] + sq[5]) + (sq[6] + sq[7]))) + sq[8]
+        figures["purity_dev"] = np.abs(frob2 - 1.0).max()
+    if kind != "formal":
+        eig = hermitian_eigenvalues(d0.real, d1.real, d2.real,
+                                    *(0.5 * (a + np.conj(b)) for a, b in upper))
+        figures["eig_min"], figures["eig_max"] = np.min(eig), np.max(eig)
+    return figures
+
+
+def worse_figures(a: dict, b: dict) -> dict:
+    """The worse of two sets of state_figures: the lower eig_min, the higher of the rest."""
+    return {key: (np.minimum if key == "eig_min" else np.maximum)(a[key], b[key]) for key in a}

@@ -57,7 +57,11 @@ def _require(cond: bool, msg: str):
 
 def guard_regular(sp: ScenarioParams):
     p, s = sp.params, sp.spectral
-    _require(s.eps0 > p.omega0 > 0, "requires eps0 > omega0 > 0")
+    # the complement of darboux.seed_family's confluent test, so that the
+    # engine dresses a regular scenario with the regular seed
+    _require(p.omega0 > 0 and s.eps0 - p.omega0 >= darboux.DEGENERATE_TOL,
+             f"requires omega0 > 0 and eps0 - omega0 >= {darboux.DEGENERATE_TOL:g} "
+             "(closer to eps0 = omega0 the engine takes the confluent seed)")
     _require(p.k == 0.0 and p.eta == 0.0, "closed form written for k = 0, eta = 0")
     _require(sp.soliton is not None, "closed form parameterized by SolitonConstants")
 

@@ -20,10 +20,14 @@ the carries between blocks), and rho_j = P_j rho_0 P_j^dagger, of which
 the diagonal and upper entries are computed and the lower ones are their
 conjugates.  The state is therefore Hermitian to the last bit, keeps its
 trace and its spectrum up to rounding, for any boundary state, mixed ones
-included; the algebra Jacobi kernel audits its spectrum.  A stack of 3x3
-matrices is held entry-major, a (3, 3, n) array whose entries are
-contiguous rows over the tau nodes, so each numpy call covers the whole
-slice rather than one matrix; no 3x3 solve or eigenvalue goes to LAPACK.
+included.  Every slice is audited by algebra.state_figures, the density
+audit's own kernel, whose eigenvalues also give the slice's band check.
+A stack of 3x3 matrices is held entry-major, a (3, 3, n) array whose
+entries are contiguous rows over the tau nodes, so each numpy call covers
+the whole slice rather than one matrix; no 3x3 solve or eigenvalue goes
+to LAPACK.  march yields the zeta rows in order and holds only the
+current one; propagate keeps the fields and the populations and folds
+the slices' audit figures into meta, so no numeric grid stores a state.
 Runs are deterministic: fixed grids, no adaptivity, no parallel
 reductions.
 """
@@ -42,9 +46,6 @@ from .model import LambdaParams
 
 #: admissible band for state eigenvalues during integration
 EIG_BAND = 1e-4
-
-#: keep the full per-node density matrix only up to this many grid nodes
-RHO_STORAGE_LIMIT = 400_000
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,15 @@ class GridSpec:
 class SolutionGrid:
     """Fields plus atomic state sampled on a GridSpec lattice.
 
-    rho is entry-major, (3, 3, n_zeta, n_tau), when retained: rho[i, j]
-    is the (n_zeta, n_tau) array of one matrix entry.  populations are
-    always present, (n_zeta, n_tau, 3), populations[..., k] the real part
-    of rho[k, k].  state_kind records what the state claims to be: 'pure'
-    (projector onto a unit vector), 'density' (statistical), 'formal'
-    (Hermitian trace-one companion that is not positive), or 'none'.
+    rho is entry-major, (3, 3, n_zeta, n_tau): rho[i, j] is the
+    (n_zeta, n_tau) array of one matrix entry.  The exact routes store it;
+    a numeric grid holds none (rho is None), only its populations and, in
+    meta, the audit figures the solver took on every slice.  populations
+    are always present, (n_zeta, n_tau, 3), populations[..., k] the real
+    part of rho[k, k].  state_kind records what the state claims to be:
+    'pure' (projector onto a unit vector), 'density' (statistical),
+    'formal' (Hermitian trace-one companion that is not positive), or
+    'none'.
     """
 
     grid: GridSpec
@@ -224,9 +228,9 @@ def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec):
     """March the state along tau through one zeta slice.
 
     f_of_tau: pair of (n_tau,) complex arrays.  Returns the entry-major
-    (3, 3, n_tau) slice, Hermitian to the last bit, and its (min, max)
-    eigenvalue.  Eigenvalues are audited for the whole slice and a band
-    violation aborts the run.
+    (3, 3, n_tau) slice, Hermitian to the last bit, and its
+    algebra.state_figures as a density state.  Their eigenvalues are the
+    band check: a slice outside it aborts the run.
     """
     oa, ob = f_of_tau
     oa = np.asarray(oa, dtype=complex)
@@ -242,16 +246,16 @@ def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec):
     left = _product(p, rho0[..., None])[_UPPER_ROWS]
     entries = (left * np.conj(p[_UPPER_COLS])).sum(axis=1)
     entries[:3] = entries[:3].real
-    eig = np.array(algebra.hermitian_eigenvalues(*entries[:3].real, *entries[3:]))
-    lo, hi = float(eig.min()), float(eig.max())
+    out = np.empty((3, 3, grid.n_tau), dtype=complex)
+    out[_UPPER_ROWS, _UPPER_COLS] = entries
+    out[_UPPER_COLS[3:], _UPPER_ROWS[3:]] = np.conj(entries[3:])
+    figures = algebra.state_figures(out, "density")
+    lo, hi = figures["eig_min"], figures["eig_max"]
     if not (lo >= -EIG_BAND and hi <= 1.0 + EIG_BAND):
         raise StepUnstable(
             f"state eigenvalues left [{-EIG_BAND}, 1+{EIG_BAND}]: min {lo:.3e}, max {hi:.3e}"
         )
-    out = np.empty((3, 3, grid.n_tau), dtype=complex)
-    out[_UPPER_ROWS, _UPPER_COLS] = entries
-    out[_UPPER_COLS[3:], _UPPER_ROWS[3:]] = np.conj(entries[3:])
-    return out, (lo, hi)
+    return out, figures
 
 
 def _field_derivative(rho_slice, nu0: float):
@@ -268,7 +272,7 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
     rho_boundary_next the 3x3 tau_min state of the next slice.  Predict
     with the current slice's state, re-integrate the state on the
     predicted fields, then update with the averaged derivative.  Returns
-    (fields at zeta + h_zeta, state slice there, its eigenvalue extremes).
+    (fields at zeta + h_zeta, state slice there, its audit figures).
     """
     oa, ob = f_slice
     doa, dob = _field_derivative(rho_slice, p.nu0)
@@ -278,9 +282,9 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
     doa2, dob2 = _field_derivative(rho_pred, p.nu0)
     oa_next = oa + 0.5 * h_zeta * (doa + doa2)
     ob_next = ob + 0.5 * h_zeta * (dob + dob2)
-    rho_next, extremes = integrate_bloch_slice((oa_next, ob_next), rho_boundary_next,
-                                               p.delta, grid)
-    return (oa_next, ob_next), rho_next, extremes
+    rho_next, figures = integrate_bloch_slice((oa_next, ob_next), rho_boundary_next,
+                                              p.delta, grid)
+    return (oa_next, ob_next), rho_next, figures
 
 
 def _boundary_provider(boundary_rho, p: LambdaParams, n_zeta: int):
@@ -295,81 +299,63 @@ def _boundary_provider(boundary_rho, p: LambdaParams, n_zeta: int):
     return lambda i: arr[i], False
 
 
-def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> SolutionGrid:
-    """March the full system from the entry-face slice.
+def march(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec):
+    """Yield each zeta row's (omega_a, omega_b, rho_slice, figures), in order.
 
     initial_fields: pair of (n_tau,) complex arrays at zeta_min.
     boundary_rho: the tau_min state rule, "dark" (the decoupled projector
-    on every slice) or an (n_zeta, 3, 3) array.
+    on every slice) or an (n_zeta, 3, 3) array.  rho_slice is the row's
+    entry-major (3, 3, n_tau) state and figures its algebra.state_figures.
+    Only the current row is held.
 
     With the "dark" rule the entry fields must approach the configured
     background at the tau edges (within 1e-4), otherwise the boundary
     data would contradict the input pulse; an explicit boundary array
     carries that consistency by construction and skips the check.
-
-    Grids of more than RHO_STORAGE_LIMIT nodes keep no per-node state, only
-    the populations and the streamed audit metrics in meta. Their
-    Hermiticity defect ``meta["herm_dev"]`` is 0 by construction, not by
-    measurement: every slice writes its diagonal as a real part and its
-    lower entries as the conjugates of the upper ones.
     """
-    zetas = grid.zetas()
-    oa0 = np.asarray(initial_fields[0], dtype=complex).copy()
-    ob0 = np.asarray(initial_fields[1], dtype=complex).copy()
-    if oa0.shape != (grid.n_tau,) or ob0.shape != (grid.n_tau,):
+    oa = np.asarray(initial_fields[0], dtype=complex).copy()
+    ob = np.asarray(initial_fields[1], dtype=complex).copy()
+    if oa.shape != (grid.n_tau,) or ob.shape != (grid.n_tau,):
         raise ValueError("initial field slices must match the tau grid")
 
     provider, is_dark_rule = _boundary_provider(boundary_rho, p, grid.n_zeta)
     if is_dark_rule:
         # finite-density sanity: edge intensities must sit on the background
         # (phases are free there; kinks legitimately approach -background)
-        bg_a, bg_b = model.background_fields(p, zetas[0])
+        bg_a, bg_b = model.background_fields(p, grid.zeta_min)
         edge_dev = max(
-            abs(abs(oa0[0]) - abs(bg_a)), abs(abs(ob0[0]) - abs(bg_b)),
-            abs(abs(oa0[-1]) - abs(bg_a)), abs(abs(ob0[-1]) - abs(bg_b)),
+            abs(abs(oa[0]) - abs(bg_a)), abs(abs(ob[0]) - abs(bg_b)),
+            abs(abs(oa[-1]) - abs(bg_a)), abs(abs(ob[-1]) - abs(bg_b)),
         )
         if edge_dev > 1e-4:
             raise BoundaryMismatch(
                 f"entry intensities deviate from the background by {edge_dev:.2e} at the tau edges"
             )
 
-    store_rho = grid.n_zeta * grid.n_tau <= RHO_STORAGE_LIMIT
-
-    omega_a = np.empty((grid.n_zeta, grid.n_tau), dtype=complex)
-    omega_b = np.empty_like(omega_a)
-    pops = np.empty((grid.n_zeta, grid.n_tau, 3))
-    rho_full = np.empty((3, 3, grid.n_zeta, grid.n_tau), dtype=complex) if store_rho else None
-    trace_dev = 0.0
-    eig_lo, eig_hi = np.inf, -np.inf
-
-    oa, ob = oa0, ob0
-    rho_slice, (lo, hi) = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
+    rho_slice, figures = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
     for i in range(grid.n_zeta):
-        omega_a[i], omega_b[i] = oa, ob
-        for k in range(3):
-            pops[i, :, k] = rho_slice[k, k].real
-        if store_rho:
-            rho_full[:, :, i] = rho_slice
-        trace_dev = max(trace_dev, float(np.max(np.abs(pops[i].sum(axis=1) - 1.0))))
-        eig_lo = min(eig_lo, lo)
-        eig_hi = max(eig_hi, hi)
+        yield oa, ob, rho_slice, figures
         if i + 1 < grid.n_zeta:
-            (oa, ob), rho_slice, (lo, hi) = maxwell_step(
+            (oa, ob), rho_slice, figures = maxwell_step(
                 rho_slice, (oa, ob), p, grid.h_zeta, provider(i + 1), grid
             )
 
-    return SolutionGrid(
-        grid=grid,
-        omega_a=omega_a,
-        omega_b=omega_b,
-        rho=rho_full,
-        populations=pops,
-        state_kind="density",
-        meta={
-            "engine": "numeric",
-            "herm_dev": 0.0,
-            "trace_dev": trace_dev,
-            "eig_min": eig_lo,
-            "eig_max": eig_hi,
-        },
-    )
+
+def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> SolutionGrid:
+    """March the full system from the entry-face slice (see march).
+
+    The grid keeps the fields and the populations of every row, and no
+    state: meta holds the worst of the rows' audit figures, herm_dev,
+    trace_dev, eig_min and eig_max, which verify.audit_density scores.
+    """
+    omega_a = np.empty((grid.n_zeta, grid.n_tau), dtype=complex)
+    omega_b = np.empty_like(omega_a)
+    pops = np.empty((grid.n_zeta, grid.n_tau, 3))
+    worst = None
+    for i, (oa, ob, rho_slice, figures) in enumerate(march(initial_fields, boundary_rho, p, grid)):
+        omega_a[i], omega_b[i] = oa, ob
+        for k in range(3):
+            pops[i, :, k] = rho_slice[k, k].real
+        worst = figures if worst is None else algebra.worse_figures(worst, figures)
+    return SolutionGrid(grid=grid, omega_a=omega_a, omega_b=omega_b, populations=pops,
+                        state_kind="density", meta={"engine": "numeric", **worst})

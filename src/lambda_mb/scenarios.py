@@ -219,26 +219,24 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
 def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Propagate the scenario's entry slice with the direct solver.
 
-    The entry fields come from the closed form at zeta_min; the tau_min
-    state boundary follows the scenario's record: its own closed-form state
-    along tau_min ("edge") or the decoupled projector ("dark").
+    The entry fields are the closed form's first row (closed_form_rows);
+    the tau_min state boundary follows the scenario's record: the closed
+    form's own state along tau_min ("edge"), evaluated on that column
+    alone, or the decoupled projector ("dark"). The grid holds the fields,
+    the populations and the solver's audit figures, and no state.
     """
     record = REGISTRY[sp.scenario]
     if record.boundary is None:
         raise ParameterGuard(f"{sp.scenario} has a formal companion state; "
                              "direct propagation is not defined")
-    reference = build_analytic_grid(sp, GridSpec(
-        grid.tau_min, grid.tau_max, grid.n_tau, grid.zeta_min, grid.zeta_max, 2,
-    ))
-    oa0 = reference.omega_a[0]
-    ob0 = reference.omega_b[0]
+    oa, ob, _ = closed_form_rows(sp, grid)(0, 1)
     boundary = record.boundary
     if boundary == "edge":
-        edge = build_analytic_grid(sp, GridSpec(
-            grid.tau_min, grid.tau_min + grid.h_tau, 3, grid.zeta_min, grid.zeta_max, grid.n_zeta,
-        ))
+        zetas, taus = _mesh(grid)
+        rho = _closed_form(sp, zetas, taus[:, :1])[2]
         # the (n_zeta, 3, 3) matrices of the tau_min column
-        boundary = np.ascontiguousarray(edge.rho[:, :, :, 0].transpose(2, 0, 1))
-    sol = propagate((oa0, ob0), boundary, sp.params, grid)
+        boundary = np.ascontiguousarray(
+            np.broadcast_to(rho, (3, 3, grid.n_zeta, 1))[..., 0].transpose(2, 0, 1))
+    sol = propagate((oa[0], ob[0]), boundary, sp.params, grid)
     sol.meta.update({"scenario": sp.scenario})
     return sol

@@ -30,14 +30,18 @@ line's check lattices come from the closed form
 (scenarios.closed_form_rows) and are never stored.
 
 The density audit works the same way: one pass over the nine entry rows
-rho[i, j], a chunk of nodes at a time, with the extreme eigenvalues of
-each node from algebra.hermitian_eigenvalues (cyclic Jacobi on per-entry
-arrays) instead of LAPACK. Every maximum is NaN-propagating, so a
-non-finite state entry fails the audit instead of raising.
+rho[i, j], a chunk of nodes at a time, through algebra.state_figures, the
+kernel that also audits every slice the solver writes; the extreme
+eigenvalues of each node come from algebra.hermitian_eigenvalues (cyclic
+Jacobi on per-entry arrays) instead of LAPACK. A numeric grid keeps no
+state, and its audit reads the figures the solver folded from its slices.
+Every maximum is NaN-propagating, so a non-finite state entry fails the
+audit instead of raising.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -161,8 +165,8 @@ def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list
     """
     rho = solution.rho
     if rho is None:
-        raise ValueError("residual check needs the full per-node state, which the solver "
-                         "keeps only on grids of at most RHO_STORAGE_LIMIT nodes")
+        raise ValueError("residual check needs the full per-node state, which a numeric "
+                         "grid does not keep")
     oa, ob = solution.omega_a, solution.omega_b
     return lattice_residual_reports(
         solution.grid, lambda z0, z1: (oa[z0:z1], ob[z0:z1], rho[:, :, z0:z1]), p, probes)
@@ -263,74 +267,39 @@ def pde_residual(solution: SolutionGrid, p: LambdaParams) -> ResidualReport:
     return residual_reports(solution, p)[0]
 
 
-# a non-finite entry comes out as a NaN (or inf) metric; numpy's
-# invalid-value warnings on the way add nothing to that
-@np.errstate(invalid="ignore")
 def audit_density(solution: SolutionGrid) -> ResidualReport:
     """Hermiticity, trace, positivity and (when claimed) purity of the state.
 
-    One entry-wise pass over the nine entry rows rho[i, j], _AUDIT_CHUNK
-    nodes at a time. Per chunk it takes the Hermiticity defect from
-    2 |Im rho_ii| and |rho_ij - conj rho_ji|, the trace defect, the purity
-    defect |sum_ij |rho_ij|^2 - 1| of pure grids, and the smallest and
-    largest eigenvalue of the Hermitian part from
-    algebra.hermitian_eigenvalues (cyclic Jacobi, no LAPACK eigensolver).
-    Formal grids are scored on Hermiticity and trace only and skip the
-    eigenvalues. Every reduction propagates NaN, so a non-finite entry
-    gives a NaN metric, which fails any tolerance.
-
-    For grids that no longer carry the full state, falls back to the
-    streaming metrics the solver recorded while marching: the Hermiticity
-    defect it reports, its trace drift and its eigenvalue excursions. A
-    grid without a Hermiticity report scores NaN.
+    A stored state is read _AUDIT_CHUNK nodes at a time, in one pass over
+    its nine entry rows rho[i, j]: algebra.state_figures gives each chunk's
+    Hermiticity, trace and purity defects and the extreme eigenvalues of
+    its Hermitian part (cyclic Jacobi, no LAPACK eigensolver), and
+    algebra.worse_figures folds the chunks. A numeric grid stores no state;
+    its figures are the ones the solver took with the same kernel on every
+    slice it wrote, folded the same way into meta, and are scored as a
+    density state's. Formal grids are scored on Hermiticity and trace only.
+    A figure that is missing or NaN gives a NaN metric, which fails any
+    tolerance.
     """
-    grid = solution.grid
+    grid, kind = solution.grid, solution.state_kind
     if solution.rho is None:
-        meta = solution.meta
-        if "trace_dev" not in meta:
-            raise ValueError("grid carries neither states nor streaming audit metrics")
-        worst = float(np.max([
-            meta.get("herm_dev", np.nan),
-            meta["trace_dev"],
-            np.maximum(0.0, -meta["eig_min"]),
-            np.maximum(0.0, meta["eig_max"] - 1.0),
-        ]))
-        return ResidualReport("density_audit", worst, worst, (grid.h_tau, grid.h_zeta))
-    kind = solution.state_kind
-    rho = solution.rho.reshape(3, 3, -1)
-    herm = trace = purity = np.float64(0.0)
-    lo, hi = np.float64(np.inf), np.float64(-np.inf)
-    for start in range(0, rho.shape[-1], _AUDIT_CHUNK):
-        r = rho[:, :, start:start + _AUDIT_CHUNK]
-        d0, d1, d2 = (r[i, i] for i in range(3))
-        upper = [(r[i, j], r[j, i]) for i, j in ((0, 1), (0, 2), (1, 2))]
-        for d in (d0, d1, d2):
-            herm = np.maximum(herm, 2.0 * np.abs(d.imag).max())
-        for a, b in upper:
-            herm = np.maximum(herm, np.abs(a - np.conj(b)).max())
-        trace = np.maximum(trace, np.abs(d0 + d1 + d2 - 1.0).max())
-        if kind == "pure":
-            sq = [np.square(np.abs(r[i, j])) for i in range(3) for j in range(3)]
-            # np.sum's order over the 9 row-major entries: 8 pairwise, then the last
-            frob2 = (((sq[0] + sq[1]) + (sq[2] + sq[3]))
-                     + ((sq[4] + sq[5]) + (sq[6] + sq[7]))) + sq[8]
-            purity = np.maximum(purity, np.abs(frob2 - 1.0).max())
-        if kind != "formal":
-            eig = algebra.hermitian_eigenvalues(
-                d0.real, d1.real, d2.real, *(0.5 * (a + np.conj(b)) for a, b in upper))
-            lo, hi = np.minimum(lo, np.min(eig)), np.maximum(hi, np.max(eig))
-    metrics = [herm, trace]
+        figures, kind = solution.meta, "density"
+    else:
+        rho = solution.rho.reshape(3, 3, -1)
+        figures = functools.reduce(algebra.worse_figures, (
+            algebra.state_figures(rho[:, :, start:start + _AUDIT_CHUNK], kind)
+            for start in range(0, rho.shape[-1], _AUDIT_CHUNK)))
+    metrics = [figures.get("herm_dev", np.nan), figures.get("trace_dev", np.nan)]
     # companion states are Hermitian/trace-one by construction but
     # indefinite by design; positivity is not scored
     if kind != "formal":
-        metrics += [np.maximum(0.0, -lo), np.maximum(0.0, hi - 1.0)]
+        metrics += [np.maximum(0.0, -figures.get("eig_min", np.nan)),
+                    np.maximum(0.0, figures.get("eig_max", np.nan) - 1.0)]
     if kind == "pure":
-        metrics.append(purity)
+        metrics.append(figures.get("purity_dev", np.nan))
     worst = float(np.max(metrics))
-    rep = ResidualReport("density_audit", worst, worst, (grid.h_tau, grid.h_zeta))
-    if kind == "formal":
-        rep.name = "density_audit[formal: positivity not claimed]"
-    return rep
+    name = "density_audit[formal: positivity not claimed]" if kind == "formal" else "density_audit"
+    return ResidualReport(name, worst, worst, (grid.h_tau, grid.h_zeta))
 
 
 def compare_solutions(a: SolutionGrid, b: SolutionGrid) -> ResidualReport:

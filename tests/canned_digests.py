@@ -3,13 +3,15 @@
     python tests/canned_digests.py [CHECKOUT]
     python tests/canned_digests.py CHECKOUT_A CHECKOUT_B
 
-Runs the nine canned tags under ``--engine analytic`` and ``--engine
-dressing``, and ``fast`` and ``fig4`` under ``--engine numeric``, with the
-package under ``CHECKOUT/src`` (default: the checkout holding this script).
-Each run writes into a temporary directory under a fixed relative ``--out``
-name, ``<tag>-<engine>``, so the manifests compare too. Prints
-``sha256  path`` for each grid CSV, residual report and manifest: 60 lines.
-Exits 1 if a run did not exit 0.
+Runs the nine canned tags under ``--engine analytic``, ``--engine
+dressing`` and ``--engine all``, and ``fast`` and ``fig4`` under ``--engine
+numeric``, with the package under ``CHECKOUT/src`` (default: the checkout
+holding this script). Each run writes into a temporary directory under a
+fixed relative ``--out`` name, ``<tag>-<engine>``, so the manifests compare
+too. Prints ``sha256  path`` for every file a run writes, its grid CSVs,
+residual report and manifest: 104 lines (an ``all`` run writes a CSV per
+route, and ``exulton_k`` refuses the numeric one). Exits 1 if a run did
+not exit 0.
 
 With two checkouts, runs the digests of each in its own process and prints
 only the paths whose digests differ (or that one side lacks); exits 1 if
@@ -29,7 +31,8 @@ def main(argv) -> int:
     sys.path.insert(0, str(root / "src"))
     from lambda_mb import cli, scenarios
 
-    runs = [(tag, engine) for engine in ("analytic", "dressing") for tag in sorted(scenarios.CANNED)]
+    runs = [(tag, engine) for engine in ("analytic", "dressing", "all")
+            for tag in sorted(scenarios.CANNED)]
     runs += [("fast", "numeric"), ("fig4", "numeric")]
     status = 0
     cwd = os.getcwd()
@@ -42,8 +45,7 @@ def main(argv) -> int:
                 if code != 0:
                     print(f"{out}: exit {code}", file=sys.stderr)
                     status = 1
-                for name in (f"grid_{engine}.csv", "residual_report.txt", "manifest.txt"):
-                    path = Path(out) / name
+                for path in sorted(Path(out).iterdir()):
                     print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
         finally:
             os.chdir(cwd)

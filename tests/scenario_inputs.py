@@ -1,7 +1,8 @@
 """Scenario inputs only the tests build.
 
 canned_scenario expands a canned tag as the CLI does, through
-apply_canned; regime_keywords draws make_scenario keywords inside a
+apply_canned; numeric_inputs reads the solver's inputs off a stored
+analytic grid; regime_keywords draws make_scenario keywords inside a
 registry record's regime of validity.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
 from lambda_mb import cli, scenarios
@@ -19,6 +21,20 @@ def canned_scenario(tag: str):
     cfg = cli.ScenarioConfig()
     cli.apply_canned(cfg, tag)
     return cfg.scenario_params(), cfg.grid()
+
+
+def numeric_inputs(sp, grid):
+    """(entry fields, tau_min boundary) that build_numeric_grid gives the solver.
+
+    Read off the stored analytic grid of the lattice: its first zeta row,
+    and its tau_min column for an "edge" record, as (n_zeta, 3, 3)
+    matrices. Pass them to mbsolver.march with sp.params and grid.
+    """
+    boundary = scenarios.REGISTRY[sp.scenario].boundary
+    ana = scenarios.build_analytic_grid(sp, grid)
+    if boundary == "edge":
+        boundary = np.ascontiguousarray(ana.rho[:, :, :, 0].transpose(2, 0, 1))
+    return (ana.omega_a[0], ana.omega_b[0]), boundary
 
 
 @st.composite

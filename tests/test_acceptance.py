@@ -230,28 +230,17 @@ def test_criterion_8_stopped_polariton():
              f"P1 stationary={stationary}, peak {float(np.max(p1)):.3f}", t0)
 
 
-def _hermiticity_defect(rho):
-    """max |rho - rho^dagger| over a stored state, entry by entry; None when no state is stored."""
-    if rho is None:
-        return None
-    return max(float(np.max(np.abs(rho[i, j] - np.conj(rho[j, i]))))
-               for i in range(3) for j in range(i, 3))
-
-
 def test_criterion_4_density_audit():
     # defined after criteria 5-8 so the pool holds every grid this suite
     # generated, including the numerically propagated ones.  Exact-route
     # grids (closed form / dressing) are held to 1e-8 on all metrics; a
     # numerically propagated state is governed by the solver contract
-    # instead (max |rho - rho^dagger| within 1e-12 over a stored state,
+    # instead (max |rho - rho^dagger| within 1e-12 over every slice,
     # trace within 1e-9, eigenvalues inside the 1e-4 abort band), since
     # its positivity defect is set by the discretization error, not by
-    # the construction.  A streamed grid stores no state; its Hermiticity
-    # defect is exact by construction (every slice writes its lower entries
-    # as the conjugates of the upper ones), so the meta["herm_dev"] = 0 the
-    # solver records is not a measurement.  The evidence is
-    # test_mbsolver::test_every_stored_slice_is_hermitian_and_streamed_grids_report_it,
-    # which checks stored slices bit for bit.
+    # the construction.  A numeric grid stores no state: its figures are
+    # the ones the solver measured on every slice with the density audit's
+    # kernel (algebra.state_figures).
     t0 = time.time()
     pool = list(_AUDIT_POOL)
     if not pool:  # criterion run standalone: audit the reference scenario grids
@@ -266,13 +255,8 @@ def test_criterion_4_density_audit():
         if sol.state_kind == "formal":
             formal.append(name)
         if sol.meta.get("engine") == "numeric":
-            herm = _hermiticity_defect(sol.rho)
-            if herm is None:
-                herm = sol.meta["herm_dev"]
-                herm_note = (f"herm {herm:.1e} (streamed: exact by construction, not measured; "
-                             "stored slices are checked bit for bit in test_mbsolver)")
-            else:
-                herm_note = f"herm {herm:.1e}"
+            herm = sol.meta["herm_dev"]
+            herm_note = f"herm {herm:.1e}"
             trace = sol.meta.get("trace_dev", rep.max_abs)
             excursion = max(0.0, -sol.meta.get("eig_min", 0.0),
                             sol.meta.get("eig_max", 1.0) - 1.0)

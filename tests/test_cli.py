@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_mb import cli, model, scenarios
+from lambda_mb import cli, darboux, model, scenarios
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
 from scenario_inputs import regime_keywords
@@ -89,6 +89,13 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     # |lambda - Delta| beyond the float range: complex abs raises OverflowError
     "scenario = slow\nengine = analytic\nprobe_lambdas = 1.7e308+1.7e308j\n",
     "scenario = slow\nengine = analytic\ndelta = -1.7e308\nprobe_lambdas = 1.7e308\n",
+    # 0 < eps0 - omega0 < darboux.DEGENERATE_TOL: the engine would take the
+    # confluent seed for a regular scenario
+    "scenario = two_soliton\neps0 = 1.000000005\n",
+    "scenario = slow\neps0 = 1.000000005\n",
+    "scenario = fast\neps0 = 1.000000005\n",
+    # a flag the parser does not know is not false
+    "quiet = tru\n", "quiet = 2\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
@@ -158,8 +165,9 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path), "--check"]) == 1
-    # the output grid is also the coarse check lattice
-    assert read == [parse_config(SMALL_SLOW).grid().refined()]
+    # the output grid is also the coarse check lattice, read from the closed form
+    check = parse_config(SMALL_SLOW).grid()
+    assert read == [check, check.refined()]
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "verdict: FAIL" in report
     assert [line for line in report.splitlines() if line.startswith("  - ")] == [
@@ -187,8 +195,7 @@ def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n_tau", [41, 171])
-def test_checks_read_the_coarse_check_lattice_only_when_the_output_grid_is_not_it(
-        tmp_path, monkeypatch, n_tau):
+def test_checks_read_both_check_lattices_from_the_closed_form(tmp_path, monkeypatch, n_tau):
     build, source = scenarios.build_analytic_grid, scenarios.closed_form_rows
     built, read = [], []
 
@@ -207,9 +214,21 @@ def test_checks_read_the_coarse_check_lattice_only_when_the_output_grid_is_not_i
     assert run_scenario(cfg, check_only=True) == 0
     out = cfg.grid()
     check = dataclasses.replace(out, n_tau=min(n_tau, 161))
-    coarse = [] if check == out else [check]
     assert built == [out]  # no check lattice is ever stored
-    assert read == [*coarse, check.refined()]
+    assert read == [check, check.refined()]
+
+
+def test_a_regular_scenario_just_off_the_degenerate_point_builds(tmp_path):
+    # eps0 - omega0 = 2e-8, twice darboux.DEGENERATE_TOL: the regular seed
+    # dresses it, and every route and check holds (numeric_tol suits this
+    # coarse lattice, as in test_nan_metric_fails_the_verdict)
+    path = tmp_path / "cfg.txt"
+    path.write_text("scenario = two_soliton\neps0 = 1.00000002\ntau_min = -8\ntau_max = 8\n"
+                    "n_tau = 81\nzeta_min = 0\nzeta_max = 2\nn_zeta = 41\nnumeric_tol = 0.01\n"
+                    f"out = {tmp_path / 'run'}\nquiet = true\n")
+    sp = parse_config(path.read_text()).scenario_params()
+    assert darboux.seed_family(sp.params, sp.spectral) == "regular"
+    assert cli.main([str(path), "--check"]) == 0
 
 
 def test_manifest_round_trip():

@@ -1,16 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lambda_mb import analytic, mbsolver, model, scenarios, verify
+from lambda_mb import algebra, analytic, mbsolver, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import BoundaryMismatch, StepUnstable
 from lambda_mb.mbsolver import GridSpec, integrate_bloch_slice, maxwell_step, propagate
 from lambda_mb.model import LambdaParams, SpectralData
 from pointwise_oracle import node_major
-from scenario_inputs import canned_scenario
+from scenario_inputs import canned_scenario, numeric_inputs
 
 DARK = model.density_from_pure(model.dark_state(0.0))
 
@@ -153,10 +155,11 @@ def test_slice_is_unitary_conjugation_for_any_fields(data, n_tau, span, delta, m
     ob = data.draw(arrays(complex, n_tau, elements=_amplitudes))
     rho0 = mix @ _dagger(mix) + 0.05 * np.eye(3)
     rho0 /= np.trace(rho0).real
-    out, (lo, hi) = integrate_bloch_slice((oa, ob), rho0, delta, grid)
+    out, figures = integrate_bloch_slice((oa, ob), rho0, delta, grid)
+    lo, hi = figures["eig_min"], figures["eig_max"]
     assert out.shape == (3, 3, n_tau)
     out = node_major(out)
-    assert np.array_equal(out, _dagger(out))
+    assert np.array_equal(out, _dagger(out)) and figures["herm_dev"] == 0.0
     assert np.max(np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0)) < 1e-12
     assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho0))) < 1e-12
     eig = np.linalg.eigvalsh(out)
@@ -289,30 +292,49 @@ def test_propagate_deterministic():
     b = scenarios.build_numeric_grid(sp, grid)
     assert np.array_equal(a.omega_a, b.omega_a)
     assert np.array_equal(a.omega_b, b.omega_b)
-    assert np.array_equal(a.rho, b.rho)
+    assert np.array_equal(a.populations, b.populations)
+    assert a.meta == b.meta
 
 
-def test_propagate_meta_audit_equals_a_recompute():
-    # propagate folds in each slice's own audit instead of running it twice
-    sp = slow_scenario(delta=0.4)
-    sol = scenarios.build_numeric_grid(sp, GridSpec(-8.0, 8.0, 161, 0.0, 0.5, 11))
-    eig = np.linalg.eigvalsh(node_major(sol.rho))
-    assert abs(sol.meta["eig_min"] - eig.min()) <= EIG_TOL
-    assert abs(sol.meta["eig_max"] - eig.max()) <= EIG_TOL
+@pytest.mark.parametrize("tag, delta, n_tau, n_zeta", [
+    ("slow", 0.0, 161, 11), ("slow", 0.4, 161, 11), ("fig4", 0.0, 161, 11),
+    ("fast", 0.0, 161, 11), ("two_soliton", 0.0, 161, 11),
+    # 16,821 nodes: the stored audit's chunks end inside zeta rows
+    ("fig4", 0.0, 801, 21), ("zero_background", 0.0, 801, 21),
+])
+def test_the_audit_of_a_numeric_grid_is_the_audit_of_its_slices_stored(tag, delta, n_tau, n_zeta):
+    sp, g = canned_scenario(tag)
+    sp = dataclasses.replace(sp, params=dataclasses.replace(sp.params, delta=delta))
+    grid = GridSpec(g.tau_min, g.tau_max, n_tau, g.zeta_min, g.zeta_min + (n_zeta - 1) * g.h_zeta,
+                    n_zeta)
+    sol = scenarios.build_numeric_grid(sp, grid)
+    rows = list(mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid))
+    stored = mbsolver.SolutionGrid(
+        grid, np.array([oa for oa, _, _, _ in rows]), np.array([ob for _, ob, _, _ in rows]),
+        rho=np.stack([rho for _, _, rho, _ in rows], axis=2), state_kind="density")
+    assert np.array_equal(sol.omega_a, stored.omega_a)
+    assert np.array_equal(sol.populations, stored.populations)
+    # bit for bit: each figure against the kernel over the whole stored grid,
+    # and the audit's report against the audit of the stored grid
+    whole = algebra.state_figures(stored.rho.reshape(3, 3, -1), "density")
+    assert {key: sol.meta[key].tobytes() for key in whole} == {
+        key: value.tobytes() for key, value in whole.items()}
+    ours, theirs = verify.audit_density(sol), verify.audit_density(stored)
+    assert np.float64(ours.max_abs).tobytes() == np.float64(theirs.max_abs).tobytes()
+    assert ours.as_text() == theirs.as_text()
 
 
 @pytest.mark.parametrize("tag", ["slow", "fig4"])  # dark and array boundary rules
-def test_every_stored_slice_is_hermitian_and_streamed_grids_report_it(monkeypatch, tag):
+def test_every_slice_is_hermitian_and_the_grid_reports_it(tag):
     sp, g = canned_scenario(tag)
     grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_min + 10 * g.h_zeta, 11)
     sol = scenarios.build_numeric_grid(sp, grid)
-    # bit for bit on every stored slice, so the reported defect is exact
-    assert np.array_equal(node_major(sol.rho), _dagger(node_major(sol.rho)))
-    assert sol.meta["herm_dev"] == 0.0
-    monkeypatch.setattr(mbsolver, "RHO_STORAGE_LIMIT", grid.n_zeta * grid.n_tau - 1)
-    streamed = scenarios.build_numeric_grid(sp, grid)
-    assert streamed.rho is None and streamed.meta["herm_dev"] == 0.0
-    assert np.array_equal(streamed.populations, sol.populations)
-    meta = streamed.meta
-    assert verify.audit_density(streamed).max_abs == max(
+    assert sol.rho is None
+    # bit for bit on every slice, and each slice's measured defect says so
+    for _, _, rho, figures in mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid):
+        assert np.array_equal(node_major(rho), _dagger(node_major(rho)))
+        assert figures["herm_dev"] == 0.0
+    meta = sol.meta
+    assert meta["herm_dev"] == 0.0
+    assert verify.audit_density(sol).max_abs == max(
         meta["herm_dev"], meta["trace_dev"], -meta["eig_min"], meta["eig_max"] - 1.0, 0.0)

@@ -10,10 +10,12 @@ name the functions they wrap that way.
 No module names linalg (numpy.linalg, scipy.linalg or an import of
 either), so no package code reaches LAPACK.
 
-The grids of build_analytic_grid, build_dressed_grid and
-build_numeric_grid hold an owned, C-contiguous (3, 3, n_zeta, n_tau)
-state, whose diagonal rows the populations copy bit for bit, so no
-producer can bring back the node-major (n_zeta, n_tau, 3, 3) form.
+The grids of build_analytic_grid and build_dressed_grid hold an owned,
+C-contiguous (3, 3, n_zeta, n_tau) state, whose diagonal rows the
+populations copy bit for bit, so no producer can bring back the
+node-major (n_zeta, n_tau, 3, 3) form. build_numeric_grid holds no
+state: its populations are the diagonals of the entry-major slices that
+mbsolver.march yields, bit for bit.
 """
 
 import ast
@@ -24,7 +26,7 @@ import pytest
 
 from lambda_mb import mbsolver, scenarios
 from lambda_mb.mbsolver import GridSpec
-from scenario_inputs import canned_scenario
+from scenario_inputs import canned_scenario, numeric_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lambda_mb"
@@ -113,7 +115,7 @@ def _assert_entry_major(sol, stored_rho):
 
 
 @pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
-def test_every_builder_holds_an_entry_major_state(name, monkeypatch):
+def test_every_builder_holds_an_entry_major_state(name):
     sp, canned = canned_scenario(name)
     grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
     for build in (scenarios.build_analytic_grid, scenarios.build_dressed_grid):
@@ -121,9 +123,7 @@ def test_every_builder_holds_an_entry_major_state(name, monkeypatch):
         _assert_entry_major(sol, sol.rho)
     if scenarios.REGISTRY[name].boundary is None:
         return
-    stored = scenarios.build_numeric_grid(sp, grid)
-    _assert_entry_major(stored, stored.rho)
-    monkeypatch.setattr(mbsolver, "RHO_STORAGE_LIMIT", grid.n_zeta * grid.n_tau - 1)
-    streamed = scenarios.build_numeric_grid(sp, grid)
-    assert streamed.rho is None
-    _assert_entry_major(streamed, stored.rho)
+    numeric = scenarios.build_numeric_grid(sp, grid)
+    assert numeric.rho is None
+    rows = list(mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid))
+    _assert_entry_major(numeric, np.stack([rho for _, _, rho, _ in rows], axis=2))
