@@ -147,6 +147,7 @@ def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
 
 def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
     source = scenarios.closed_form_rows
+    check = parse_config(SMALL_SLOW).grid()
     read = []
 
     def nan_in_the_fine_check_lattice(sp, grid):
@@ -155,7 +156,8 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
 
         def with_nan(z0, z1):
             oa, ob, rho = rows(z0, z1)
-            if z0 <= 5 < z1:
+            # only the refined lattice is poisoned: the coarse one stays clean
+            if grid == check.refined() and z0 <= 5 < z1:
                 rho = rho.copy()
                 rho[1, 2, 5 - z0, 7] = np.nan
             return oa, ob, rho
@@ -166,7 +168,6 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
     path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path), "--check"]) == 1
     # the output grid is also the coarse check lattice, read from the closed form
-    check = parse_config(SMALL_SLOW).grid()
     assert read == [check, check.refined()]
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "verdict: FAIL" in report
