@@ -133,8 +133,6 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"unknown scenario {cfg.scenario!r} (canned tags go through --scenario)")
     if cfg.engine not in ENGINES:
         raise ParseError(f"unknown engine {cfg.engine!r}")
-    if cfg.engine == "numeric" and scenarios.REGISTRY[cfg.scenario].boundary is None:
-        raise ParseError(f"scenario {cfg.scenario!r} refuses the numeric engine")
     if cfg.engine in ("analytic", "all") and cfg.n_zeta < 3:
         raise ParseError(f"the residual checks of the analytic grid need n_zeta >= 3, "
                          f"got {cfg.n_zeta}")
@@ -168,9 +166,13 @@ def _validate(cfg: ScenarioConfig):
         if dist <= model.POLE_GUARD:
             raise ParseError(f"probe lambda {lam} sits on the Delta = {cfg.delta} pole")
     try:
-        return cfg.scenario_params(), cfg.grid()
+        sp, grid = cfg.scenario_params(), cfg.grid()
     except (ValueError, LambdaMBError) as exc:
         raise ParseError(str(exc)) from None
+    if cfg.engine == "numeric" and scenarios.state_kind(sp.params) == "formal":
+        raise ParseError(f"scenario {cfg.scenario!r} refuses the numeric engine at k = {cfg.k} "
+                         "(its state is formal)")
+    return sp, grid
 
 
 def apply_canned(cfg: ScenarioConfig, tag: str):
@@ -438,7 +440,7 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     engines = [cfg.engine] if cfg.engine != "all" else ["analytic", "dressing", "numeric"]
-    if scenarios.REGISTRY[sp.scenario].boundary is None and "numeric" in engines:
+    if scenarios.state_kind(sp.params) == "formal" and "numeric" in engines:
         engines.remove("numeric")  # only under "all": _validate rejects an explicit request
         _say(cfg, f"note: numeric engine skipped for {sp.scenario} (direct propagation refused)")
     grids = {}
@@ -510,7 +512,7 @@ def main(argv=None) -> int:
         if args.quiet:
             cfg.quiet = True
         _validate(cfg)  # the overrides above are applied after parsing
-    except (ParseError, OSError, KeyError) as exc:
+    except (ParseError, OSError, KeyError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,10 +33,6 @@ class StepUnstable(LambdaMBError):
     """Density-matrix eigenvalue left the admissible band during integration."""
 
 
-class BoundaryMismatch(LambdaMBError):
-    """Input slice is inconsistent with the configured tau boundary rule."""
-
-
 class GridMismatch(LambdaMBError):
     """Two solution grids do not share the same lattice."""
 

@@ -3,7 +3,9 @@
 The evolution variable is zeta (distance into the medium); the state
 equation is integrated along tau inside each slice, and the fields are
 marched in zeta by an explicit predictor-corrector (Heun) step, second
-order in h_zeta.
+order in h_zeta.  Each slice's state starts from its row's tau_min state,
+which the boundary gives for every row as one entry-major (3, 3, n_zeta)
+array (scenarios.build_numeric_grid takes the closed form's own).
 
 Inside a slice the state obeys rho' = M rho + rho M^dagger with the
 anti-Hermitian generator M = iG (G the Hermitian torque matrix).  Each
@@ -40,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import algebra, model
-from .errors import BoundaryMismatch, StepUnstable
+from . import algebra
+from .errors import StepUnstable
 from .model import LambdaParams
 
 #: admissible band for state eigenvalues during integration
@@ -287,57 +289,30 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
     return (oa_next, ob_next), rho_next, figures
 
 
-def _boundary_provider(boundary_rho, p: LambdaParams, n_zeta: int):
-    if isinstance(boundary_rho, str):
-        if boundary_rho != "dark":
-            raise ValueError(f"unknown boundary rule {boundary_rho!r}")
-        dark = model.density_from_pure(model.dark_state(p.eta))
-        return lambda i: dark, True
-    arr = np.asarray(boundary_rho, dtype=complex)
-    if arr.shape != (n_zeta, 3, 3):
-        raise ValueError("boundary array must be (n_zeta, 3, 3)")
-    return lambda i: arr[i], False
-
-
 def march(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec):
     """Yield each zeta row's (omega_a, omega_b, rho_slice, figures), in order.
 
     initial_fields: pair of (n_tau,) complex arrays at zeta_min.
-    boundary_rho: the tau_min state rule, "dark" (the decoupled projector
-    on every slice) or an (n_zeta, 3, 3) array.  rho_slice is the row's
-    entry-major (3, 3, n_tau) state and figures its algebra.state_figures.
-    Only the current row is held.
-
-    With the "dark" rule the entry fields must approach the configured
-    background at the tau edges (within 1e-4), otherwise the boundary
-    data would contradict the input pulse; an explicit boundary array
-    carries that consistency by construction and skips the check.
+    boundary_rho: the tau_min state of every zeta row, an entry-major
+    (3, 3, n_zeta) array.  rho_slice is the row's entry-major (3, 3, n_tau)
+    state and figures its algebra.state_figures.  Only the current row is
+    held.
     """
     oa = np.asarray(initial_fields[0], dtype=complex).copy()
     ob = np.asarray(initial_fields[1], dtype=complex).copy()
     if oa.shape != (grid.n_tau,) or ob.shape != (grid.n_tau,):
         raise ValueError("initial field slices must match the tau grid")
+    boundary = np.asarray(boundary_rho, dtype=complex)
+    if boundary.shape != (3, 3, grid.n_zeta):
+        raise ValueError(f"boundary_rho must be shaped (3, 3, n_zeta) = {(3, 3, grid.n_zeta)}, "
+                         f"got {boundary.shape}")
 
-    provider, is_dark_rule = _boundary_provider(boundary_rho, p, grid.n_zeta)
-    if is_dark_rule:
-        # finite-density sanity: edge intensities must sit on the background
-        # (phases are free there; kinks legitimately approach -background)
-        bg_a, bg_b = model.background_fields(p, grid.zeta_min)
-        edge_dev = max(
-            abs(abs(oa[0]) - abs(bg_a)), abs(abs(ob[0]) - abs(bg_b)),
-            abs(abs(oa[-1]) - abs(bg_a)), abs(abs(ob[-1]) - abs(bg_b)),
-        )
-        if edge_dev > 1e-4:
-            raise BoundaryMismatch(
-                f"entry intensities deviate from the background by {edge_dev:.2e} at the tau edges"
-            )
-
-    rho_slice, figures = integrate_bloch_slice((oa, ob), provider(0), p.delta, grid)
+    rho_slice, figures = integrate_bloch_slice((oa, ob), boundary[..., 0], p.delta, grid)
     for i in range(grid.n_zeta):
         yield oa, ob, rho_slice, figures
         if i + 1 < grid.n_zeta:
             (oa, ob), rho_slice, figures = maxwell_step(
-                rho_slice, (oa, ob), p, grid.h_zeta, provider(i + 1), grid
+                rho_slice, (oa, ob), p, grid.h_zeta, boundary[..., i + 1], grid
             )
 
 

@@ -5,8 +5,9 @@ A scenario couples a parameter bundle with the three ways to realize it
 return SolutionGrid objects that the verification harness and the CLI
 consume uniformly.  What sets one scenario apart from another is its
 ``Scenario`` record in ``REGISTRY``; no other code branches on a name.
-On both exact routes a grid's state kind follows k: a projector at
-k = 0, the formal companion state otherwise.  Every dressing build runs
+On both exact routes a grid's state kind follows k (state_kind): a
+projector at k = 0, the formal companion state otherwise, from which
+direct propagation is refused.  Every dressing build runs
 the seed verification gate first and keeps its report in
 ``meta["seed_gate"]``.
 """
@@ -42,9 +43,9 @@ class Scenario:
     unit vector; otherwise the grid carries the decoupled projector
     ("dark") or the dressing engine's state at the same constants
     ("dressed": the dressed projector at k = 0, the formal companion state
-    at k != 0).  field_tol: analytic-vs-dressing field tolerance.
-    boundary: tau_min state of direct propagation, "edge" (the closed
-    form's own) or "dark" (the decoupled projector); None refuses.
+    at k != 0).  field_tol: analytic-vs-dressing field tolerance.  Direct
+    propagation starts from this state along tau_min, and is refused where
+    it is formal (state_kind).
     """
 
     name: str
@@ -53,7 +54,6 @@ class Scenario:
     constants: str
     state: str
     field_tol: float
-    boundary: Optional[str]
     zero_a: Optional[str] = None
 
     def density(self, sp: ScenarioParams, state, zeta, tau) -> np.ndarray:
@@ -73,17 +73,17 @@ class Scenario:
 
 REGISTRY = {s.name: s for s in (
     Scenario("two_soliton", lambda sp, z, t: analytic.two_soliton(sp, z, t),
-             analytic.guard_regular, "a", "dressed", 1e-9, "edge"),
+             analytic.guard_regular, "a", "dressed", 1e-9),
     Scenario("slow", lambda sp, z, t: analytic.slow_soliton(sp, z, t),
-             analytic.guard_slow, "a", "vector", 1e-9, "edge", zero_a="a3"),
+             analytic.guard_slow, "a", "vector", 1e-9, zero_a="a3"),
     Scenario("fast", lambda sp, z, t: analytic.fast_soliton(sp, t),
-             analytic.guard_fast, "a", "dark", 1e-9, "dark", zero_a="a1"),
+             analytic.guard_fast, "a", "dark", 1e-9, zero_a="a1"),
     Scenario("zero_background", lambda sp, z, t: analytic.zero_background(sp, z, t),
-             analytic.guard_zero_background, "c", "dressed", 1e-8, "edge"),
+             analytic.guard_zero_background, "c", "dressed", 1e-8),
     Scenario("exulton", lambda sp, z, t: analytic.exulton(sp, z, t),
-             analytic.guard_exulton, "c", "dressed", 1e-8, "edge"),
+             analytic.guard_exulton, "c", "dressed", 1e-8),
     Scenario("exulton_k", lambda sp, z, t: analytic.exulton_k(sp, z, t),
-             analytic.guard_exulton_k, "c", "dressed", 1e-8, None),
+             analytic.guard_exulton_k, "c", "dressed", 1e-8),
 )}
 
 
@@ -152,8 +152,12 @@ def _full(arr, shape):
     return np.array(np.broadcast_to(arr, shape), order="C")
 
 
-def _state_kind(p: LambdaParams) -> str:
-    """What an exact-route grid's state is: a projector at k = 0, formal otherwise."""
+def state_kind(p: LambdaParams) -> str:
+    """What an exact-route grid's state is: a projector at k = 0, formal otherwise.
+
+    Direct propagation starts from that state, so it is refused where the
+    state is formal.
+    """
     return "pure" if p.k == 0.0 else "formal"
 
 
@@ -171,7 +175,7 @@ def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
         rho=_full(rho, (3, 3) + shape),
-        state_kind=_state_kind(sp.params),
+        state_kind=state_kind(sp.params),
         meta={"engine": "analytic", "scenario": sp.scenario},
     )
 
@@ -212,31 +216,26 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     shape = (grid.n_zeta, grid.n_tau)
     return SolutionGrid(
         grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
-        rho=_full(rho, (3, 3) + shape), state_kind=_state_kind(p), meta=meta,
+        rho=_full(rho, (3, 3) + shape), state_kind=state_kind(p), meta=meta,
     )
 
 
 def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Propagate the scenario's entry slice with the direct solver.
 
-    The entry fields are the closed form's first row (closed_form_rows);
-    the tau_min state boundary follows the scenario's record: the closed
-    form's own state along tau_min ("edge"), evaluated on that column
-    alone, or the decoupled projector ("dark"). The grid holds the fields,
-    the populations and the solver's audit figures, and no state.
+    The entry fields are the closed form's first row (closed_form_rows),
+    and the tau_min state of every row is the closed form's own, evaluated
+    on that column alone. A formal state (k != 0, state_kind) is refused
+    with ParameterGuard. The grid holds the fields, the populations and the
+    solver's audit figures, and no state.
     """
-    record = REGISTRY[sp.scenario]
-    if record.boundary is None:
-        raise ParameterGuard(f"{sp.scenario} has a formal companion state; "
+    if state_kind(sp.params) == "formal":
+        raise ParameterGuard(f"{sp.scenario} has a formal companion state at k = {sp.params.k}; "
                              "direct propagation is not defined")
     oa, ob, _ = closed_form_rows(sp, grid)(0, 1)
-    boundary = record.boundary
-    if boundary == "edge":
-        zetas, taus = _mesh(grid)
-        rho = _closed_form(sp, zetas, taus[:, :1])[2]
-        # the (n_zeta, 3, 3) matrices of the tau_min column
-        boundary = np.ascontiguousarray(
-            np.broadcast_to(rho, (3, 3, grid.n_zeta, 1))[..., 0].transpose(2, 0, 1))
+    zetas, taus = _mesh(grid)
+    rho = _closed_form(sp, zetas, taus[:, :1])[2]
+    boundary = np.broadcast_to(rho, (3, 3, grid.n_zeta, 1))[..., 0]
     sol = propagate((oa[0], ob[0]), boundary, sp.params, grid)
     sol.meta.update({"scenario": sp.scenario})
     return sol

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from hypothesis import strategies as st
 
 from lambda_mb import cli, scenarios
@@ -27,14 +26,11 @@ def numeric_inputs(sp, grid):
     """(entry fields, tau_min boundary) that build_numeric_grid gives the solver.
 
     Read off the stored analytic grid of the lattice: its first zeta row,
-    and its tau_min column for an "edge" record, as (n_zeta, 3, 3)
-    matrices. Pass them to mbsolver.march with sp.params and grid.
+    and its entry-major (3, 3, n_zeta) tau_min column. Pass them to
+    mbsolver.march with sp.params and grid.
     """
-    boundary = scenarios.REGISTRY[sp.scenario].boundary
     ana = scenarios.build_analytic_grid(sp, grid)
-    if boundary == "edge":
-        boundary = np.ascontiguousarray(ana.rho[:, :, :, 0].transpose(2, 0, 1))
-    return (ana.omega_a[0], ana.omega_b[0]), boundary
+    return (ana.omega_a[0], ana.omega_b[0]), ana.rho[:, :, :, 0]
 
 
 @st.composite

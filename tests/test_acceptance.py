@@ -138,9 +138,8 @@ def test_criterion_5_solver_tracking():
         c = sp.dress_constants()
         _, _, rho_edge = darboux.dressed_fields_and_state(
             sp.params, sp.spectral, c, grid.zetas(), np.full(grid.n_zeta, grid.tau_min))
-        # the (n_zeta, 3, 3) boundary matrices of the entry-major tau_min column
-        sol = propagate((oa0, ob0), np.ascontiguousarray(np.moveaxis(rho_edge, -1, 0)),
-                        sp.params, grid)
+        # the entry-major (3, 3, n_zeta) tau_min column
+        sol = propagate((oa0, ob0), rho_edge, sp.params, grid)
         scale = float(np.max(np.abs(oa_ref)))
         err = max(float(np.max(np.abs(sol.omega_a - oa_ref))),
                   float(np.max(np.abs(sol.omega_b - ob_ref)))) / scale
@@ -192,7 +191,9 @@ def test_criterion_7_dark_state_transparency():
         scenario="fast", soliton=SolitonConstants(0.0, 1.0))
     grid = GridSpec(-10.0, 10.0, 1001, 0.0, 4.0, 201)
     oa0, ob0, _ = analytic.fast_soliton(sp, grid.taus())
-    sol = propagate((oa0.astype(complex), ob0.astype(complex)), "dark", sp.params, grid)
+    dark = model.density_from_pure(model.dark_state(sp.params.eta))
+    boundary = np.repeat(dark[..., None], grid.n_zeta, axis=-1)  # (3, 3, n_zeta)
+    sol = propagate((oa0.astype(complex), ob0.astype(complex)), boundary, sp.params, grid)
     _AUDIT_POOL.append(("c7 numeric", sol))
     p1 = float(np.max(sol.populations[..., 0]))
     p3 = float(np.max(sol.populations[..., 2]))

@@ -41,7 +41,8 @@ def test_parse_rejects_bad_values():
     with pytest.raises(ParseError, match="canned tags go through --scenario"):
         parse_config("scenario = fig2\n")
     with pytest.raises(ParseError, match="refuses the numeric engine"):
-        parse_config("scenario = exulton_k\nengine = numeric\n")
+        parse_config("scenario = exulton_k\neps0 = 1\nk = 0.2\nc1 = 0\nc2 = 0\nc3 = 1\n"
+                     "engine = numeric\n")
     with pytest.raises(ParseError, match="Delta"):
         parse_config("scenario = slow\ndelta = 0.5\nprobe_lambdas = 1+1j; 0.5+1e-10j\n")
     err = None
@@ -64,7 +65,7 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
 
 @pytest.mark.parametrize("text", [
     "delta = nan\n", "tau_min = 5\ntau_max = -5\n", "scenario = fig2\n",
-    "scenario = exulton_k\nengine = numeric\n",
+    "scenario = exulton_k\neps0 = 1\nk = 0.2\nc1 = 0\nc2 = 0\nc3 = 1\nengine = numeric\n",
     "scenario = slow\nengine = analytic\ndelta = 0.5\nprobe_lambdas = 0.5\n",
     # a value its type refuses, or one outside the scenario's regime, on
     # every route: the dressing-only runs below would otherwise pass on a
@@ -96,10 +97,13 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "scenario = fast\neps0 = 1.000000005\n",
     # a flag the parser does not know is not false
     "quiet = tru\n", "quiet = 2\n",
+    # a file that is not UTF-8
+    b"scenario = slow\xff\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
-    path.write_text(text + f"out = {tmp_path / 'run'}\nquiet = true\n")
+    data = text if isinstance(text, bytes) else text.encode()
+    path.write_bytes(data + f"out = {tmp_path / 'run'}\nquiet = true\n".encode())
     assert cli.main([str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "run").exists()
@@ -110,13 +114,30 @@ def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
 ])
 def test_main_validates_the_config_after_its_overrides(tmp_path, capsys, argv):
     path = tmp_path / "cfg.txt"
-    path.write_text("scenario = exulton_k\neps0 = 1\nc1 = 0\nc2 = 0\nc3 = 1\n"
+    path.write_text("scenario = exulton_k\neps0 = 1\nk = 0.2\nc1 = 0\nc2 = 0\nc3 = 1\n"
                     f"out = {tmp_path / 'run'}\nquiet = true\n")
     parse_config(path.read_text())  # valid until the override
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert cli.main([str(path), *argv]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_exulton_k_propagates_at_k_zero_and_refuses_the_numeric_engine_otherwise(tmp_path, capsys):
+    # the solution does not depend on zeta at k = 0, and its state is a projector
+    lattice = ("scenario = exulton_k\neps0 = 1\nc1 = 0\nc2 = 0\nc3 = 1\nquiet = true\n"
+               "tau_min = -10\ntau_max = 10\nn_tau = 201\nzeta_min = 0\nzeta_max = 6\nn_zeta = 61\n")
+    path = tmp_path / "k0.txt"
+    path.write_text(lattice + f"out = {tmp_path / 'k0'}\n")
+    assert cli.main([str(path), "--engine", "all", "--check"]) == 0
+    report = (tmp_path / "k0" / "residual_report.txt").read_text()
+    assert "compare[numeric vs analytic]" in report and report.endswith("verdict: PASS\n")
+    path = tmp_path / "k02.txt"
+    path.write_text(lattice + f"k = 0.2\nout = {tmp_path / 'k02'}\n")
+    capsys.readouterr()
+    assert cli.main([str(path), "--engine", "numeric"]) == 2
+    assert "refuses the numeric engine" in capsys.readouterr().err
+    assert not (tmp_path / "k02").exists()
 
 
 def test_a_run_without_grids_cannot_pass():
@@ -261,8 +282,8 @@ def _configs(draw):
     tolerances are drawn over their whole valid range.
     """
     name = draw(st.sampled_from(sorted(scenarios.REGISTRY)))
-    refused = scenarios.REGISTRY[name].boundary is None
     regime = draw(regime_keywords(name))
+    refused = scenarios.state_kind(scenarios.make_scenario(name, **regime).params) == "formal"
     # the constants a scenario does not take are free
     a = regime.get("a") or tuple(draw(_FINITE) for _ in range(3))
     c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from lambda_mb import algebra, analytic, mbsolver, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
-from lambda_mb.errors import BoundaryMismatch, StepUnstable
+from lambda_mb.errors import StepUnstable
 from lambda_mb.mbsolver import GridSpec, integrate_bloch_slice, maxwell_step, propagate
 from lambda_mb.model import LambdaParams, SpectralData
 from pointwise_oracle import node_major
@@ -254,20 +254,12 @@ def test_propagate_constant_background_is_stationary():
     p = LambdaParams(nu0=3.0, omega0=1.0)
     oa0 = np.full(grid.n_tau, 1.0, dtype=complex)
     ob0 = np.zeros(grid.n_tau, dtype=complex)
-    sol = propagate((oa0, ob0), "dark", p, grid)
+    boundary = np.repeat(DARK[..., None], grid.n_zeta, axis=-1)  # (3, 3, n_zeta)
+    sol = propagate((oa0, ob0), boundary, p, grid)
     assert np.array_equal(sol.omega_a, np.broadcast_to(oa0, sol.omega_a.shape))
     assert np.max(np.abs(sol.omega_b)) == 0.0
     assert np.max(sol.populations[..., 0]) == 0.0
     assert np.max(np.abs(sol.populations[..., 1] - 1.0)) == 0.0
-
-
-def test_propagate_boundary_guard():
-    grid = GridSpec(-5, 5, 51, 0, 1, 5)
-    p = LambdaParams(nu0=3.0, omega0=1.0)
-    oa0 = np.full(grid.n_tau, 0.5, dtype=complex)  # does not sit on the background
-    ob0 = np.zeros(grid.n_tau, dtype=complex)
-    with pytest.raises(BoundaryMismatch):
-        propagate((oa0, ob0), "dark", p, grid)
 
 
 def test_propagate_tracks_analytic_slow_soliton():
@@ -324,7 +316,7 @@ def test_the_audit_of_a_numeric_grid_is_the_audit_of_its_slices_stored(tag, delt
     assert ours.as_text() == theirs.as_text()
 
 
-@pytest.mark.parametrize("tag", ["slow", "fig4"])  # dark and array boundary rules
+@pytest.mark.parametrize("tag", ["slow", "fig4"])  # a transcribed and a dressed tau_min state
 def test_every_slice_is_hermitian_and_the_grid_reports_it(tag):
     sp, g = canned_scenario(tag)
     grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_min + 10 * g.h_zeta, 11)
