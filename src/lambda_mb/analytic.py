@@ -105,9 +105,10 @@ def guard_exulton_k(sp: ScenarioParams):
 
 def _slow_phase(p: LambdaParams, s: SpectralData, a1: float, zeta, tau):
     w = np.real(s.root)
+    # eps0 - w, written so that it does not cancel at eps0 >> omega0
     return (
         zeta * s.eps0 * p.nu0 / (2.0 * (p.delta**2 + s.eps0**2))
-        - 0.5 * tau * (s.eps0 - w)
+        - 0.5 * tau * (p.omega0**2 / (s.eps0 + w))
         + math.log(abs(a1))
     )
 
@@ -124,6 +125,7 @@ def two_soliton(sp: ScenarioParams, zeta, tau):
     a1, a2, a3 = sp.soliton.a1, sp.soliton.a2, sp.soliton.a3
     om0, eps0, nu0, delta = p.omega0, s.eps0, p.nu0, p.delta
     w = np.real(s.root)
+    gap = om0**2 / (eps0 + w)  # eps0 - w, as in _slow_phase
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
 
@@ -148,7 +150,7 @@ def two_soliton(sp: ScenarioParams, zeta, tau):
         * np.exp(-0.5 * tau * eps0 + zeta * phase_b - m)
         * (
             a3 * np.exp(0.5 * e_fast) * math.sqrt(eps0 + w)
-            + a2 * np.exp(-0.5 * e_fast) * math.sqrt(eps0 - w)
+            + a2 * np.exp(-0.5 * e_fast) * math.sqrt(gap)
         )
     )
     ob = num_b / den
@@ -161,6 +163,7 @@ def slow_soliton(sp: ScenarioParams, zeta, tau):
     p, s = sp.params, sp.spectral
     om0, eps0, nu0, delta = p.omega0, s.eps0, p.nu0, p.delta
     w = np.real(s.root)
+    gap = om0**2 / (eps0 + w)  # eps0 - w, as in _slow_phase
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
     phi = _slow_phase(p, s, sp.soliton.a1, zeta, tau)
@@ -169,11 +172,11 @@ def slow_soliton(sp: ScenarioParams, zeta, tau):
     ob = (
         -1j
         * np.exp(1j * zeta * nu0 * delta / (2.0 * r**2))
-        * math.sqrt(2.0 * eps0 * (eps0 - w))
+        * math.sqrt(2.0 * eps0 * gap)
         / np.cosh(phi)
     )
     # amplitudes over (|1>, |2>, |3>); the middle one is (Delta - i eps0 Oa/Om0)/r
-    c1 = ob * 1j * math.sqrt(eps0 + w) / (2.0 * r * math.sqrt(eps0 - w))
+    c1 = ob * 1j * math.sqrt(eps0 + w) / (2.0 * r * math.sqrt(gap))
     c2 = (delta - 1j * eps0 * oa / om0) / r
     c3 = ob / (2.0 * r)
     state = np.stack(np.broadcast_arrays(c1, c2, c3), axis=-1)

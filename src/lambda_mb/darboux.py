@@ -97,9 +97,10 @@ def map_constants(a: SolitonConstants, s: SpectralData, omega0: float) -> DressC
             f"mapping requires eps0 > omega0 (eps0={s.eps0}, omega0={omega0})"
         )
     w = math.sqrt(w2)
+    # eps0 - w written as omega0^2 / (eps0 + w), which does not cancel at eps0 >> omega0
     return DressConstants(
         c1=a.a1 * omega0 * math.sqrt(s.eps0 / (2.0 * w2)),
-        c2=a.a2 * math.sqrt(s.eps0 - w),
+        c2=a.a2 * math.sqrt(omega0**2 / (s.eps0 + w)),
         c3=a.a3 * math.sqrt(s.eps0 + w),
     )
 
@@ -128,7 +129,8 @@ def _regular_structure(p: LambdaParams, s: SpectralData) -> np.ndarray:
     if abs(math.pi / 2 - p.eta) < 1e-12:
         raise ParameterGuard("regular seed basis undefined at eta = pi/2")
     gamma = 2.0 * w / p.omega0
-    alpha = p.omega0 / (-lam0 + 1j * w)
+    # omega0 / (i (w - eps0)), without the cancellation of eps0 - w
+    alpha = 1j * (s.eps0 + w) / p.omega0
     beta = -p.omega0 / (lam0 + 1j * w)
     ce, se = math.cos(p.eta), math.sin(p.eta)
     return np.array(

@@ -57,7 +57,9 @@ def test_seed_structure_at_origin():
     phi = seed_fundamental(FIG2_P, FIG2_S, 0.0, 0.0)
     # exponentials are 1 at the origin, so the frame itself shows through
     assert np.allclose(phi[2, :], [0.0, 1.0, 1.0], atol=1e-15)
-    assert abs(phi[0, 1] - 1.0 / (-2j + 1j * math.sqrt(3))) < 1e-15
+    # omega0 / (-lambda0 + i root) = i (eps0 + root) / omega0, the form without
+    # the cancellation of root - eps0 (1.4e-15 in the quotient form)
+    assert abs(phi[0, 1] - 1j * (2.0 + math.sqrt(3))) < 1e-15
 
 
 def test_seed_vanishing_background_dark_column():

@@ -99,6 +99,19 @@ def test_closed_form_and_dressing_agree_across_the_regime(name, data):
     assert verify.audit_density(drs).max_abs <= 1e-8
 
 
+@pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e5, 1e6])
+@pytest.mark.parametrize("name", sorted(n for n, r in scenarios.REGISTRY.items()
+                                        if r.constants == "a"))
+def test_closed_form_and_dressing_agree_far_above_the_background(name, ratio):
+    # eps0 / omega0 = ratio: eps0 - root cancels unless written as omega0^2 / (eps0 + root)
+    g = scenarios.CANNED[name]["grid"]
+    grid = GridSpec(g.tau_min, g.tau_max, 201, g.zeta_min, g.zeta_max, 41)
+    sp = scenarios.make_scenario(name, eps0=2.0, omega0=2.0 / ratio)
+    ana = scenarios.build_analytic_grid(sp, grid)
+    drs = scenarios.build_dressed_grid(sp, grid)
+    assert verify.compare_solutions(ana, drs).max_abs <= scenarios.REGISTRY[name].field_tol
+
+
 def _arrays(sol):
     return [a for a in (sol.omega_a, sol.omega_b, sol.rho, sol.populations) if a is not None]
 
