@@ -260,6 +260,9 @@ def test_propagate_constant_background_is_stationary():
     assert np.max(np.abs(sol.omega_b)) == 0.0
     assert np.max(sol.populations[..., 0]) == 0.0
     assert np.max(np.abs(sol.populations[..., 1] - 1.0)) == 0.0
+    # the boundary is entry-major; the node-major stack of the same matrices is refused
+    with pytest.raises(ValueError, match=r"\(3, 3, n_zeta\) = \(3, 3, 21\)"):
+        propagate((oa0, ob0), np.ascontiguousarray(np.moveaxis(boundary, -1, 0)), p, grid)
 
 
 def test_propagate_tracks_analytic_slow_soliton():
