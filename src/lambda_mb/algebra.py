@@ -8,7 +8,7 @@ full (zeta, tau) grids.  A stack of matrices is entry-major, (3, 3, ...),
 so each entry is one contiguous array over the nodes.
 
 state_figures is the density audit's kernel: verify.audit_density runs it
-on each chunk of a stored state, and the solver on each slice it writes.
+on each block of zeta rows of a state, and the solver on each slice it writes.
 """
 
 from __future__ import annotations

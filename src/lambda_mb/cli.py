@@ -6,12 +6,20 @@ writes per-engine grid CSVs, a residual report and a manifest that echoes
 every input (the manifest itself parses back into the identical config).
 Exit codes: 0 all configured checks passed, 1 check failure or engine
 error, 2 unusable config.
+
+A run holds no whole grid.  Each route is read once, engine by engine,
+from its row source in the blocks of GridSpec.blocks(): the CSV writer
+writes each block, and the same block feeds the route's density audit
+and its compare with the closed form, whose rows the compare evaluates
+again block by block.  The numeric route's pass runs inside
+mbsolver.propagate, as its consumer.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import ctypes
 import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
@@ -20,17 +28,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import analytic, model, scenarios, verify
+from . import algebra, analytic, mbsolver, model, scenarios, verify
 from .errors import LambdaMBError, ParseError
-from .mbsolver import GridSpec, SolutionGrid
+from .mbsolver import GridSpec, RowSource, Rows
 from .scenarios import DEFAULT_PROBES
 
 CSV_HEADER = "zeta,tau,re_Oa,im_Oa,re_Ob,im_Ob,Ia,Ib,P1,P2,P3"
 
 ENGINES = ("analytic", "dressing", "numeric", "all")
-
-#: lines per block of the CSV writer, in whole zeta rows
-_BLOCK_LINES = 8192
 
 
 @dataclass
@@ -261,37 +266,66 @@ def _text_bytes(texts: List[bytes]) -> np.ndarray:
     return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
-def write_grid_csv(path: Path, sol: SolutionGrid):
+def _population_columns(block: Rows):
+    """The three (rows, n_tau) population columns of a block, or None where it has none."""
+    if block.populations is not None:
+        pops = np.asarray(block.populations, dtype=float)
+        return [pops[..., k] for k in range(3)]
+    if block.rho is not None:
+        return [block.rho[k, k].real for k in range(3)]
+    return None
+
+
+def write_grid_csv(path: Path, sol):
     """Row-major (zeta outer, tau inner) CSV with 12 significant digits.
 
-    Every value is written as ``format(x, ".12g")`` writes it. The writer
-    builds blocks of whole zeta rows, as many as fit in about 8,192 lines
-    (one row at least), as NUL-padded byte arrays with one fixed slot per
-    cell, and drops the NULs with ``bytes.translate`` before writing. A
-    line template built once per grid holds the tau strings and the text of
-    every *fixed* column, one float64 bit pattern on every node
-    (`_fixed_text`); each block copies it and writes its zeta strings. Each
-    *live* column goes through `g12.write_slots`, which writes the text of every
-    value whose 12-digit rounding it can certify, and ``format`` writes the
-    rest into the same slots. The intensities Ia and Ib are the text of
-    ``pow(h, 2)`` on Python floats, with h = |z| as Python's ``abs`` gives it
-    (`_modulus`); numpy's square of h differs from it in the last bit on
-    some nodes, which can flip the 12th digit, so the kernel certifies h*h
-    with a margin that covers one ulp and ``format`` writes ``pow(h, 2)``
-    wherever it does not. An intensity that overflows is inf. An intensity
-    column is fixed when both parts of its field are. When every live column
-    repeats its first row on every zeta row (`_rows_repeat`, as on a grid
-    that does not depend on zeta), the lines of one row are built once and
-    each zeta row joins its zeta string into them.
+    sol is a SolutionGrid or an mbsolver.RowSource: anything with a grid
+    and rows(z0, z1), which the writer asks for the blocks of
+    grid.blocks(), once each and in order, writing each block before it
+    asks for the next. Every value is written as ``format(x, ".12g")``
+    writes it; see _csv_block for how.
+    """
+    grid = sol.grid
+    zeta_texts = [format(z, ".12g").encode() for z in grid.zetas().tolist()]
+    zetas = _text_bytes(zeta_texts)
+    taus = _text_bytes([format(t, ".12g").encode() for t in grid.taus().tolist()])
+    with path.open("wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for z0, z1 in grid.blocks():
+            fh.write(_csv_block(sol.rows(z0, z1), zetas[z0:z1], zeta_texts[z0:z1], taus))
+
+
+def _csv_block(block: Rows, zetas: np.ndarray, zeta_texts: List[bytes], taus: np.ndarray) -> bytes:
+    """The CSV lines of one block of zeta rows; zetas and zeta_texts are its rows' zeta texts.
+
+    The lines are built as NUL-padded byte arrays with one fixed slot per
+    cell, and the NULs are dropped with ``bytes.translate``. A line
+    template built once per block holds the tau strings and the text of
+    every *fixed* column, one float64 bit pattern on every node of the
+    block (`_fixed_text`); that text is the text of each of its values.
+    The block copies the template and writes its zeta strings. Each *live*
+    column goes through `g12.write_slots`, which writes the text of every
+    value whose 12-digit rounding it can certify, and ``format`` writes
+    the rest into the same slots. The intensities Ia and Ib are the text
+    of ``pow(h, 2)`` on Python floats, with h = |z| as Python's ``abs``
+    gives it (`_modulus`); numpy's square of h differs from it in the last
+    bit on some nodes, which can flip the 12th digit, so the kernel
+    certifies h*h with a margin that covers one ulp and ``format`` writes
+    ``pow(h, 2)`` wherever it does not. An intensity that overflows is
+    inf. An intensity column is fixed when both parts of its field are.
+    When every live column repeats its first row on every row of the
+    block (`_rows_repeat`, as on a grid that does not depend on zeta), the
+    lines of one row are built once and each zeta row joins its zeta
+    string into them.
     """
     # imported here, so that a run that writes no CSV (--check) never builds its tables
     from . import g12
 
-    grid = sol.grid
-    fields = (sol.omega_a, sol.omega_b)
+    n_rows, n_tau = block.omega_a.shape
+    fields = (block.omega_a, block.omega_b)
     # (text, column, field) of re_Oa .. P3 in CSV order: a fixed column has its
     # text, a live part its column, a live intensity its field; a real field's
-    # imaginary part is the text 0 (its .imag would be a grid of zeros)
+    # imaginary part is the text 0 (its .imag would be a block of zeros)
     cells = []
     for f in fields:
         if np.iscomplexobj(f):
@@ -304,15 +338,12 @@ def write_grid_csv(path: Path, sol: SolutionGrid):
             cells.append((None, None, f))
         else:
             cells.append((format(_square(float(_modulus(f.reshape(-1)[:1])[0])), ".12g"), None, None))
-    if sol.populations is None:
+    pops = _population_columns(block)
+    if pops is None:
         cells += [("0", None, None)] * 3
     else:
-        pops = np.asarray(sol.populations, dtype=float)
-        cells += [(_fixed_text(pops[..., k]), pops[..., k], None) for k in range(3)]
+        cells += [(_fixed_text(column), column, None) for column in pops]
 
-    zeta_texts = [format(z, ".12g").encode() for z in grid.zetas().tolist()]
-    zetas = _text_bytes(zeta_texts)
-    taus = _text_bytes([format(t, ".12g").encode() for t in grid.taus().tolist()])
     # line layout: zeta slot, ',', tau slot, then each cell; a live cell is a
     # g12 slot on a word boundary, so a block reads as 64-bit words
     line = bytearray(zetas.shape[1]) + b"," + bytes(taus.shape[1])
@@ -325,22 +356,22 @@ def write_grid_csv(path: Path, sol: SolutionGrid):
         else:
             line += ("," + text).encode()
     line += b"\n" + bytes(-(len(line) + 1) % 8)
-    template = np.tile(np.frombuffer(line, dtype=np.uint8), (grid.n_tau, 1))
+    template = np.tile(np.frombuffer(line, dtype=np.uint8), (n_tau, 1))
     tau_start = zetas.shape[1] + 1
     template[:, tau_start:tau_start + taus.shape[1]] = taus
 
-    def block(z0: int, z1: int, with_zeta: bool) -> bytearray:
-        buf = bytearray(template.size * (z1 - z0))
-        lines = np.frombuffer(buf, dtype=np.uint8).reshape(z1 - z0, grid.n_tau, -1)
-        lines[...] = template
+    def lines(n: int, with_zeta: bool) -> bytearray:
+        buf = bytearray(template.size * n)
+        out = np.frombuffer(buf, dtype=np.uint8).reshape(n, n_tau, -1)
+        out[...] = template
         if with_zeta:
-            lines[:, :, :zetas.shape[1]] = zetas[z0:z1, None, :]
-        words = lines.reshape(-1, template.shape[1]).view(g12.WORD)
+            out[:, :, :zetas.shape[1]] = zetas[:, None, :]
+        words = out.reshape(-1, template.shape[1]).view(g12.WORD)
         for slot, column, f in live:
             if f is None:
-                values = exact = column[z0:z1].reshape(-1)
+                values = exact = column[:n].reshape(-1)
             else:
-                exact = _modulus(f[z0:z1]).reshape(-1)
+                exact = _modulus(f[:n]).reshape(-1)
                 with np.errstate(over="ignore"):
                     values = exact * exact
             fallback = g12.write_slots(values, words[:, slot:slot + 3])
@@ -351,17 +382,11 @@ def write_grid_csv(path: Path, sol: SolutionGrid):
                 words[fallback, slot:slot + 3] = g12.text_slots([format(x, ".12g") for x in xs])
         return buf.translate(None, b"\0")
 
-    with path.open("wb") as fh:
-        fh.write(CSV_HEADER.encode() + b"\n")
-        # an intensity repeats where both parts of its field do
-        if _rows_repeat([column for _, column, f in live if f is None], grid.n_zeta):
-            lines = [b""] + block(0, 1, with_zeta=False).splitlines(keepends=True)
-            for z in zeta_texts:
-                fh.write(z.join(lines))
-        else:
-            rows = max(1, _BLOCK_LINES // grid.n_tau)
-            for z0 in range(0, grid.n_zeta, rows):
-                fh.write(block(z0, min(z0 + rows, grid.n_zeta), with_zeta=True))
+    # an intensity repeats where both parts of its field do
+    if _rows_repeat([column for _, column, f in live if f is None], n_rows):
+        row = [b""] + lines(1, with_zeta=False).splitlines(keepends=True)
+        return b"".join(z.join(row) for z in zeta_texts)
+    return lines(n_rows, with_zeta=True)
 
 
 def _say(cfg, msg):
@@ -369,41 +394,77 @@ def _say(cfg, msg):
         print(msg)
 
 
-def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
-    """Configured verification for one run: (failure list, report list)."""
+class _Checks:
+    """The density audits and cross-route compares of one run, folded block by block.
+
+    watch(eng, rows) wraps a route's row source so that each block it
+    returns also feeds the folds: an exact route's state figures
+    (verify.block_figures, folded by algebra.worse_figures), the analytic
+    route's max |Omega_a| (the numeric_tol scale), and the compare of a
+    dressing or numeric block with the closed form's same rows, evaluated
+    again for it. The numeric route's figures are the solver's own, which
+    the run stores in figures after its pass, so no slice is audited twice.
+    """
+
+    def __init__(self, sp, grid: GridSpec, engines):
+        self.grid, self.kind = grid, scenarios.state_kind(sp.params)
+        self.figures = {}
+        self.scale = np.float64(0.0)
+        self.compares = {eng: verify.CompareFold() for eng in ("dressing", "numeric")
+                         if eng in engines and "analytic" in engines}
+        self.closed_form = scenarios.closed_form_rows(sp, grid) if self.compares else None
+
+    def watch(self, eng: str, rows) -> RowSource:
+        def watched(z0: int, z1: int) -> Rows:
+            block = rows(z0, z1)
+            if eng != "numeric":
+                figures = verify.block_figures(block.rho, self.kind)
+                if eng in self.figures:
+                    figures = algebra.worse_figures(self.figures[eng], figures)
+                self.figures[eng] = figures
+            if eng == "analytic":
+                self.scale = np.maximum(self.scale, np.max(np.abs(block.omega_a)))
+            if eng in self.compares:
+                # the solver's state is not compared, its fields are
+                theirs = block if eng == "dressing" else block._replace(rho=None)
+                self.compares[eng].add(self.closed_form(z0, z1), theirs)
+            return block
+        return RowSource(self.grid, watched)
+
+
+def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
+    """Configured verification for one run, from its folds: (failure list, report list)."""
     failures: List[str] = []
     reports: List[verify.ResidualReport] = []
-    if not grids:
+    if not checks.figures:
         failures.append("no grid was built")
 
-    for name, sol in grids.items():
-        rep = verify.audit_density(sol)
+    for name, figures in checks.figures.items():
+        kind = "density" if name == "numeric" else checks.kind
+        rep = verify.audit_report(figures, kind, grid)
         reports.append(rep)
         tol = cfg.audit_tol if name != "numeric" else max(cfg.audit_tol, cfg.numeric_audit_tol)
         if not (rep.max_abs <= tol):
             failures.append(f"audit[{name}]: {rep.max_abs:.2e} > {tol:.0e}")
 
-    if "analytic" in grids and "dressing" in grids:
+    if "dressing" in checks.compares:
         default_tol = scenarios.REGISTRY[sp.scenario].field_tol
         tol = cfg.field_tol if cfg.field_tol is not None else default_tol
-        rep = verify.compare_solutions(grids["analytic"], grids["dressing"])
-        rep.name = "compare[analytic vs dressing]"
+        rep = checks.compares["dressing"].report("compare[analytic vs dressing]")
         reports.append(rep)
         if not (rep.max_abs <= tol):
             failures.append(f"analytic vs dressing: {rep.max_abs:.2e} > {tol:.0e}")
 
-    if "numeric" in grids and "analytic" in grids:
-        scale = float(np.max(np.abs(grids["analytic"].omega_a)))
-        # a numeric grid holds no state, so the fields are compared
-        rep = verify.compare_solutions(grids["analytic"], grids["numeric"])
-        rep.name = "compare[numeric vs analytic]"
+    if "numeric" in checks.compares:
+        scale = float(checks.scale)
+        rep = checks.compares["numeric"].report("compare[numeric vs analytic]")
         reports.append(rep)
         if not (rep.max_abs <= cfg.numeric_tol * scale):
             failures.append(
                 f"numeric vs analytic: {rep.max_abs:.2e} > {cfg.numeric_tol:.0e} * {scale:.2f}"
             )
 
-    if "analytic" in grids:
+    if "analytic" in checks.figures:
         # residual convergence runs on a capped lattice over the same domain
         # so high-resolution output grids do not inflate the check cost; the
         # pass reads both check lattices from the closed form in blocks of
@@ -434,32 +495,53 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, grids: dict):
 
 
 def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
-    """Execute one configured run; returns the process exit code."""
+    """Execute one configured run; returns the process exit code.
+
+    ParseError on an unusable config, an out that cannot be a directory
+    included.
+    """
     sp, grid = _validate(cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ParseError(f"out {cfg.out!r} cannot be a directory ({exc})") from None
 
     engines = [cfg.engine] if cfg.engine != "all" else ["analytic", "dressing", "numeric"]
     if scenarios.state_kind(sp.params) == "formal" and "numeric" in engines:
         engines.remove("numeric")  # only under "all": _validate rejects an explicit request
         _say(cfg, f"note: numeric engine skipped for {sp.scenario} (direct propagation refused)")
-    grids = {}
+    checks = _Checks(sp, grid, engines)
+
+    def read(eng: str, rows):
+        """One pass over a route's rows: its CSV, or with --check the blocks alone."""
+        source = checks.watch(eng, rows)
+        if check_only:
+            for z0, z1 in grid.blocks():
+                source.rows(z0, z1)
+            return
+        path = out / f"grid_{eng}.csv"
+        write_grid_csv(path, source)
+        _say(cfg, f"wrote {path}")
+
+    def read_numeric(rows):
+        read("numeric", rows)
+        return rows.figures
+
+    # engine by engine, not all routes in step: each CSV is then one
+    # write_grid_csv call and the whole march one propagate call, the spans
+    # that bench/spans.py times
     for eng in engines:
-        _say(cfg, f"building {eng} grid for scenario {sp.scenario}")
+        _say(cfg, f"reading the {eng} route for scenario {sp.scenario}")
         if eng == "analytic":
-            grids[eng] = scenarios.build_analytic_grid(sp, grid)
+            read(eng, scenarios.closed_form_rows(sp, grid))
         elif eng == "dressing":
-            grids[eng] = scenarios.build_dressed_grid(sp, grid)
+            read(eng, scenarios.dressed_rows(sp, grid))
         else:
-            grids[eng] = scenarios.build_numeric_grid(sp, grid)
+            checks.figures[eng] = mbsolver.propagate(*scenarios.numeric_entry(sp, grid),
+                                                     sp.params, grid, consume=read_numeric)
 
-    if not check_only:
-        for eng, sol in grids.items():
-            path = out / f"grid_{eng}.csv"
-            write_grid_csv(path, sol)
-            _say(cfg, f"wrote {path}")
-
-    failures, reports = _run_checks(cfg, sp, grid, grids)
+    failures, reports = _run_checks(cfg, sp, grid, checks)
 
     manifest_extra = {"scenario_resolved": sp.scenario}
     if sp.soliton is not None:
@@ -480,6 +562,27 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
         _say(cfg, "  " + line)
     _say(cfg, f"verdict: {verdict}")
     return 0 if not failures else 1
+
+
+def _keep_freed_heap():
+    """Tell glibc's malloc never to return the top of the heap to the system.
+
+    A streamed run frees, after every block of rows, the working memory
+    that the next block allocates again. By default glibc returns the free
+    top of the heap once it exceeds twice the largest mapping freed so far,
+    which in a streamed run is one block's state, so every block faulted
+    its few MB back in: about 26,000 minor faults per exact-check pass of
+    the benchmark, a fifth of its time. A process that stored whole grids
+    raised that threshold with them. M_TRIM_THRESHOLD = -1 turns trimming
+    off; other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold = -1  # <malloc.h>; the value -1 disables trimming
+    mallopt(m_trim_threshold, -1)
 
 
 def main(argv=None) -> int:
@@ -516,8 +619,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    _keep_freed_heap()
     try:
         return run_scenario(cfg, check_only=args.check)
+    except ParseError as exc:  # an out that cannot be a directory
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except LambdaMBError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -28,17 +28,23 @@ A stack of 3x3 matrices is held entry-major, a (3, 3, n) array whose
 entries are contiguous rows over the tau nodes, so each numpy call covers
 the whole slice rather than one matrix; no 3x3 solve or eigenvalue goes
 to LAPACK.  march yields the zeta rows in order and holds only the
-current one; propagate keeps the fields and the populations and folds
-the slices' audit figures into meta, so no numeric grid stores a state.
-Runs are deterministic: fixed grids, no adaptivity, no parallel
-reductions.
+current one; march_rows reads them as a row source, one block of rows
+at a time, and folds the slices' audit figures; propagate hands that
+source to a consumer, by default one that keeps the fields and the
+populations, so no numeric grid stores a state.  Runs are deterministic:
+fixed grids, no adaptivity, no parallel reductions.
+
+Every pass over a lattice goes in blocks of whole zeta rows under one
+rule (GridSpec.blocks, block_rows): about BLOCK_NODES nodes, one row at
+least.  A row source is a function rows(z0, z1) that returns rows z0 to
+z1 - 1 of a solution as Rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +54,15 @@ from .model import LambdaParams
 
 #: admissible band for state eigenvalues during integration
 EIG_BAND = 1e-4
+
+#: nodes per block of zeta rows: a block's arrays stay small, so no pass's
+#: working memory grows with the lattice
+BLOCK_NODES = 8192
+
+
+def block_rows(width: int) -> int:
+    """Zeta rows per block of a lattice ``width`` nodes wide: BLOCK_NODES nodes, one row at least."""
+    return max(1, BLOCK_NODES // width)
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,34 @@ class GridSpec:
         """Same domain with both steps halved."""
         return GridSpec(self.tau_min, self.tau_max, 2 * self.n_tau - 1,
                         self.zeta_min, self.zeta_max, 2 * self.n_zeta - 1)
+
+    def blocks(self) -> list:
+        """(z0, z1) of each block of block_rows(n_tau) whole zeta rows, in order."""
+        rows = block_rows(self.n_tau)
+        return [(z0, min(z0 + rows, self.n_zeta)) for z0 in range(0, self.n_zeta, rows)]
+
+
+class Rows(NamedTuple):
+    """Zeta rows z0 to z1 - 1 of a solution on grid, as a row source returns them.
+
+    omega_a and omega_b are (z1 - z0, n_tau); rho is entry-major,
+    (3, 3, z1 - z0, n_tau), or None where the solution keeps no state, and
+    then populations, (z1 - z0, n_tau, 3), may stand in for its diagonal.
+    """
+
+    grid: "GridSpec"
+    omega_a: np.ndarray
+    omega_b: np.ndarray
+    rho: Optional[np.ndarray]
+    populations: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class RowSource:
+    """A lattice and a row source over it: rows(z0, z1) -> Rows."""
+
+    grid: "GridSpec"
+    rows: Callable
 
 
 @dataclass
@@ -124,6 +167,12 @@ class SolutionGrid:
             self.populations = np.empty(expected + (3,), dtype=float)
             for k in range(3):
                 self.populations[..., k] = self.rho[k, k].real
+
+    def rows(self, z0: int, z1: int) -> Rows:
+        """Rows z0 to z1 - 1 of the stored grid, as views."""
+        rho = None if self.rho is None else self.rho[:, :, z0:z1]
+        pops = None if self.populations is None else self.populations[z0:z1]
+        return Rows(self.grid, self.omega_a[z0:z1], self.omega_b[z0:z1], rho, pops)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +365,61 @@ def march(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec):
             )
 
 
-def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> SolutionGrid:
-    """March the full system from the entry-face slice (see march).
+class _MarchRows:
+    """march as a forward-only row source; see march_rows."""
 
-    The grid keeps the fields and the populations of every row, and no
-    state: meta holds the worst of the rows' audit figures, herm_dev,
-    trace_dev, eig_min and eig_max, which verify.audit_density scores.
+    def __init__(self, rows, grid: GridSpec):
+        self.grid, self._rows, self._next = grid, rows, 0
+        self.figures = None
+
+    def __call__(self, z0: int, z1: int) -> Rows:
+        if z0 != self._next or not z0 < z1 <= self.grid.n_zeta:
+            raise ValueError(f"the solver's rows come once each, in order: asked for rows "
+                             f"{z0} to {z1 - 1}, the next is {self._next}")
+        shape = (z1 - z0, self.grid.n_tau)
+        oa, ob = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        rho = np.empty((3, 3) + shape, dtype=complex)
+        for i, (a, b, r, figures) in zip(range(shape[0]), self._rows):
+            oa[i], ob[i], rho[:, :, i] = a, b, r
+            self.figures = figures if self.figures is None else algebra.worse_figures(
+                self.figures, figures)
+        self._next = z1
+        return Rows(self.grid, oa, ob, rho)
+
+
+def march_rows(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> _MarchRows:
+    """The solver's rows as a row source, each block asked for once, in order.
+
+    rows(z0, z1) marches on to row z1 - 1 (see march) and returns the
+    block's fields and entry-major state; asking for any block but the
+    next raises ValueError.  rows.figures is the worst of the audit
+    figures (herm_dev, trace_dev, eig_min, eig_max) of every slice marched
+    so far, folded by algebra.worse_figures in row order.
     """
+    return _MarchRows(march(initial_fields, boundary_rho, p, grid), grid)
+
+
+def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec,
+              consume: Optional[Callable] = None):
+    """March the full system from the entry-face slice (see march) and hand on its rows.
+
+    consume(rows) gets the solver's row source (march_rows), and its result
+    is returned; the command line's pass over the numeric route is such a
+    consumer, so the whole march runs inside this call.  Without consume,
+    the blocks of grid.blocks() are kept: the grid holds the fields and the
+    populations of every row, and no state, and meta holds rows.figures,
+    which verify.audit_report scores.
+    """
+    rows = march_rows(initial_fields, boundary_rho, p, grid)
+    if consume is not None:
+        return consume(rows)
     omega_a = np.empty((grid.n_zeta, grid.n_tau), dtype=complex)
     omega_b = np.empty_like(omega_a)
     pops = np.empty((grid.n_zeta, grid.n_tau, 3))
-    worst = None
-    for i, (oa, ob, rho_slice, figures) in enumerate(march(initial_fields, boundary_rho, p, grid)):
-        omega_a[i], omega_b[i] = oa, ob
+    for z0, z1 in grid.blocks():
+        block = rows(z0, z1)
+        omega_a[z0:z1], omega_b[z0:z1] = block.omega_a, block.omega_b
         for k in range(3):
-            pops[i, :, k] = rho_slice[k, k].real
-        worst = figures if worst is None else algebra.worse_figures(worst, figures)
+            pops[z0:z1, :, k] = block.rho[k, k].real
     return SolutionGrid(grid=grid, omega_a=omega_a, omega_b=omega_b, populations=pops,
-                        state_kind="density", meta={"engine": "numeric", **worst})
+                        state_kind="density", meta={"engine": "numeric", **rows.figures})

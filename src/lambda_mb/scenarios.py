@@ -1,15 +1,18 @@
 """Scenario assembly: the scenario registry, canned parameter sets and grid builders.
 
 A scenario couples a parameter bundle with the three ways to realize it
-(closed form, dressing engine, numerical propagation); the builders here
-return SolutionGrid objects that the verification harness and the CLI
-consume uniformly.  What sets one scenario apart from another is its
-``Scenario`` record in ``REGISTRY``; no other code branches on a name.
-On both exact routes a grid's state kind follows k (state_kind): a
-projector at k = 0, the formal companion state otherwise, from which
-direct propagation is refused.  Every dressing build runs
-the seed verification gate first and keeps its report in
-``meta["seed_gate"]``.
+(closed form, dressing engine, numerical propagation).  Each route is a
+row source over the lattice (closed_form_rows, dressed_rows, and the
+solver's mbsolver.march_rows from numeric_entry), read in blocks of whole
+zeta rows; the command line streams them.  The builders here keep every
+block of the same sources in a SolutionGrid for the library and the
+tests, so a stored grid holds the bits a streamed pass reads.  What sets
+one scenario apart from another is its ``Scenario`` record in
+``REGISTRY``; no other code branches on a name.  On both exact routes a
+grid's state kind follows k (state_kind): a projector at k = 0, the
+formal companion state otherwise, from which direct propagation is
+refused.  The dressing route runs the seed verification gate first; a
+stored dressing grid keeps its report in ``meta["seed_gate"]``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from . import algebra, analytic, darboux, model
 from .analytic import ScenarioParams
 from .darboux import DressConstants, SolitonConstants
 from .errors import ParameterGuard
-from .mbsolver import GridSpec, SolutionGrid, propagate
+from .mbsolver import GridSpec, Rows, SolutionGrid, propagate
 from .model import LambdaParams, SpectralData
 
 #: probe spectral parameters used by the reproducible residual reports
@@ -136,22 +139,6 @@ def _mesh(grid: GridSpec):
     return grid.zetas()[:, None], grid.taus()[None, :]
 
 
-def _full(arr, shape):
-    """Writable contiguous array of the grid shape.
-
-    An array that already owns its data, is C-contiguous and writable and
-    has the grid shape is the grid's own and is kept as it is; anything
-    else (a broadcast evaluator output, a view) is copied out to the full
-    shape in C order; numpy's default order would keep the column layout
-    of a (1, n_tau) broadcast.
-    """
-    flags = getattr(arr, "flags", None)
-    if (flags is not None and arr.shape == shape and flags.owndata
-            and flags.c_contiguous and flags.writeable):
-        return arr
-    return np.array(np.broadcast_to(arr, shape), order="C")
-
-
 def state_kind(p: LambdaParams) -> str:
     """What an exact-route grid's state is: a projector at k = 0, formal otherwise.
 
@@ -168,74 +155,105 @@ def _closed_form(sp: ScenarioParams, zeta, tau):
     return oa, ob, record.density(sp, state, zeta, tau)
 
 
-def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
-    """Evaluate the closed-form scenario on the lattice."""
-    oa, ob, rho = _closed_form(sp, *_mesh(grid))
+def _stored(grid: GridSpec, rows, meta: dict, kind: str) -> SolutionGrid:
+    """A SolutionGrid that keeps every block of an exact route's row source."""
     shape = (grid.n_zeta, grid.n_tau)
-    return SolutionGrid(
-        grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
-        rho=_full(rho, (3, 3) + shape),
-        state_kind=state_kind(sp.params),
-        meta={"engine": "analytic", "scenario": sp.scenario},
-    )
+    oa = ob = rho = None
+    for z0, z1 in grid.blocks():
+        block = rows(z0, z1)
+        if oa is None:
+            oa = np.empty(shape, dtype=block.omega_a.dtype)
+            ob = np.empty(shape, dtype=block.omega_b.dtype)
+            rho = np.empty((3, 3) + shape, dtype=complex)
+        oa[z0:z1], ob[z0:z1], rho[:, :, z0:z1] = block.omega_a, block.omega_b, block.rho
+    return SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, rho=rho, state_kind=kind, meta=meta)
 
 
-def closed_form_rows(sp: ScenarioParams, grid: GridSpec):
-    """The closed form as a row source of the lattice, for the residual pass.
+def _row_source(grid: GridSpec, evaluate):
+    """The row source of evaluate(zeta, tau) -> (omega_a, omega_b, rho) on the lattice's mesh.
 
-    rows(z0, z1) evaluates the record at grid.zetas()[z0:z1] and
-    grid.taus() through the function that build_analytic_grid calls once
-    for all rows, and returns (omega_a, omega_b, rho) as read-only arrays
-    of the block's shape, (z1 - z0, n_tau) and (3, 3, z1 - z0, n_tau).
-    Nothing of the lattice is stored. A k = 0 block is bit-identical to the
-    same rows of the stored grid. An exulton_k block can differ from them
-    in the last bit: numpy reuses a temporary of 256 KiB or more as the
-    output of the next operation, so on a whole lattice it computes
-    x * conj(u) as conj(u) * x, and its complex product is not
-    commutative to the bit.
+    rows(z0, z1) evaluates at grid.zetas()[z0:z1] and grid.taus() and
+    returns Rows whose fields and state are read-only arrays of the
+    block's shape, (z1 - z0, n_tau) and (3, 3, z1 - z0, n_tau). Nothing of
+    the lattice is stored.
     """
     zetas, taus = _mesh(grid)
 
-    def rows(z0: int, z1: int):
+    def rows(z0: int, z1: int) -> Rows:
         zz = zetas[z0:z1]
         shape = (len(zz), grid.n_tau)
-        oa, ob, rho = _closed_form(sp, zz, taus)
-        return (np.broadcast_to(oa, shape), np.broadcast_to(ob, shape),
-                np.broadcast_to(rho, (3, 3) + shape))
+        oa, ob, rho = evaluate(zz, taus)
+        return Rows(grid, np.broadcast_to(oa, shape), np.broadcast_to(ob, shape),
+                    np.broadcast_to(rho, (3, 3) + shape))
     return rows
 
 
+def closed_form_rows(sp: ScenarioParams, grid: GridSpec):
+    """The closed form as a row source of the lattice (see _row_source).
+
+    build_analytic_grid keeps the blocks of grid.blocks(), so its grid
+    holds the bits that a pass over those blocks reads, exulton_k's
+    included.
+    """
+    return _row_source(grid, lambda zeta, tau: _closed_form(sp, zeta, tau))
+
+
+def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
+    """Evaluate the closed-form scenario on the lattice: every block of closed_form_rows, kept."""
+    return _stored(grid, closed_form_rows(sp, grid),
+                   {"engine": "analytic", "scenario": sp.scenario}, state_kind(sp.params))
+
+
+def _dressing_rows(sp: ScenarioParams, grid: GridSpec):
+    """dressed_rows without the seed gate."""
+    p, s, c = sp.params, sp.spectral, sp.dress_constants()
+    return _row_source(grid, lambda zeta, tau: darboux.dressed_fields_and_state(p, s, c, zeta, tau))
+
+
+def dressed_rows(sp: ScenarioParams, grid: GridSpec):
+    """The dressing engine as a row source of the lattice (see _row_source).
+
+    The seed verification gate runs first and raises ParameterGuard on a
+    seed that fails it.
+    """
+    darboux.verify_seed_or_raise(sp.params, sp.spectral)
+    return _dressing_rows(sp, grid)
+
+
 def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
-    """Run the dressing engine on the lattice."""
+    """Run the dressing engine on the lattice: every block of dressed_rows, kept."""
     p, s = sp.params, sp.spectral
-    c = sp.dress_constants()
     meta = {"engine": "dressing", "scenario": sp.scenario,
-            "constants": c.as_tuple(), "seed_gate": darboux.verify_seed_or_raise(p, s)}
-    zz, tt = _mesh(grid)
-    oa, ob, rho = darboux.dressed_fields_and_state(p, s, c, zz, tt)
-    shape = (grid.n_zeta, grid.n_tau)
-    return SolutionGrid(
-        grid=grid, omega_a=_full(oa, shape), omega_b=_full(ob, shape),
-        rho=_full(rho, (3, 3) + shape), state_kind=state_kind(p), meta=meta,
-    )
+            "constants": sp.dress_constants().as_tuple(),
+            "seed_gate": darboux.verify_seed_or_raise(p, s)}
+    return _stored(grid, _dressing_rows(sp, grid), meta, state_kind(p))
 
 
-def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
-    """Propagate the scenario's entry slice with the direct solver.
+def numeric_entry(sp: ScenarioParams, grid: GridSpec):
+    """(entry fields, tau_min states) the direct solver starts from.
 
     The entry fields are the closed form's first row (closed_form_rows),
     and the tau_min state of every row is the closed form's own, evaluated
-    on that column alone. A formal state (k != 0, state_kind) is refused
-    with ParameterGuard. The grid holds the fields, the populations and the
-    solver's audit figures, and no state.
+    on that column alone, as one entry-major (3, 3, n_zeta) array. Pass
+    them to mbsolver.propagate or march_rows with sp.params and grid. A
+    formal state (k != 0, state_kind) is refused with ParameterGuard.
     """
     if state_kind(sp.params) == "formal":
         raise ParameterGuard(f"{sp.scenario} has a formal companion state at k = {sp.params.k}; "
                              "direct propagation is not defined")
-    oa, ob, _ = closed_form_rows(sp, grid)(0, 1)
+    first = closed_form_rows(sp, grid)(0, 1)
     zetas, taus = _mesh(grid)
     rho = _closed_form(sp, zetas, taus[:, :1])[2]
     boundary = np.broadcast_to(rho, (3, 3, grid.n_zeta, 1))[..., 0]
-    sol = propagate((oa[0], ob[0]), boundary, sp.params, grid)
+    return (first.omega_a[0], first.omega_b[0]), boundary
+
+
+def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
+    """Propagate the scenario's entry slice (numeric_entry) with the direct solver.
+
+    The grid holds the fields, the populations and the solver's audit
+    figures, and no state.
+    """
+    sol = propagate(*numeric_entry(sp, grid), sp.params, grid)
     sol.meta.update({"scenario": sp.scenario})
     return sol

@@ -23,18 +23,20 @@ stencils multiply a complex difference by 1 / (2h): numpy divides a
 complex array by a real scalar as a product with its reciprocal, so the
 bits are those of the division.
 
-The pass reads the lattice from a row source, in blocks of whole zeta rows
-with one halo row on either side, so it holds one block at a time:
-residual_reports reads a stored grid's rows as views, and the command
-line's check lattices come from the closed form
+The pass reads the lattice from a row source (mbsolver.Rows) once, each
+row in order, and carries the last two rows of each block into the next
+as its halo, so it holds one block at a time and a forward-only source
+can feed it: residual_reports reads a stored grid's rows as views, and
+the command line's check lattices come from the closed form
 (scenarios.closed_form_rows) and are never stored.
 
-The density audit works the same way: one pass over the nine entry rows
-rho[i, j], a chunk of nodes at a time, through algebra.state_figures, the
-kernel that also audits every slice the solver writes; the extreme
-eigenvalues of each node come from algebra.hermitian_eigenvalues (cyclic
-Jacobi on per-entry arrays) instead of LAPACK. A numeric grid keeps no
-state, and its audit reads the figures the solver folded from its slices.
+The density audit works in blocks of zeta rows too (block_figures):
+algebra.state_figures, the kernel that also audits every slice the solver
+writes, takes the nine entry rows rho[i, j] of each block, and
+algebra.worse_figures folds the blocks; the extreme eigenvalues of each
+node come from algebra.hermitian_eigenvalues (cyclic Jacobi on per-entry
+arrays) instead of LAPACK. audit_report scores folded figures, whether a
+stored state's (audit_density) or the solver's own (propagate's meta).
 Every maximum is NaN-propagating, so a non-finite state entry fails the
 audit instead of raising.
 """
@@ -48,7 +50,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import algebra, model
+from . import algebra, mbsolver, model
 from .errors import GridMismatch, SpectralPole
 from .mbsolver import GridSpec, SolutionGrid
 from .model import LambdaParams
@@ -147,15 +149,6 @@ def _magnitudes(entry, mag):
 #: non-zero entries of [D, rho] = (d_i - d_j) rho_ij for D = diag(1, 1, -1)
 _D_COMMUTATOR = {(0, 2): 2.0, (1, 2): 2.0, (2, 0): -2.0, (2, 1): -2.0}
 
-#: interior nodes per block of the residual pass, in whole zeta rows (one
-#: at least): a block's entry arrays stay small, so the pass's working
-#: memory does not grow with the lattice
-_RESIDUAL_BLOCK = 8192
-
-#: nodes per chunk of the density audit: a chunk's entry arrays stay
-#: small, so the audit's working memory does not grow with the grid
-_AUDIT_CHUNK = 8192
-
 
 def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list:
     """PDE residual, then the zero-curvature residual at each probe lambda.
@@ -163,23 +156,22 @@ def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list
     The pass of lattice_residual_reports over the stored grid, whose
     blocks of zeta rows it reads as views.
     """
-    rho = solution.rho
-    if rho is None:
+    if solution.rho is None:
         raise ValueError("residual check needs the full per-node state, which a numeric "
                          "grid does not keep")
-    oa, ob = solution.omega_a, solution.omega_b
-    return lattice_residual_reports(
-        solution.grid, lambda z0, z1: (oa[z0:z1], ob[z0:z1], rho[:, :, z0:z1]), p, probes)
+    return lattice_residual_reports(solution.grid, solution.rows, p, probes)
 
 
 def lattice_residual_reports(grid: GridSpec, rows, p: LambdaParams, probes=()) -> list:
     """PDE residual, then the zero-curvature residual at each probe lambda.
 
-    rows(z0, z1) -> (omega_a, omega_b, rho) gives zeta rows z0 to z1 - 1
-    of the lattice, rho entry-major (3, 3, z1 - z0, n_tau). The pass asks
-    for blocks of whole interior rows, _RESIDUAL_BLOCK interior nodes or
-    one row, each with one halo row on either side, so no more than a
-    block of the lattice is held at a time.
+    rows(z0, z1) -> mbsolver.Rows gives zeta rows z0 to z1 - 1 of the
+    lattice, rho entry-major (3, 3, z1 - z0, n_tau). The pass works in
+    blocks of whole interior rows, mbsolver.block_rows(n_tau - 2) at a
+    time, each with one halo row on either side. It asks for each row
+    once, in increasing order: a block's last two rows are carried into
+    the next block as its first two, so no more than a block of the
+    lattice is held at a time.
 
     One pass over the 9 entries (i, j) of each block's interior nodes.
     Each entry's terms are built once: dH (the zeta difference of H,
@@ -204,9 +196,10 @@ def lattice_residual_reports(grid: GridSpec, rows, p: LambdaParams, probes=()) -
     if grid.n_zeta < 3 or grid.n_tau < 3:
         raise ValueError("residual check needs at least a 3x3 grid")
     n_in = grid.n_tau - 2
-    block = max(1, _RESIDUAL_BLOCK // n_in)
+    block = mbsolver.block_rows(n_in)
     mag = np.empty((block, n_in))
     zc = np.empty((block, n_in), dtype=complex)
+    carry = None  # the two rows before the next one to read
 
     pde = _Norms(18)
     free = _Norms(5)  # the PDE entries off the coupling entries, where zc = -c P2
@@ -214,7 +207,15 @@ def lattice_residual_reports(grid: GridSpec, rows, p: LambdaParams, probes=()) -
     q = 0.25j * p.nu0
     for r0 in range(1, grid.n_zeta - 1, block):
         r1 = min(r0 + block, grid.n_zeta - 1)
-        oa, ob, rho = rows(r0 - 1, r1 + 1)
+        if carry is None:
+            read = rows(0, r1 + 1)
+            oa, ob, rho = read.omega_a, read.omega_b, read.rho
+        else:
+            read = rows(r0 + 1, r1 + 1)
+            oa = np.concatenate([carry[0], read.omega_a])
+            ob = np.concatenate([carry[1], read.omega_b])
+            rho = np.concatenate([carry[2], read.rho], axis=2)
+        carry = (oa[-2:].copy(), ob[-2:].copy(), rho[:, :, -2:].copy())
         m, z = mag[:r1 - r0], zc[:r1 - r0]
         # the non-zero entries of model.interaction_hamiltonian
         h = {(2, 0): -0.5 * oa, (2, 1): -0.5 * ob}
@@ -267,28 +268,20 @@ def pde_residual(solution: SolutionGrid, p: LambdaParams) -> ResidualReport:
     return residual_reports(solution, p)[0]
 
 
-def audit_density(solution: SolutionGrid) -> ResidualReport:
-    """Hermiticity, trace, positivity and (when claimed) purity of the state.
+def block_figures(rho, kind: str) -> dict:
+    """algebra.state_figures of an entry-major (3, 3, rows, n_tau) block of a state."""
+    return algebra.state_figures(rho.reshape(3, 3, -1), kind)
 
-    A stored state is read _AUDIT_CHUNK nodes at a time, in one pass over
-    its nine entry rows rho[i, j]: algebra.state_figures gives each chunk's
-    Hermiticity, trace and purity defects and the extreme eigenvalues of
-    its Hermitian part (cyclic Jacobi, no LAPACK eigensolver), and
-    algebra.worse_figures folds the chunks. A numeric grid stores no state;
-    its figures are the ones the solver took with the same kernel on every
-    slice it wrote, folded the same way into meta, and are scored as a
-    density state's. Formal grids are scored on Hermiticity and trace only.
-    A figure that is missing or NaN gives a NaN metric, which fails any
-    tolerance.
+
+def audit_report(figures: dict, kind: str, grid: GridSpec) -> ResidualReport:
+    """Score a state's folded figures: Hermiticity, trace, positivity and (when claimed) purity.
+
+    figures are algebra.state_figures folded by algebra.worse_figures, of
+    the blocks of a stored or streamed state (block_figures) or of the
+    slices the solver wrote (its meta). Formal states are scored on
+    Hermiticity and trace only. A figure that is missing or NaN gives a
+    NaN metric, which fails any tolerance.
     """
-    grid, kind = solution.grid, solution.state_kind
-    if solution.rho is None:
-        figures, kind = solution.meta, "density"
-    else:
-        rho = solution.rho.reshape(3, 3, -1)
-        figures = functools.reduce(algebra.worse_figures, (
-            algebra.state_figures(rho[:, :, start:start + _AUDIT_CHUNK], kind)
-            for start in range(0, rho.shape[-1], _AUDIT_CHUNK)))
     metrics = [figures.get("herm_dev", np.nan), figures.get("trace_dev", np.nan)]
     # companion states are Hermitian/trace-one by construction but
     # indefinite by design; positivity is not scored
@@ -302,10 +295,35 @@ def audit_density(solution: SolutionGrid) -> ResidualReport:
     return ResidualReport(name, worst, worst, (grid.h_tau, grid.h_zeta))
 
 
-def compare_solutions(a: SolutionGrid, b: SolutionGrid) -> ResidualReport:
-    """Elementwise distance between two grids on the same lattice."""
+def audit_density(solution: SolutionGrid) -> ResidualReport:
+    """audit_report of a stored state, read in the blocks of grid.blocks().
+
+    A numeric grid stores no state (ValueError); its meta holds the
+    figures the solver took on every slice, which audit_report scores.
+    """
+    if solution.rho is None:
+        raise ValueError("the density audit reads a stored state, which a numeric grid does "
+                         "not keep; score its meta with audit_report")
+    figures = functools.reduce(algebra.worse_figures, (
+        block_figures(solution.rows(z0, z1).rho, solution.state_kind)
+        for z0, z1 in solution.grid.blocks()))
+    return audit_report(figures, solution.state_kind, solution.grid)
+
+
+def compare_solutions(a, b) -> ResidualReport:
+    """Elementwise distance between two grids on the same lattice, or the same rows of two.
+
+    a and b are SolutionGrids, compared block by block (CompareFold), or
+    the same mbsolver.Rows of two solutions. The states are compared too
+    where both hold one.
+    """
     if a.grid != b.grid:
         raise GridMismatch("solution grids live on different lattices")
+    if isinstance(a, SolutionGrid):
+        fold = CompareFold()
+        for z0, z1 in a.grid.blocks():
+            fold.add(a.rows(z0, z1), b.rows(z0, z1))
+        return fold.report("compare")
     diffs = [
         np.abs(a.omega_a - b.omega_a),
         np.abs(a.omega_b - b.omega_b),
@@ -319,6 +337,33 @@ def compare_solutions(a: SolutionGrid, b: SolutionGrid) -> ResidualReport:
         float(np.sqrt(np.mean(stacked**2))),
         (a.grid.h_tau, a.grid.h_zeta),
     )
+
+
+class CompareFold:
+    """compare_solutions over a lattice, folded from its blocks of rows.
+
+    Each block's report adds its max and its sum of squares, l2^2 times
+    the block's number of compared values; the lattice's l2 is the root
+    of the mean of those sums.
+    """
+
+    def __init__(self):
+        self.max_abs = np.float64(0.0)
+        self.sum_sq, self.count, self.grid = 0.0, 0, None
+
+    def add(self, a, b):
+        """Fold compare_solutions of the same Rows of two solutions."""
+        rep = compare_solutions(a, b)
+        n = a.omega_a.size * (2 if a.rho is None or b.rho is None else 3)
+        # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must fail
+        self.max_abs = np.maximum(self.max_abs, rep.max_abs)
+        self.sum_sq += rep.l2 * rep.l2 * n
+        self.count += n
+        self.grid = a.grid
+
+    def report(self, name: str) -> ResidualReport:
+        return ResidualReport(name, float(self.max_abs), math.sqrt(self.sum_sq / self.count),
+                              (self.grid.h_tau, self.grid.h_zeta))
 
 
 def convergence_order(coarse: ResidualReport, fine: ResidualReport) -> float:

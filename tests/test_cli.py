@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_mb import cli, darboux, model, scenarios
+from lambda_mb import cli, darboux, model, scenarios, verify
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
 from scenario_inputs import regime_keywords
@@ -99,14 +100,21 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "quiet = tru\n", "quiet = 2\n",
     # a file that is not UTF-8
     b"scenario = slow\xff\n",
+    # an out that cannot be a directory: an existing file, and a path under one
+    "scenario = slow\nengine = analytic\nout = {file}\n",
+    "scenario = slow\nengine = analytic\nout = {file}/run\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
-    data = text if isinstance(text, bytes) else text.encode()
-    path.write_bytes(data + f"out = {tmp_path / 'run'}\nquiet = true\n".encode())
+    file = tmp_path / "file"
+    file.write_text("not a directory\n")
+    data = text if isinstance(text, bytes) else text.format(file=file).encode()
+    # the case's own lines come last, so that its out overrides this one
+    path.write_bytes(f"out = {tmp_path / 'run'}\nquiet = true\n".encode() + data)
     assert cli.main([str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "run").exists()
+    assert file.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,19 +150,33 @@ def test_exulton_k_propagates_at_k_zero_and_refuses_the_numeric_engine_otherwise
 
 def test_a_run_without_grids_cannot_pass():
     cfg = parse_config(SMALL_SLOW)
-    failures, reports = cli._run_checks(cfg, cfg.scenario_params(), cfg.grid(), {})
+    sp, grid = cfg.scenario_params(), cfg.grid()
+    failures, reports = cli._run_checks(cfg, sp, grid, cli._Checks(sp, grid, []))
     assert failures == ["no grid was built"] and reports == []
 
 
-def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
-    build = scenarios.build_dressed_grid
+def _dressed_rows_with_nan(monkeypatch, name, index):
+    """Make the dressing route's row source give NaN at one node of its field or state."""
+    source = scenarios.dressed_rows
+    row = index[-2]
 
     def with_nan(sp, grid):
-        sol = build(sp, grid)
-        sol.omega_a[3, 5] = np.nan
-        return sol
+        rows = source(sp, grid)
 
-    monkeypatch.setattr(scenarios, "build_dressed_grid", with_nan)
+        def poisoned(z0, z1):
+            block = rows(z0, z1)
+            if z0 <= row < z1:
+                value = getattr(block, name).copy()
+                value[index[:-2] + (row - z0, index[-1])] = np.nan
+                block = block._replace(**{name: value})
+            return block
+        return poisoned
+
+    monkeypatch.setattr(scenarios, "dressed_rows", with_nan)
+
+
+def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
+    _dressed_rows_with_nan(monkeypatch, "omega_a", (3, 5))
     path = tmp_path / "cfg.txt"
     # numeric_tol suits this coarse lattice: the NaN is the only defect
     path.write_text(SMALL_SLOW.replace("engine = analytic", "engine = all")
@@ -176,20 +198,22 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
         read.append(grid)
 
         def with_nan(z0, z1):
-            oa, ob, rho = rows(z0, z1)
+            block = rows(z0, z1)
             # only the refined lattice is poisoned: the coarse one stays clean
             if grid == check.refined() and z0 <= 5 < z1:
-                rho = rho.copy()
+                rho = block.rho.copy()
                 rho[1, 2, 5 - z0, 7] = np.nan
-            return oa, ob, rho
+                block = block._replace(rho=rho)
+            return block
         return with_nan
 
     monkeypatch.setattr(scenarios, "closed_form_rows", nan_in_the_fine_check_lattice)
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path), "--check"]) == 1
-    # the output grid is also the coarse check lattice, read from the closed form
-    assert read == [check, check.refined()]
+    # the output grid, read by the analytic route's pass, is also the coarse
+    # check lattice; both check lattices are read from the closed form
+    assert read == [check, check, check.refined()]
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "verdict: FAIL" in report
     assert [line for line in report.splitlines() if line.startswith("  - ")] == [
@@ -198,14 +222,7 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
 
 
 def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
-    build = scenarios.build_dressed_grid
-
-    def with_nan(sp, grid):
-        sol = build(sp, grid)
-        sol.rho[0, 1, 4, 9] = np.nan
-        return sol
-
-    monkeypatch.setattr(scenarios, "build_dressed_grid", with_nan)
+    _dressed_rows_with_nan(monkeypatch, "rho", (0, 1, 4, 9))
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW.replace("engine = analytic", "engine = dressing")
                     + f"out = {tmp_path / 'run'}\nquiet = true\n")
@@ -236,8 +253,8 @@ def test_checks_read_both_check_lattices_from_the_closed_form(tmp_path, monkeypa
     assert run_scenario(cfg, check_only=True) == 0
     out = cfg.grid()
     check = dataclasses.replace(out, n_tau=min(n_tau, 161))
-    assert built == [out]  # no check lattice is ever stored
-    assert read == [check, check.refined()]
+    assert built == []  # no grid is ever stored: the output grid's pass reads it too
+    assert read == [out, check, check.refined()]
 
 
 def test_a_regular_scenario_just_off_the_degenerate_point_builds(tmp_path):
@@ -389,3 +406,62 @@ def test_run_scenario_validates_its_config(tmp_path):
     with pytest.raises(ParseError, match="delta must be finite"):
         run_scenario(cfg)
     assert not (tmp_path / "run").exists()
+
+
+def _canned_config(tag: str, out: Path, n_tau: int, n_zeta: int, engine: str = "all"):
+    """The canned tag's config on n_tau nodes and n_zeta rows of its own zeta step."""
+    cfg = cli.ScenarioConfig()
+    cli.apply_canned(cfg, tag)
+    h_zeta = cfg.grid().h_zeta
+    cfg.n_tau, cfg.n_zeta = n_tau, n_zeta
+    cfg.zeta_max = cfg.zeta_min + (n_zeta - 1) * h_zeta
+    cfg.engine, cfg.out, cfg.quiet = engine, str(out), True
+    return cfg
+
+
+@pytest.mark.parametrize("engine", ["analytic", "dressing", "numeric", "all"])
+def test_a_run_holds_no_whole_grid(tmp_path, engine):
+    """cli.main's traced peak does not grow with the lattice's zeta rows.
+
+    fig2 on 1001 tau nodes: 161 rows peak within 3 MB of 41 rows, though
+    the 120 more rows of a stored analytic grid alone weigh about 24 MB.
+    """
+    def peak(n_zeta):
+        cfg = _canned_config("fig2", tmp_path / f"run{n_zeta}", 1001, n_zeta, engine)
+        path = tmp_path / f"cfg{n_zeta}.txt"
+        path.write_text(cli.emit_manifest(cfg))
+        tracemalloc.start()
+        try:
+            assert cli.main([str(path)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(161) - peak(41) < 3e6
+
+
+@pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
+def test_a_streamed_run_writes_the_bytes_of_the_stored_grids(tmp_path, tag):
+    """The command line's CSVs and density audits are those of the stored builders' grids.
+
+    1001 tau nodes and 17 zeta rows are blocks of 8, 8 and 1 rows. Bit for
+    bit on every record, exulton_k's formal state included: the builders
+    keep the blocks of the row sources that the command line streams.
+    """
+    cfg = _canned_config(tag, tmp_path / "run", 1001, 17)
+    sp, grid = cfg.scenario_params(), cfg.grid()
+    assert [z1 - z0 for z0, z1 in grid.blocks()] == [8, 8, 1]
+    assert run_scenario(cfg) in (0, 1)  # a coarse lattice may miss an order band
+    builds = {"analytic": scenarios.build_analytic_grid, "dressing": scenarios.build_dressed_grid}
+    if scenarios.state_kind(sp.params) != "formal":
+        builds["numeric"] = scenarios.build_numeric_grid
+    audits = []
+    for engine, build in builds.items():
+        stored = build(sp, grid)
+        cli.write_grid_csv(tmp_path / f"{engine}.csv", stored)
+        written = (tmp_path / "run" / f"grid_{engine}.csv").read_bytes()
+        assert written == (tmp_path / f"{engine}.csv").read_bytes(), engine
+        audits.append(verify.audit_report(stored.meta, "density", grid) if engine == "numeric"
+                      else verify.audit_density(stored))
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    assert report.split("\n\n")[:len(audits)] == [audit.as_text() for audit in audits]

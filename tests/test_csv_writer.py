@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lambda_mb import cli, g12, scenarios
+from lambda_mb import cli, g12, mbsolver, scenarios
 from lambda_mb.cli import CSV_HEADER, write_grid_csv
 from lambda_mb.mbsolver import GridSpec, SolutionGrid
 from scenario_inputs import canned_scenario
@@ -181,7 +181,7 @@ def test_one_negative_zero_keeps_a_zero_column_live(tmp_path):
 
 @pytest.mark.parametrize("block_lines", [3, 10])  # one row per block, or two and a last one
 def test_grids_written_in_several_blocks_match_reference(tmp_path, monkeypatch, block_lines):
-    monkeypatch.setattr(cli, "_BLOCK_LINES", block_lines)
+    monkeypatch.setattr(mbsolver, "BLOCK_NODES", block_lines)
     rng = np.random.default_rng(5)
     grid = GridSpec(-1.0, 1.0, 4, 0.0, 1.0, 7)
     part = lambda: rng.standard_normal((7, 4)) * np.exp(rng.uniform(-30.0, 3.0, (7, 4)))

@@ -294,7 +294,7 @@ def test_propagate_deterministic():
 @pytest.mark.parametrize("tag, delta, n_tau, n_zeta", [
     ("slow", 0.0, 161, 11), ("slow", 0.4, 161, 11), ("fig4", 0.0, 161, 11),
     ("fast", 0.0, 161, 11), ("two_soliton", 0.0, 161, 11),
-    # 16,821 nodes: the stored audit's chunks end inside zeta rows
+    # 16,821 nodes: several blocks of the stored audit, the last one short
     ("fig4", 0.0, 801, 21), ("zero_background", 0.0, 801, 21),
 ])
 def test_the_audit_of_a_numeric_grid_is_the_audit_of_its_slices_stored(tag, delta, n_tau, n_zeta):
@@ -314,7 +314,8 @@ def test_the_audit_of_a_numeric_grid_is_the_audit_of_its_slices_stored(tag, delt
     whole = algebra.state_figures(stored.rho.reshape(3, 3, -1), "density")
     assert {key: sol.meta[key].tobytes() for key in whole} == {
         key: value.tobytes() for key, value in whole.items()}
-    ours, theirs = verify.audit_density(sol), verify.audit_density(stored)
+    ours = verify.audit_report(sol.meta, "density", grid)
+    theirs = verify.audit_density(stored)
     assert np.float64(ours.max_abs).tobytes() == np.float64(theirs.max_abs).tobytes()
     assert ours.as_text() == theirs.as_text()
 
@@ -331,5 +332,5 @@ def test_every_slice_is_hermitian_and_the_grid_reports_it(tag):
         assert figures["herm_dev"] == 0.0
     meta = sol.meta
     assert meta["herm_dev"] == 0.0
-    assert verify.audit_density(sol).max_abs == max(
+    assert verify.audit_report(meta, "density", grid).max_abs == max(
         meta["herm_dev"], meta["trace_dev"], -meta["eig_min"], meta["eig_max"] - 1.0, 0.0)

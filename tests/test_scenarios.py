@@ -129,19 +129,6 @@ def test_two_builds_share_no_memory(tag):
                 assert not np.shares_memory(a, b)
 
 
-def test_full_keeps_only_an_array_that_is_the_grids_own():
-    owned = np.zeros((2, 5), dtype=complex)
-    assert scenarios._full(owned, (2, 5)) is owned
-    base = np.zeros((4, 5), dtype=complex)
-    frozen = np.zeros((2, 5), dtype=complex)
-    frozen.flags.writeable = False
-    # a grid-shaped C-contiguous view of other data, and a read-only array
-    for arr, source in ((base[:2], base), (frozen, frozen)):
-        got = scenarios._full(arr, (2, 5))
-        assert got.flags.writeable and got.flags.owndata
-        assert not np.shares_memory(got, source)
-
-
 def test_broadcast_evaluator_outputs_become_full_writable_arrays():
     # fast's fields depend on tau alone, (1, n_tau), and its state is the
     # constant (3, 3) dark projector

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from lambda_mb import algebra, model, scenarios, verify
+from lambda_mb import algebra, mbsolver, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import GridMismatch, SpectralPole
@@ -197,14 +197,14 @@ def _small_canned_grid(tag, n_zeta=11):
 
 
 def _rows_per_block(monkeypatch, grid, rows):
-    monkeypatch.setattr(verify, "_RESIDUAL_BLOCK", rows * (grid.n_tau - 2))
+    monkeypatch.setattr(mbsolver, "BLOCK_NODES", rows * (grid.n_tau - 2))
 
 
 @pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
 def test_residual_blocks_agree_with_one_block(monkeypatch, tag):
     sp, sol = _small_canned_grid(tag)
     grid = sol.grid
-    assert (grid.n_zeta - 2) * (grid.n_tau - 2) <= verify._RESIDUAL_BLOCK
+    assert (grid.n_zeta - 2) * (grid.n_tau - 2) <= mbsolver.BLOCK_NODES
     whole = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
     # 9 interior rows: blocks of one row, and blocks of 2, 2, 2, 2 and 1
     for rows in (1, 2):
@@ -215,6 +215,32 @@ def test_residual_blocks_agree_with_one_block(monkeypatch, tag):
             assert _same_float(g.max_abs, w.max_abs)
             # per-block sums add the entry sums in another order
             np.testing.assert_allclose(g.l2, w.l2, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_the_residual_pass_reads_each_row_once_in_order(monkeypatch, rows):
+    """The pass carries each block's last two rows into the next one.
+
+    9 interior rows in blocks of 1, 2 or 4 rows: 9, 5 or 3 blocks. The
+    source serves every row index once, in increasing order, so a
+    forward-only source (the solver's march) can feed the pass, and the
+    reports are those of the stored grid's own rows.
+    """
+    sp, sol = _small_canned_grid("fig2")
+    _rows_per_block(monkeypatch, sol.grid, rows)
+    served = []
+
+    def counted(z0, z1):
+        served.extend(range(z0, z1))
+        return sol.rows(z0, z1)
+
+    got = verify.lattice_residual_reports(sol.grid, counted, sp.params, scenarios.DEFAULT_PROBES)
+    assert served == list(range(sol.grid.n_zeta))
+    monkeypatch.undo()
+    whole = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
+    for g, w in zip(got, whole, strict=True):
+        assert _same_float(g.max_abs, w.max_abs)
+        np.testing.assert_allclose(g.l2, w.l2, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -237,15 +263,13 @@ def test_a_nan_in_a_halo_row_or_the_last_block_makes_every_report_nan(monkeypatc
 
 @pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
 def test_closed_form_rows_are_the_rows_of_the_stored_build(name):
-    """Every block of the row source equals those rows of build_analytic_grid.
+    """Every block of the row source equals those rows of build_analytic_grid, bit for bit.
 
-    Bit for bit on the k = 0 records. On exulton_k a block can differ in
-    the last bit (here at a few thousand nodes, by about 1e-17): the
-    formal state forms x * conj(u), numpy computes that as conj(u) * x
-    when conj(u) is a temporary of 256 KiB or more (a whole 161 x 161
-    lattice, not a 16-row block), and its complex product is not
-    commutative to the bit. The bound there is 1e-15 of the state's
-    largest entry.
+    exulton_k included: its formal state forms x * conj(u), which numpy
+    computes as conj(u) * x when conj(u) is a temporary of 256 KiB or
+    more, and its complex product is not commutative to the bit. The
+    build keeps blocks of grid.blocks(), each far below that, so neither
+    it nor these 16-row blocks ever make such a temporary.
     """
     sp, g = canned_scenario(name)
     grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_max, 161)
@@ -253,16 +277,13 @@ def test_closed_form_rows_are_the_rows_of_the_stored_build(name):
     rows = scenarios.closed_form_rows(sp, grid)
     for z0 in range(0, grid.n_zeta, 16):  # the last block holds one row
         z1 = min(z0 + 16, grid.n_zeta)
-        oa, ob, rho = rows(z0, z1)
-        assert oa.shape == ob.shape == (z1 - z0, grid.n_tau)
-        assert rho.shape == (3, 3, z1 - z0, grid.n_tau)
-        assert oa.tobytes() == stored.omega_a[z0:z1].tobytes()
-        assert ob.tobytes() == stored.omega_b[z0:z1].tobytes()
-        if sp.params.k == 0.0:
-            assert rho.tobytes() == stored.rho[:, :, z0:z1].tobytes()
-        else:
-            want = stored.rho[:, :, z0:z1]
-            np.testing.assert_allclose(rho, want, rtol=0.0, atol=1e-15 * np.abs(want).max())
+        block = rows(z0, z1)
+        assert block.grid == grid
+        assert block.omega_a.shape == block.omega_b.shape == (z1 - z0, grid.n_tau)
+        assert block.rho.shape == (3, 3, z1 - z0, grid.n_tau)
+        assert block.omega_a.tobytes() == stored.omega_a[z0:z1].tobytes()
+        assert block.omega_b.tobytes() == stored.omega_b[z0:z1].tobytes()
+        assert block.rho.tobytes() == stored.rho[:, :, z0:z1].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
@@ -364,8 +385,8 @@ def _canned_grids(tag, n_zeta):
 def test_audit_density_matches_the_eigvalsh_audit(tag):
     # exulton_k's grids are formal, every other tag's are pure
     for sol in _canned_grids(tag, 21):
-        nodes = sol.grid.n_zeta * sol.grid.n_tau
-        assert nodes > verify._AUDIT_CHUNK and nodes % verify._AUDIT_CHUNK  # a partial last chunk
+        (first, end), *_, (last, _) = blocks = sol.grid.blocks()
+        assert len(blocks) > 1 and sol.grid.n_zeta - last < end - first  # a short last block
         got, want = verify.audit_density(sol), reference_audit_density(sol)
         assert got.name == want.name and got.grid_h == want.grid_h
         assert abs(got.max_abs - want.max_abs) <= 1e-15 and got.l2 == got.max_abs
@@ -380,14 +401,14 @@ def test_audit_density_does_not_depend_on_the_chunking(monkeypatch):
                                np.array([0.5, 0.5, 0.5 + 0.5j]))[:, :, None, None]
     whole = verify.audit_density(sol).max_abs
     assert 0.5 < whole < 1.0
-    monkeypatch.setattr(verify, "_AUDIT_CHUNK", 1000)
+    monkeypatch.setattr(mbsolver, "BLOCK_NODES", 1000)
     assert verify.audit_density(sol).max_abs == whole
 
 
 @pytest.mark.parametrize("kind", ["pure", "formal"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("node, entry", [  # a diagonal, an upper and a lower entry
-    (0, (1, 1)), (verify._AUDIT_CHUNK, (0, 2)), (-1, (2, 1))])
+    (0, (1, 1)), (mbsolver.BLOCK_NODES, (0, 2)), (-1, (2, 1))])
 def test_a_non_finite_state_entry_fails_the_audit(kind, value, node, entry):
     sol = dataclasses.replace(_canned_grids("fig4", 21)[0], state_kind=kind)
     sol.rho.reshape(3, 3, -1)[entry][node] = value
@@ -404,19 +425,17 @@ def test_a_non_finite_state_entry_fails_the_audit(kind, value, node, entry):
 def test_audit_density_streaming_metrics_propagate_nan():
     sol = constant_background_grid()
     meta = {"herm_dev": 0.0, "trace_dev": 0.0, "eig_min": math.nan, "eig_max": 1.0}
-    streamed = dataclasses.replace(sol, rho=None, meta=meta)
-    assert math.isnan(verify.audit_density(streamed).max_abs)
+    assert math.isnan(verify.audit_report(meta, "density", sol.grid).max_abs)
     meta.update(eig_min=0.0, eig_max=math.nan)
-    assert math.isnan(verify.audit_density(streamed).max_abs)
+    assert math.isnan(verify.audit_report(meta, "density", sol.grid).max_abs)
 
 
 def test_streamed_audit_folds_in_the_hermiticity_report():
     sol = constant_background_grid()
     meta = {"herm_dev": 2e-3, "trace_dev": 1e-9, "eig_min": 0.0, "eig_max": 1.0}
-    streamed = dataclasses.replace(sol, rho=None, meta=meta)
-    assert verify.audit_density(streamed).max_abs == 2e-3
+    assert verify.audit_report(meta, "density", sol.grid).max_abs == 2e-3
     del meta["herm_dev"]  # no report is no check: the audit fails
-    assert math.isnan(verify.audit_density(streamed).max_abs)
+    assert math.isnan(verify.audit_report(meta, "density", sol.grid).max_abs)
 
 
 def _hermitian_stack(family, rng, n):
