@@ -18,20 +18,18 @@ mbsolver.propagate, as its consumer.
 from __future__ import annotations
 
 import argparse
-import cmath
 import ctypes
 import math
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from . import algebra, analytic, mbsolver, model, scenarios, verify
+from . import algebra, analytic, mbsolver, scenarios, verify
 from .errors import LambdaMBError, ParseError
 from .mbsolver import GridSpec, RowSource, Rows
-from .scenarios import DEFAULT_PROBES
 
 CSV_HEADER = "zeta,tau,re_Oa,im_Oa,re_Ob,im_Ob,Ia,Ib,P1,P2,P3"
 
@@ -48,7 +46,6 @@ class ScenarioConfig:
     nu0: float = 3.0
     delta: float = 0.0
     omega0: float = 1.0
-    eta: float = 0.0
     k: float = 0.0
     eps0: float = 2.0
     a1: float = 1.0
@@ -63,14 +60,7 @@ class ScenarioConfig:
     zeta_min: float = 0.0
     zeta_max: float = 8.0
     n_zeta: int = 161
-    probe_lambdas: Tuple[complex, ...] = DEFAULT_PROBES
-    field_tol: Optional[float] = None
     numeric_tol: float = 1e-3
-    audit_tol: float = 1e-8
-    # numerically propagated states carry discretization-level eigenvalue
-    # excursions; exact-route grids are still held to audit_tol
-    numeric_audit_tol: float = 1e-6
-    order_band: Tuple[float, float] = (1.8, 2.2)
     quiet: bool = False
 
     def grid(self) -> GridSpec:
@@ -83,7 +73,7 @@ class ScenarioConfig:
             c = (self.c1 or 0.0, self.c2 or 0.0, self.c3 or 0.0)
         return scenarios.make_scenario(
             self.scenario, nu0=self.nu0, delta=self.delta, omega0=self.omega0,
-            eps0=self.eps0, eta=self.eta, k=self.k,
+            eps0=self.eps0, k=self.k,
             a=(self.a1, self.a2, self.a3), c=c,
         )
 
@@ -94,11 +84,6 @@ _FIELD_TYPES = {f.name: f for f in dc_fields(ScenarioConfig)}
 def _parse_value(key: str, raw: str, line_no: int, col: int):
     f = _FIELD_TYPES[key]
     try:
-        if key == "probe_lambdas":
-            return tuple(complex(tok.strip().replace("i", "j")) for tok in raw.split(";") if tok.strip())
-        if key == "order_band":
-            lo, hi = (float(t) for t in raw.split(";"))
-            return (lo, hi)
         if key == "quiet":
             word = raw.strip().lower()
             if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
@@ -147,29 +132,11 @@ def _validate(cfg: ScenarioConfig):
                          f"whitespace, got {cfg.out!r}")
     for f in dc_fields(ScenarioConfig):
         value = getattr(cfg, f.name)
-        numbers = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(x, (float, complex)) and not cmath.isfinite(x) for x in numbers):
+        if isinstance(value, float) and not math.isfinite(value):
             raise ParseError(f"{f.name} must be finite, got {value}")
-    # a check that cannot pass, or passes by checking nothing, is unusable
-    lo, hi = cfg.order_band
-    if not lo < hi:
-        raise ParseError(f"order_band needs lo < hi, got {lo}; {hi}")
-    for key in ("audit_tol", "numeric_audit_tol", "numeric_tol", "field_tol"):
-        tol = getattr(cfg, key)
-        if tol is not None and not tol > 0:
-            raise ParseError(f"{key} must be > 0, got {tol}")
-    if cfg.engine in ("analytic", "all") and not cfg.probe_lambdas:
-        raise ParseError("probe_lambdas is empty: the zero-curvature check of the "
-                         "analytic grid needs at least one probe")
-    for lam in cfg.probe_lambdas:
-        try:
-            dist = abs(lam - cfg.delta)
-        except OverflowError:
-            dist = math.inf
-        if not math.isfinite(dist):
-            raise ParseError(f"probe lambda {lam}: |lambda - Delta| overflows a float")
-        if dist <= model.POLE_GUARD:
-            raise ParseError(f"probe lambda {lam} sits on the Delta = {cfg.delta} pole")
+    # a gate that cannot pass is unusable
+    if not cfg.numeric_tol > 0:
+        raise ParseError(f"numeric_tol must be > 0, got {cfg.numeric_tol}")
     try:
         sp, grid = cfg.scenario_params(), cfg.grid()
     except (ValueError, LambdaMBError) as exc:
@@ -204,11 +171,7 @@ def emit_manifest(cfg: ScenarioConfig, extra: Optional[dict] = None) -> str:
         v = getattr(cfg, f.name)
         if v is None:
             continue
-        if f.name == "probe_lambdas":
-            v = "; ".join(str(x) for x in v)
-        elif f.name == "order_band":
-            v = f"{v[0]}; {v[1]}"
-        elif f.name == "quiet":
+        if f.name == "quiet":
             v = "true" if v else "false"
         lines.append(f"{f.name} = {v}")
     text = "\n".join(lines) + "\n"
@@ -402,8 +365,10 @@ class _Checks:
     (verify.block_figures, folded by algebra.worse_figures), the analytic
     route's max |Omega_a| (the numeric_tol scale), and the compare of a
     dressing or numeric block with the closed form's same rows, evaluated
-    again for it. The numeric route's figures are the solver's own, which
-    the run stores in figures after its pass, so no slice is audited twice.
+    again for it: fields and state for the dressing route, the fields
+    alone for the solver, whose state is not compared. The numeric route's
+    figures are the solver's own, which the run stores in figures after
+    its pass, so no slice is audited twice.
     """
 
     def __init__(self, sp, grid: GridSpec, engines):
@@ -412,7 +377,9 @@ class _Checks:
         self.scale = np.float64(0.0)
         self.compares = {eng: verify.CompareFold() for eng in ("dressing", "numeric")
                          if eng in engines and "analytic" in engines}
-        self.closed_form = scenarios.closed_form_rows(sp, grid) if self.compares else None
+        sources = {"dressing": scenarios.closed_form_rows,
+                   "numeric": scenarios.closed_form_field_rows}
+        self.closed_form = {eng: sources[eng](sp, grid) for eng in self.compares}
 
     def watch(self, eng: str, rows) -> RowSource:
         def watched(z0: int, z1: int) -> Rows:
@@ -425,15 +392,27 @@ class _Checks:
             if eng == "analytic":
                 self.scale = np.maximum(self.scale, np.max(np.abs(block.omega_a)))
             if eng in self.compares:
-                # the solver's state is not compared, its fields are
-                theirs = block if eng == "dressing" else block._replace(rho=None)
-                self.compares[eng].add(self.closed_form(z0, z1), theirs)
+                self.compares[eng].add(self.closed_form[eng](z0, z1), block)
             return block
         return RowSource(self.grid, watched)
 
 
+#: density-audit tolerance of an exact route's state
+AUDIT_TOL = 1e-8
+#: the solver's states carry discretization-level eigenvalue excursions
+NUMERIC_AUDIT_TOL = 1e-6
+#: the band the residuals' observed convergence order must lie in
+ORDER_BAND = (1.8, 2.2)
+
+
 def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
-    """Configured verification for one run, from its folds: (failure list, report list)."""
+    """Verification for one run, from its folds: (failure list, report list).
+
+    The gates are fixed: AUDIT_TOL and NUMERIC_AUDIT_TOL, the record's
+    field_tol (scenarios.REGISTRY), the config's numeric_tol times the
+    analytic grid's max |Omega_a|, and ORDER_BAND for the residuals at
+    scenarios.DEFAULT_PROBES.
+    """
     failures: List[str] = []
     reports: List[verify.ResidualReport] = []
     if not checks.figures:
@@ -443,13 +422,12 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
         kind = "density" if name == "numeric" else checks.kind
         rep = verify.audit_report(figures, kind, grid)
         reports.append(rep)
-        tol = cfg.audit_tol if name != "numeric" else max(cfg.audit_tol, cfg.numeric_audit_tol)
+        tol = AUDIT_TOL if name != "numeric" else NUMERIC_AUDIT_TOL
         if not (rep.max_abs <= tol):
             failures.append(f"audit[{name}]: {rep.max_abs:.2e} > {tol:.0e}")
 
     if "dressing" in checks.compares:
-        default_tol = scenarios.REGISTRY[sp.scenario].field_tol
-        tol = cfg.field_tol if cfg.field_tol is not None else default_tol
+        tol = scenarios.REGISTRY[sp.scenario].field_tol
         rep = checks.compares["dressing"].report("compare[analytic vs dressing]")
         reports.append(rep)
         if not (rep.max_abs <= tol):
@@ -476,11 +454,12 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
 
         def closed_form_reports(lattice):
             rows = scenarios.closed_form_rows(sp, lattice)
-            return verify.lattice_residual_reports(lattice, rows, sp.params, cfg.probe_lambdas)
+            return verify.lattice_residual_reports(lattice, rows, sp.params,
+                                                   scenarios.DEFAULT_PROBES)
 
         coarse = closed_form_reports(check_grid)
         fine = closed_form_reports(check_grid.refined())
-        lo, hi = cfg.order_band
+        lo, hi = ORDER_BAND
         for rc, rf in zip(coarse, fine):
             if rc.max_abs < 1e-12 and rf.max_abs < 1e-12:
                 reports.append(rc)  # exact stationary solution
@@ -614,7 +593,6 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if args.quiet:
             cfg.quiet = True
-        _validate(cfg)  # the overrides above are applied after parsing
     except (ParseError, OSError, KeyError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -622,7 +600,7 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     try:
         return run_scenario(cfg, check_only=args.check)
-    except ParseError as exc:  # an out that cannot be a directory
+    except ParseError as exc:  # run_scenario validates the overridden config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except LambdaMBError as exc:

@@ -30,7 +30,8 @@ from .errors import ParameterGuard
 from .mbsolver import GridSpec, Rows, SolutionGrid, propagate
 from .model import LambdaParams, SpectralData
 
-#: probe spectral parameters used by the reproducible residual reports
+#: probe spectral parameters of the zero-curvature residuals; their imaginary
+#: parts (>= 0.5) keep every probe off the pole at any real Delta
 DEFAULT_PROBES = (1.0 + 1.0j, 0.7j, -2.0 + 0.5j)
 
 
@@ -174,8 +175,8 @@ def _row_source(grid: GridSpec, evaluate):
 
     rows(z0, z1) evaluates at grid.zetas()[z0:z1] and grid.taus() and
     returns Rows whose fields and state are read-only arrays of the
-    block's shape, (z1 - z0, n_tau) and (3, 3, z1 - z0, n_tau). Nothing of
-    the lattice is stored.
+    block's shape, (z1 - z0, n_tau) and (3, 3, z1 - z0, n_tau); a rho of
+    None stays None. Nothing of the lattice is stored.
     """
     zetas, taus = _mesh(grid)
 
@@ -183,8 +184,9 @@ def _row_source(grid: GridSpec, evaluate):
         zz = zetas[z0:z1]
         shape = (len(zz), grid.n_tau)
         oa, ob, rho = evaluate(zz, taus)
-        return Rows(grid, np.broadcast_to(oa, shape), np.broadcast_to(ob, shape),
-                    np.broadcast_to(rho, (3, 3) + shape))
+        if rho is not None:
+            rho = np.broadcast_to(rho, (3, 3) + shape)
+        return Rows(grid, np.broadcast_to(oa, shape), np.broadcast_to(ob, shape), rho)
     return rows
 
 
@@ -196,6 +198,16 @@ def closed_form_rows(sp: ScenarioParams, grid: GridSpec):
     included.
     """
     return _row_source(grid, lambda zeta, tau: _closed_form(sp, zeta, tau))
+
+
+def closed_form_field_rows(sp: ScenarioParams, grid: GridSpec):
+    """The closed form's fields alone as a row source of the lattice: Rows with no state.
+
+    The fields are those of closed_form_rows, bit for bit; the record's
+    state (Scenario.density) is not evaluated.
+    """
+    record = REGISTRY[sp.scenario]
+    return _row_source(grid, lambda zeta, tau: record.evaluate(sp, zeta, tau)[:2] + (None,))
 
 
 def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:

@@ -58,7 +58,11 @@ from .model import LambdaParams
 
 @dataclass
 class ResidualReport:
-    """Maximum / quadratic-mean residual of one check on one grid."""
+    """Maximum / quadratic-mean residual of one check on one grid.
+
+    A compare also keeps sum_sq, the sum of the squares whose mean l2 is
+    the root of, so that CompareFold adds the squares themselves.
+    """
 
     name: str
     max_abs: float
@@ -66,6 +70,7 @@ class ResidualReport:
     grid_h: Tuple[float, float]
     lambda_probe: Optional[complex] = None
     convergence_order: Optional[float] = None
+    sum_sq: Optional[float] = None
 
     def as_text(self) -> str:
         lines = [
@@ -331,20 +336,17 @@ def compare_solutions(a, b) -> ResidualReport:
     if a.rho is not None and b.rho is not None:
         diffs.append(np.max(np.abs(a.rho - b.rho), axis=(0, 1)))
     stacked = np.stack(diffs)
-    return ResidualReport(
-        "compare",
-        float(np.max(stacked)),
-        float(np.sqrt(np.mean(stacked**2))),
-        (a.grid.h_tau, a.grid.h_zeta),
-    )
+    sum_sq = float(np.sum(stacked**2))
+    return ResidualReport("compare", float(np.max(stacked)), math.sqrt(sum_sq / stacked.size),
+                          (a.grid.h_tau, a.grid.h_zeta), sum_sq=sum_sq)
 
 
 class CompareFold:
     """compare_solutions over a lattice, folded from its blocks of rows.
 
-    Each block's report adds its max and its sum of squares, l2^2 times
-    the block's number of compared values; the lattice's l2 is the root
-    of the mean of those sums.
+    Each block's report adds its max and its sum of squares; the
+    lattice's l2 is the root of the sum over the number of compared
+    values, as compare_solutions takes it on one block.
     """
 
     def __init__(self):
@@ -357,13 +359,13 @@ class CompareFold:
         n = a.omega_a.size * (2 if a.rho is None or b.rho is None else 3)
         # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must fail
         self.max_abs = np.maximum(self.max_abs, rep.max_abs)
-        self.sum_sq += rep.l2 * rep.l2 * n
+        self.sum_sq += rep.sum_sq
         self.count += n
         self.grid = a.grid
 
     def report(self, name: str) -> ResidualReport:
         return ResidualReport(name, float(self.max_abs), math.sqrt(self.sum_sq / self.count),
-                              (self.grid.h_tau, self.grid.h_zeta))
+                              (self.grid.h_tau, self.grid.h_zeta), sum_sq=self.sum_sq)
 
 
 def convergence_order(coarse: ResidualReport, fine: ResidualReport) -> float:

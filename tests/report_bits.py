@@ -1,15 +1,19 @@
-"""Bits of the residual reports of the canned analytic check lattices.
+"""Bits of every report that the canned command-line checks compute.
 
     python tests/report_bits.py [CHECKOUT]
     python tests/report_bits.py CHECKOUT_A CHECKOUT_B
 
-Runs ``--scenario TAG --engine analytic --check`` for each canned tag with
-the package under ``CHECKOUT/src`` (default: the checkout holding this
-script), in a temporary directory, and catches every report list that the
-residual pass returns to the command line: the coarse check lattice's,
-then the refined one's. Prints one line per report, ``tag lattice index
-name probe max_abs l2``, with both values as exact float hex. Exits 1 if a
-run did not exit 0.
+Runs ``--scenario TAG --engine analytic --check`` and ``--scenario TAG
+--engine all --check`` for each canned tag with the package under
+``CHECKOUT/src`` (default: the checkout holding this script), in a
+temporary directory. (A run's reports do not depend on whether it writes
+its CSVs, so ``--check`` leaves them out.) It catches every report list
+that the residual pass returns to the command line, the coarse check
+lattice's (``coarse``) and then the refined one's (``fine``), and every
+report that ``cli._run_checks`` returns (``checks``: the density audits,
+the compares and the coarse residuals with their orders). Prints one line
+per report, ``tag engine source index name probe max_abs l2``, with both
+values as exact float hex. Exits 1 if a run did not exit 0.
 
 With two checkouts, runs each in its own process and prints each report
 whose max_abs or l2 differs in any bit (or that one side lacks), with both
@@ -25,9 +29,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+ENGINES = ("analytic", "all")
 
-def _catch_outermost(module, name, caught, depth):
-    """Wrap module.name so that the report lists of outermost calls land in caught."""
+
+def _catch(module, name, caught, reports_of, depth):
+    """Wrap module.name so that reports_of(result) of its outermost calls lands in caught.
+
+    depth is a one-item list that the wrappers sharing it count nested calls in.
+    """
     original = getattr(module, name, None)
     if original is None:  # a checkout without this entry point
         return
@@ -36,12 +45,12 @@ def _catch_outermost(module, name, caught, depth):
     def wrapper(*args, **kwargs):
         depth[0] += 1
         try:
-            reports = original(*args, **kwargs)
+            result = original(*args, **kwargs)
         finally:
             depth[0] -= 1
         if depth[0] == 0:
-            caught.append(reports)
-        return reports
+            caught.append(reports_of(result))
+        return result
 
     setattr(module, name, wrapper)
 
@@ -51,32 +60,36 @@ def main(argv) -> int:
     sys.path.insert(0, str(root / "src"))
     from lambda_mb import cli, scenarios, verify
 
-    caught, depth = [], [0]
+    residuals, checks, depth = [], [], [0]
     for name in ("residual_reports", "lattice_residual_reports"):
-        _catch_outermost(verify, name, caught, depth)
+        _catch(verify, name, residuals, list, depth)
+    _catch(cli, "_run_checks", checks, lambda result: result[1], [0])
     status = 0
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for tag in sorted(scenarios.CANNED):
-                del caught[:]
-                code = cli.main(["--scenario", tag, "--engine", "analytic", "--check",
-                                 "--out", tag, "--quiet"])
-                if code != 0:
-                    print(f"{tag}: exit {code}", file=sys.stderr)
-                    status = 1
-                for lattice, reports in zip(("coarse", "fine"), caught):
-                    for index, rep in enumerate(reports):
-                        print(f"{tag} {lattice} {index} {rep.name} {rep.lambda_probe} "
-                              f"{float(rep.max_abs).hex()} {float(rep.l2).hex()}")
+                for engine in ENGINES:
+                    del residuals[:], checks[:]
+                    out = f"{tag}-{engine}"
+                    code = cli.main(["--scenario", tag, "--engine", engine, "--check",
+                                     "--out", out, "--quiet"])
+                    if code != 0:
+                        print(f"{out}: exit {code}", file=sys.stderr)
+                        status = 1
+                    caught = list(zip(("coarse", "fine"), residuals))
+                    for source, reports in caught + [("checks", r) for r in checks]:
+                        for index, rep in enumerate(reports):
+                            print(f"{tag} {engine} {source} {index} {rep.name} {rep.lambda_probe} "
+                                  f"{float(rep.max_abs).hex()} {float(rep.l2).hex()}")
         finally:
             os.chdir(cwd)
     return status
 
 
 def _parse(text):
-    """{(tag, lattice, index, name, probe): (max_abs, l2)} from main's lines."""
+    """{(tag, engine, source, index, name..., probe): (max_abs, l2)} from main's lines."""
     reports = {}
     for line in text.splitlines():
         *key, max_abs, l2 = line.split(" ")

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_mb import cli, darboux, model, scenarios, verify
+from lambda_mb import cli, darboux, mbsolver, model, scenarios, verify
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
 from scenario_inputs import regime_keywords
@@ -44,8 +43,6 @@ def test_parse_rejects_bad_values():
     with pytest.raises(ParseError, match="refuses the numeric engine"):
         parse_config("scenario = exulton_k\neps0 = 1\nk = 0.2\nc1 = 0\nc2 = 0\nc3 = 1\n"
                      "engine = numeric\n")
-    with pytest.raises(ParseError, match="Delta"):
-        parse_config("scenario = slow\ndelta = 0.5\nprobe_lambdas = 1+1j; 0.5+1e-10j\n")
     err = None
     try:
         parse_config("nu0 = 3\nomega0 == 1\n")
@@ -55,9 +52,8 @@ def test_parse_rejects_bad_values():
 
 
 @pytest.mark.parametrize("text", [
-    "delta = nan\n", "nu0 = inf\n", "c1 = -inf\n", "order_band = 1.8; nan\n",
-    "probe_lambdas = 0.5+nanj\n", "tau_min = 5\ntau_max = -5\n",
-    "zeta_min = 2\nzeta_max = 2\n",
+    "delta = nan\n", "nu0 = inf\n", "c1 = -inf\n", "numeric_tol = nan\n",
+    "tau_min = 5\ntau_max = -5\n", "zeta_min = 2\nzeta_max = 2\n",
 ])
 def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     with pytest.raises(ParseError):
@@ -67,30 +63,18 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
 @pytest.mark.parametrize("text", [
     "delta = nan\n", "tau_min = 5\ntau_max = -5\n", "scenario = fig2\n",
     "scenario = exulton_k\neps0 = 1\nk = 0.2\nc1 = 0\nc2 = 0\nc3 = 1\nengine = numeric\n",
-    "scenario = slow\nengine = analytic\ndelta = 0.5\nprobe_lambdas = 0.5\n",
     # a value its type refuses, or one outside the scenario's regime, on
     # every route: the dressing-only runs below would otherwise pass on a
     # grid that is not the named scenario
-    "eta = 2\n", "a2 = 2\n", "scenario = exulton\neps0 = 1\nc1 = 0\nc2 = 0\nc3 = 0\n",
+    "a2 = 2\n", "scenario = exulton\neps0 = 1\nc1 = 0\nc2 = 0\nc3 = 0\n",
     "scenario = exulton\nengine = dressing\neps0 = 0.5\nomega0 = 1\n",
     "scenario = zero_background\nengine = dressing\nomega0 = 0\nc1 = 1\nc2 = 1\nc3 = 0\n",
     "scenario = slow\nengine = dressing\na1 = 0\n",
     # the residual checks of the analytic grid need three zeta rows
     "scenario = slow\nengine = analytic\nn_zeta = 2\nn_tau = 41\n",
     "scenario = slow\nengine = all\nn_zeta = 2\nn_tau = 41\n",
-    # a check that cannot pass, or that passes by checking nothing
-    "scenario = slow\nengine = analytic\norder_band = 2.2; 1.8\n",
-    "scenario = slow\nengine = analytic\norder_band = 2; 2\n",
-    "scenario = slow\nengine = analytic\naudit_tol = -1\n",
-    "scenario = slow\nengine = analytic\naudit_tol = 0\n",
-    "scenario = fast\nengine = numeric\nnumeric_audit_tol = 0\n",
+    # a numeric gate that cannot pass
     "scenario = slow\nengine = analytic\nnumeric_tol = 0\n",
-    "scenario = slow\nengine = dressing\nfield_tol = -1e-9\n",
-    "scenario = slow\nengine = analytic\nprobe_lambdas = ;\n",
-    "scenario = slow\nengine = all\nprobe_lambdas =\n",
-    # |lambda - Delta| beyond the float range: complex abs raises OverflowError
-    "scenario = slow\nengine = analytic\nprobe_lambdas = 1.7e308+1.7e308j\n",
-    "scenario = slow\nengine = analytic\ndelta = -1.7e308\nprobe_lambdas = 1.7e308\n",
     # 0 < eps0 - omega0 < darboux.DEGENERATE_TOL: the engine would take the
     # confluent seed for a regular scenario
     "scenario = two_soliton\neps0 = 1.000000005\n",
@@ -115,6 +99,33 @@ def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "run").exists()
     assert file.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("line", [
+    # each line as the manifests of earlier versions wrote it
+    "eta = 0.0", "probe_lambdas = (1+1j); 0.7j; (-2+0.5j)", "field_tol = 1e-09",
+    "audit_tol = 1e-08", "numeric_audit_tol = 1e-06", "order_band = 1.8; 2.2",
+])
+def test_removed_check_keys_are_unknown_keys(tmp_path, capsys, line):
+    """The checks' tolerances, order band and probes, and eta, are no config keys.
+
+    The gates are the code's (cli.AUDIT_TOL, NUMERIC_AUDIT_TOL, ORDER_BAND,
+    each record's field_tol and scenarios.DEFAULT_PROBES), and every record
+    takes eta = 0 alone.
+    """
+    path = tmp_path / "manifest.txt"
+    path.write_text(emit_manifest(parse_config(SMALL_SLOW)) + line + "\n")
+    assert cli.main([str(path), "--out", str(tmp_path / "run"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"unknown key {line.split(' =')[0]!r}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_the_gates_are_fixed():
+    assert len(dataclasses.fields(cli.ScenarioConfig)) == 22
+    assert (cli.AUDIT_TOL, cli.NUMERIC_AUDIT_TOL, cli.ORDER_BAND) == (1e-8, 1e-6, (1.8, 2.2))
+    # every probe sits at least 0.5 off the real axis, so off the Delta pole at any real Delta
+    assert min(lam.imag for lam in scenarios.DEFAULT_PROBES) >= 0.5 > model.POLE_GUARD
 
 
 @pytest.mark.parametrize("argv", [
@@ -153,6 +164,39 @@ def test_a_run_without_grids_cannot_pass():
     sp, grid = cfg.scenario_params(), cfg.grid()
     failures, reports = cli._run_checks(cfg, sp, grid, cli._Checks(sp, grid, []))
     assert failures == ["no grid was built"] and reports == []
+
+
+def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatch):
+    """The solver's state is not compared, so its compare reads the closed form's fields alone.
+
+    Scenario.density serves the analytic pass, the dressing compare, the
+    solver's tau_min states and the check lattices, but no block of the
+    numeric compare, which runs inside mbsolver.propagate as its consumer.
+    """
+    density, propagate = scenarios.Scenario.density, mbsolver.propagate
+    marching, calls = [False], []
+
+    def recorded_density(self, *args):
+        calls.append(marching[0])
+        return density(self, *args)
+
+    def flagged_propagate(*args, **kwargs):
+        marching[0] = True
+        try:
+            return propagate(*args, **kwargs)
+        finally:
+            marching[0] = False
+
+    monkeypatch.setattr(scenarios.Scenario, "density", recorded_density)
+    monkeypatch.setattr(mbsolver, "propagate", flagged_propagate)
+    path = tmp_path / "cfg.txt"
+    path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 81\n"
+                    "zeta_min = 0\nzeta_max = 2\nn_zeta = 41\nnumeric_tol = 0.01\n"
+                    f"out = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path), "--engine", "all", "--check"]) == 0
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    assert "check: compare[numeric vs analytic]" in report
+    assert calls and not any(calls)
 
 
 def _dressed_rows_with_nan(monkeypatch, name, index):
@@ -281,22 +325,13 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
-def _usable_probe(lam: complex, delta: float) -> bool:
-    """Off the Delta pole, at a distance that a float holds."""
-    try:
-        return model.POLE_GUARD < abs(lam - delta) < math.inf
-    except OverflowError:
-        return False
-
-
 @st.composite
 def _configs(draw):
-    """A valid config for any registry scenario, every field but eta drawn.
+    """A valid config for any registry scenario, every field drawn.
 
     The scenario's physical parameters and constants come from inside its
-    regime (scenario_inputs.regime_keywords; eta stays 0, the only value a
-    record accepts); nu0, Delta, the lattice, the probes and the
-    tolerances are drawn over their whole valid range.
+    regime (scenario_inputs.regime_keywords); nu0, Delta, the lattice and
+    numeric_tol are drawn over their whole valid range.
     """
     name = draw(st.sampled_from(sorted(scenarios.REGISTRY)))
     regime = draw(regime_keywords(name))
@@ -306,12 +341,11 @@ def _configs(draw):
     c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))
     tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     engine = draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")]))
-    delta = draw(_FINITE)
     return cli.ScenarioConfig(
         scenario=name,
         engine=engine,
         out=draw(st.text("abz09_-./ ", min_size=1, max_size=12).filter(lambda s: s == s.strip())),
-        nu0=draw(_POSITIVE), delta=delta, omega0=regime["omega0"],
+        nu0=draw(_POSITIVE), delta=draw(_FINITE), omega0=regime["omega0"],
         k=regime.get("k", 0.0), eps0=regime["eps0"],
         a1=a[0], a2=a[1], a3=a[2], c1=c[0], c2=c[1], c3=c[2],
         tau_min=tau_min, tau_max=draw(st.floats(tau_min, 2e6, exclude_min=True)),
@@ -319,15 +353,7 @@ def _configs(draw):
         zeta_min=zeta_min, zeta_max=draw(st.floats(zeta_min, 2e6, exclude_min=True)),
         # the analytic route's residual checks need three zeta rows
         n_zeta=draw(st.integers(3 if engine in ("analytic", "all") else 2, 10**6)),
-        # the analytic grid's zero-curvature check needs a probe
-        probe_lambdas=tuple(draw(st.lists(
-            st.complex_numbers(allow_nan=False, allow_infinity=False).filter(
-                lambda lam: _usable_probe(lam, delta)),
-            min_size=1 if engine in ("analytic", "all") else 0, max_size=4))),
-        field_tol=draw(st.none() | _POSITIVE), numeric_tol=draw(_POSITIVE),
-        audit_tol=draw(_POSITIVE), numeric_audit_tol=draw(_POSITIVE),
-        order_band=tuple(sorted(draw(st.lists(_FINITE, min_size=2, max_size=2, unique=True)))),
-        quiet=draw(st.booleans()),
+        numeric_tol=draw(_POSITIVE), quiet=draw(st.booleans()),
     )
 
 

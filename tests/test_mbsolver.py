@@ -21,6 +21,26 @@ DARK = model.density_from_pure(model.dark_state(0.0))
 EIG_TOL = 1e-14
 
 
+@st.composite
+def _extents(draw):
+    low = draw(st.floats(-1e6, 1e6))
+    return low, draw(st.floats(low, 2e6, exclude_min=True))
+
+
+@given(_extents(), st.integers(3, 5000), _extents(), st.integers(2, 5000))
+def test_refinement_keeps_every_coarse_node(tau, n_tau, zeta, n_zeta):
+    """Every other node of GridSpec.refined() is a coarse node, bit for bit.
+
+    verify.convergence_order takes log2 of a coarse residual over its
+    refinement's, which assumes that the refinement halves both steps of
+    the same lattice exactly.
+    """
+    grid = GridSpec(tau[0], tau[1], n_tau, zeta[0], zeta[1], n_zeta)
+    fine = grid.refined()
+    for coarse_nodes, fine_nodes in ((grid.taus(), fine.taus()), (grid.zetas(), fine.zetas())):
+        assert np.array_equal(fine_nodes[::2].view(np.uint64), coarse_nodes.view(np.uint64))
+
+
 def slow_scenario(om0=1.0, eps0=2.0, delta=0.0):
     return ScenarioParams(
         params=LambdaParams(nu0=3.0, delta=delta, omega0=om0),

@@ -12,7 +12,7 @@ from lambda_mb import algebra, mbsolver, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import GridMismatch, SpectralPole
-from lambda_mb.mbsolver import GridSpec, SolutionGrid
+from lambda_mb.mbsolver import GridSpec, Rows, SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
 import observables
 from observables import FeatureLost
@@ -504,6 +504,37 @@ def test_compare_solutions_and_grid_guard():
     other = constant_background_grid(GridSpec(-3, 3, 31, 0, 2, 22))
     with pytest.raises(GridMismatch):
         verify.compare_solutions(a, other)
+
+
+@given(st.integers(2, 6), st.integers(3, 9), st.booleans(), st.data())
+def test_compare_fold_sums_the_squares_of_its_blocks(n_zeta, n_tau, with_state, data):
+    """The fold of one-row blocks gives the l2 of math.fsum over the same squares.
+
+    The fields and states hold integers, so every distance, square and sum
+    of squares is an integer below 2**53 and exact: a fold that adds each
+    block's squares gives fsum's bits, one that rebuilds them from the
+    block's rounded l2 need not.
+    """
+    grid = GridSpec(-1.0, 1.0, n_tau, 0.0, 1.0, n_zeta)
+
+    def draw(shape):
+        return data.draw(hnp.arrays(float, shape, elements=st.integers(-1000, 1000)))
+
+    sides = [(draw((n_zeta, n_tau)), draw((n_zeta, n_tau)),
+              draw((3, 3, n_zeta, n_tau)) if with_state else None) for _ in "ab"]
+    fold, squares = verify.CompareFold(), []
+    for z in range(n_zeta):
+        a, b = (Rows(grid, oa[z:z + 1], ob[z:z + 1], None if rho is None else rho[:, :, z:z + 1])
+                for oa, ob, rho in sides)
+        fold.add(a, b)
+        (oa_a, ob_a, rho_a), (oa_b, ob_b, rho_b) = sides
+        for t in range(n_tau):
+            gaps = [oa_a[z, t] - oa_b[z, t], ob_a[z, t] - ob_b[z, t]]
+            if with_state:
+                gaps.append(max(abs(x - y) for x, y in zip(rho_a[:, :, z, t].flat,
+                                                          rho_b[:, :, z, t].flat)))
+            squares += [g * g for g in gaps]
+    assert fold.report("compare").l2 == math.sqrt(math.fsum(squares) / len(squares))
 
 
 def test_measure_velocity_synthetic_feature():
