@@ -73,8 +73,12 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     # the residual checks of the analytic grid need three zeta rows
     "scenario = slow\nengine = analytic\nn_zeta = 2\nn_tau = 41\n",
     "scenario = slow\nengine = all\nn_zeta = 2\nn_tau = 41\n",
-    # a numeric gate that cannot pass
+    # a scenario or engine the CLI does not know
+    "scenario = no_such_scenario\n", "scenario = slow\nengine = fastest\n",
+    # a numeric gate that cannot pass, refused on every route, the solver's too
     "scenario = slow\nengine = analytic\nnumeric_tol = 0\n",
+    "scenario = slow\nengine = numeric\nnumeric_tol = -1\n",
+    "scenario = slow\nengine = dressing\nnumeric_tol = -1e-9\n",
     # 0 < eps0 - omega0 < darboux.DEGENERATE_TOL: the engine would take the
     # confluent seed for a regular scenario
     "scenario = two_soliton\neps0 = 1.000000005\n",
