@@ -13,6 +13,8 @@ on each block of zeta rows of a state, and the solver on each slice it writes.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
@@ -147,6 +149,8 @@ def state_figures(r, kind: str) -> dict:
     return figures
 
 
-def worse_figures(a: dict, b: dict) -> dict:
-    """The worse of two sets of state_figures: the lower eig_min, the higher of the rest."""
+def worse_figures(a: Optional[dict], b: dict) -> dict:
+    """The worse of two state_figures (b if a is None): the lower eig_min, the higher of the rest."""
+    if a is None:
+        return b
     return {key: (np.minimum if key == "eig_min" else np.maximum)(a[key], b[key]) for key in a}

@@ -139,8 +139,12 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"numeric_tol must be > 0, got {cfg.numeric_tol}")
     try:
         sp, grid = cfg.scenario_params(), cfg.grid()
+        if cfg.engine in ("analytic", "all"):
+            _check_lattices(grid)
     except (ValueError, LambdaMBError) as exc:
         raise ParseError(str(exc)) from None
+    except OverflowError as exc:
+        raise ParseError(f"the parameters overflow the arithmetic ({exc})") from None
     if cfg.engine == "numeric" and scenarios.state_kind(sp.params) == "formal":
         raise ParseError(f"scenario {cfg.scenario!r} refuses the numeric engine at k = {cfg.k} "
                          "(its state is formal)")
@@ -242,11 +246,10 @@ def _population_columns(block: Rows):
 def write_grid_csv(path: Path, sol):
     """Row-major (zeta outer, tau inner) CSV with 12 significant digits.
 
-    sol is a SolutionGrid or an mbsolver.RowSource: anything with a grid
-    and rows(z0, z1), which the writer asks for the blocks of
-    grid.blocks(), once each and in order, writing each block before it
-    asks for the next. Every value is written as ``format(x, ".12g")``
-    writes it; see _csv_block for how.
+    sol is a row source (see mbsolver), whose rows the writer asks for in
+    the blocks of grid.blocks(), once each and in order, writing each
+    block before it asks for the next. Every value is written as
+    ``format(x, ".12g")`` writes it; see _csv_block for how.
     """
     grid = sol.grid
     zeta_texts = [format(z, ".12g").encode() for z in grid.zetas().tolist()]
@@ -360,7 +363,7 @@ def _say(cfg, msg):
 class _Checks:
     """The density audits and cross-route compares of one run, folded block by block.
 
-    watch(eng, rows) wraps a route's row source so that each block it
+    watch(eng, source) wraps a route's row source so that each block it
     returns also feeds the folds: an exact route's state figures
     (verify.block_figures, folded by algebra.worse_figures), the analytic
     route's max |Omega_a| (the numeric_tol scale), and the compare of a
@@ -381,18 +384,16 @@ class _Checks:
                    "numeric": scenarios.closed_form_field_rows}
         self.closed_form = {eng: sources[eng](sp, grid) for eng in self.compares}
 
-    def watch(self, eng: str, rows) -> RowSource:
+    def watch(self, eng: str, source) -> RowSource:
         def watched(z0: int, z1: int) -> Rows:
-            block = rows(z0, z1)
+            block = source.rows(z0, z1)
             if eng != "numeric":
-                figures = verify.block_figures(block.rho, self.kind)
-                if eng in self.figures:
-                    figures = algebra.worse_figures(self.figures[eng], figures)
-                self.figures[eng] = figures
+                self.figures[eng] = algebra.worse_figures(
+                    self.figures.get(eng), verify.block_figures(block.rho, self.kind))
             if eng == "analytic":
                 self.scale = np.maximum(self.scale, np.max(np.abs(block.omega_a)))
             if eng in self.compares:
-                self.compares[eng].add(self.closed_form[eng](z0, z1), block)
+                self.compares[eng].add(self.closed_form[eng].rows(z0, z1), block)
             return block
         return RowSource(self.grid, watched)
 
@@ -403,6 +404,13 @@ AUDIT_TOL = 1e-8
 NUMERIC_AUDIT_TOL = 1e-6
 #: the band the residuals' observed convergence order must lie in
 ORDER_BAND = (1.8, 2.2)
+
+
+def _check_lattices(grid: GridSpec):
+    """The residual checks' lattice, the output's domain capped at 161 x 161, and its refinement."""
+    check = GridSpec(grid.tau_min, grid.tau_max, min(grid.n_tau, 161),
+                     grid.zeta_min, grid.zeta_max, min(grid.n_zeta, 161))
+    return check, check.refined()
 
 
 def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
@@ -443,22 +451,11 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
             )
 
     if "analytic" in checks.figures:
-        # residual convergence runs on a capped lattice over the same domain
-        # so high-resolution output grids do not inflate the check cost; the
-        # pass reads both check lattices from the closed form in blocks of
-        # zeta rows, so none is stored
-        check_grid = GridSpec(
-            grid.tau_min, grid.tau_max, min(grid.n_tau, 161),
-            grid.zeta_min, grid.zeta_max, min(grid.n_zeta, 161),
-        )
-
-        def closed_form_reports(lattice):
-            rows = scenarios.closed_form_rows(sp, lattice)
-            return verify.lattice_residual_reports(lattice, rows, sp.params,
-                                                   scenarios.DEFAULT_PROBES)
-
-        coarse = closed_form_reports(check_grid)
-        fine = closed_form_reports(check_grid.refined())
+        # the pass reads both check lattices from the closed form in blocks
+        # of zeta rows, so none is stored
+        coarse, fine = (verify.residual_reports(scenarios.closed_form_rows(sp, lattice),
+                                                sp.params, scenarios.DEFAULT_PROBES)
+                        for lattice in _check_lattices(grid))
         lo, hi = ORDER_BAND
         for rc, rf in zip(coarse, fine):
             if rc.max_abs < 1e-12 and rf.max_abs < 1e-12:
@@ -492,20 +489,20 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
         _say(cfg, f"note: numeric engine skipped for {sp.scenario} (direct propagation refused)")
     checks = _Checks(sp, grid, engines)
 
-    def read(eng: str, rows):
+    def read(eng: str, source):
         """One pass over a route's rows: its CSV, or with --check the blocks alone."""
-        source = checks.watch(eng, rows)
+        watched = checks.watch(eng, source)
         if check_only:
             for z0, z1 in grid.blocks():
-                source.rows(z0, z1)
+                watched.rows(z0, z1)
             return
         path = out / f"grid_{eng}.csv"
-        write_grid_csv(path, source)
+        write_grid_csv(path, watched)
         _say(cfg, f"wrote {path}")
 
-    def read_numeric(rows):
-        read("numeric", rows)
-        return rows.figures
+    def read_numeric(source):
+        read("numeric", source)
+        return source.figures
 
     # engine by engine, not all routes in step: each CSV is then one
     # write_grid_csv call and the whole march one propagate call, the spans
@@ -543,25 +540,26 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
     return 0 if not failures else 1
 
 
-def _keep_freed_heap():
+def _keep_freed_heap() -> bool:
     """Tell glibc's malloc never to return the top of the heap to the system.
 
     A streamed run frees, after every block of rows, the working memory
-    that the next block allocates again. By default glibc returns the free
-    top of the heap once it exceeds twice the largest mapping freed so far,
-    which in a streamed run is one block's state, so every block faulted
-    its few MB back in: about 26,000 minor faults per exact-check pass of
-    the benchmark, a fifth of its time. A process that stored whole grids
-    raised that threshold with them. M_TRIM_THRESHOLD = -1 turns trimming
-    off; other C libraries are left as they are.
+    that the next block allocates again; by default glibc returns the free
+    top of the heap after a block and faults it in again for the next,
+    about 26,000 minor faults per exact-check pass of the benchmark.
+    M_TRIM_THRESHOLD = -1 turns trimming off, and freezes glibc's dynamic
+    mmap threshold wherever the process's history left it, so
+    M_MMAP_THRESHOLD is pinned at glibc's 64-bit maximum, 32 MiB. True if
+    both calls took; other C libraries are left as they are.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
-        return
+        return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    m_trim_threshold = -1  # <malloc.h>; the value -1 disables trimming
-    mallopt(m_trim_threshold, -1)
+    m_trim_threshold, m_mmap_threshold = -1, -3  # <malloc.h>
+    pinned = mallopt(m_mmap_threshold, 32 << 20) == 1
+    return mallopt(m_trim_threshold, -1) == 1 and pinned
 
 
 def main(argv=None) -> int:
@@ -603,7 +601,7 @@ def main(argv=None) -> int:
     except ParseError as exc:  # run_scenario validates the overridden config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except LambdaMBError as exc:
+    except (LambdaMBError, OverflowError) as exc:  # an input too large for the arithmetic
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

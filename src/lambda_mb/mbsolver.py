@@ -36,8 +36,9 @@ fixed grids, no adaptivity, no parallel reductions.
 
 Every pass over a lattice goes in blocks of whole zeta rows under one
 rule (GridSpec.blocks, block_rows): about BLOCK_NODES nodes, one row at
-least.  A row source is a function rows(z0, z1) that returns rows z0 to
-z1 - 1 of a solution as Rows.
+least.  A row source is any object with a grid and rows(z0, z1), which
+returns rows z0 to z1 - 1 of a solution as Rows: a RowSource (the exact
+routes), march_rows' source (the solver) or a stored SolutionGrid.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ class GridSpec:
             raise ValueError("need n_tau >= 3 and n_zeta >= 2")
         if not (self.tau_max > self.tau_min and self.zeta_max > self.zeta_min):
             raise ValueError("grid extents must be increasing")
+        for name, h in (("tau", self.h_tau), ("zeta", self.h_zeta)):
+            if not (math.isfinite(h) and h > 0):
+                raise ValueError(f"the {name} step must be finite and positive, got {h}")
 
     @property
     def h_tau(self) -> float:
@@ -372,7 +376,7 @@ class _MarchRows:
         self.grid, self._rows, self._next = grid, rows, 0
         self.figures = None
 
-    def __call__(self, z0: int, z1: int) -> Rows:
+    def rows(self, z0: int, z1: int) -> Rows:
         if z0 != self._next or not z0 < z1 <= self.grid.n_zeta:
             raise ValueError(f"the solver's rows come once each, in order: asked for rows "
                              f"{z0} to {z1 - 1}, the next is {self._next}")
@@ -381,8 +385,7 @@ class _MarchRows:
         rho = np.empty((3, 3) + shape, dtype=complex)
         for i, (a, b, r, figures) in zip(range(shape[0]), self._rows):
             oa[i], ob[i], rho[:, :, i] = a, b, r
-            self.figures = figures if self.figures is None else algebra.worse_figures(
-                self.figures, figures)
+            self.figures = algebra.worse_figures(self.figures, figures)
         self._next = z1
         return Rows(self.grid, oa, ob, rho)
 
@@ -390,9 +393,9 @@ class _MarchRows:
 def march_rows(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> _MarchRows:
     """The solver's rows as a row source, each block asked for once, in order.
 
-    rows(z0, z1) marches on to row z1 - 1 (see march) and returns the
-    block's fields and entry-major state; asking for any block but the
-    next raises ValueError.  rows.figures is the worst of the audit
+    source.rows(z0, z1) marches on to row z1 - 1 (see march) and returns
+    the block's fields and entry-major state; asking for any block but the
+    next raises ValueError.  source.figures is the worst of the audit
     figures (herm_dev, trace_dev, eig_min, eig_max) of every slice marched
     so far, folded by algebra.worse_figures in row order.
     """
@@ -403,23 +406,23 @@ def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec,
               consume: Optional[Callable] = None):
     """March the full system from the entry-face slice (see march) and hand on its rows.
 
-    consume(rows) gets the solver's row source (march_rows), and its result
-    is returned; the command line's pass over the numeric route is such a
-    consumer, so the whole march runs inside this call.  Without consume,
-    the blocks of grid.blocks() are kept: the grid holds the fields and the
-    populations of every row, and no state, and meta holds rows.figures,
-    which verify.audit_report scores.
+    consume(source) gets the solver's row source (march_rows), and its
+    result is returned; the command line's pass over the numeric route is
+    such a consumer, so the whole march runs inside this call.  Without
+    consume, the blocks of grid.blocks() are kept: the grid holds the
+    fields and the populations of every row, and no state, and meta holds
+    source.figures, which verify.audit_report scores.
     """
-    rows = march_rows(initial_fields, boundary_rho, p, grid)
+    source = march_rows(initial_fields, boundary_rho, p, grid)
     if consume is not None:
-        return consume(rows)
+        return consume(source)
     omega_a = np.empty((grid.n_zeta, grid.n_tau), dtype=complex)
     omega_b = np.empty_like(omega_a)
     pops = np.empty((grid.n_zeta, grid.n_tau, 3))
     for z0, z1 in grid.blocks():
-        block = rows(z0, z1)
+        block = source.rows(z0, z1)
         omega_a[z0:z1], omega_b[z0:z1] = block.omega_a, block.omega_b
         for k in range(3):
             pops[z0:z1, :, k] = block.rho[k, k].real
     return SolutionGrid(grid=grid, omega_a=omega_a, omega_b=omega_b, populations=pops,
-                        state_kind="density", meta={"engine": "numeric", **rows.figures})
+                        state_kind="density", meta={"engine": "numeric", **source.figures})

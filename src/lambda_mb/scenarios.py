@@ -2,9 +2,10 @@
 
 A scenario couples a parameter bundle with the three ways to realize it
 (closed form, dressing engine, numerical propagation).  Each route is a
-row source over the lattice (closed_form_rows, dressed_rows, and the
-solver's mbsolver.march_rows from numeric_entry), read in blocks of whole
-zeta rows; the command line streams them.  The builders here keep every
+row source over the lattice, an object with grid and rows(z0, z1):
+closed_form_rows and dressed_rows return an mbsolver.RowSource, and the
+solver's is mbsolver.march_rows from numeric_entry.  The command line
+streams them in blocks of whole zeta rows.  The builders here keep every
 block of the same sources in a SolutionGrid for the library and the
 tests, so a stored grid holds the bits a streamed pass reads.  What sets
 one scenario apart from another is its ``Scenario`` record in
@@ -27,7 +28,7 @@ from . import algebra, analytic, darboux, model
 from .analytic import ScenarioParams
 from .darboux import DressConstants, SolitonConstants
 from .errors import ParameterGuard
-from .mbsolver import GridSpec, Rows, SolutionGrid, propagate
+from .mbsolver import GridSpec, Rows, RowSource, SolutionGrid, propagate
 from .model import LambdaParams, SpectralData
 
 #: probe spectral parameters of the zero-curvature residuals; their imaginary
@@ -156,12 +157,13 @@ def _closed_form(sp: ScenarioParams, zeta, tau):
     return oa, ob, record.density(sp, state, zeta, tau)
 
 
-def _stored(grid: GridSpec, rows, meta: dict, kind: str) -> SolutionGrid:
+def _stored(source: RowSource, meta: dict, kind: str) -> SolutionGrid:
     """A SolutionGrid that keeps every block of an exact route's row source."""
+    grid = source.grid
     shape = (grid.n_zeta, grid.n_tau)
     oa = ob = rho = None
     for z0, z1 in grid.blocks():
-        block = rows(z0, z1)
+        block = source.rows(z0, z1)
         if oa is None:
             oa = np.empty(shape, dtype=block.omega_a.dtype)
             ob = np.empty(shape, dtype=block.omega_b.dtype)
@@ -170,7 +172,7 @@ def _stored(grid: GridSpec, rows, meta: dict, kind: str) -> SolutionGrid:
     return SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, rho=rho, state_kind=kind, meta=meta)
 
 
-def _row_source(grid: GridSpec, evaluate):
+def _row_source(grid: GridSpec, evaluate) -> RowSource:
     """The row source of evaluate(zeta, tau) -> (omega_a, omega_b, rho) on the lattice's mesh.
 
     rows(z0, z1) evaluates at grid.zetas()[z0:z1] and grid.taus() and
@@ -187,10 +189,10 @@ def _row_source(grid: GridSpec, evaluate):
         if rho is not None:
             rho = np.broadcast_to(rho, (3, 3) + shape)
         return Rows(grid, np.broadcast_to(oa, shape), np.broadcast_to(ob, shape), rho)
-    return rows
+    return RowSource(grid, rows)
 
 
-def closed_form_rows(sp: ScenarioParams, grid: GridSpec):
+def closed_form_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
     """The closed form as a row source of the lattice (see _row_source).
 
     build_analytic_grid keeps the blocks of grid.blocks(), so its grid
@@ -200,7 +202,7 @@ def closed_form_rows(sp: ScenarioParams, grid: GridSpec):
     return _row_source(grid, lambda zeta, tau: _closed_form(sp, zeta, tau))
 
 
-def closed_form_field_rows(sp: ScenarioParams, grid: GridSpec):
+def closed_form_field_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
     """The closed form's fields alone as a row source of the lattice: Rows with no state.
 
     The fields are those of closed_form_rows, bit for bit; the record's
@@ -212,17 +214,17 @@ def closed_form_field_rows(sp: ScenarioParams, grid: GridSpec):
 
 def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Evaluate the closed-form scenario on the lattice: every block of closed_form_rows, kept."""
-    return _stored(grid, closed_form_rows(sp, grid),
-                   {"engine": "analytic", "scenario": sp.scenario}, state_kind(sp.params))
+    return _stored(closed_form_rows(sp, grid), {"engine": "analytic", "scenario": sp.scenario},
+                   state_kind(sp.params))
 
 
-def _dressing_rows(sp: ScenarioParams, grid: GridSpec):
+def _dressing_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
     """dressed_rows without the seed gate."""
     p, s, c = sp.params, sp.spectral, sp.dress_constants()
     return _row_source(grid, lambda zeta, tau: darboux.dressed_fields_and_state(p, s, c, zeta, tau))
 
 
-def dressed_rows(sp: ScenarioParams, grid: GridSpec):
+def dressed_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
     """The dressing engine as a row source of the lattice (see _row_source).
 
     The seed verification gate runs first and raises ParameterGuard on a
@@ -238,7 +240,7 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     meta = {"engine": "dressing", "scenario": sp.scenario,
             "constants": sp.dress_constants().as_tuple(),
             "seed_gate": darboux.verify_seed_or_raise(p, s)}
-    return _stored(grid, _dressing_rows(sp, grid), meta, state_kind(p))
+    return _stored(_dressing_rows(sp, grid), meta, state_kind(p))
 
 
 def numeric_entry(sp: ScenarioParams, grid: GridSpec):
@@ -253,7 +255,7 @@ def numeric_entry(sp: ScenarioParams, grid: GridSpec):
     if state_kind(sp.params) == "formal":
         raise ParameterGuard(f"{sp.scenario} has a formal companion state at k = {sp.params.k}; "
                              "direct propagation is not defined")
-    first = closed_form_rows(sp, grid)(0, 1)
+    first = closed_form_rows(sp, grid).rows(0, 1)
     zetas, taus = _mesh(grid)
     rho = _closed_form(sp, zetas, taus[:, :1])[2]
     boundary = np.broadcast_to(rho, (3, 3, grid.n_zeta, 1))[..., 0]

@@ -9,8 +9,8 @@ A grid's state is entry-major, (3, 3, n_zeta, n_tau), so each matrix
 entry rho[i, j] is one contiguous (n_zeta, n_tau) array.
 
 The field-equation (PDE) residual and the zero-curvature residual at every
-probe come from one shared-term pass per lattice
-(lattice_residual_reports). D is constant and V = c rho is proportional
+probe come from one shared-term pass per lattice (residual_reports, the
+one residual kernel). D is constant and V = c rho is proportional
 to the state, so both residuals are sums of the same four entry-wise
 terms: the zeta difference of H, the tau difference of rho,
 [D, rho] = (d_i - d_j) rho_ij and [H, rho] from H's four non-zero
@@ -23,12 +23,13 @@ stencils multiply a complex difference by 1 / (2h): numpy divides a
 complex array by a real scalar as a product with its reciprocal, so the
 bits are those of the division.
 
-The pass reads the lattice from a row source (mbsolver.Rows) once, each
-row in order, and carries the last two rows of each block into the next
-as its halo, so it holds one block at a time and a forward-only source
-can feed it: residual_reports reads a stored grid's rows as views, and
-the command line's check lattices come from the closed form
-(scenarios.closed_form_rows) and are never stored.
+The pass reads the lattice from a row source, any object with grid and
+rows(z0, z1) -> mbsolver.Rows, once, each row in order, and carries the
+last two rows of each block into the next as its halo, so it holds one
+block at a time and a forward-only source can feed it: a stored grid
+gives its rows as views, a route's row source evaluates them (the
+command line's check lattices come from scenarios.closed_form_rows and
+are never stored), and the solver's mbsolver.march_rows marches them.
 
 The density audit works in blocks of zeta rows too (block_figures):
 algebra.state_figures, the kernel that also audits every slice the solver
@@ -43,7 +44,6 @@ audit instead of raising.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -155,28 +155,18 @@ def _magnitudes(entry, mag):
 _D_COMMUTATOR = {(0, 2): 2.0, (1, 2): 2.0, (2, 0): -2.0, (2, 1): -2.0}
 
 
-def residual_reports(solution: SolutionGrid, p: LambdaParams, probes=()) -> list:
+def residual_reports(source, p: LambdaParams, probes=()) -> list:
     """PDE residual, then the zero-curvature residual at each probe lambda.
 
-    The pass of lattice_residual_reports over the stored grid, whose
-    blocks of zeta rows it reads as views.
-    """
-    if solution.rho is None:
-        raise ValueError("residual check needs the full per-node state, which a numeric "
-                         "grid does not keep")
-    return lattice_residual_reports(solution.grid, solution.rows, p, probes)
-
-
-def lattice_residual_reports(grid: GridSpec, rows, p: LambdaParams, probes=()) -> list:
-    """PDE residual, then the zero-curvature residual at each probe lambda.
-
-    rows(z0, z1) -> mbsolver.Rows gives zeta rows z0 to z1 - 1 of the
-    lattice, rho entry-major (3, 3, z1 - z0, n_tau). The pass works in
-    blocks of whole interior rows, mbsolver.block_rows(n_tau - 2) at a
-    time, each with one halo row on either side. It asks for each row
-    once, in increasing order: a block's last two rows are carried into
-    the next block as its first two, so no more than a block of the
-    lattice is held at a time.
+    source.rows(z0, z1) -> mbsolver.Rows gives zeta rows z0 to z1 - 1 of
+    the lattice source.grid, rho entry-major (3, 3, z1 - z0, n_tau); a
+    block with no state (a numeric grid, closed_form_field_rows) raises
+    ValueError before any arithmetic on it. The pass works in blocks of
+    whole interior rows, mbsolver.block_rows(n_tau - 2) at a time, each
+    with one halo row on either side. It asks for each row once, in
+    increasing order: a block's last two rows are carried into the next
+    block as its first two, so no more than a block of the lattice is
+    held at a time.
 
     One pass over the 9 entries (i, j) of each block's interior nodes.
     Each entry's terms are built once: dH (the zeta difference of H,
@@ -195,6 +185,7 @@ def lattice_residual_reports(grid: GridSpec, rows, p: LambdaParams, probes=()) -
     the PDE ones. The fold rounds differently from the expanded form: on
     the canned check lattices the reports move by at most 6.2e-13 relative.
     """
+    grid = source.grid
     for lam in probes:
         if abs(lam - p.delta) <= model.POLE_GUARD:
             raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
@@ -212,11 +203,12 @@ def lattice_residual_reports(grid: GridSpec, rows, p: LambdaParams, probes=()) -
     q = 0.25j * p.nu0
     for r0 in range(1, grid.n_zeta - 1, block):
         r1 = min(r0 + block, grid.n_zeta - 1)
+        read = source.rows(0 if carry is None else r0 + 1, r1 + 1)
+        if read.rho is None:
+            raise ValueError("residual check needs the full per-node state; this source has none")
         if carry is None:
-            read = rows(0, r1 + 1)
             oa, ob, rho = read.omega_a, read.omega_b, read.rho
         else:
-            read = rows(r0 + 1, r1 + 1)
             oa = np.concatenate([carry[0], read.omega_a])
             ob = np.concatenate([carry[1], read.omega_b])
             rho = np.concatenate([carry[2], read.rho], axis=2)
@@ -309,26 +301,23 @@ def audit_density(solution: SolutionGrid) -> ResidualReport:
     if solution.rho is None:
         raise ValueError("the density audit reads a stored state, which a numeric grid does "
                          "not keep; score its meta with audit_report")
-    figures = functools.reduce(algebra.worse_figures, (
-        block_figures(solution.rows(z0, z1).rho, solution.state_kind)
-        for z0, z1 in solution.grid.blocks()))
+    figures = None
+    for z0, z1 in solution.grid.blocks():
+        figures = algebra.worse_figures(
+            figures, block_figures(solution.rows(z0, z1).rho, solution.state_kind))
     return audit_report(figures, solution.state_kind, solution.grid)
 
 
 def compare_solutions(a, b) -> ResidualReport:
-    """Elementwise distance between two grids on the same lattice, or the same rows of two.
+    """Elementwise distance between two solutions on the same lattice.
 
-    a and b are SolutionGrids, compared block by block (CompareFold), or
-    the same mbsolver.Rows of two solutions. The states are compared too
-    where both hold one.
+    a and b hold grid, omega_a, omega_b and rho: the same mbsolver.Rows of
+    two row sources, as CompareFold.add takes them block by block, or two
+    stored SolutionGrids, read whole. The states are compared too where
+    both hold one.
     """
     if a.grid != b.grid:
         raise GridMismatch("solution grids live on different lattices")
-    if isinstance(a, SolutionGrid):
-        fold = CompareFold()
-        for z0, z1 in a.grid.blocks():
-            fold.add(a.rows(z0, z1), b.rows(z0, z1))
-        return fold.report("compare")
     diffs = [
         np.abs(a.omega_a - b.omega_a),
         np.abs(a.omega_b - b.omega_b),

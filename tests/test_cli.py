@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from lambda_mb import cli, darboux, mbsolver, model, scenarios, verify
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
+from lambda_mb.mbsolver import RowSource
 from scenario_inputs import regime_keywords
 
 SMALL_SLOW = """
@@ -91,6 +92,14 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     # an out that cannot be a directory: an existing file, and a path under one
     "scenario = slow\nengine = analytic\nout = {file}\n",
     "scenario = slow\nengine = analytic\nout = {file}/run\n",
+    # finite values whose size overflows the arithmetic: eps0 ** 2, a tau step
+    # that underflows to 0 or overflows to inf, and a zeta step whose check
+    # lattice's refinement underflows to 0
+    "eps0 = 1e200\n",
+    "tau_min = 0\ntau_max = 5e-324\nn_tau = 11\nn_zeta = 5\n",
+    "tau_min = -1e308\ntau_max = 1e308\nn_tau = 11\nn_zeta = 5\n",
+    "scenario = slow\nengine = analytic\nzeta_min = 0\nzeta_max = 1e-323\nn_zeta = 3\n"
+    "n_tau = 11\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     path = tmp_path / "cfg.txt"
@@ -103,6 +112,20 @@ def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "run").exists()
     assert file.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("text", [
+    # delta ** 2 in the closed form
+    "scenario = two_soliton\ndelta = 1e300\n",
+    # c1 ** 2 in the closed form
+    "scenario = zero_background\nomega0 = 0\nc1 = 1e300\nc2 = 1\nc3 = 1\n",
+])
+def test_an_input_that_overflows_mid_run_exits_1_with_its_name(tmp_path, capsys, text):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + "tau_min = -8\ntau_max = 8\nn_tau = 11\nzeta_min = 0\n"
+                    f"zeta_max = 2\nn_zeta = 5\nout = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path), "--check"]) == 1
+    assert capsys.readouterr().err.startswith("OverflowError:")
 
 
 @pytest.mark.parametrize("line", [
@@ -209,7 +232,7 @@ def _dressed_rows_with_nan(monkeypatch, name, index):
     row = index[-2]
 
     def with_nan(sp, grid):
-        rows = source(sp, grid)
+        rows = source(sp, grid).rows
 
         def poisoned(z0, z1):
             block = rows(z0, z1)
@@ -218,7 +241,7 @@ def _dressed_rows_with_nan(monkeypatch, name, index):
                 value[index[:-2] + (row - z0, index[-1])] = np.nan
                 block = block._replace(**{name: value})
             return block
-        return poisoned
+        return RowSource(grid, poisoned)
 
     monkeypatch.setattr(scenarios, "dressed_rows", with_nan)
 
@@ -242,7 +265,7 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
     read = []
 
     def nan_in_the_fine_check_lattice(sp, grid):
-        rows = source(sp, grid)
+        rows = source(sp, grid).rows
         read.append(grid)
 
         def with_nan(z0, z1):
@@ -253,7 +276,7 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
                 rho[1, 2, 5 - z0, 7] = np.nan
                 block = block._replace(rho=rho)
             return block
-        return with_nan
+        return RowSource(grid, with_nan)
 
     monkeypatch.setattr(scenarios, "closed_form_rows", nan_in_the_fine_check_lattice)
     path = tmp_path / "cfg.txt"
@@ -345,6 +368,14 @@ def _configs(draw):
     c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))
     tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     engine = draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")]))
+    n_tau = draw(st.integers(3, 10**6))
+    # the analytic route's residual checks need three zeta rows
+    n_zeta = draw(st.integers(3 if engine in ("analytic", "all") else 2, 10**6))
+
+    def extent_max(low, n):
+        """Where the step of the lattice's refinement, which the checks read, stays positive."""
+        return st.floats(low, 2e6, exclude_min=True).filter(
+            lambda high: (high - low) / (2 * n - 2) > 0)
     return cli.ScenarioConfig(
         scenario=name,
         engine=engine,
@@ -352,11 +383,8 @@ def _configs(draw):
         nu0=draw(_POSITIVE), delta=draw(_FINITE), omega0=regime["omega0"],
         k=regime.get("k", 0.0), eps0=regime["eps0"],
         a1=a[0], a2=a[1], a3=a[2], c1=c[0], c2=c[1], c3=c[2],
-        tau_min=tau_min, tau_max=draw(st.floats(tau_min, 2e6, exclude_min=True)),
-        n_tau=draw(st.integers(3, 10**6)),
-        zeta_min=zeta_min, zeta_max=draw(st.floats(zeta_min, 2e6, exclude_min=True)),
-        # the analytic route's residual checks need three zeta rows
-        n_zeta=draw(st.integers(3 if engine in ("analytic", "all") else 2, 10**6)),
+        tau_min=tau_min, tau_max=draw(extent_max(tau_min, n_tau)), n_tau=n_tau,
+        zeta_min=zeta_min, zeta_max=draw(extent_max(zeta_min, n_zeta)), n_zeta=n_zeta,
         numeric_tol=draw(_POSITIVE), quiet=draw(st.booleans()),
     )
 
@@ -495,3 +523,35 @@ def test_a_streamed_run_writes_the_bytes_of_the_stored_grids(tmp_path, tag):
                       else verify.audit_density(stored))
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert report.split("\n\n")[:len(audits)] == [audit.as_text() for audit in audits]
+
+
+@pytest.mark.parametrize("took, pinned", [((1, 1), True), ((0, 1), False), ((1, 0), False)])
+def test_keep_freed_heap_pins_the_mmap_threshold_and_turns_trimming_off(monkeypatch, took,
+                                                                       pinned):
+    """mallopt(M_MMAP_THRESHOLD = -3, 32 MiB), then mallopt(M_TRIM_THRESHOLD = -1, -1).
+
+    Both return values are read: the call reports whether both took.
+    """
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            assert name is None
+            self.mallopt = self
+
+        def __call__(self, param, value):
+            calls.append((param, value))
+            return took[len(calls) - 1]
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", Libc)
+    assert cli._keep_freed_heap() is pinned
+    assert calls == [(-3, 32 << 20), (-1, -1)]
+
+
+def test_keep_freed_heap_leaves_a_c_library_without_mallopt_alone(monkeypatch):
+    class Libc:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", Libc)
+    assert cli._keep_freed_heap() is False

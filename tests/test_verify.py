@@ -12,7 +12,7 @@ from lambda_mb import algebra, mbsolver, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import GridMismatch, SpectralPole
-from lambda_mb.mbsolver import GridSpec, Rows, SolutionGrid
+from lambda_mb.mbsolver import GridSpec, Rows, RowSource, SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
 import observables
 from observables import FeatureLost
@@ -234,13 +234,66 @@ def test_the_residual_pass_reads_each_row_once_in_order(monkeypatch, rows):
         served.extend(range(z0, z1))
         return sol.rows(z0, z1)
 
-    got = verify.lattice_residual_reports(sol.grid, counted, sp.params, scenarios.DEFAULT_PROBES)
+    got = verify.residual_reports(RowSource(sol.grid, counted), sp.params,
+                                  scenarios.DEFAULT_PROBES)
     assert served == list(range(sol.grid.n_zeta))
     monkeypatch.undo()
     whole = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
     for g, w in zip(got, whole, strict=True):
         assert _same_float(g.max_abs, w.max_abs)
         np.testing.assert_allclose(g.l2, w.l2, rtol=1e-14, atol=0.0)
+
+
+def test_the_kernel_refuses_a_source_without_state_at_its_first_block(monkeypatch):
+    """A stored numeric grid and the closed form's fields alone hold no state.
+
+    The kernel raises ValueError on the first block it reads, in blocks of
+    two rows here, so it never asks for a second.
+    """
+    sp, g = canned_scenario("slow")
+    grid = GridSpec(g.tau_min, g.tau_max, 41, g.zeta_min, g.zeta_max, 11)
+    numeric = scenarios.build_numeric_grid(sp, grid)
+    _rows_per_block(monkeypatch, grid, 2)
+    for source in (numeric, scenarios.closed_form_field_rows(sp, grid)):
+        served = []
+
+        def counted(z0, z1, source=source):
+            served.append((z0, z1))
+            return source.rows(z0, z1)
+
+        with pytest.raises(ValueError, match="full per-node state"):
+            verify.residual_reports(RowSource(grid, counted), sp.params, scenarios.DEFAULT_PROBES)
+        assert served == [(0, 4)]
+
+
+def _report_bits(reports):
+    return [(r.name, r.lambda_probe, np.float64(r.max_abs).tobytes(), np.float64(r.l2).tobytes())
+            for r in reports]
+
+
+@pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
+def test_the_kernel_reads_each_route_as_it_reads_that_route_stored(tag):
+    """The residual kernel over the dressing engine's and the solver's row sources.
+
+    Each equals the kernel over the stored grid of the same route in every
+    bit. 161 x 121 nodes: the kernel reads blocks of 51 rows, the builders
+    keep blocks of 50. The solver's grid is stored from mbsolver.march's
+    rows, with its state, and a formal state (exulton_k) has no solver.
+    """
+    sp, g = canned_scenario(tag)
+    grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_max, 121)
+    pairs = [(scenarios.dressed_rows(sp, grid), scenarios.build_dressed_grid(sp, grid))]
+    if scenarios.state_kind(sp.params) != "formal":
+        entry = scenarios.numeric_entry(sp, grid)
+        rows = list(mbsolver.march(*entry, sp.params, grid))
+        stored = SolutionGrid(
+            grid, np.array([oa for oa, _, _, _ in rows]), np.array([ob for _, ob, _, _ in rows]),
+            rho=np.stack([rho for _, _, rho, _ in rows], axis=2), state_kind="density")
+        pairs.append((mbsolver.march_rows(*entry, sp.params, grid), stored))
+    for source, stored in pairs:
+        got = verify.residual_reports(source, sp.params, scenarios.DEFAULT_PROBES)
+        want = verify.residual_reports(stored, sp.params, scenarios.DEFAULT_PROBES)
+        assert _report_bits(got) == _report_bits(want)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -277,7 +330,7 @@ def test_closed_form_rows_are_the_rows_of_the_stored_build(name):
     rows = scenarios.closed_form_rows(sp, grid)
     for z0 in range(0, grid.n_zeta, 16):  # the last block holds one row
         z1 = min(z0 + 16, grid.n_zeta)
-        block = rows(z0, z1)
+        block = rows.rows(z0, z1)
         assert block.grid == grid
         assert block.omega_a.shape == block.omega_b.shape == (z1 - z0, grid.n_tau)
         assert block.rho.shape == (3, 3, z1 - z0, grid.n_tau)
@@ -301,8 +354,8 @@ def test_the_check_pass_holds_one_block_of_the_lattice(name):
         tracemalloc.start()
         try:
             for lattice in (check, check.refined()):
-                verify.lattice_residual_reports(lattice, scenarios.closed_form_rows(sp, lattice),
-                                                sp.params, scenarios.DEFAULT_PROBES)
+                verify.residual_reports(scenarios.closed_form_rows(sp, lattice), sp.params,
+                                        scenarios.DEFAULT_PROBES)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
