@@ -11,8 +11,9 @@ A run holds no whole grid.  Each route is read once, engine by engine,
 from its row source in the blocks of GridSpec.blocks(): the CSV writer
 writes each block, and the same block feeds the route's density audit
 and its compare with the closed form, whose rows the compare evaluates
-again block by block.  The numeric route's pass runs inside
-mbsolver.propagate, as its consumer.
+again block by block.  The analytic route's blocks also feed the
+residual checks, on the output lattice and on its even rows and columns.
+The numeric route's pass runs inside mbsolver.propagate, as its consumer.
 """
 
 from __future__ import annotations
@@ -123,9 +124,10 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"unknown scenario {cfg.scenario!r} (canned tags go through --scenario)")
     if cfg.engine not in ENGINES:
         raise ParseError(f"unknown engine {cfg.engine!r}")
-    if cfg.engine in ("analytic", "all") and cfg.n_zeta < 3:
-        raise ParseError(f"the residual checks of the analytic grid need n_zeta >= 3, "
-                         f"got {cfg.n_zeta}")
+    counts = (cfg.n_tau, cfg.n_zeta)
+    if cfg.engine in ("analytic", "all") and not all(n >= 5 and n % 2 for n in counts):
+        raise ParseError(f"the residual checks read the analytic grid and every other node of "
+                         f"it, so need odd n_tau and n_zeta >= 5, got {counts}")
     # the manifest echoes out as one key = value line, which must parse back
     if "#" in cfg.out or cfg.out.strip() != cfg.out or cfg.out.splitlines() != [cfg.out]:
         raise ParseError(f"out must be one non-empty line without '#' or surrounding "
@@ -139,8 +141,6 @@ def _validate(cfg: ScenarioConfig):
         raise ParseError(f"numeric_tol must be > 0, got {cfg.numeric_tol}")
     try:
         sp, grid = cfg.scenario_params(), cfg.grid()
-        if cfg.engine in ("analytic", "all"):
-            _check_lattices(grid)
     except (ValueError, LambdaMBError) as exc:
         raise ParseError(str(exc)) from None
     except OverflowError as exc:
@@ -366,10 +366,12 @@ class _Checks:
     watch(eng, source) wraps a route's row source so that each block it
     returns also feeds the folds: an exact route's state figures
     (verify.block_figures, folded by algebra.worse_figures), the analytic
-    route's max |Omega_a| (the numeric_tol scale), and the compare of a
-    dressing or numeric block with the closed form's same rows, evaluated
-    again for it: fields and state for the dressing route, the fields
-    alone for the solver, whose state is not compared. The numeric route's
+    route's max |Omega_a| (the numeric_tol scale) and its residual folds
+    (the block, and the coarse lattice's: its rows of even global index and
+    even columns, as strided views), and the compare of a dressing or
+    numeric block with the closed form's same rows, evaluated again for it:
+    fields and state for the dressing route, the fields alone for the
+    solver, whose state is not compared. The numeric route's
     figures are the solver's own, which the run stores in figures after
     its pass, so no slice is audited twice.
     """
@@ -383,6 +385,9 @@ class _Checks:
         sources = {"dressing": scenarios.closed_form_rows,
                    "numeric": scenarios.closed_form_field_rows}
         self.closed_form = {eng: sources[eng](sp, grid) for eng in self.compares}
+        if "analytic" in engines:
+            self.residuals = [verify.ResidualFold(lattice, sp.params, scenarios.DEFAULT_PROBES)
+                              for lattice in (grid.coarse(), grid)]
 
     def watch(self, eng: str, source) -> RowSource:
         def watched(z0: int, z1: int) -> Rows:
@@ -392,6 +397,11 @@ class _Checks:
                     self.figures.get(eng), verify.block_figures(block.rho, self.kind))
             if eng == "analytic":
                 self.scale = np.maximum(self.scale, np.max(np.abs(block.omega_a)))
+                coarse, fine = self.residuals
+                r = z0 % 2
+                coarse.add(Rows(coarse.grid, block.omega_a[r::2, ::2], block.omega_b[r::2, ::2],
+                                block.rho[..., r::2, ::2]))
+                fine.add(block)
             if eng in self.compares:
                 self.compares[eng].add(self.closed_form[eng].rows(z0, z1), block)
             return block
@@ -404,13 +414,6 @@ AUDIT_TOL = 1e-8
 NUMERIC_AUDIT_TOL = 1e-6
 #: the band the residuals' observed convergence order must lie in
 ORDER_BAND = (1.8, 2.2)
-
-
-def _check_lattices(grid: GridSpec):
-    """The residual checks' lattice, the output's domain capped at 161 x 161, and its refinement."""
-    check = GridSpec(grid.tau_min, grid.tau_max, min(grid.n_tau, 161),
-                     grid.zeta_min, grid.zeta_max, min(grid.n_zeta, 161))
-    return check, check.refined()
 
 
 def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
@@ -451,21 +454,16 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
             )
 
     if "analytic" in checks.figures:
-        # the pass reads both check lattices from the closed form in blocks
-        # of zeta rows, so none is stored
-        coarse, fine = (verify.residual_reports(scenarios.closed_form_rows(sp, lattice),
-                                                sp.params, scenarios.DEFAULT_PROBES)
-                        for lattice in _check_lattices(grid))
+        # the output grid's residuals, with their order against its coarse lattice's
+        coarse, fine = (fold.report() for fold in checks.residuals)
         lo, hi = ORDER_BAND
         for rc, rf in zip(coarse, fine):
+            reports.append(rf)
             if rc.max_abs < 1e-12 and rf.max_abs < 1e-12:
-                reports.append(rc)  # exact stationary solution
-                continue
-            order = verify.convergence_order(rc, rf)
-            rc.convergence_order = order
-            reports.append(rc)
+                continue  # exact stationary solution
+            rf.convergence_order = order = verify.convergence_order(rc, rf)
             if not (lo <= order <= hi):
-                failures.append(f"{rc.name}: convergence order {order:.2f} outside [{lo}, {hi}]")
+                failures.append(f"{rf.name}: convergence order {order:.2f} outside [{lo}, {hi}]")
 
     return failures, reports
 

@@ -35,7 +35,7 @@ populations, so no numeric grid stores a state.  Runs are deterministic:
 fixed grids, no adaptivity, no parallel reductions.
 
 Every pass over a lattice goes in blocks of whole zeta rows under one
-rule (GridSpec.blocks, block_rows): about BLOCK_NODES nodes, one row at
+rule (GridSpec.blocks): about BLOCK_NODES nodes, one row at
 least.  A row source is any object with a grid and rows(z0, z1), which
 returns rows z0 to z1 - 1 of a solution as Rows: a RowSource (the exact
 routes), march_rows' source (the solver) or a stored SolutionGrid.
@@ -61,11 +61,6 @@ EIG_BAND = 1e-4
 BLOCK_NODES = 8192
 
 
-def block_rows(width: int) -> int:
-    """Zeta rows per block of a lattice ``width`` nodes wide: BLOCK_NODES nodes, one row at least."""
-    return max(1, BLOCK_NODES // width)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform (tau, zeta) lattice."""
@@ -83,8 +78,9 @@ class GridSpec:
         if not (self.tau_max > self.tau_min and self.zeta_max > self.zeta_min):
             raise ValueError("grid extents must be increasing")
         for name, h in (("tau", self.h_tau), ("zeta", self.h_zeta)):
-            if not (math.isfinite(h) and h > 0):
-                raise ValueError(f"the {name} step must be finite and positive, got {h}")
+            # the residual stencils multiply by 1 / (2h)
+            if not (math.isfinite(h) and h > 0 and math.isfinite(1.0 / (2.0 * h))):
+                raise ValueError(f"the {name} step must be positive with 1 / (2h) finite, got {h}")
 
     @property
     def h_tau(self) -> float:
@@ -100,14 +96,14 @@ class GridSpec:
     def zetas(self) -> np.ndarray:
         return np.linspace(self.zeta_min, self.zeta_max, self.n_zeta)
 
-    def refined(self) -> "GridSpec":
-        """Same domain with both steps halved."""
-        return GridSpec(self.tau_min, self.tau_max, 2 * self.n_tau - 1,
-                        self.zeta_min, self.zeta_max, 2 * self.n_zeta - 1)
+    def coarse(self) -> "GridSpec":
+        """Same domain, both steps doubled (odd counts): the even nodes, which this refines."""
+        return GridSpec(self.tau_min, self.tau_max, (self.n_tau + 1) // 2,
+                        self.zeta_min, self.zeta_max, (self.n_zeta + 1) // 2)
 
     def blocks(self) -> list:
-        """(z0, z1) of each block of block_rows(n_tau) whole zeta rows, in order."""
-        rows = block_rows(self.n_tau)
+        """(z0, z1) of each block of BLOCK_NODES nodes of whole zeta rows, one row at least."""
+        rows = max(1, BLOCK_NODES // self.n_tau)
         return [(z0, min(z0 + rows, self.n_zeta)) for z0 in range(0, self.n_zeta, rows)]
 
 

@@ -9,27 +9,15 @@ A grid's state is entry-major, (3, 3, n_zeta, n_tau), so each matrix
 entry rho[i, j] is one contiguous (n_zeta, n_tau) array.
 
 The field-equation (PDE) residual and the zero-curvature residual at every
-probe come from one shared-term pass per lattice (residual_reports, the
-one residual kernel). D is constant and V = c rho is proportional
-to the state, so both residuals are sums of the same four entry-wise
-terms: the zeta difference of H, the tau difference of rho,
-[D, rho] = (d_i - d_j) rho_ij and [H, rho] from H's four non-zero
-entries. The pass builds them one matrix entry (i, j) at a time on the
-interior nodes and folds each report's max |x| and sum |x|^2 as it goes,
-so no 3x3 stack and no batched 3x3 product is formed. Each
-zero-curvature entry is a combination of the PDE entries at the same
-node, so the probes add work on the four coupling entries only. The
-stencils multiply a complex difference by 1 / (2h): numpy divides a
-complex array by a real scalar as a product with its reciprocal, so the
-bits are those of the division.
-
-The pass reads the lattice from a row source, any object with grid and
-rows(z0, z1) -> mbsolver.Rows, once, each row in order, and carries the
-last two rows of each block into the next as its halo, so it holds one
-block at a time and a forward-only source can feed it: a stored grid
-gives its rows as views, a route's row source evaluates them (the
-command line's check lattices come from scenarios.closed_form_rows and
-are never stored), and the solver's mbsolver.march_rows marches them.
+probe come from one shared-term pass, ResidualFold, the one residual
+kernel: sums of four entry-wise terms, built one matrix entry at a time
+on the interior nodes, with no 3x3 stack. It takes a lattice's zeta rows
+in order, in blocks of any size, and carries two rows of halo, so a
+forward-only stream can feed it; residual_reports is its pull form over a
+row source (grid and rows(z0, z1) -> mbsolver.Rows). The command line
+feeds it the analytic route's own stream and that stream's even rows and
+columns (GridSpec.coarse), so the observed order is that of the grid
+produced.
 
 The density audit works in blocks of zeta rows too (block_figures):
 algebra.state_figures, the kernel that also audits every slice the solver
@@ -50,7 +38,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import algebra, mbsolver, model
+from . import algebra, model
 from .errors import GridMismatch, SpectralPole
 from .mbsolver import GridSpec, SolutionGrid
 from .model import LambdaParams
@@ -155,18 +143,13 @@ def _magnitudes(entry, mag):
 _D_COMMUTATOR = {(0, 2): 2.0, (1, 2): 2.0, (2, 0): -2.0, (2, 1): -2.0}
 
 
-def residual_reports(source, p: LambdaParams, probes=()) -> list:
-    """PDE residual, then the zero-curvature residual at each probe lambda.
+class ResidualFold:
+    """PDE residual, then the zero-curvature residual at each probe lambda, folded block by block.
 
-    source.rows(z0, z1) -> mbsolver.Rows gives zeta rows z0 to z1 - 1 of
-    the lattice source.grid, rho entry-major (3, 3, z1 - z0, n_tau); a
-    block with no state (a numeric grid, closed_form_field_rows) raises
-    ValueError before any arithmetic on it. The pass works in blocks of
-    whole interior rows, mbsolver.block_rows(n_tau - 2) at a time, each
-    with one halo row on either side. It asks for each row once, in
-    increasing order: a block's last two rows are carried into the next
-    block as its first two, so no more than a block of the lattice is
-    held at a time.
+    add(rows) takes the lattice's next zeta rows as mbsolver.Rows, in
+    blocks of any size, and carries the last two rows into the next block
+    as its halo; a block with no state (a numeric grid,
+    closed_form_field_rows) raises ValueError before any arithmetic on it.
 
     One pass over the 9 entries (i, j) of each block's interior nodes.
     Each entry's terms are built once: dH (the zeta difference of H,
@@ -182,38 +165,38 @@ def residual_reports(source, p: LambdaParams, probes=()) -> list:
     fold out of the PDE ones: zc = -i P1 - c P2 on the coupling entries
     and zc = -c P2 on the other five, where P1 is 0. Those five take no
     per-probe work: their max |zc| and sum |zc|^2 are |c| and |c|^2 times
-    the PDE ones. The fold rounds differently from the expanded form: on
-    the canned check lattices the reports move by at most 6.2e-13 relative.
+    the PDE ones. The fold rounds differently from the expanded form; the
+    tests hold the two to 1e-12 relative.
     """
-    grid = source.grid
-    for lam in probes:
-        if abs(lam - p.delta) <= model.POLE_GUARD:
-            raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
-    if grid.n_zeta < 3 or grid.n_tau < 3:
-        raise ValueError("residual check needs at least a 3x3 grid")
-    n_in = grid.n_tau - 2
-    block = mbsolver.block_rows(n_in)
-    mag = np.empty((block, n_in))
-    zc = np.empty((block, n_in), dtype=complex)
-    carry = None  # the two rows before the next one to read
 
-    pde = _Norms(18)
-    free = _Norms(5)  # the PDE entries off the coupling entries, where zc = -c P2
-    zcs = [(lam, 0.5j * p.nu0 / (lam - p.delta), _Norms(9)) for lam in probes]
-    q = 0.25j * p.nu0
-    for r0 in range(1, grid.n_zeta - 1, block):
-        r1 = min(r0 + block, grid.n_zeta - 1)
-        read = source.rows(0 if carry is None else r0 + 1, r1 + 1)
-        if read.rho is None:
+    def __init__(self, grid: GridSpec, p: LambdaParams, probes=()):
+        for lam in probes:
+            if abs(lam - p.delta) <= model.POLE_GUARD:
+                raise SpectralPole(f"probe lambda {lam} sits on the Delta pole")
+        if grid.n_zeta < 3 or grid.n_tau < 3:
+            raise ValueError("residual check needs at least a 3x3 grid")
+        self.grid, self.p = grid, p
+        self.carry = None  # the last two rows added, the next block's halo
+        self.pde = _Norms(18)
+        self.free = _Norms(5)  # the PDE entries off the coupling entries, where zc = -c P2
+        self.zcs = [(lam, 0.5j * p.nu0 / (lam - p.delta), _Norms(9)) for lam in probes]
+
+    def add(self, rows):
+        """Fold the next block of zeta rows."""
+        if rows.rho is None:
             raise ValueError("residual check needs the full per-node state; this source has none")
-        if carry is None:
-            oa, ob, rho = read.omega_a, read.omega_b, read.rho
+        if self.carry is None:
+            oa, ob, rho = rows.omega_a, rows.omega_b, rows.rho
         else:
-            oa = np.concatenate([carry[0], read.omega_a])
-            ob = np.concatenate([carry[1], read.omega_b])
-            rho = np.concatenate([carry[2], read.rho], axis=2)
-        carry = (oa[-2:].copy(), ob[-2:].copy(), rho[:, :, -2:].copy())
-        m, z = mag[:r1 - r0], zc[:r1 - r0]
+            oa = np.concatenate([self.carry[0], rows.omega_a])
+            ob = np.concatenate([self.carry[1], rows.omega_b])
+            rho = np.concatenate([self.carry[2], rows.rho], axis=2)
+        self.carry = (oa[-2:].copy(), ob[-2:].copy(), rho[:, :, -2:].copy())
+        if len(oa) < 3:
+            return
+        grid, pde = self.grid, self.pde
+        m = np.empty((len(oa) - 2, grid.n_tau - 2))
+        z = np.empty(m.shape, dtype=complex)
         # the non-zero entries of model.interaction_hamiltonian
         h = {(2, 0): -0.5 * oa, (2, 1): -0.5 * ob}
         h[0, 2], h[1, 2] = np.conj(h[2, 0]), np.conj(h[2, 1])
@@ -228,12 +211,12 @@ def residual_reports(source, p: LambdaParams, probes=()) -> list:
                 d_rho = _central_dtau(rho[i, j], grid.h_tau)
                 if (i, j) in h:
                     d_comm = _D_COMMUTATOR[i, j] * rho_in[i, j]
-                    p1 = _central_dzeta(h[i, j], grid.h_zeta) - q * d_comm
-                    p2 = d_rho - 1j * (0.5 * p.delta * d_comm - h_rho)
+                    p1 = _central_dzeta(h[i, j], grid.h_zeta) - 0.25j * self.p.nu0 * d_comm
+                    p2 = d_rho - 1j * (0.5 * self.p.delta * d_comm - h_rho)
                     pde.add(*_magnitudes(p1, m))
                     pde.add(*_magnitudes(p2, m))
                     i_p1 = np.multiply(p1, 1j, out=p1)
-                    for _, c, norms in zcs:
+                    for _, c, norms in self.zcs:
                         # -zc, whose magnitude is that of zc
                         np.multiply(p2, c, out=z)
                         z += i_p1
@@ -241,18 +224,35 @@ def residual_reports(source, p: LambdaParams, probes=()) -> list:
                 else:
                     norms = _magnitudes(d_rho + 1j * h_rho, m)
                     pde.add(*norms)
-                    free.add(*norms)
-    reports = [pde.report("pde", grid)]
-    for lam, c, norms in zcs:
-        norms.add(abs(c) * free.max_abs, abs(c) ** 2 * free.sum_sq)
-        reports.append(norms.report("zero_curvature", grid, lam))
-    return reports
+                    self.free.add(*norms)
+
+    def report(self) -> list:
+        """The pde report, then one zero_curvature report per probe."""
+        reports = [self.pde.report("pde", self.grid)]
+        for lam, c, norms in self.zcs:
+            zc = _Norms(9)
+            zc.add(norms.max_abs, norms.sum_sq)
+            zc.add(abs(c) * self.free.max_abs, abs(c) ** 2 * self.free.sum_sq)
+            reports.append(zc.report("zero_curvature", self.grid, lam))
+        return reports
+
+
+def residual_reports(source, p: LambdaParams, probes=()) -> list:
+    """ResidualFold's reports over a row source, read in the blocks of grid.blocks().
+
+    source.rows(z0, z1) -> mbsolver.Rows gives zeta rows z0 to z1 - 1 of
+    the lattice source.grid; each row is asked for once, in order.
+    """
+    fold = ResidualFold(source.grid, p, probes)
+    for z0, z1 in source.grid.blocks():
+        fold.add(source.rows(z0, z1))
+    return fold.report()
 
 
 def zero_curvature_residual(solution: SolutionGrid, lam: complex, p: LambdaParams) -> ResidualReport:
     """Compatibility residual of the auxiliary linear system at probe lambda.
 
-    Kept for the benchmark's traced spans; the CLI calls residual_reports.
+    Kept for the benchmark's traced spans; the CLI feeds ResidualFold.
     """
     return residual_reports(solution, p, (lam,))[1]
 
@@ -260,7 +260,7 @@ def zero_curvature_residual(solution: SolutionGrid, lam: complex, p: LambdaParam
 def pde_residual(solution: SolutionGrid, p: LambdaParams) -> ResidualReport:
     """Field equation and state equation residuals, combined elementwise max.
 
-    Kept for the benchmark's traced spans; the CLI calls residual_reports.
+    Kept for the benchmark's traced spans; the CLI feeds ResidualFold.
     """
     return residual_reports(solution, p)[0]
 

@@ -7,11 +7,14 @@ Runs ``--scenario TAG --engine analytic --check`` and ``--scenario TAG
 --engine all --check`` for each canned tag with the package under
 ``CHECKOUT/src`` (default: the checkout holding this script), in a
 temporary directory. (A run's reports do not depend on whether it writes
-its CSVs, so ``--check`` leaves them out.) It catches every report list
-that the residual pass returns to the command line, the coarse check
-lattice's (``coarse``) and then the refined one's (``fine``), and every
-report that ``cli._run_checks`` returns (``checks``: the density audits,
-the compares and the coarse residuals with their orders). Prints one line
+its CSVs, so ``--check`` leaves them out.) It catches the report lists of
+the two residual folds that the analytic route's stream feeds, the coarse
+lattice's (``coarse``: the output's even rows and columns) and then the
+output lattice's (``fine``), and every report that ``cli._run_checks``
+returns (``checks``: the density audits, the compares and the residuals
+with their orders). A checkout from before the folds has the lists of its
+residual_reports calls caught in their place, on its capped check lattice
+and that lattice's refinement, so two such checkouts pair. Prints one line
 per report, ``tag engine source index name probe max_abs l2``, with both
 values as exact float hex. Exits 1 if a run did not exit 0.
 
@@ -35,7 +38,9 @@ ENGINES = ("analytic", "all")
 def _catch(module, name, caught, reports_of, depth):
     """Wrap module.name so that reports_of(result) of its outermost calls lands in caught.
 
-    depth is a one-item list that the wrappers sharing it count nested calls in.
+    module may be a class, whose method is then wrapped, or None (a
+    checkout without it). depth is a one-item list that the wrappers
+    sharing it count nested calls in.
     """
     original = getattr(module, name, None)
     if original is None:  # a checkout without this entry point
@@ -61,8 +66,9 @@ def main(argv) -> int:
     from lambda_mb import cli, scenarios, verify
 
     residuals, checks, depth = [], [], [0]
-    for name in ("residual_reports", "lattice_residual_reports"):
-        _catch(verify, name, residuals, list, depth)
+    # residual_reports calls ResidualFold.report: only the outer call is caught
+    _catch(verify, "residual_reports", residuals, list, depth)
+    _catch(getattr(verify, "ResidualFold", None), "report", residuals, list, depth)
     _catch(cli, "_run_checks", checks, lambda result: result[1], [0])
     status = 0
     cwd = os.getcwd()

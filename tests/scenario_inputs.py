@@ -1,9 +1,11 @@
 """Scenario inputs only the tests build.
 
 canned_scenario expands a canned tag as the CLI does, through
-apply_canned; numeric_inputs reads the solver's inputs off a stored
-analytic grid; regime_keywords draws make_scenario keywords inside a
-registry record's regime of validity.
+apply_canned; refined gives the lattice whose GridSpec.coarse() a lattice
+is, and usable_step says whether GridSpec takes an axis; numeric_inputs
+reads the solver's inputs off a stored analytic grid; regime_keywords
+draws make_scenario keywords inside a registry record's regime of
+validity.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from hypothesis import strategies as st
 
 from lambda_mb import cli, scenarios
+from lambda_mb.mbsolver import GridSpec
 
 
 def canned_scenario(tag: str):
@@ -20,6 +23,18 @@ def canned_scenario(tag: str):
     cfg = cli.ScenarioConfig()
     cli.apply_canned(cfg, tag)
     return cfg.scenario_params(), cfg.grid()
+
+
+def refined(grid: GridSpec) -> GridSpec:
+    """Same domain with both steps halved; its coarse() is grid."""
+    return GridSpec(grid.tau_min, grid.tau_max, 2 * grid.n_tau - 1,
+                    grid.zeta_min, grid.zeta_max, 2 * grid.n_zeta - 1)
+
+
+def usable_step(low: float, high: float, n: int) -> bool:
+    """Whether GridSpec takes the axis: a step h > 0 whose 1 / (2h) is finite."""
+    h = (high - low) / (n - 1)
+    return h > 0 and math.isfinite(1.0 / (2.0 * h))
 
 
 def numeric_inputs(sp, grid):

@@ -15,6 +15,7 @@ from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.mbsolver import GridSpec, propagate
 from lambda_mb.model import LambdaParams, SpectralData
 import observables
+from scenario_inputs import refined
 
 PROBES = (1.0 + 1.0j, 0.7j, -2.0 + 0.5j)
 
@@ -104,7 +105,7 @@ def test_criterion_3_pde_and_curvature_residuals():
     details = []
     for name, sp, grid in _scenario_suite():
         coarse = scenarios.build_analytic_grid(sp, grid)
-        fine = scenarios.build_analytic_grid(sp, grid.refined())
+        fine = scenarios.build_analytic_grid(sp, refined(grid))
         _AUDIT_POOL.append((f"c3 {name}", coarse))
         pairs = [("pde", verify.pde_residual(coarse, sp.params),
                   verify.pde_residual(fine, sp.params))]

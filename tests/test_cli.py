@@ -10,7 +10,7 @@ from lambda_mb import cli, darboux, mbsolver, model, scenarios, verify
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
 from lambda_mb.errors import ParseError
 from lambda_mb.mbsolver import RowSource
-from scenario_inputs import regime_keywords
+from scenario_inputs import regime_keywords, usable_step
 
 SMALL_SLOW = """
 # compact slow-soliton run
@@ -71,9 +71,14 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "scenario = exulton\nengine = dressing\neps0 = 0.5\nomega0 = 1\n",
     "scenario = zero_background\nengine = dressing\nomega0 = 0\nc1 = 1\nc2 = 1\nc3 = 0\n",
     "scenario = slow\nengine = dressing\na1 = 0\n",
-    # the residual checks of the analytic grid need three zeta rows
+    # the residual checks of the analytic grid read it and every other node
+    # of it, so they need odd counts >= 5
     "scenario = slow\nengine = analytic\nn_zeta = 2\nn_tau = 41\n",
     "scenario = slow\nengine = all\nn_zeta = 2\nn_tau = 41\n",
+    "scenario = slow\nengine = analytic\nn_tau = 40\nn_zeta = 21\n",
+    "scenario = slow\nengine = all\nn_tau = 41\nn_zeta = 20\n",
+    "scenario = slow\nengine = analytic\nn_tau = 3\nn_zeta = 21\n",
+    "scenario = slow\nengine = all\nn_tau = 41\nn_zeta = 3\n",
     # a scenario or engine the CLI does not know
     "scenario = no_such_scenario\n", "scenario = slow\nengine = fastest\n",
     # a numeric gate that cannot pass, refused on every route, the solver's too
@@ -93,12 +98,13 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "scenario = slow\nengine = analytic\nout = {file}\n",
     "scenario = slow\nengine = analytic\nout = {file}/run\n",
     # finite values whose size overflows the arithmetic: eps0 ** 2, a tau step
-    # that underflows to 0 or overflows to inf, and a zeta step whose check
-    # lattice's refinement underflows to 0
+    # that underflows to 0 or overflows to inf, and a subnormal tau or zeta
+    # step h, whose 1 / (2h) in the residual stencils overflows
     "eps0 = 1e200\n",
     "tau_min = 0\ntau_max = 5e-324\nn_tau = 11\nn_zeta = 5\n",
     "tau_min = -1e308\ntau_max = 1e308\nn_tau = 11\nn_zeta = 5\n",
-    "scenario = slow\nengine = analytic\nzeta_min = 0\nzeta_max = 1e-323\nn_zeta = 3\n"
+    "scenario = slow\nengine = analytic\ntau_min = 0\ntau_max = 1e-309\nn_tau = 11\nn_zeta = 5\n",
+    "scenario = slow\nengine = analytic\nzeta_min = 0\nzeta_max = 2e-323\nn_zeta = 5\n"
     "n_tau = 11\n",
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
@@ -196,9 +202,11 @@ def test_a_run_without_grids_cannot_pass():
 def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatch):
     """The solver's state is not compared, so its compare reads the closed form's fields alone.
 
-    Scenario.density serves the analytic pass, the dressing compare, the
-    solver's tau_min states and the check lattices, but no block of the
-    numeric compare, which runs inside mbsolver.propagate as its consumer.
+    Scenario.density serves the analytic pass (and with it the residual
+    checks), the dressing compare and the solver's tau_min states, but no
+    block of the numeric compare, which runs inside mbsolver.propagate as
+    its consumer. 161 x 81 nodes: the residual orders read 1.90 there
+    (test_an_under_resolved_grid_fails_its_residual_orders has 81 x 41).
     """
     density, propagate = scenarios.Scenario.density, mbsolver.propagate
     marching, calls = [False], []
@@ -217,13 +225,32 @@ def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatc
     monkeypatch.setattr(scenarios.Scenario, "density", recorded_density)
     monkeypatch.setattr(mbsolver, "propagate", flagged_propagate)
     path = tmp_path / "cfg.txt"
-    path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 81\n"
-                    "zeta_min = 0\nzeta_max = 2\nn_zeta = 41\nnumeric_tol = 0.01\n"
+    path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 161\n"
+                    "zeta_min = 0\nzeta_max = 2\nn_zeta = 81\nnumeric_tol = 0.01\n"
                     f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path), "--engine", "all", "--check"]) == 0
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "check: compare[numeric vs analytic]" in report
     assert calls and not any(calls)
+
+
+def test_an_under_resolved_grid_fails_its_residual_orders(tmp_path):
+    """two_soliton on 81 x 41 nodes of tau in [-8, 8], zeta in [0, 2] exits 1.
+
+    The residual orders are those of the produced grid against its even
+    rows and columns, 1.66 here: the lattice does not resolve the
+    solution well enough for second-order convergence to show. The
+    checks read no finer lattice than the one produced.
+    """
+    path = tmp_path / "cfg.txt"
+    path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 81\n"
+                    "zeta_min = 0\nzeta_max = 2\nn_zeta = 41\n"
+                    f"out = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path), "--engine", "analytic", "--check"]) == 1
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+        f"  - {name}: convergence order 1.66 outside [1.8, 2.2]"
+        for name in ["pde"] + ["zero_curvature"] * len(scenarios.DEFAULT_PROBES)]
 
 
 def _dressed_rows_with_nan(monkeypatch, name, index):
@@ -260,34 +287,38 @@ def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
 
 
 def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
+    """A NaN in the analytic route's stream fails its audit and every residual order.
+
+    The NaN sits at row 5, column 7, odd in both, so only the output
+    lattice's fold reads it and its coarse lattice's stays finite; an
+    order with a NaN side is NaN.
+    """
     source = scenarios.closed_form_rows
-    check = parse_config(SMALL_SLOW).grid()
     read = []
 
-    def nan_in_the_fine_check_lattice(sp, grid):
+    def nan_in_the_stream(sp, grid):
         rows = source(sp, grid).rows
         read.append(grid)
 
         def with_nan(z0, z1):
             block = rows(z0, z1)
-            # only the refined lattice is poisoned: the coarse one stays clean
-            if grid == check.refined() and z0 <= 5 < z1:
+            if z0 <= 5 < z1:
                 rho = block.rho.copy()
                 rho[1, 2, 5 - z0, 7] = np.nan
                 block = block._replace(rho=rho)
             return block
         return RowSource(grid, with_nan)
 
-    monkeypatch.setattr(scenarios, "closed_form_rows", nan_in_the_fine_check_lattice)
+    monkeypatch.setattr(scenarios, "closed_form_rows", nan_in_the_stream)
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
     assert cli.main([str(path), "--check"]) == 1
-    # the output grid, read by the analytic route's pass, is also the coarse
-    # check lattice; both check lattices are read from the closed form
-    assert read == [check, check, check.refined()]
+    assert read == [parse_config(SMALL_SLOW).grid()]
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "verdict: FAIL" in report
+    assert "check: pde\nmax_abs: nan\n" in report
     assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+        "  - audit[analytic]: nan > 1e-08"] + [
         f"  - {name}: convergence order nan outside [1.8, 2.2]"
         for name in ["pde"] + ["zero_curvature"] * len(scenarios.DEFAULT_PROBES)]
 
@@ -305,7 +336,13 @@ def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n_tau", [41, 171])
-def test_checks_read_both_check_lattices_from_the_closed_form(tmp_path, monkeypatch, n_tau):
+def test_the_checks_read_the_closed_form_once_on_the_output_lattice(tmp_path, monkeypatch,
+                                                                     n_tau):
+    """The residual checks take the analytic route's own stream, on the lattice produced.
+
+    171 tau nodes: no lattice is capped, and every report's steps are the
+    output lattice's.
+    """
     build, source = scenarios.build_analytic_grid, scenarios.closed_form_rows
     built, read = [], []
 
@@ -323,9 +360,51 @@ def test_checks_read_both_check_lattices_from_the_closed_form(tmp_path, monkeypa
     cfg.out, cfg.quiet = str(tmp_path / "run"), True
     assert run_scenario(cfg, check_only=True) == 0
     out = cfg.grid()
-    check = dataclasses.replace(out, n_tau=min(n_tau, 161))
-    assert built == []  # no grid is ever stored: the output grid's pass reads it too
-    assert read == [out, check, check.refined()]
+    assert built == []  # no grid is ever stored
+    assert read == [out]
+    report = (Path(cfg.out) / "residual_report.txt").read_text()
+    steps = f"h_tau: {out.h_tau:.6e}\nh_zeta: {out.h_zeta:.6e}\n"
+    assert report.count(steps) == 2 + len(scenarios.DEFAULT_PROBES)  # the audit and residuals
+    assert report.count("convergence_order: ") == 1 + len(scenarios.DEFAULT_PROBES)
+
+
+@pytest.mark.parametrize("tag", ["fig2", "exulton_k"])
+def test_the_residual_folds_read_the_output_lattice_and_its_coarse_lattice(tag):
+    """The two folds that one analytic pass feeds, against each lattice read afresh.
+
+    1001 x 17 nodes come in blocks of 8, 8 and 1 rows, whose rows of even
+    global index are 4, 4 and 1 rows of the coarse 501 x 9 lattice, read
+    afresh in one block. The output lattice's reports are residual_reports
+    over the closed form, bit for bit; the coarse lattice's max_abs too, and
+    its l2 adds its per-block sums in another order.
+    """
+    cfg = _canned_config(tag, "unused", 1001, 17, "analytic")
+    sp, grid = cfg.scenario_params(), cfg.grid()
+    checks = cli._Checks(sp, grid, ["analytic"])
+    watched = checks.watch("analytic", scenarios.closed_form_rows(sp, grid))
+    for z0, z1 in grid.blocks():
+        watched.rows(z0, z1)
+    for fold, lattice in zip(checks.residuals, (grid.coarse(), grid), strict=True):
+        assert fold.grid == lattice
+        fresh = verify.residual_reports(scenarios.closed_form_rows(sp, lattice), sp.params,
+                                        scenarios.DEFAULT_PROBES)
+        for got, want in zip(fold.report(), fresh, strict=True):
+            assert (got.name, got.lambda_probe, got.grid_h) == (want.name, want.lambda_probe,
+                                                                want.grid_h)
+            assert got.max_abs == want.max_abs
+            if lattice == grid:
+                assert got.l2 == want.l2
+            np.testing.assert_allclose(got.l2, want.l2, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("engine", ["dressing", "numeric"])
+def test_a_route_without_residual_checks_takes_any_count(tmp_path, engine):
+    """Only the residual checks of the analytic grid need odd counts >= 5."""
+    path = tmp_path / "cfg.txt"
+    path.write_text(SMALL_SLOW.replace("engine = analytic", f"engine = {engine}")
+                    .replace("n_tau = 41", "n_tau = 40").replace("n_zeta = 21", "n_zeta = 4")
+                    + f"out = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path), "--check"]) == 0
 
 
 def test_a_regular_scenario_just_off_the_degenerate_point_builds(tmp_path):
@@ -368,14 +447,15 @@ def _configs(draw):
     c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))
     tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     engine = draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")]))
-    n_tau = draw(st.integers(3, 10**6))
-    # the analytic route's residual checks need three zeta rows
-    n_zeta = draw(st.integers(3 if engine in ("analytic", "all") else 2, 10**6))
+    if engine in ("analytic", "all"):
+        # the residual checks read every other node too: odd counts >= 5
+        n_tau, n_zeta = (2 * draw(st.integers(2, 5 * 10**5)) + 1 for _ in range(2))
+    else:
+        n_tau, n_zeta = draw(st.integers(3, 10**6)), draw(st.integers(2, 10**6))
 
     def extent_max(low, n):
-        """Where the step of the lattice's refinement, which the checks read, stays positive."""
-        return st.floats(low, 2e6, exclude_min=True).filter(
-            lambda high: (high - low) / (2 * n - 2) > 0)
+        """Upper extents whose lattice GridSpec takes."""
+        return st.floats(low, 2e6, exclude_min=True).filter(lambda high: usable_step(low, high, n))
     return cli.ScenarioConfig(
         scenario=name,
         engine=engine,

@@ -20,7 +20,7 @@ from pointwise_oracle import (
     seed_fundamental,
     sigma1,
 )
-from scenario_inputs import canned_scenario, regime_keywords
+from scenario_inputs import canned_scenario, refined, regime_keywords
 
 FIG2_P = LambdaParams(nu0=3.0, delta=0.0, omega0=1.0)
 FIG2_S = SpectralData.from_eps0(2.0, 1.0)
@@ -427,7 +427,7 @@ def test_dressed_grid_zero_curvature_three_probes():
                                  soliton=SolitonConstants(1.0, 1.0))
     grid = GridSpec(-10, 10, 81, 0, 5, 81)
     coarse = scenarios.build_dressed_grid(sp, grid)
-    fine = scenarios.build_dressed_grid(sp, grid.refined())
+    fine = scenarios.build_dressed_grid(sp, refined(grid))
     for lam in (1 + 1j, 0.7j, -2 + 0.5j):
         rc = verify.zero_curvature_residual(coarse, lam, sp.params)
         rf = verify.zero_curvature_residual(fine, lam, sp.params)

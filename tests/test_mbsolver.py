@@ -12,7 +12,7 @@ from lambda_mb.errors import StepUnstable
 from lambda_mb.mbsolver import GridSpec, integrate_bloch_slice, maxwell_step, propagate
 from lambda_mb.model import LambdaParams, SpectralData
 from pointwise_oracle import node_major
-from scenario_inputs import canned_scenario, numeric_inputs
+from scenario_inputs import canned_scenario, numeric_inputs, refined, usable_step
 
 DARK = model.density_from_pure(model.dark_state(0.0))
 
@@ -23,25 +23,60 @@ EIG_TOL = 1e-14
 
 @st.composite
 def _axis(draw, n_min):
-    """(low, high, n) of one lattice axis whose refined step is still positive."""
-    n, low = draw(st.integers(n_min, 5000)), draw(st.floats(-1e6, 1e6))
+    """(low, high, n) of one lattice axis with an odd count n >= n_min that GridSpec takes."""
+    n, low = 2 * draw(st.integers(n_min // 2, 2500)) + 1, draw(st.floats(-1e6, 1e6))
     high = draw(st.floats(low, 2e6, exclude_min=True).filter(
-        lambda high: (high - low) / (2 * n - 2) > 0))
+        lambda high: usable_step(low, high, n)))
     return low, high, n
 
 
-@given(_axis(3), _axis(2))
+@given(_axis(5), _axis(3))
 def test_refinement_keeps_every_coarse_node(tau, zeta):
-    """Every other node of GridSpec.refined() is a coarse node, bit for bit.
+    """Every node of GridSpec.coarse() is an even node of the lattice, bit for bit.
 
-    verify.convergence_order takes log2 of a coarse residual over its
-    refinement's, which assumes that the refinement halves both steps of
-    the same lattice exactly.
+    The command line's residual checks take the produced lattice's even
+    rows and columns as its coarse lattice, and verify.convergence_order
+    takes log2 of that lattice's residual over the produced one's, which
+    assumes that the two are the same domain with both steps halved.
     """
     grid = GridSpec(*tau, *zeta)
-    fine = grid.refined()
-    for coarse_nodes, fine_nodes in ((grid.taus(), fine.taus()), (grid.zetas(), fine.zetas())):
-        assert np.array_equal(fine_nodes[::2].view(np.uint64), coarse_nodes.view(np.uint64))
+    coarse = grid.coarse()
+    assert refined(coarse) == grid
+    for coarse_nodes, nodes in ((coarse.taus(), grid.taus()), (coarse.zetas(), grid.zetas())):
+        assert np.array_equal(nodes[::2].view(np.uint64), coarse_nodes.view(np.uint64))
+
+
+@pytest.mark.parametrize("n_tau, n_zeta", [(1001, 17), (20001, 5), (33001, 5)])
+@pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
+def test_the_even_rows_and_columns_of_a_streamed_block_are_the_coarse_lattice(name, n_tau,
+                                                                              n_zeta):
+    """The closed form's blocks, subsampled as the residual checks take them, against coarse().
+
+    Each block of grid.blocks() gives its rows of even global index and its
+    even columns; together they are the closed form evaluated afresh on
+    the coarse lattice, bit for bit, fields and state. 1001 tau nodes make
+    blocks of 8 rows, well below numpy's reuse of a temporary of 16,384
+    complex values as an operation's output; 33,001 and its coarse 16,501
+    make one-row blocks above it. Between the two, 20,001 nodes are above
+    it and the coarse 10,001 below, and exulton_k's formal state, which
+    forms x * conj(u), then moves in its last bits; every other record
+    stays bit-equal there too.
+    """
+    sp, g = canned_scenario(name)
+    grid = GridSpec(g.tau_min, g.tau_max, n_tau, g.zeta_min, g.zeta_max, n_zeta)
+    coarse = grid.coarse()
+    streamed, blocks = scenarios.closed_form_rows(sp, grid), []
+    for z0, z1 in grid.blocks():
+        b, r = streamed.rows(z0, z1), z0 % 2
+        blocks.append((b.omega_a[r::2, ::2], b.omega_b[r::2, ::2], b.rho[..., r::2, ::2]))
+    oa, ob = (np.concatenate([b[k] for b in blocks]) for k in (0, 1))
+    rho = np.concatenate([b[2] for b in blocks], axis=2)
+    fresh = scenarios.build_analytic_grid(sp, coarse)
+    assert oa.tobytes() == fresh.omega_a.tobytes() and ob.tobytes() == fresh.omega_b.tobytes()
+    if n_tau > 16384 >= coarse.n_tau and scenarios.state_kind(sp.params) == "formal":
+        np.testing.assert_allclose(rho, fresh.rho, rtol=0.0, atol=1e-16)
+    else:
+        assert rho.tobytes() == fresh.rho.tobytes()
 
 
 def slow_scenario(om0=1.0, eps0=2.0, delta=0.0):
@@ -296,8 +331,8 @@ def test_propagate_tracks_analytic_slow_soliton():
     err = max(np.max(np.abs(sol.omega_a - ref.omega_a)),
               np.max(np.abs(sol.omega_b - ref.omega_b)))
     assert err < 2e-3
-    fine = scenarios.build_numeric_grid(sp, grid.refined())
-    ref_f = scenarios.build_analytic_grid(sp, grid.refined())
+    fine = scenarios.build_numeric_grid(sp, refined(grid))
+    ref_f = scenarios.build_analytic_grid(sp, refined(grid))
     err_f = max(np.max(np.abs(fine.omega_a - ref_f.omega_a)),
                 np.max(np.abs(fine.omega_b - ref_f.omega_b)))
     assert 3.0 < err / err_f < 5.5  # global second order

@@ -19,7 +19,7 @@ from observables import FeatureLost
 from pointwise_oracle import (outer, reference_audit_density, reference_pde_residual,
                               reference_zero_curvature_residual, strided_audit_density,
                               strided_residual_reports)
-from scenario_inputs import canned_scenario, regime_keywords
+from scenario_inputs import canned_scenario, refined, regime_keywords
 
 
 def slow_sp(om0=1.0, eps0=2.0):
@@ -59,7 +59,7 @@ def test_residuals_second_order_on_analytic_grid():
     sp = slow_sp()
     grid = GridSpec(-8, 8, 81, 0, 4, 81)
     sol_c = scenarios.build_analytic_grid(sp, grid)
-    sol_f = scenarios.build_analytic_grid(sp, grid.refined())
+    sol_f = scenarios.build_analytic_grid(sp, refined(grid))
     rc = verify.pde_residual(sol_c, sp.params)
     rf = verify.pde_residual(sol_f, sp.params)
     assert 1.8 < verify.convergence_order(rc, rf) < 2.2
@@ -197,7 +197,8 @@ def _small_canned_grid(tag, n_zeta=11):
 
 
 def _rows_per_block(monkeypatch, grid, rows):
-    monkeypatch.setattr(mbsolver, "BLOCK_NODES", rows * (grid.n_tau - 2))
+    """Make grid.blocks(), which residual_reports reads, blocks of ``rows`` zeta rows."""
+    monkeypatch.setattr(mbsolver, "BLOCK_NODES", rows * grid.n_tau)
 
 
 @pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
@@ -206,7 +207,7 @@ def test_residual_blocks_agree_with_one_block(monkeypatch, tag):
     grid = sol.grid
     assert (grid.n_zeta - 2) * (grid.n_tau - 2) <= mbsolver.BLOCK_NODES
     whole = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
-    # 9 interior rows: blocks of one row, and blocks of 2, 2, 2, 2 and 1
+    # 11 rows: blocks of one row, and blocks of 2, 2, 2, 2, 2 and 1
     for rows in (1, 2):
         _rows_per_block(monkeypatch, grid, rows)
         got = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
@@ -221,10 +222,10 @@ def test_residual_blocks_agree_with_one_block(monkeypatch, tag):
 def test_the_residual_pass_reads_each_row_once_in_order(monkeypatch, rows):
     """The pass carries each block's last two rows into the next one.
 
-    9 interior rows in blocks of 1, 2 or 4 rows: 9, 5 or 3 blocks. The
-    source serves every row index once, in increasing order, so a
-    forward-only source (the solver's march) can feed the pass, and the
-    reports are those of the stored grid's own rows.
+    11 rows in blocks of 1, 2 or 4 rows: 11, 6 or 3 blocks. The source
+    serves every row index once, in increasing order, so a forward-only
+    source (the solver's march) can feed the pass, and the reports are
+    those of the stored grid's own rows.
     """
     sp, sol = _small_canned_grid("fig2")
     _rows_per_block(monkeypatch, sol.grid, rows)
@@ -244,11 +245,31 @@ def test_the_residual_pass_reads_each_row_once_in_order(monkeypatch, rows):
         np.testing.assert_allclose(g.l2, w.l2, rtol=1e-14, atol=0.0)
 
 
+@given(cuts=st.lists(st.integers(0, 11), max_size=8),
+       tag=st.sampled_from(sorted(scenarios.CANNED)))
+def test_the_fold_takes_blocks_of_any_size(cuts, tag):
+    """ResidualFold over any split of the rows, empty and one-row blocks included.
+
+    Its reports are those of residual_reports over grid.blocks(): max_abs
+    bit for bit, l2 up to the order its per-block sums are added in.
+    """
+    sp, sol = _small_canned_grid(tag)
+    fold = verify.ResidualFold(sol.grid, sp.params, scenarios.DEFAULT_PROBES)
+    edges = [0] + sorted(cuts) + [sol.grid.n_zeta]
+    for z0, z1 in zip(edges, edges[1:]):
+        fold.add(sol.rows(z0, z1))
+    whole = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
+    for g, w in zip(fold.report(), whole, strict=True):
+        assert (g.name, g.lambda_probe, g.grid_h) == (w.name, w.lambda_probe, w.grid_h)
+        assert _same_float(g.max_abs, w.max_abs)
+        np.testing.assert_allclose(g.l2, w.l2, rtol=1e-14, atol=0.0)
+
+
 def test_the_kernel_refuses_a_source_without_state_at_its_first_block(monkeypatch):
     """A stored numeric grid and the closed form's fields alone hold no state.
 
-    The kernel raises ValueError on the first block it reads, in blocks of
-    two rows here, so it never asks for a second.
+    The kernel raises ValueError on the first block of grid.blocks() that
+    it reads, two rows here, so it never asks for a second.
     """
     sp, g = canned_scenario("slow")
     grid = GridSpec(g.tau_min, g.tau_max, 41, g.zeta_min, g.zeta_max, 11)
@@ -263,7 +284,7 @@ def test_the_kernel_refuses_a_source_without_state_at_its_first_block(monkeypatc
 
         with pytest.raises(ValueError, match="full per-node state"):
             verify.residual_reports(RowSource(grid, counted), sp.params, scenarios.DEFAULT_PROBES)
-        assert served == [(0, 4)]
+        assert served == grid.blocks()[:1] == [(0, 2)]
 
 
 def _report_bits(reports):
@@ -300,8 +321,8 @@ def test_the_kernel_reads_each_route_as_it_reads_that_route_stored(tag):
 @pytest.mark.parametrize("where", [
     # fields in the first and the last row, which only a halo reads
     ("omega_a", (0, 20)), ("omega_b", (10, 5)),
-    # the state in the last block's row, and in a row that is one block's
-    # interior and the next block's halo
+    # the state in the last interior row, which the last block's pass
+    # reaches, and in a row that is one pass's interior and the next one's halo
     ("rho", (2, 2, 9, 30)), ("rho", (0, 1, 4, 17))])
 def test_a_nan_in_a_halo_row_or_the_last_block_makes_every_report_nan(monkeypatch, rows,
                                                                       where):
@@ -341,7 +362,7 @@ def test_closed_form_rows_are_the_rows_of_the_stored_build(name):
 
 @pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
 def test_the_check_pass_holds_one_block_of_the_lattice(name):
-    """The residual pass over a check lattice and its refinement, from the closed form.
+    """The residual pass over a lattice and its refinement, from the closed form.
 
     Its traced peak does not grow with the lattice's zeta rows: 161 x 161
     (a 321 x 321 refinement, whose stored grid alone holds 18 MB) peaks
@@ -353,7 +374,7 @@ def test_the_check_pass_holds_one_block_of_the_lattice(name):
         check = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_max, n_zeta)
         tracemalloc.start()
         try:
-            for lattice in (check, check.refined()):
+            for lattice in (check, refined(check)):
                 verify.residual_reports(scenarios.closed_form_rows(sp, lattice), sp.params,
                                         scenarios.DEFAULT_PROBES)
             return tracemalloc.get_traced_memory()[1]
