@@ -5,7 +5,7 @@ physical parameter defaults to the standard two-soliton set.  Each run
 writes per-engine grid CSVs, a residual report and a manifest that echoes
 every input (the manifest itself parses back into the identical config).
 Exit codes: 0 all configured checks passed, 1 check failure or engine
-error, 2 unusable config.
+error, 2 unusable config or an output that cannot be written.
 
 A run holds no whole grid.  Each route is read once, engine by engine,
 from its row source in the blocks of GridSpec.blocks(): the CSV writer
@@ -154,7 +154,7 @@ def _validate(cfg: ScenarioConfig):
 def apply_canned(cfg: ScenarioConfig, tag: str):
     """Copy a canned entry (scenario, parameters, lattice) onto cfg."""
     if tag not in scenarios.CANNED:
-        raise KeyError(f"unknown canned scenario {tag!r}; have {sorted(scenarios.CANNED)}")
+        raise ParseError(f"unknown canned scenario {tag!r}; have {sorted(scenarios.CANNED)}")
     for key, value in scenarios.CANNED[tag].items():
         if key == "name":
             cfg.scenario = value
@@ -233,16 +233,6 @@ def _text_bytes(texts: List[bytes]) -> np.ndarray:
     return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
-def _population_columns(block: Rows):
-    """The three (rows, n_tau) population columns of a block, or None where it has none."""
-    if block.populations is not None:
-        pops = np.asarray(block.populations, dtype=float)
-        return [pops[..., k] for k in range(3)]
-    if block.rho is not None:
-        return [block.rho[k, k].real for k in range(3)]
-    return None
-
-
 def write_grid_csv(path: Path, sol):
     """Row-major (zeta outer, tau inner) CSV with 12 significant digits.
 
@@ -304,11 +294,9 @@ def _csv_block(block: Rows, zetas: np.ndarray, zeta_texts: List[bytes], taus: np
             cells.append((None, None, f))
         else:
             cells.append((format(_square(float(_modulus(f.reshape(-1)[:1])[0])), ".12g"), None, None))
-    pops = _population_columns(block)
-    if pops is None:
-        cells += [("0", None, None)] * 3
-    else:
-        cells += [(_fixed_text(column), column, None) for column in pops]
+    for k in range(3):  # P1 .. P3, the real parts of the state's diagonal rows
+        column = block.rho[k, k].real
+        cells.append((_fixed_text(column), column, None))
 
     # line layout: zeta slot, ',', tau slot, then each cell; a live cell is a
     # g12 slot on a word boundary, so a block reads as 64-bit words
@@ -472,7 +460,8 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
     """Execute one configured run; returns the process exit code.
 
     ParseError on an unusable config, an out that cannot be a directory
-    included.
+    included; OSError on an output that cannot be written.  The manifest
+    is written before any route is read, and the residual report last.
     """
     sp, grid = _validate(cfg)
     out = Path(cfg.out)
@@ -480,6 +469,20 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError) as exc:
         raise ParseError(f"out {cfg.out!r} cannot be a directory ({exc})") from None
+
+    # the manifest first, and no earlier run's report: a run that fails on
+    # the way leaves its own inputs and no verdict beside its outputs
+    manifest_extra = {"scenario_resolved": sp.scenario}
+    if sp.soliton is not None:
+        c = sp.dress_constants()
+        manifest_extra["soliton_constants_a"] = f"({sp.soliton.a1}, {sp.soliton.a2}, {sp.soliton.a3})"
+        manifest_extra["dress_constants_c"] = f"({c.c1:.12g}, {c.c2:.12g}, {c.c3:.12g})"
+        manifest_extra["constants_convention"] = (
+            "c obtained from a via the soliton-constant mapping; the inverse map "
+            "recovers a from c wherever eps0 > omega0"
+        )
+    (out / "manifest.txt").write_text(emit_manifest(cfg, manifest_extra), encoding="utf-8")
+    (out / "residual_report.txt").unlink(missing_ok=True)
 
     engines = [cfg.engine] if cfg.engine != "all" else ["analytic", "dressing", "numeric"]
     if scenarios.state_kind(sp.params) == "formal" and "numeric" in engines:
@@ -516,17 +519,6 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
                                                      sp.params, grid, consume=read_numeric)
 
     failures, reports = _run_checks(cfg, sp, grid, checks)
-
-    manifest_extra = {"scenario_resolved": sp.scenario}
-    if sp.soliton is not None:
-        c = sp.dress_constants()
-        manifest_extra["soliton_constants_a"] = f"({sp.soliton.a1}, {sp.soliton.a2}, {sp.soliton.a3})"
-        manifest_extra["dress_constants_c"] = f"({c.c1:.12g}, {c.c2:.12g}, {c.c3:.12g})"
-        manifest_extra["constants_convention"] = (
-            "c obtained from a via the soliton-constant mapping; the inverse map "
-            "recovers a from c wherever eps0 > omega0"
-        )
-    (out / "manifest.txt").write_text(emit_manifest(cfg, manifest_extra), encoding="utf-8")
 
     report_text = "\n\n".join(r.as_text() for r in reports)
     verdict = "PASS" if not failures else "FAIL:\n" + "\n".join(f"  - {f}" for f in failures)
@@ -589,7 +581,7 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if args.quiet:
             cfg.quiet = True
-    except (ParseError, OSError, KeyError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
@@ -598,6 +590,9 @@ def main(argv=None) -> int:
         return run_scenario(cfg, check_only=args.check)
     except ParseError as exc:  # run_scenario validates the overridden config
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output in out that cannot be written
+        print(f"config error: cannot write the outputs ({exc})", file=sys.stderr)
         return 2
     except (LambdaMBError, OverflowError) as exc:  # an input too large for the arithmetic
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -30,9 +30,9 @@ the whole slice rather than one matrix; no 3x3 solve or eigenvalue goes
 to LAPACK.  march yields the zeta rows in order and holds only the
 current one; march_rows reads them as a row source, one block of rows
 at a time, and folds the slices' audit figures; propagate hands that
-source to a consumer, by default one that keeps the fields and the
-populations, so no numeric grid stores a state.  Runs are deterministic:
-fixed grids, no adaptivity, no parallel reductions.
+source to a consumer (the command line's pass, or
+scenarios.build_numeric_grid, which keeps every block).  Runs are
+deterministic: fixed grids, no adaptivity, no parallel reductions.
 
 Every pass over a lattice goes in blocks of whole zeta rows under one
 rule (GridSpec.blocks): about BLOCK_NODES nodes, one row at
@@ -111,15 +111,14 @@ class Rows(NamedTuple):
     """Zeta rows z0 to z1 - 1 of a solution on grid, as a row source returns them.
 
     omega_a and omega_b are (z1 - z0, n_tau); rho is entry-major,
-    (3, 3, z1 - z0, n_tau), or None where the solution keeps no state, and
-    then populations, (z1 - z0, n_tau, 3), may stand in for its diagonal.
+    (3, 3, z1 - z0, n_tau), or None where the source gives the fields
+    alone (scenarios.closed_form_field_rows).
     """
 
     grid: "GridSpec"
     omega_a: np.ndarray
     omega_b: np.ndarray
     rho: Optional[np.ndarray]
-    populations: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -135,21 +134,18 @@ class SolutionGrid:
     """Fields plus atomic state sampled on a GridSpec lattice.
 
     rho is entry-major, (3, 3, n_zeta, n_tau): rho[i, j] is the
-    (n_zeta, n_tau) array of one matrix entry.  The exact routes store it;
-    a numeric grid holds none (rho is None), only its populations and, in
-    meta, the audit figures the solver took on every slice.  populations
-    are always present, (n_zeta, n_tau, 3), populations[..., k] the real
-    part of rho[k, k].  state_kind records what the state claims to be:
-    'pure' (projector onto a unit vector), 'density' (statistical),
-    'formal' (Hermitian trace-one companion that is not positive), or
-    'none'.
+    (n_zeta, n_tau) array of one matrix entry, and the level occupations
+    are the real parts of its diagonal rows rho[k, k].  Every route's grid
+    stores it; a numeric grid's meta also holds the audit figures the
+    solver took on every slice.  state_kind records what the state claims
+    to be: 'pure' (projector onto a unit vector), 'density' (statistical)
+    or 'formal' (Hermitian trace-one companion that is not positive).
     """
 
     grid: GridSpec
     omega_a: np.ndarray
     omega_b: np.ndarray
-    rho: Optional[np.ndarray] = None
-    populations: Optional[np.ndarray] = None
+    rho: np.ndarray
     state_kind: str = "density"
     meta: dict = field(default_factory=dict)
 
@@ -157,22 +153,13 @@ class SolutionGrid:
         expected = (self.grid.n_zeta, self.grid.n_tau)
         if self.omega_a.shape != expected or self.omega_b.shape != expected:
             raise ValueError("field arrays must be shaped (n_zeta, n_tau)")
-        if self.rho is not None and self.rho.shape != (3, 3) + expected:
+        if self.rho.shape != (3, 3) + expected:
             raise ValueError(f"rho must be shaped (3, 3, n_zeta, n_tau) = {(3, 3) + expected}, "
                              f"got {self.rho.shape}")
-        if self.populations is not None and self.populations.shape != expected + (3,):
-            raise ValueError(f"populations must be shaped (n_zeta, n_tau, 3) = {expected + (3,)}, "
-                             f"got {self.populations.shape}")
-        if self.populations is None and self.rho is not None:
-            self.populations = np.empty(expected + (3,), dtype=float)
-            for k in range(3):
-                self.populations[..., k] = self.rho[k, k].real
 
     def rows(self, z0: int, z1: int) -> Rows:
         """Rows z0 to z1 - 1 of the stored grid, as views."""
-        rho = None if self.rho is None else self.rho[:, :, z0:z1]
-        pops = None if self.populations is None else self.populations[z0:z1]
-        return Rows(self.grid, self.omega_a[z0:z1], self.omega_b[z0:z1], rho, pops)
+        return Rows(self.grid, self.omega_a[z0:z1], self.omega_b[z0:z1], self.rho[:, :, z0:z1])
 
 
 # ---------------------------------------------------------------------------
@@ -398,27 +385,12 @@ def march_rows(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) ->
     return _MarchRows(march(initial_fields, boundary_rho, p, grid), grid)
 
 
-def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec,
-              consume: Optional[Callable] = None):
+def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec, consume: Callable):
     """March the full system from the entry-face slice (see march) and hand on its rows.
 
     consume(source) gets the solver's row source (march_rows), and its
-    result is returned; the command line's pass over the numeric route is
-    such a consumer, so the whole march runs inside this call.  Without
-    consume, the blocks of grid.blocks() are kept: the grid holds the
-    fields and the populations of every row, and no state, and meta holds
-    source.figures, which verify.audit_report scores.
+    result is returned, so the whole march runs inside this call: the
+    command line's pass over the numeric route is such a consumer, and
+    scenarios.build_numeric_grid's keeps every block.
     """
-    source = march_rows(initial_fields, boundary_rho, p, grid)
-    if consume is not None:
-        return consume(source)
-    omega_a = np.empty((grid.n_zeta, grid.n_tau), dtype=complex)
-    omega_b = np.empty_like(omega_a)
-    pops = np.empty((grid.n_zeta, grid.n_tau, 3))
-    for z0, z1 in grid.blocks():
-        block = source.rows(z0, z1)
-        omega_a[z0:z1], omega_b[z0:z1] = block.omega_a, block.omega_b
-        for k in range(3):
-            pops[z0:z1, :, k] = block.rho[k, k].real
-    return SolutionGrid(grid=grid, omega_a=omega_a, omega_b=omega_b, populations=pops,
-                        state_kind="density", meta={"engine": "numeric", **source.figures})
+    return consume(march_rows(initial_fields, boundary_rho, p, grid))

@@ -7,7 +7,8 @@ closed_form_rows and dressed_rows return an mbsolver.RowSource, and the
 solver's is mbsolver.march_rows from numeric_entry.  The command line
 streams them in blocks of whole zeta rows.  The builders here keep every
 block of the same sources in a SolutionGrid for the library and the
-tests, so a stored grid holds the bits a streamed pass reads.  What sets
+tests, fields and entry-major state alike (_stored), so a stored grid
+holds the bits a streamed pass reads.  What sets
 one scenario apart from another is its ``Scenario`` record in
 ``REGISTRY``; no other code branches on a name.  On both exact routes a
 grid's state kind follows k (state_kind): a projector at k = 0, the
@@ -158,7 +159,7 @@ def _closed_form(sp: ScenarioParams, zeta, tau):
 
 
 def _stored(source: RowSource, meta: dict, kind: str) -> SolutionGrid:
-    """A SolutionGrid that keeps every block of an exact route's row source."""
+    """A SolutionGrid that keeps every block of a route's row source."""
     grid = source.grid
     shape = (grid.n_zeta, grid.n_tau)
     oa = ob = rho = None
@@ -265,9 +266,12 @@ def numeric_entry(sp: ScenarioParams, grid: GridSpec):
 def build_numeric_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
     """Propagate the scenario's entry slice (numeric_entry) with the direct solver.
 
-    The grid holds the fields, the populations and the solver's audit
-    figures, and no state.
+    propagate's consumer keeps every block of the solver's rows (_stored),
+    so the grid holds the fields and the entry-major state, and its meta
+    the solver's audit figures (the source's figures).
     """
-    sol = propagate(*numeric_entry(sp, grid), sp.params, grid)
-    sol.meta.update({"scenario": sp.scenario})
-    return sol
+    def keep(source) -> SolutionGrid:
+        sol = _stored(source, {"engine": "numeric", "scenario": sp.scenario}, "density")
+        sol.meta.update(source.figures)
+        return sol
+    return propagate(*numeric_entry(sp, grid), sp.params, grid, keep)

@@ -25,7 +25,8 @@ writes, takes the nine entry rows rho[i, j] of each block, and
 algebra.worse_figures folds the blocks; the extreme eigenvalues of each
 node come from algebra.hermitian_eigenvalues (cyclic Jacobi on per-entry
 arrays) instead of LAPACK. audit_report scores folded figures, whether a
-stored state's (audit_density) or the solver's own (propagate's meta).
+stored state's (audit_density, any route's grid) or the solver's own
+slices' (the numeric route's source.figures).
 Every maximum is NaN-propagating, so a non-finite state entry fails the
 audit instead of raising.
 """
@@ -148,8 +149,8 @@ class ResidualFold:
 
     add(rows) takes the lattice's next zeta rows as mbsolver.Rows, in
     blocks of any size, and carries the last two rows into the next block
-    as its halo; a block with no state (a numeric grid,
-    closed_form_field_rows) raises ValueError before any arithmetic on it.
+    as its halo; a block with no state (closed_form_field_rows) raises
+    ValueError before any arithmetic on it.
 
     One pass over the 9 entries (i, j) of each block's interior nodes.
     Each entry's terms are built once: dH (the zeta difference of H,
@@ -293,14 +294,7 @@ def audit_report(figures: dict, kind: str, grid: GridSpec) -> ResidualReport:
 
 
 def audit_density(solution: SolutionGrid) -> ResidualReport:
-    """audit_report of a stored state, read in the blocks of grid.blocks().
-
-    A numeric grid stores no state (ValueError); its meta holds the
-    figures the solver took on every slice, which audit_report scores.
-    """
-    if solution.rho is None:
-        raise ValueError("the density audit reads a stored state, which a numeric grid does "
-                         "not keep; score its meta with audit_report")
+    """audit_report of a stored state, read in the blocks of grid.blocks()."""
     figures = None
     for z0, z1 in solution.grid.blocks():
         figures = algebra.worse_figures(

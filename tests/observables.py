@@ -1,8 +1,8 @@
 """Observables only the tests read: feature velocities and populations.
 
-measure_velocity tracks a groove, a peak or a population ridge across a
-solution grid with sub-cell (parabolic) refinement and fits its lab-frame
-speed; slow_group_velocity is the slow soliton's leading-order speed it is
+measure_velocity tracks a groove, a peak or a population ridge (the real
+part of a diagonal row rho[k, k] of the grid's state) across a solution
+grid with sub-cell (parabolic) refinement and fits its lab-frame speed; slow_group_velocity is the slow soliton's leading-order speed it is
 compared with; intensities_and_populations reads |O_a|^2, |O_b|^2 and the
 level populations off fields and a state.  The CLI writes the same
 intensities and populations through cli.write_grid_csv.
@@ -96,9 +96,7 @@ def measure_velocity(solution: SolutionGrid, tracker: str) -> float:
         if tracker == "ib_max":
             values = np.abs(solution.omega_b) ** 2
         elif tracker == "p3_max":
-            if solution.populations is None:
-                raise ValueError("p3 tracking needs populations on the grid")
-            values = solution.populations[..., 2]
+            values = solution.rho[2, 2].real
         else:
             values = ia
         background = float(np.median(np.concatenate([ia[:, 0], ia[:, -1]])))
@@ -107,9 +105,7 @@ def measure_velocity(solution: SolutionGrid, tracker: str) -> float:
         m = np.polyfit(zs, ts, 1)[0]
         return 1.0 / (1.0 + m)
     if tracker == "p1_max":
-        if solution.populations is None:
-            raise ValueError("p1 tracking needs populations on the grid")
-        values = solution.populations[..., 0].T  # rows = tau slices, cols = zeta
+        values = solution.rho[0, 0].real.T  # rows = tau slices, cols = zeta
         floor = 1e-3 * float(np.max(values))
         ts, zs = _track_rows(values, False, zetas, taus, floor)
         q = np.polyfit(ts, zs, 1)[0]

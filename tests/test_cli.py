@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from lambda_mb import cli, darboux, mbsolver, model, scenarios, verify
 from lambda_mb.cli import emit_manifest, parse_config, run_scenario
-from lambda_mb.errors import ParseError
+from lambda_mb.errors import ParameterGuard, ParseError
 from lambda_mb.mbsolver import RowSource
 from scenario_inputs import regime_keywords, usable_step
 
@@ -106,18 +106,38 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "scenario = slow\nengine = analytic\ntau_min = 0\ntau_max = 1e-309\nn_tau = 11\nn_zeta = 5\n",
     "scenario = slow\nengine = analytic\nzeta_min = 0\nzeta_max = 2e-323\nn_zeta = 5\n"
     "n_tau = 11\n",
+    # an output in out that cannot be written: (config, arguments, the
+    # output that is a directory)
+    pytest.param(("", ["--scenario", "fast", "--engine", "analytic", "--out", "{run}"],
+                  "grid_analytic.csv"), id="a grid csv that is a directory"),
+    pytest.param((SMALL_SLOW, ["--check"], "manifest.txt"), id="a manifest that is a directory"),
 ])
 def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
+    text, argv, blocked = text if isinstance(text, tuple) else (text, [], None)
+    run = tmp_path / "run"
     path = tmp_path / "cfg.txt"
     file = tmp_path / "file"
     file.write_text("not a directory\n")
     data = text if isinstance(text, bytes) else text.format(file=file).encode()
     # the case's own lines come last, so that its out overrides this one
-    path.write_bytes(f"out = {tmp_path / 'run'}\nquiet = true\n".encode() + data)
-    assert cli.main([str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not (tmp_path / "run").exists()
+    path.write_bytes(f"out = {run}\nquiet = true\n".encode() + data)
+    if blocked:
+        (run / blocked).mkdir(parents=True)
+    assert cli.main([str(path)] + [arg.format(run=run) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if blocked:
+        # one line that names the output
+        assert err.count("\n") == 1 and str(run / blocked) in err
+    else:
+        assert not run.exists()
     assert file.read_text() == "not a directory\n"
+
+
+def test_an_unknown_canned_tag_exits_2_with_its_message_unquoted(capsys):
+    assert cli.main(["--scenario", "nope"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown canned scenario 'nope'; have {sorted(scenarios.CANNED)}\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -321,6 +341,31 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
         "  - audit[analytic]: nan > 1e-08"] + [
         f"  - {name}: convergence order nan outside [1.8, 2.2]"
         for name in ["pde"] + ["zero_curvature"] * len(scenarios.DEFAULT_PROBES)]
+
+
+def test_a_failed_run_leaves_its_own_manifest_and_no_verdict(tmp_path, monkeypatch):
+    """A run that fails on the way leaves no earlier run's verdict beside its outputs.
+
+    The manifest is written before any route is read, and the report of
+    the run before is removed; the report is written last.
+    """
+    path = tmp_path / "cfg.txt"
+    config = SMALL_SLOW.replace("engine = analytic", "engine = all") + (
+        f"numeric_tol = 0.01\nout = {tmp_path / 'run'}\nquiet = true\n")
+    path.write_text(config)
+    assert cli.main([str(path)]) == 0
+    report = tmp_path / "run" / "residual_report.txt"
+    assert report.read_text().endswith("verdict: PASS\n")
+
+    def refused(sp, grid):
+        raise ParameterGuard("seed verification gate failed")
+
+    monkeypatch.setattr(scenarios, "dressed_rows", refused)
+    path.write_text(config + "nu0 = 2.5\n")
+    assert cli.main([str(path)]) == 1
+    assert "nu0 = 2.5\n" in (tmp_path / "run" / "manifest.txt").read_text()
+    assert (tmp_path / "run" / "grid_analytic.csv").exists()
+    assert not report.exists()
 
 
 def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):

@@ -19,9 +19,7 @@ from scenario_inputs import canned_scenario
 def reference_write_grid_csv(path: Path, sol: SolutionGrid):
     """The per-value writer: one ``format(x, ".12g")`` call per CSV field."""
     zetas, taus = sol.grid.zetas(), sol.grid.taus()
-    pops = sol.populations
-    if pops is None:
-        pops = np.zeros((sol.grid.n_zeta, sol.grid.n_tau, 3))
+    pops = [sol.rho[k, k].real for k in range(3)]
     g = lambda x: format(float(x), ".12g")
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -32,7 +30,7 @@ def reference_write_grid_csv(path: Path, sol: SolutionGrid):
                 row = (
                     g(z), g(t), g(oa.real), g(oa.imag), g(ob.real), g(ob.imag),
                     g(abs(oa) ** 2), g(abs(ob) ** 2),
-                    g(pops[i, j, 0]), g(pops[i, j, 1]), g(pops[i, j, 2]),
+                    g(pops[0][i, j]), g(pops[1][i, j]), g(pops[2][i, j]),
                 )
                 fh.write(",".join(row) + "\n")
 
@@ -64,22 +62,23 @@ def test_numeric_fast_grid_matches_reference(tmp_path):
     assert new == ref
 
 
-def test_grid_without_populations_matches_reference(tmp_path):
-    sp, grid = _reduced("slow")
-    sol = scenarios.build_analytic_grid(sp, grid)
-    sol = SolutionGrid(grid=grid, omega_a=sol.omega_a, omega_b=sol.omega_b, state_kind="none")
-    assert sol.populations is None
-    new, ref = written_bytes(tmp_path, sol)
-    assert new == ref
-    assert new.splitlines()[1].endswith(b",0,0,0")
+def _populated(grid, oa, ob, populations) -> SolutionGrid:
+    """A grid of the fields whose state holds populations[..., k] on its diagonal, 0 off it.
+
+    The real parts of the state's diagonal rows hold the bits of the
+    populations, which is all the writer reads of a state.
+    """
+    rho = np.zeros((3, 3) + populations.shape[:-1], dtype=complex)
+    for k in range(3):
+        rho[k, k].real = populations[..., k]
+    return SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, rho=rho)
 
 
 def test_real_field_intensity_keeps_the_scalar_square(tmp_path):
     # numpy's vectorized square writes 1.02267089851 here
     grid = GridSpec(-1.0, 1.0, 3, 0.0, 1.0, 2)
     oa = np.full((2, 3), -1.011271921149302)
-    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=np.zeros((2, 3)),
-                       populations=np.zeros((2, 3, 3)))
+    sol = _populated(grid, oa, np.zeros((2, 3)), np.zeros((2, 3, 3)))
     new, ref = written_bytes(tmp_path, sol)
     assert new == ref
     assert new.splitlines()[1].split(b",")[6] == b"1.0226708985"
@@ -108,7 +107,7 @@ def test_random_fields_match_reference(tmp_path_factory, n_tau, complex_fields, 
     ob = data.draw(arrays(dtype, shape, elements=elements))
     pops = data.draw(arrays(np.float64, shape + (3,), elements=_REALS))
     grid = GridSpec(-1.0, 1.0, n_tau, 0.0, 1.0, 2)
-    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, populations=pops)
+    sol = _populated(grid, oa, ob, pops)
     with np.errstate(over="ignore"):
         new, ref = written_bytes(tmp_path_factory.mktemp("csv"), sol)
     assert new == ref
@@ -160,9 +159,11 @@ def test_fixed_and_live_columns_match_reference(tmp_path_factory, n_zeta, n_tau,
         oa, ob = _complex(part(), part()), _complex(part(), part())
     else:
         oa, ob = part(), part()
-    pops = np.stack([part() for _ in range(3)], axis=-1) if with_populations else None
+    pops = np.zeros(shape + (3,))
+    if with_populations:
+        pops = np.stack([part() for _ in range(3)], axis=-1)
     grid = GridSpec(-1.0, 1.0, n_tau, 0.0, 1.0, n_zeta)
-    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, populations=pops, state_kind="none")
+    sol = _populated(grid, oa, ob, pops)
     with np.errstate(over="ignore"):
         new, ref = written_bytes(tmp_path_factory.mktemp("csv"), sol)
     assert new == ref
@@ -172,8 +173,7 @@ def test_one_negative_zero_keeps_a_zero_column_live(tmp_path):
     grid = GridSpec(-1.0, 1.0, 4, 0.0, 1.0, 3)
     oa = np.zeros((3, 4))
     oa[2, 1] = -0.0
-    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=np.ones((3, 4)),
-                       populations=np.zeros((3, 4, 3)))
+    sol = _populated(grid, oa, np.ones((3, 4)), np.zeros((3, 4, 3)))
     new, ref = written_bytes(tmp_path, sol)
     assert new == ref
     assert [line.split(b",")[2] for line in new.splitlines()[1:]] == [b"0"] * 9 + [b"-0"] + [b"0"] * 2
@@ -185,8 +185,8 @@ def test_grids_written_in_several_blocks_match_reference(tmp_path, monkeypatch, 
     rng = np.random.default_rng(5)
     grid = GridSpec(-1.0, 1.0, 4, 0.0, 1.0, 7)
     part = lambda: rng.standard_normal((7, 4)) * np.exp(rng.uniform(-30.0, 3.0, (7, 4)))
-    sol = SolutionGrid(grid=grid, omega_a=_complex(part(), part()), omega_b=part(),
-                       populations=np.stack([part() for _ in range(3)], axis=-1))
+    sol = _populated(grid, _complex(part(), part()), part(),
+                     np.stack([part() for _ in range(3)], axis=-1))
     new, ref = written_bytes(tmp_path, sol)
     assert new == ref
 
@@ -197,8 +197,7 @@ def test_a_column_that_differs_only_on_a_late_row_is_live(tmp_path):
     grid = GridSpec(-1.0, 1.0, 3, 0.0, 1.0, 70)
     pops = np.full((70, 3, 3), 0.25)
     pops[69, 2, 1] = 0.5
-    sol = SolutionGrid(grid=grid, omega_a=np.ones((70, 3)), omega_b=np.zeros((70, 3)),
-                       populations=pops)
+    sol = _populated(grid, np.ones((70, 3)), np.zeros((70, 3)), pops)
     new, ref = written_bytes(tmp_path, sol)
     assert new == ref
     assert new.splitlines()[-1].endswith(b",0.25,0.5,0.25")
@@ -209,8 +208,7 @@ def test_complex_field_with_one_constant_part(tmp_path):
     varying = np.linspace(-2.0, 2.0, 15).reshape(3, 5)
     oa = _complex(varying, np.full((3, 5), -0.5))
     ob = _complex(np.full((3, 5), -0.0), np.exp(varying))
-    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob,
-                       populations=np.stack([varying, np.ones((3, 5)), varying ** 2], axis=-1))
+    sol = _populated(grid, oa, ob, np.stack([varying, np.ones((3, 5)), varying ** 2], axis=-1))
     new, ref = written_bytes(tmp_path, sol)
     assert new == ref
     assert {line.split(b",")[3] for line in new.splitlines()[1:]} == {b"-0.5"}
@@ -218,8 +216,7 @@ def test_complex_field_with_one_constant_part(tmp_path):
 
 def test_every_column_fixed_on_two_zeta_rows(tmp_path):
     grid = GridSpec(-1.0, 1.0, 3, 0.0, 1.0, 2)
-    sol = SolutionGrid(grid=grid, omega_a=np.full((2, 3), 1e300 + 0j), omega_b=np.zeros((2, 3)))
-    assert sol.populations is None
+    sol = _populated(grid, np.full((2, 3), 1e300 + 0j), np.zeros((2, 3)), np.zeros((2, 3, 3)))
     with np.errstate(over="ignore"):
         new, ref = written_bytes(tmp_path, sol)
     assert new == ref
@@ -251,9 +248,9 @@ def test_zeta_independent_grids_match_reference(tmp_path_factory, n_zeta, n_tau,
         oa, ob = _complex(parts[0], parts[1]), _complex(parts[2], parts[3])
     else:
         oa, ob = parts[0], parts[1]
-    pops = np.stack(parts[-3:], axis=-1) if with_populations else None
+    pops = np.stack(parts[-3:], axis=-1) if with_populations else np.zeros((n_zeta, n_tau, 3))
     grid = GridSpec(-1.0, 1.0, n_tau, 0.0, 1.0, n_zeta)
-    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, populations=pops, state_kind="none")
+    sol = _populated(grid, oa, ob, pops)
     with np.errstate(over="ignore"):
         new, ref = written_bytes(tmp_path_factory.mktemp("csv"), sol)
     assert new == ref
@@ -265,7 +262,7 @@ def test_fast_grids_repeat_their_rows_and_fig2_does_not(build):
     # the fast soliton's fields and state depend on tau alone, on every route
     def float_columns(sol):
         return ([part(f) for f in (sol.omega_a, sol.omega_b) for part in (np.real, np.imag)]
-                + [sol.populations[..., k] for k in range(3)])
+                + [sol.rho[k, k].real for k in range(3)])
 
     sol = build(*_reduced("fast", n_zeta=9))
     assert cli._rows_repeat(float_columns(sol), sol.grid.n_zeta)
@@ -279,7 +276,7 @@ def test_overflowing_intensities_are_inf_without_a_warning(tmp_path):
     grid = GridSpec(-1.0, 1.0, 4, 0.0, 1.0, 2)
     oa = np.array([[1e200, 2.0, 1e200j, 1e308 + 1e308j], [3.0, 1e200, 1e-200, 1e154]])
     ob = np.full((2, 4), 1e200 + 0j)  # a fixed intensity column that overflows
-    sol = SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, populations=np.zeros((2, 4, 3)))
+    sol = _populated(grid, oa, ob, np.zeros((2, 4, 3)))
     write_grid_csv(tmp_path / "new.csv", sol)
     with np.errstate(over="ignore"):
         reference_write_grid_csv(tmp_path / "ref.csv", sol)
@@ -307,8 +304,8 @@ def test_intensities_near_ties_are_the_text_of_pow_and_hypot(tmp_path):
     assert z.size >= 20
     m = split.size // 2
     grid = GridSpec(-1.0, 1.0, m, 0.0, 1.0, 2)
-    sol = SolutionGrid(grid=grid, omega_a=split[:2 * m].reshape(2, m),
-                       omega_b=np.resize(z, (2, m)), populations=np.zeros((2, m, 3)))
+    sol = _populated(grid, split[:2 * m].reshape(2, m), np.resize(z, (2, m)),
+                     np.zeros((2, m, 3)))
     new, ref = written_bytes(tmp_path, sol)
     assert new == ref
     ia = [line.split(b",")[6] for line in new.splitlines()[1:]]
@@ -370,8 +367,8 @@ def _peak_write_bytes(n_zeta: int) -> int:
     shape = (n_zeta, grid.n_tau)
     field = lambda: rng.standard_normal(shape) * np.exp(rng.uniform(-40.0, 1.0, shape))
     # one real field, as the closed forms give for fig2, and one complex
-    sol = SolutionGrid(grid=grid, omega_a=field(), omega_b=field() + 1j * field(),
-                       populations=np.abs(np.stack([field() for _ in range(3)], axis=-1)))
+    sol = _populated(grid, field(), field() + 1j * field(),
+                     np.abs(np.stack([field() for _ in range(3)], axis=-1)))
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]

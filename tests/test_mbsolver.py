@@ -88,22 +88,18 @@ def slow_scenario(om0=1.0, eps0=2.0, delta=0.0):
     )
 
 
-def test_solution_grid_rejects_a_state_or_populations_of_the_wrong_shape():
+def test_solution_grid_requires_a_state_of_the_lattice_shape():
     grid = GridSpec(-1.0, 1.0, 5, 0.0, 1.0, 4)
     fields = np.zeros((4, 5), dtype=complex)
+    with pytest.raises(TypeError, match="rho"):
+        mbsolver.SolutionGrid(grid, fields, fields)
     # a stack of the wrong length, the node-major form and swapped lattice axes
     for rho in (np.zeros((7, 3, 3), complex), np.zeros((4, 5, 3, 3), complex),
                 np.zeros((3, 3, 5, 4), complex)):
         with pytest.raises(ValueError, match=r"\(3, 3, n_zeta, n_tau\) = \(3, 3, 4, 5\)"):
             mbsolver.SolutionGrid(grid, fields, fields, rho=rho)
-    for pops in (np.zeros((7, 3)), np.zeros((4, 5)), np.zeros((5, 4, 3))):
-        with pytest.raises(ValueError, match=r"\(n_zeta, n_tau, 3\) = \(4, 5, 3\)"):
-            mbsolver.SolutionGrid(grid, fields, fields, populations=pops)
     rho = np.zeros((3, 3, 4, 5), complex)
-    rho[1, 1] = 1.0
-    sol = mbsolver.SolutionGrid(grid, fields, fields, rho=rho)
-    assert sol.populations.shape == (4, 5, 3)
-    assert np.array_equal(sol.populations[..., 1], np.ones((4, 5)))
+    assert mbsolver.SolutionGrid(grid, fields, fields, rho=rho).rows(1, 3).rho.shape == (3, 3, 2, 5)
 
 
 def test_slice_constant_background_dark():
@@ -313,14 +309,15 @@ def test_propagate_constant_background_is_stationary():
     oa0 = np.full(grid.n_tau, 1.0, dtype=complex)
     ob0 = np.zeros(grid.n_tau, dtype=complex)
     boundary = np.repeat(DARK[..., None], grid.n_zeta, axis=-1)  # (3, 3, n_zeta)
-    sol = propagate((oa0, ob0), boundary, p, grid)
+    whole = lambda source: source.rows(0, grid.n_zeta)  # every row, in one block
+    sol = propagate((oa0, ob0), boundary, p, grid, whole)
     assert np.array_equal(sol.omega_a, np.broadcast_to(oa0, sol.omega_a.shape))
     assert np.max(np.abs(sol.omega_b)) == 0.0
-    assert np.max(sol.populations[..., 0]) == 0.0
-    assert np.max(np.abs(sol.populations[..., 1] - 1.0)) == 0.0
+    assert np.max(sol.rho[0, 0].real) == 0.0
+    assert np.max(np.abs(sol.rho[1, 1].real - 1.0)) == 0.0
     # the boundary is entry-major; the node-major stack of the same matrices is refused
     with pytest.raises(ValueError, match=r"\(3, 3, n_zeta\) = \(3, 3, 21\)"):
-        propagate((oa0, ob0), np.ascontiguousarray(np.moveaxis(boundary, -1, 0)), p, grid)
+        propagate((oa0, ob0), np.ascontiguousarray(np.moveaxis(boundary, -1, 0)), p, grid, whole)
 
 
 def test_propagate_tracks_analytic_slow_soliton():
@@ -345,7 +342,7 @@ def test_propagate_deterministic():
     b = scenarios.build_numeric_grid(sp, grid)
     assert np.array_equal(a.omega_a, b.omega_a)
     assert np.array_equal(a.omega_b, b.omega_b)
-    assert np.array_equal(a.populations, b.populations)
+    assert np.array_equal(a.rho, b.rho)
     assert a.meta == b.meta
 
 
@@ -376,19 +373,13 @@ def test_the_audit_of_a_numeric_grid_is_the_audit_of_its_slices_stored(tag, delt
     grid = GridSpec(g.tau_min, g.tau_max, n_tau, g.zeta_min, g.zeta_min + (n_zeta - 1) * g.h_zeta,
                     n_zeta)
     sol = scenarios.build_numeric_grid(sp, grid)
-    rows = list(mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid))
-    stored = mbsolver.SolutionGrid(
-        grid, np.array([oa for oa, _, _, _ in rows]), np.array([ob for _, ob, _, _ in rows]),
-        rho=np.stack([rho for _, _, rho, _ in rows], axis=2), state_kind="density")
-    assert np.array_equal(sol.omega_a, stored.omega_a)
-    assert np.array_equal(sol.populations, stored.populations)
-    # bit for bit: each figure against the kernel over the whole stored grid,
-    # and the audit's report against the audit of the stored grid
-    whole = algebra.state_figures(stored.rho.reshape(3, 3, -1), "density")
+    # bit for bit: each figure the solver folded against the kernel over the
+    # whole stored state, and its report against the audit of the stored grid
+    whole = algebra.state_figures(sol.rho.reshape(3, 3, -1), "density")
     assert {key: sol.meta[key].tobytes() for key in whole} == {
         key: value.tobytes() for key, value in whole.items()}
     ours = verify.audit_report(sol.meta, "density", grid)
-    theirs = verify.audit_density(stored)
+    theirs = verify.audit_density(sol)
     assert np.float64(ours.max_abs).tobytes() == np.float64(theirs.max_abs).tobytes()
     assert ours.as_text() == theirs.as_text()
 
@@ -398,10 +389,9 @@ def test_every_slice_is_hermitian_and_the_grid_reports_it(tag):
     sp, g = canned_scenario(tag)
     grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_min + 10 * g.h_zeta, 11)
     sol = scenarios.build_numeric_grid(sp, grid)
-    assert sol.rho is None
-    # bit for bit on every slice, and each slice's measured defect says so
-    for _, _, rho, figures in mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid):
-        assert np.array_equal(node_major(rho), _dagger(node_major(rho)))
+    # bit for bit on the stored state, and each slice's measured defect says so
+    assert np.array_equal(node_major(sol.rho), _dagger(node_major(sol.rho)))
+    for _, _, _, figures in mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid):
         assert figures["herm_dev"] == 0.0
     meta = sol.meta
     assert meta["herm_dev"] == 0.0

@@ -10,12 +10,10 @@ name the functions they wrap that way.
 No module names linalg (numpy.linalg, scipy.linalg or an import of
 either), so no package code reaches LAPACK.
 
-The grids of build_analytic_grid and build_dressed_grid hold an owned,
-C-contiguous (3, 3, n_zeta, n_tau) state, whose diagonal rows the
-populations copy bit for bit, so no producer can bring back the
-node-major (n_zeta, n_tau, 3, 3) form. build_numeric_grid holds no
-state: its populations are the diagonals of the entry-major slices that
-mbsolver.march yields, bit for bit.
+The grids of every builder hold an owned, C-contiguous (3, 3, n_zeta,
+n_tau) state, so no producer can bring back the node-major
+(n_zeta, n_tau, 3, 3) form. build_numeric_grid's state is the entry-major
+slices that mbsolver.march yields, stacked along zeta, bit for bit.
 """
 
 import ast
@@ -102,16 +100,11 @@ def test_no_package_module_uses_linalg():
     assert uses == []
 
 
-def _assert_entry_major(sol, stored_rho):
-    """sol holds its own entry-major state, or none; its populations are stored_rho's diagonal."""
+def _assert_entry_major(sol):
+    """sol holds its own owned, C-contiguous, entry-major complex state."""
     g = sol.grid
-    if sol.rho is not None:
-        assert sol.rho is stored_rho
-        assert sol.rho.shape == (3, 3, g.n_zeta, g.n_tau) and sol.rho.dtype == complex
-        assert sol.rho.flags.owndata and sol.rho.flags.c_contiguous
-    assert sol.populations.shape == (g.n_zeta, g.n_tau, 3)
-    for k in range(3):
-        assert sol.populations[..., k].tobytes() == stored_rho[k, k].real.tobytes()
+    assert sol.rho.shape == (3, 3, g.n_zeta, g.n_tau) and sol.rho.dtype == complex
+    assert sol.rho.flags.owndata and sol.rho.flags.c_contiguous
 
 
 @pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
@@ -119,11 +112,10 @@ def test_every_builder_holds_an_entry_major_state(name):
     sp, canned = canned_scenario(name)
     grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
     for build in (scenarios.build_analytic_grid, scenarios.build_dressed_grid):
-        sol = build(sp, grid)
-        _assert_entry_major(sol, sol.rho)
+        _assert_entry_major(build(sp, grid))
     if scenarios.state_kind(sp.params) == "formal":
         return
     numeric = scenarios.build_numeric_grid(sp, grid)
-    assert numeric.rho is None
+    _assert_entry_major(numeric)
     rows = list(mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid))
-    _assert_entry_major(numeric, np.stack([rho for _, _, rho, _ in rows], axis=2))
+    assert numeric.rho.tobytes() == np.stack([rho for _, _, rho, _ in rows], axis=2).tobytes()

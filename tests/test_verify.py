@@ -266,25 +266,24 @@ def test_the_fold_takes_blocks_of_any_size(cuts, tag):
 
 
 def test_the_kernel_refuses_a_source_without_state_at_its_first_block(monkeypatch):
-    """A stored numeric grid and the closed form's fields alone hold no state.
+    """The closed form's fields alone hold no state.
 
     The kernel raises ValueError on the first block of grid.blocks() that
     it reads, two rows here, so it never asks for a second.
     """
     sp, g = canned_scenario("slow")
     grid = GridSpec(g.tau_min, g.tau_max, 41, g.zeta_min, g.zeta_max, 11)
-    numeric = scenarios.build_numeric_grid(sp, grid)
     _rows_per_block(monkeypatch, grid, 2)
-    for source in (numeric, scenarios.closed_form_field_rows(sp, grid)):
-        served = []
+    source = scenarios.closed_form_field_rows(sp, grid)
+    served = []
 
-        def counted(z0, z1, source=source):
-            served.append((z0, z1))
-            return source.rows(z0, z1)
+    def counted(z0, z1):
+        served.append((z0, z1))
+        return source.rows(z0, z1)
 
-        with pytest.raises(ValueError, match="full per-node state"):
-            verify.residual_reports(RowSource(grid, counted), sp.params, scenarios.DEFAULT_PROBES)
-        assert served == grid.blocks()[:1] == [(0, 2)]
+    with pytest.raises(ValueError, match="full per-node state"):
+        verify.residual_reports(RowSource(grid, counted), sp.params, scenarios.DEFAULT_PROBES)
+    assert served == grid.blocks()[:1] == [(0, 2)]
 
 
 def _report_bits(reports):
@@ -298,19 +297,14 @@ def test_the_kernel_reads_each_route_as_it_reads_that_route_stored(tag):
 
     Each equals the kernel over the stored grid of the same route in every
     bit. 161 x 121 nodes: the kernel reads blocks of 51 rows, the builders
-    keep blocks of 50. The solver's grid is stored from mbsolver.march's
-    rows, with its state, and a formal state (exulton_k) has no solver.
+    keep blocks of 50. A formal state (exulton_k) has no solver.
     """
     sp, g = canned_scenario(tag)
     grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_max, 121)
     pairs = [(scenarios.dressed_rows(sp, grid), scenarios.build_dressed_grid(sp, grid))]
     if scenarios.state_kind(sp.params) != "formal":
-        entry = scenarios.numeric_entry(sp, grid)
-        rows = list(mbsolver.march(*entry, sp.params, grid))
-        stored = SolutionGrid(
-            grid, np.array([oa for oa, _, _, _ in rows]), np.array([ob for _, ob, _, _ in rows]),
-            rho=np.stack([rho for _, _, rho, _ in rows], axis=2), state_kind="density")
-        pairs.append((mbsolver.march_rows(*entry, sp.params, grid), stored))
+        pairs.append((mbsolver.march_rows(*scenarios.numeric_entry(sp, grid), sp.params, grid),
+                      scenarios.build_numeric_grid(sp, grid)))
     for source, stored in pairs:
         got = verify.residual_reports(source, sp.params, scenarios.DEFAULT_PROBES)
         want = verify.residual_reports(stored, sp.params, scenarios.DEFAULT_PROBES)
@@ -618,8 +612,8 @@ def test_measure_velocity_synthetic_feature():
     m = 3.0
     ia = 1.0 - 1.0 / np.cosh(tt - m * zz) ** 2
     sol = SolutionGrid(grid=grid, omega_a=np.sqrt(ia).astype(complex),
-                       omega_b=np.zeros_like(ia, dtype=complex), state_kind="none",
-                       populations=np.zeros((grid.n_zeta, grid.n_tau, 3)))
+                       omega_b=np.zeros_like(ia, dtype=complex),
+                       rho=np.zeros((3, 3, grid.n_zeta, grid.n_tau), dtype=complex))
     v = observables.measure_velocity(sol, "ia_min")
     assert abs(v - 1.0 / (1.0 + m)) < 1e-4
 
@@ -640,8 +634,7 @@ def test_measure_velocity_feature_lost():
     grid = GridSpec(-5, 5, 101, 0, 1, 11)
     flat = np.ones((grid.n_zeta, grid.n_tau), complex)
     sol = SolutionGrid(grid=grid, omega_a=flat, omega_b=np.zeros_like(flat),
-                       state_kind="none",
-                       populations=np.zeros((grid.n_zeta, grid.n_tau, 3)))
+                       rho=np.zeros((3, 3, grid.n_zeta, grid.n_tau), dtype=complex))
     with pytest.raises(FeatureLost):
         observables.measure_velocity(sol, "ia_min")
 
