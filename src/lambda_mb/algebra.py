@@ -1,10 +1,9 @@
 """Exact-size complex linear algebra for the 3-dimensional state space.
 
-scalar_product takes stacked (..., 3) vectors.  The projector and the
-eigenvalue kernel work entry by entry: a vector is its three components
-and a Hermitian 3x3 stack its diagonal and upper entries, each an array
-of any broadcastable shape, so the same code serves single points and
-full (zeta, tau) grids.  A stack of matrices is entry-major, (3, 3, ...),
+The projector and the eigenvalue kernel work entry by entry: a vector is
+its three components and a Hermitian 3x3 stack its diagonal and upper
+entries, each an array of any broadcastable shape, so the same code
+serves single points and full (zeta, tau) grids.  A stack of matrices is entry-major, (3, 3, ...),
 so each entry is one contiguous array over the nodes.
 
 state_figures is the density audit's kernel: verify.audit_density runs it
@@ -16,13 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-
-
-def scalar_product(u, v) -> np.ndarray:
-    """Hermitian scalar product, conjugate-linear in the first argument."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    return np.sum(np.conj(u) * v, axis=-1)
 
 
 def projector(v) -> np.ndarray:

@@ -11,11 +11,14 @@ the one that satisfies the field equations (see tests/test_mismatch.py for
 the rejected variants).
 
 Conventions: scalar or broadcastable array zeta/tau in, matching arrays
-out.  Each evaluator returns (omega_a, omega_b, state) where state is the
-unit amplitude vector of the slow soliton, or None (fields only: every
-other evaluator).  Each evaluator first calls its guard_*, which raises
-outside the regime the formula is written for; the scenario registry
-applies the same guard on every route.
+out.  Each evaluator returns (omega_a, omega_b, state) where state is a
+unit amplitude vector over (|1>, |2>, |3>), stacked on a last axis of
+length 3: the slow soliton's own, or the decoupled ground superposition
+that the fast soliton leaves the medium in.  The other evaluators return
+None (fields only), and the registry takes their state from the engine.
+Each evaluator first calls its guard_*, which raises outside the regime
+the formula is written for; the scenario registry applies the same guard
+on every route.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import darboux
+from . import darboux, model
 from .darboux import DressConstants, SolitonConstants
 from .errors import DegenerateConstants, ParameterGuard
 from .model import LambdaParams, SpectralData
@@ -184,7 +187,11 @@ def slow_soliton(sp: ScenarioParams, zeta, tau):
 
 
 def fast_soliton(sp: ScenarioParams, tau):
-    """Light-speed dip riding the channel-a background; channel b stays dark."""
+    """Light-speed dip riding the channel-a background; channel b stays dark.
+
+    The medium stays in the decoupled ground superposition
+    (model.dark_state), returned broadcast to the fields' shape.
+    """
     guard_fast(sp)
     p, s = sp.params, sp.spectral
     om0, eps0 = p.omega0, s.eps0
@@ -194,7 +201,7 @@ def fast_soliton(sp: ScenarioParams, tau):
     ch = np.cosh(phi)
     oa = om0 * (1.0 - 2.0 * (ch + eps0 / om0) / (ch + om0 / eps0))
     ob = np.zeros_like(oa)
-    return oa, ob, None
+    return oa, ob, np.broadcast_to(model.dark_state(p.eta), oa.shape + (3,))
 
 
 def zero_background(sp: ScenarioParams, zeta, tau):

@@ -470,8 +470,9 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
     except (FileExistsError, NotADirectoryError) as exc:
         raise ParseError(f"out {cfg.out!r} cannot be a directory ({exc})") from None
 
-    # the manifest first, and no earlier run's report: a run that fails on
-    # the way leaves its own inputs and no verdict beside its outputs
+    # the manifest first, and no earlier run's report or grids: a run that
+    # fails on the way leaves its own inputs and no verdict beside its
+    # outputs, and every CSV beside a manifest is that run's
     manifest_extra = {"scenario_resolved": sp.scenario}
     if sp.soliton is not None:
         c = sp.dress_constants()
@@ -482,7 +483,8 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
             "recovers a from c wherever eps0 > omega0"
         )
     (out / "manifest.txt").write_text(emit_manifest(cfg, manifest_extra), encoding="utf-8")
-    (out / "residual_report.txt").unlink(missing_ok=True)
+    for name in ["residual_report.txt"] + [f"grid_{eng}.csv" for eng in ENGINES if eng != "all"]:
+        (out / name).unlink(missing_ok=True)
 
     engines = [cfg.engine] if cfg.engine != "all" else ["analytic", "dressing", "numeric"]
     if scenarios.state_kind(sp.params) == "formal" and "numeric" in engines:

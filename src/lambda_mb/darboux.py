@@ -219,7 +219,7 @@ def seed_background_state(p: LambdaParams) -> np.ndarray:
     indefinite (one eigenvalue is -k*sqrt(Delta^2+omega0^2)/nu0-like), so
     the k != 0 sector rides on a formal rather than a statistical state.
     """
-    dark = model.density_from_pure(model.dark_state(p.eta))
+    dark = algebra.projector(model.dark_state(p.eta))
     if p.k == 0.0:
         return dark
     h_const = model.interaction_hamiltonian(model.background_fields(p, 0.0))

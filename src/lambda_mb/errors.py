@@ -13,10 +13,6 @@ class SpectralPole(LambdaMBError):
     """Evaluation requested at (or too close to) the lambda = Delta pole."""
 
 
-class NotNormalized(LambdaMBError):
-    """Pure state vector is too far from unit norm to renormalize silently."""
-
-
 class DegenerateMapping(LambdaMBError):
     """Soliton-constant mapping is singular (eps0 <= Omega0)."""
 

@@ -2,7 +2,9 @@
 
 Everything lives in dimensionless units with hbar = c = 1: zeta = z/c and
 tau = t - z/c are both "times", Rabi amplitudes are frequencies, and the
-coupling nu0 absorbs the atomic density.
+coupling nu0 absorbs the atomic density.  A pure state is a unit (3,)
+amplitude vector over (|1>, |2>, |3>), such as dark_state; its density
+matrix is algebra.projector of it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import algebra
-from .errors import NotNormalized, SpectralPole
+from .errors import SpectralPole
 
 #: signature matrix separating ground ({|1>, |2>}) from excited (|3>) sectors
 D_MATRIX = np.diag([1.0, 1.0, -1.0]).astype(complex)
@@ -121,20 +122,6 @@ def dark_state(eta: float) -> np.ndarray:
     if not 0.0 <= eta <= math.pi / 2:
         raise ValueError(f"eta must lie in [0, pi/2], got {eta}")
     return np.array([-math.sin(eta), math.cos(eta), 0.0], dtype=complex)
-
-
-def density_from_pure(psi) -> np.ndarray:
-    """Projector |psi><psi| with a renormalization tolerance of 1e-4.
-
-    A (3,) vector gives its 3x3 matrix; a stack of (..., 3) vectors gives
-    the entry-major (3, 3, ...) stack, as algebra.projector does.
-    """
-    v = np.asarray(psi, dtype=complex)
-    norm = np.sqrt(np.abs(algebra.scalar_product(v, v)))
-    if np.any(np.abs(norm - 1.0) > 1e-4):
-        raise NotNormalized(f"norm deviates by {np.max(np.abs(norm - 1.0)):.2e}")
-    v = v / norm[..., None] if v.ndim > 1 else v / norm
-    return algebra.projector(np.moveaxis(v, -1, 0))
 
 
 def background_fields(p: LambdaParams, zeta) -> FieldPair:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import algebra, analytic, darboux, model
+from . import algebra, analytic, darboux
 from .analytic import ScenarioParams
 from .darboux import DressConstants, SolitonConstants
 from .errors import ParameterGuard
@@ -42,54 +42,39 @@ class Scenario:
     """What one closed-form scenario is, for every route and check.
 
     evaluate: (sp, zeta, tau) -> (omega_a, omega_b, state), looking the
-    analytic evaluator up per call.  guard: the evaluator's regime check
-    (analytic.guard_*), which make_scenario applies for every route.
-    constants: "a" (soliton) or "c" (dressing), with zero_a the soliton
-    constant set to zero.  state: "vector" when the evaluator returns a
-    unit vector; otherwise the grid carries the decoupled projector
-    ("dark") or the dressing engine's state at the same constants
-    ("dressed": the dressed projector at k = 0, the formal companion state
-    at k != 0).  field_tol: analytic-vs-dressing field tolerance.  Direct
-    propagation starts from this state along tau_min, and is refused where
-    it is formal (state_kind).
+    analytic evaluator up per call; state is a unit amplitude vector,
+    whose projector the grid holds, or None, and then the grid holds the
+    dressing engine's state at the same constants (the dressed projector
+    at k = 0, the formal companion state at k != 0).  guard: the
+    evaluator's regime check (analytic.guard_*), which make_scenario
+    applies for every route.  constants: "a" (soliton) or "c" (dressing),
+    with zero_a the soliton constant set to zero.  field_tol:
+    analytic-vs-dressing field tolerance.  Direct propagation starts from
+    the grid's state along tau_min, and is refused where it is formal
+    (state_kind).
     """
 
     name: str
     evaluate: Callable
     guard: Callable
     constants: str
-    state: str
     field_tol: float
     zero_a: Optional[str] = None
-
-    def density(self, sp: ScenarioParams, state, zeta, tau) -> np.ndarray:
-        """The grid's entry-major (3, 3, ...) state for what the evaluator returned."""
-        if self.state == "vector":
-            return algebra.projector(np.moveaxis(state, -1, 0))
-        if self.state == "dark":
-            dark = model.density_from_pure(model.dark_state(sp.params.eta))
-            rho = np.empty((3, 3) + np.broadcast_shapes(np.shape(zeta), np.shape(tau)),
-                           dtype=complex)
-            for i in range(3):
-                for j in range(3):
-                    rho[i, j] = dark[i, j]
-            return rho
-        return darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(), zeta, tau)
 
 
 REGISTRY = {s.name: s for s in (
     Scenario("two_soliton", lambda sp, z, t: analytic.two_soliton(sp, z, t),
-             analytic.guard_regular, "a", "dressed", 1e-9),
+             analytic.guard_regular, "a", 1e-9),
     Scenario("slow", lambda sp, z, t: analytic.slow_soliton(sp, z, t),
-             analytic.guard_slow, "a", "vector", 1e-9, zero_a="a3"),
+             analytic.guard_slow, "a", 1e-9, zero_a="a3"),
     Scenario("fast", lambda sp, z, t: analytic.fast_soliton(sp, t),
-             analytic.guard_fast, "a", "dark", 1e-9, zero_a="a1"),
+             analytic.guard_fast, "a", 1e-9, zero_a="a1"),
     Scenario("zero_background", lambda sp, z, t: analytic.zero_background(sp, z, t),
-             analytic.guard_zero_background, "c", "dressed", 1e-8),
+             analytic.guard_zero_background, "c", 1e-8),
     Scenario("exulton", lambda sp, z, t: analytic.exulton(sp, z, t),
-             analytic.guard_exulton, "c", "dressed", 1e-8),
+             analytic.guard_exulton, "c", 1e-8),
     Scenario("exulton_k", lambda sp, z, t: analytic.exulton_k(sp, z, t),
-             analytic.guard_exulton_k, "c", "dressed", 1e-8),
+             analytic.guard_exulton_k, "c", 1e-8),
 )}
 
 
@@ -152,10 +137,16 @@ def state_kind(p: LambdaParams) -> str:
 
 
 def _closed_form(sp: ScenarioParams, zeta, tau):
-    """The record's fields and entry-major state on a (zeta, tau) mesh."""
-    record = REGISTRY[sp.scenario]
-    oa, ob, state = record.evaluate(sp, zeta, tau)
-    return oa, ob, record.density(sp, state, zeta, tau)
+    """The record's fields and entry-major state on a (zeta, tau) mesh.
+
+    The state is the projector of the unit vector the evaluator returns,
+    or the dressing engine's state where it returns None.
+    """
+    oa, ob, state = REGISTRY[sp.scenario].evaluate(sp, zeta, tau)
+    if state is None:
+        return oa, ob, darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(),
+                                               zeta, tau)
+    return oa, ob, algebra.projector(np.moveaxis(state, -1, 0))
 
 
 def _stored(source: RowSource, meta: dict, kind: str) -> SolutionGrid:
@@ -206,8 +197,8 @@ def closed_form_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
 def closed_form_field_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
     """The closed form's fields alone as a row source of the lattice: Rows with no state.
 
-    The fields are those of closed_form_rows, bit for bit; the record's
-    state (Scenario.density) is not evaluated.
+    The fields are those of closed_form_rows, bit for bit; the grid's
+    state (_closed_form: a projector or the dressed state) is not formed.
     """
     record = REGISTRY[sp.scenario]
     return _row_source(grid, lambda zeta, tau: record.evaluate(sp, zeta, tau)[:2] + (None,))

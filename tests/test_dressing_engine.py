@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lambda_mb import algebra, darboux, model, scenarios
+from lambda_mb import darboux, scenarios
 from lambda_mb.darboux import DressConstants, SolitonConstants, map_constants
 from lambda_mb.mbsolver import GridSpec
 from lambda_mb.model import LambdaParams, SpectralData
@@ -46,21 +46,15 @@ def _small_mesh():
 
 def _stacked_grid(sp, grid, route):
     """(omega_a, omega_b, rho) of a grid from the stacked formulas."""
-    record = scenarios.REGISTRY[sp.scenario]
     p, s = sp.params, sp.spectral
     zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
     shape = (grid.n_zeta, grid.n_tau)
     if route == "dressing":
         oa, ob, rho = po.stacked_dressed_fields_and_state(p, s, sp.dress_constants(), zz, tt)
     else:
-        oa, ob, state = record.evaluate(sp, zz, tt)
-        if record.state == "vector":
+        oa, ob, state = scenarios.REGISTRY[sp.scenario].evaluate(sp, zz, tt)
+        if state is not None:
             rho = po.outer(state, state)
-        elif record.state == "dark":
-            # density_from_pure's renormalization turns the -0.0 entry into +0.0
-            dark = model.dark_state(p.eta)
-            dark = dark / np.sqrt(np.abs(algebra.scalar_product(dark, dark)))
-            rho = po.outer(dark, dark)
         else:
             rho = po.stacked_dressed_fields_and_state(p, s, sp.dress_constants(), zz, tt)[2]
     rho = np.array(np.broadcast_to(rho, shape + (3, 3)))
@@ -87,7 +81,8 @@ def test_k0_canned_grids_are_bit_identical_to_the_stacked_formulas(tag, route):
                                  if scenarios.REGISTRY[scenarios.CANNED[t]["name"]].constants == "c"])
 def test_closed_form_states_from_the_engine_are_bit_identical(tag):
     # zero_background and exulton take their state from dressed_density,
-    # the state dressed_fields_and_state forms
+    # the state dressed_fields_and_state forms; their analytic grids hold
+    # it (test_k0_canned_grids_are_bit_identical_to_the_stacked_formulas)
     sp, grid = canned_scenario(tag)
     p, s, c = sp.params, sp.spectral, sp.constants
     zz, tt = grid.zetas()[::20, None], grid.taus()[None, :]
@@ -95,7 +90,6 @@ def test_closed_form_states_from_the_engine_are_bit_identical(tag):
     v = po.stacked_dressed_state(p, s, po.stacked_psi3(p, s, c, zz, tt))
     assert _same_bits(got, np.moveaxis(po.outer(v, v), (-2, -1), (0, 1)))
     assert _same_bits(got, darboux.dressed_fields_and_state(p, s, c, zz, tt)[2])
-    assert _same_bits(scenarios.REGISTRY[sp.scenario].density(sp, None, zz, tt), got)
 
 
 @given(nu0=st.floats(0.5, 5.0), delta=st.floats(-2.0, 2.0), omega0=st.floats(0.2, 2.0),

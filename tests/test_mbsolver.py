@@ -14,7 +14,7 @@ from lambda_mb.model import LambdaParams, SpectralData
 from pointwise_oracle import node_major
 from scenario_inputs import canned_scenario, numeric_inputs, refined, usable_step
 
-DARK = model.density_from_pure(model.dark_state(0.0))
+DARK = algebra.projector(model.dark_state(0.0))
 
 #: the slice audit (a Jacobi kernel) against LAPACK's eigvalsh on trace-one
 #: states: each is accurate to a few ulps of the norm, which is at most 1

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from lambda_mb import analytic, darboux, model, scenarios, verify
+from lambda_mb import algebra, analytic, darboux, model, scenarios, verify
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.mbsolver import GridSpec, SolutionGrid
@@ -157,7 +157,7 @@ def test_rotating_seed_naive_gauge():
         return seed_fundamental(p, s, z, t)
 
     h = darboux.SEED_GATE_FD_STEP
-    v_naive = model.lax_v(s.lambda0, model.density_from_pure(model.dark_state(p.eta)), p)
+    v_naive = model.lax_v(s.lambda0, algebra.projector(model.dark_state(p.eta)), p)
     worst = 0.0
     for z, t in darboux.SEED_GATE_POINTS:
         phi = basis(z, t)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lambda_mb import model
-from lambda_mb.errors import NotNormalized, SpectralPole
+from lambda_mb import algebra, model
+from lambda_mb.errors import SpectralPole
 from lambda_mb.model import FieldPair, LambdaParams, SpectralData
 from pointwise_oracle import NotLambdaStructured, adjoint, extract_fields
 
@@ -94,25 +94,12 @@ def test_dark_state_annihilated_by_background():
     assert np.max(np.abs(v)) < 1e-15
 
 
-def test_density_from_pure():
-    e22 = np.zeros((3, 3), complex)
-    e22[1, 1] = 1.0
-    assert np.array_equal(model.density_from_pure([0, 1, 0]), e22)
-    v = np.array([1, 0, 1]) / math.sqrt(2)
-    rho = model.density_from_pure(v)
-    expect = np.zeros((3, 3), complex)
-    expect[0, 0] = expect[0, 2] = expect[2, 0] = expect[2, 2] = 0.5
-    assert np.allclose(rho, expect, atol=1e-15)
-    with pytest.raises(NotNormalized):
-        model.density_from_pure([1.0, 1.0, 0.0])
-
-
 def test_density_idempotent_random():
     rng = np.random.default_rng(1)
     for _ in range(10):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = v / np.linalg.norm(v)
-        rho = model.density_from_pure(v)
+        rho = algebra.projector(v)
         assert np.max(np.abs(rho @ rho - rho)) < 1e-10
 
 

@@ -2,10 +2,13 @@
 and every grid builder holds its state entry-major.
 
 A top-level or class-level name in src/lambda_mb that only the tests
-reach belongs in tests/.  A name counts as used when src/ or bench/ reads
-it (a loaded name or attribute), imports it, passes it as a keyword, or,
-in bench/, spells it as a string constant: the benchmark's traced layers
-name the functions they wrap that way.
+reach belongs in tests/.  A name is reached when bench/, the package's
+module-level code or the body of a reached definition reads it (a loaded
+name or attribute), imports it, passes it as a keyword, or, in bench/,
+spells it as a string constant: the benchmark's traced layers name the
+functions they wrap that way.  A definition's use of its own name does
+not reach it, nor does the use of a helper that nothing else reaches, so
+a chain of helpers that only the tests call is found whole.
 
 No module names linalg (numpy.linalg, scipy.linalg or an import of
 either), so no package code reaches LAPACK.
@@ -31,12 +34,17 @@ PACKAGE = ROOT / "src" / "lambda_mb"
 
 
 def _defined(tree):
-    """(qualified name, name) of every top-level and class-level definition."""
+    """(qualified name, name, node) of every top-level and class-level definition.
+
+    Dunder names are no definitions of their own: a class's dunder members
+    are part of the class, and a module's are module-level code.
+    """
     for node in tree.body:
-        yield from _names(node, "")
-        if isinstance(node, ast.ClassDef):
-            for member in node.body:
-                yield from _names(member, node.name + ".")
+        members = node.body if isinstance(node, ast.ClassDef) else ()
+        for prefix, statement in [("", node)] + [(node.name + ".", m) for m in members]:
+            for qualified, name in _names(statement, prefix):
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield qualified, name, statement
 
 
 def _names(node, prefix):
@@ -48,8 +56,16 @@ def _names(node, prefix):
             yield prefix + target.id, target.id
 
 
-def _used(tree, strings):
-    for node in ast.walk(tree):
+def _walk(tree, skip):
+    """ast.walk of tree that does not enter the subtrees in skip."""
+    yield tree
+    for child in ast.iter_child_nodes(tree):
+        if child not in skip:
+            yield from _walk(child, skip)
+
+
+def _used(tree, strings, skip=frozenset()):
+    for node in _walk(tree, skip):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -62,16 +78,37 @@ def _used(tree, strings):
             yield node.value
 
 
+def _reached(definitions, roots, inner):
+    """Names reached from the root names through the bodies of the definitions.
+
+    A definition's body leaves out the definitions nested in it (inner),
+    so a class reaches what its bases, fields and dunder methods name,
+    not what its other methods do.
+    """
+    reached, pending = set(), set(roots)
+    while pending:
+        name = pending.pop()
+        reached.add(name)
+        for node in definitions.get(name, ()):
+            pending.update(set(_used(node, False, inner - {node})) - reached - {name})
+    return reached
+
+
 def test_every_package_name_is_used_outside_the_tests():
-    used = set()
-    for folder, strings in ((PACKAGE, False), (ROOT / "bench", True)):
-        for path in folder.glob("*.py"):
-            used.update(_used(ast.parse(path.read_text(encoding="utf-8")), strings))
-    unused = [f"{path.stem}.{qualified}"
-              for path in sorted(PACKAGE.glob("*.py"))
-              for qualified, name in _defined(ast.parse(path.read_text(encoding="utf-8")))
-              if not (name.startswith("__") and name.endswith("__")) and name not in used]
-    assert unused == []
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    roots, definitions, defined = set(), {}, []
+    for path in (ROOT / "bench").glob("*.py"):
+        roots.update(_used(ast.parse(path.read_text(encoding="utf-8")), True))
+    for path, tree in trees.items():
+        for qualified, name, node in _defined(tree):
+            definitions.setdefault(name, []).append(node)
+            defined.append((f"{path.stem}.{qualified}", name))
+    inner = {node for nodes in definitions.values() for node in nodes}
+    for tree in trees.values():
+        roots.update(_used(tree, False, inner))
+    reached = _reached(definitions, roots, inner)
+    assert [qualified for qualified, name in defined if name not in reached] == []
 
 
 def _linalg_uses(tree):

@@ -35,7 +35,7 @@ def constant_background_grid(grid=None):
     grid = grid or GridSpec(-3, 3, 31, 0, 2, 21)
     oa = np.ones((grid.n_zeta, grid.n_tau), complex)
     ob = np.zeros_like(oa)
-    dark = model.density_from_pure(model.dark_state(0.0))
+    dark = algebra.projector(model.dark_state(0.0))
     rho = np.broadcast_to(dark[:, :, None, None], (3, 3) + oa.shape).copy()
     return SolutionGrid(grid=grid, omega_a=oa, omega_b=ob, rho=rho, state_kind="pure")
 
