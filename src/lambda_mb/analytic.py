@@ -148,12 +148,15 @@ def two_soliton(sp: ScenarioParams, zeta, tau):
     )
     oa = om0 - 2.0 * num_a / den
     phase_b = 1j * nu0 / (2.0 * (delta + 1j * eps0))
+    # the real exponents are (e_slow +- e_fast) / 2 - m <= 0, so neither
+    # overflows where the other underflows; the zeta-only phase stands apart
+    r = -0.5 * tau * eps0 + zeta * phase_b.real - m
     num_b = (
         -2j * math.sqrt(2.0 * eps0) * a1
-        * np.exp(-0.5 * tau * eps0 + zeta * phase_b - m)
+        * np.exp(1j * phase_b.imag * zeta)
         * (
-            a3 * np.exp(0.5 * e_fast) * math.sqrt(eps0 + w)
-            + a2 * np.exp(-0.5 * e_fast) * math.sqrt(gap)
+            a3 * np.exp(r + 0.5 * e_fast) * math.sqrt(eps0 + w)
+            + a2 * np.exp(r - 0.5 * e_fast) * math.sqrt(gap)
         )
     )
     ob = num_b / den
@@ -198,8 +201,12 @@ def fast_soliton(sp: ScenarioParams, tau):
     w = np.real(s.root)
     tau = np.asarray(tau, dtype=float)
     phi = tau * w + math.log(abs(sp.soliton.a3))
-    ch = np.cosh(phi)
-    oa = om0 * (1.0 - 2.0 * (ch + eps0 / om0) / (ch + om0 / eps0))
+    with np.errstate(over="ignore"):
+        ch = np.cosh(phi)
+    # the ratio tends to 1 where cosh overflows
+    ratio = np.divide(ch + eps0 / om0, ch + om0 / eps0, out=np.ones_like(ch),
+                      where=np.isfinite(ch))
+    oa = om0 * (1.0 - 2.0 * ratio)
     ob = np.zeros_like(oa)
     return oa, ob, np.broadcast_to(model.dark_state(p.eta), oa.shape + (3,))
 

@@ -167,6 +167,28 @@ def test_fast_soliton_zeta_independent():
     assert np.max(np.abs(ob)) == 0.0
 
 
+def test_fast_soliton_state_is_the_dark_vector():
+    # the medium stays in the decoupled ground state: a broadcast view
+    tt = np.linspace(-5, 5, 11)[None, :]
+    oa, _, state = analytic.fast_soliton(fig2(a1=0.0, scenario="fast"), tt)
+    assert state.shape == oa.shape + (3,)
+    assert np.array_equal(state, np.broadcast_to(model.dark_state(0.0), state.shape))
+
+
+@pytest.mark.parametrize("name, tau_max", [("two_soliton", 20.0), ("fast", 10.0)])
+def test_closed_forms_stay_finite_where_an_exponential_overflows(name, tau_max):
+    # at eps0 = 100, exp(tau * root / 2) and cosh(tau * root) overflow on
+    # most of the row, where the solution sits on its background
+    sp = scenarios.make_scenario(name, eps0=100.0)
+    zeta, tau = np.array([[0.5]]), np.linspace(-tau_max, tau_max, 4001)[None, :]
+    oa, ob, _ = scenarios.REGISTRY[name].evaluate(sp, zeta, tau)
+    want = darboux.dressed_fields_and_state(sp.params, sp.spectral, sp.dress_constants(),
+                                            zeta, tau)
+    for got, ref in zip((oa, ob), want[:2]):
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= scenarios.REGISTRY[name].field_tol
+
+
 # ---------------------------------------------------------------------------
 # vanishing background
 # ---------------------------------------------------------------------------
