@@ -3,8 +3,9 @@
 The projector and the eigenvalue kernel work entry by entry: a vector is
 its three components and a Hermitian 3x3 stack its diagonal and upper
 entries, each an array of any broadcastable shape, so the same code
-serves single points and full (zeta, tau) grids.  A stack of matrices is entry-major, (3, 3, ...),
-so each entry is one contiguous array over the nodes.
+serves single points and full (zeta, tau) grids.  A stack of matrices is
+entry-major, (3, 3, ...), so each entry is one contiguous array over the
+nodes.
 
 state_figures is the density audit's kernel: verify.audit_density runs it
 on each block of zeta rows of a state, and the solver on each slice it writes.

@@ -8,9 +8,11 @@ solver's is mbsolver.march_rows from numeric_entry.  The command line
 streams them in blocks of whole zeta rows.  The builders here keep every
 block of the same sources in a SolutionGrid for the library and the
 tests, fields and entry-major state alike (_stored), so a stored grid
-holds the bits a streamed pass reads.  What sets
-one scenario apart from another is its ``Scenario`` record in
-``REGISTRY``; no other code branches on a name.  On both exact routes a
+holds the bits a streamed pass reads.  What sets one scenario apart
+from another is its ``Scenario`` record in ``REGISTRY``; no other code
+branches on a name.  The closed form's state is what the record's
+evaluator returns: the projector of a unit vector, or where it returns
+None the dressing engine's state (_closed_form).  On both exact routes a
 grid's state kind follows k (state_kind): a projector at k = 0, the
 formal companion state otherwise, from which direct propagation is
 refused.  The dressing route runs the seed verification gate first; a

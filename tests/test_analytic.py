@@ -168,10 +168,11 @@ def test_fast_soliton_zeta_independent():
 
 
 def test_fast_soliton_state_is_the_dark_vector():
-    # the medium stays in the decoupled ground state: a broadcast view
+    # the medium stays in the decoupled ground state, a broadcast view
+    # that allocates nothing per node
     tt = np.linspace(-5, 5, 11)[None, :]
     oa, _, state = analytic.fast_soliton(fig2(a1=0.0, scenario="fast"), tt)
-    assert state.shape == oa.shape + (3,)
+    assert state.shape == oa.shape + (3,) and state.strides[:-1] == (0, 0)
     assert np.array_equal(state, np.broadcast_to(model.dark_state(0.0), state.shape))
 
 

@@ -95,6 +95,12 @@ def test_dark_state_annihilated_by_background():
 
 
 def test_density_idempotent_random():
+    e22 = np.zeros((3, 3), complex)
+    e22[1, 1] = 1.0
+    assert np.array_equal(algebra.projector(model.dark_state(0.0)), e22)
+    expect = np.zeros((3, 3), complex)
+    expect[0, 0] = expect[0, 2] = expect[2, 0] = expect[2, 2] = 0.5
+    assert np.allclose(algebra.projector(np.array([1, 0, 1]) / math.sqrt(2)), expect, atol=1e-15)
     rng = np.random.default_rng(1)
     for _ in range(10):
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
