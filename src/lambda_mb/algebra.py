@@ -21,8 +21,7 @@ import numpy as np
 def projector(v) -> np.ndarray:
     """|v><v| filled entry by entry, entry-major: result[i, j] = v[i] * conj(v[j]).
 
-    v: the three components, each an array of the broadcast shape (a
-    stacked (..., 3) vector is passed as np.moveaxis(v, -1, 0)); the
+    v: the three components, each an array of the broadcast shape; the
     result is (3, 3) + that shape, a single 3x3 matrix for scalar
     components.  Every entry is its own product, as a stacked outer
     product computes it, so the diagonal keeps whatever rounding the

@@ -12,9 +12,9 @@ the rejected variants).
 
 Conventions: scalar or broadcastable array zeta/tau in, matching arrays
 out.  Each evaluator returns (omega_a, omega_b, state) where state is a
-unit amplitude vector over (|1>, |2>, |3>), stacked on a last axis of
-length 3: the slow soliton's own, or the decoupled ground superposition
-that the fast soliton leaves the medium in.  The other evaluators return
+unit amplitude vector over (|1>, |2>, |3>) as its three entries: the
+slow soliton's own, or the decoupled ground superposition that the fast
+soliton leaves the medium in.  The other evaluators return
 None (fields only), and the registry takes their state from the engine.
 Each evaluator first calls its guard_*, which raises outside the regime
 the formula is written for; the scenario registry applies the same guard
@@ -175,25 +175,26 @@ def slow_soliton(sp: ScenarioParams, zeta, tau):
     phi = _slow_phase(p, s, sp.soliton.a1, zeta, tau)
     r = math.sqrt(delta**2 + eps0**2)
     oa = om0 * np.tanh(phi)
+    with np.errstate(over="ignore"):  # Omega_b's limit 0 where cosh overflows
+        ch = np.cosh(phi)
     ob = (
         -1j
         * np.exp(1j * zeta * nu0 * delta / (2.0 * r**2))
         * math.sqrt(2.0 * eps0 * gap)
-        / np.cosh(phi)
+        / ch
     )
     # amplitudes over (|1>, |2>, |3>); the middle one is (Delta - i eps0 Oa/Om0)/r
     c1 = ob * 1j * math.sqrt(eps0 + w) / (2.0 * r * math.sqrt(gap))
     c2 = (delta - 1j * eps0 * oa / om0) / r
     c3 = ob / (2.0 * r)
-    state = np.stack(np.broadcast_arrays(c1, c2, c3), axis=-1)
-    return oa, ob, state
+    return oa, ob, (c1, c2, c3)
 
 
 def fast_soliton(sp: ScenarioParams, tau):
     """Light-speed dip riding the channel-a background; channel b stays dark.
 
     The medium stays in the decoupled ground superposition
-    (model.dark_state), returned broadcast to the fields' shape.
+    (model.dark_state), its entries broadcast to the fields' shape.
     """
     guard_fast(sp)
     p, s = sp.params, sp.spectral
@@ -208,7 +209,7 @@ def fast_soliton(sp: ScenarioParams, tau):
                       where=np.isfinite(ch))
     oa = om0 * (1.0 - 2.0 * ratio)
     ob = np.zeros_like(oa)
-    return oa, ob, np.broadcast_to(model.dark_state(p.eta), oa.shape + (3,))
+    return oa, ob, tuple(np.broadcast_to(x, oa.shape) for x in model.dark_state(p.eta))
 
 
 def zero_background(sp: ScenarioParams, zeta, tau):
@@ -239,11 +240,14 @@ def exulton(sp: ScenarioParams, zeta, tau):
     zeta = np.asarray(zeta, dtype=float)
     tau = np.asarray(tau, dtype=float)
     phi = zeta * om0 * nu0 / (2.0 * (delta**2 + om0**2)) - 0.5 * om0 * tau
-    m = np.maximum(phi, -phi)
-    ep, em = np.exp(phi - m), np.exp(-phi - m)
+    # scaled by e^-|phi|; at c1 = 0 only the e^-phi terms are left, scaled by e^phi
+    m = np.maximum(phi, -phi) if c1 != 0.0 else -phi
+    ep, em = (np.exp(phi - m) if c1 != 0.0 else 0.0), np.exp(-phi - m)
     q = c2 + c3 * tau * om0
     den = c1**2 * ep + 2.0 * em * (q**2 + c3**2)
     oa = om0 * (c1**2 * ep - 2.0 * em * (q**2 - 3.0 * c3**2)) / den
+    if c1 == 0.0:
+        return oa, np.zeros_like(oa, dtype=complex), None  # Omega_b carries the factor c1
     ob = (
         -4j * om0 * c1
         * np.exp(1j * zeta * nu0 * delta / (2.0 * (om0**2 + delta**2)) - m)

@@ -83,7 +83,6 @@ _FIELD_TYPES = {f.name: f for f in dc_fields(ScenarioConfig)}
 
 
 def _parse_value(key: str, raw: str, line_no: int, col: int):
-    f = _FIELD_TYPES[key]
     try:
         if key == "quiet":
             word = raw.strip().lower()
@@ -188,12 +187,11 @@ def _modulus(field: np.ndarray) -> np.ndarray:
     """|z| per node as Python's ``abs(z)`` gives it: ``np.hypot`` of the parts.
 
     numpy's complex ``abs`` is not Python's: it differs in the last bit on
-    some nodes.
+    some nodes. A real field's imaginary part is 0, and hypot(x, 0) is
+    exactly |x|.
     """
-    if np.iscomplexobj(field):
-        with np.errstate(over="ignore"):  # inf where |z| overflows
-            return np.hypot(field.real, field.imag)
-    return np.abs(field)
+    with np.errstate(over="ignore"):  # inf where |z| overflows
+        return np.hypot(field.real, field.imag)
 
 
 def _square(h: float) -> float:
@@ -281,14 +279,10 @@ def _csv_block(block: Rows, zetas: np.ndarray, zeta_texts: List[bytes], taus: np
     fields = (block.omega_a, block.omega_b)
     # (text, column, field) of re_Oa .. P3 in CSV order: a fixed column has its
     # text, a live part its column, a live intensity its field; a real field's
-    # imaginary part is the text 0 (its .imag would be a block of zeros)
+    # .imag is a block of zeros, whose text is 0
     cells = []
     for f in fields:
-        if np.iscomplexobj(f):
-            cells += [(_fixed_text(part), part, None) for part in (f.real, f.imag)]
-        else:
-            part = np.asarray(f, dtype=float)
-            cells += [(_fixed_text(part), part, None), ("0", None, None)]
+        cells += [(_fixed_text(part), part, None) for part in (f.real, f.imag)]
     for f, (re_text, _, _), (im_text, _, _) in zip(fields, cells[0::2], cells[1::2]):
         if re_text is None or im_text is None:
             cells.append((None, None, f))

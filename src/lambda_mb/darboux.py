@@ -275,9 +275,12 @@ def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau):
     m = np.maximum(np.real(mu1), 0.0) if c1 != 0.0 else np.zeros_like(np.real(mu1))
     decay = np.exp(-m)
     # col1 is a unit column: c1 * col1 * exp(mu1 - m) is c1 * exp(mu1 - m)
-    # where col1 holds 1 and c1 * 0 elsewhere, as in the stacked reference
+    # where col1 holds 1 and c1 * 0 elsewhere, as in the stacked reference;
+    # at c1 = 0, 0 * exp(mu1) is NaN where exp(mu1) overflows, and 0 times its
+    # phase, which never overflows, is the same signed zero
     zero = np.zeros(np.shape(m), dtype=complex)
-    first = tuple(np.exp(mu1 - m) if x == 1.0 else zero for x in col1)
+    scaled = np.exp(mu1 - m) if c1 != 0.0 else np.exp(1j * np.imag(mu1))
+    first = tuple(scaled if x == 1.0 else zero for x in col1)
     return tuple(c1 * a + (c2 * b + c3 * d) * decay for a, b, d in zip(first, col2, col3))
 
 

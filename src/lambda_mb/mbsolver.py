@@ -27,10 +27,10 @@ audit's own kernel, whose eigenvalues also give the slice's band check.
 A stack of 3x3 matrices is held entry-major, a (3, 3, n) array whose
 entries are contiguous rows over the tau nodes, so each numpy call covers
 the whole slice rather than one matrix; no 3x3 solve or eigenvalue goes
-to LAPACK.  march yields the zeta rows in order and holds only the
-current one; march_rows reads them as a row source, one block of rows
-at a time, and folds the slices' audit figures; propagate hands that
-source to a consumer (the command line's pass, or
+to LAPACK.  MarchRows is the solver's row source: it marches the zeta
+rows in order, one block of rows at a time, holds only the last row
+between blocks, and folds the slices' audit figures; propagate hands
+that source to a consumer (the command line's pass, or
 scenarios.build_numeric_grid, which keeps every block).  Runs are
 deterministic: fixed grids, no adaptivity, no parallel reductions.
 
@@ -38,7 +38,7 @@ Every pass over a lattice goes in blocks of whole zeta rows under one
 rule (GridSpec.blocks): about BLOCK_NODES nodes, one row at
 least.  A row source is any object with a grid and rows(z0, z1), which
 returns rows z0 to z1 - 1 of a solution as Rows: a RowSource (the exact
-routes), march_rows' source (the solver) or a stored SolutionGrid.
+routes), a MarchRows (the solver) or a stored SolutionGrid.
 """
 
 from __future__ import annotations
@@ -325,72 +325,60 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
     return (oa_next, ob_next), rho_next, figures
 
 
-def march(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec):
-    """Yield each zeta row's (omega_a, omega_b, rho_slice, figures), in order.
+class MarchRows:
+    """The solver's rows as a row source, each block asked for once, in order.
 
     initial_fields: pair of (n_tau,) complex arrays at zeta_min.
     boundary_rho: the tau_min state of every zeta row, an entry-major
-    (3, 3, n_zeta) array.  rho_slice is the row's entry-major (3, 3, n_tau)
-    state and figures its algebra.state_figures.  Only the current row is
-    held.
+    (3, 3, n_zeta) array.  rows(z0, z1) marches on to row z1 - 1 and
+    returns the block's fields and entry-major state: row 0 is the entry
+    slice (integrate_bloch_slice on the initial fields), each later row one
+    maxwell_step from the row before, which is the only row held between
+    blocks.  Asking for any block but the next raises ValueError.  figures
+    is the worst of the audit figures (herm_dev, trace_dev, eig_min,
+    eig_max) of every slice marched so far, folded by algebra.worse_figures
+    in row order.
     """
-    oa = np.asarray(initial_fields[0], dtype=complex).copy()
-    ob = np.asarray(initial_fields[1], dtype=complex).copy()
-    if oa.shape != (grid.n_tau,) or ob.shape != (grid.n_tau,):
-        raise ValueError("initial field slices must match the tau grid")
-    boundary = np.asarray(boundary_rho, dtype=complex)
-    if boundary.shape != (3, 3, grid.n_zeta):
-        raise ValueError(f"boundary_rho must be shaped (3, 3, n_zeta) = {(3, 3, grid.n_zeta)}, "
-                         f"got {boundary.shape}")
 
-    rho_slice, figures = integrate_bloch_slice((oa, ob), boundary[..., 0], p.delta, grid)
-    for i in range(grid.n_zeta):
-        yield oa, ob, rho_slice, figures
-        if i + 1 < grid.n_zeta:
-            (oa, ob), rho_slice, figures = maxwell_step(
-                rho_slice, (oa, ob), p, grid.h_zeta, boundary[..., i + 1], grid
-            )
-
-
-class _MarchRows:
-    """march as a forward-only row source; see march_rows."""
-
-    def __init__(self, rows, grid: GridSpec):
-        self.grid, self._rows, self._next = grid, rows, 0
+    def __init__(self, initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec):
+        oa, ob = (np.array(f, dtype=complex) for f in initial_fields)
+        if oa.shape != (grid.n_tau,) or ob.shape != (grid.n_tau,):
+            raise ValueError("initial field slices must match the tau grid")
+        boundary = np.asarray(boundary_rho, dtype=complex)
+        if boundary.shape != (3, 3, grid.n_zeta):
+            raise ValueError(f"boundary_rho must be shaped (3, 3, n_zeta) = "
+                             f"{(3, 3, grid.n_zeta)}, got {boundary.shape}")
+        self.grid, self.p, self._boundary = grid, p, boundary
+        self._fields, self._rho, self._next = (oa, ob), None, 0
         self.figures = None
 
     def rows(self, z0: int, z1: int) -> Rows:
-        if z0 != self._next or not z0 < z1 <= self.grid.n_zeta:
+        grid = self.grid
+        if z0 != self._next or not z0 < z1 <= grid.n_zeta:
             raise ValueError(f"the solver's rows come once each, in order: asked for rows "
                              f"{z0} to {z1 - 1}, the next is {self._next}")
-        shape = (z1 - z0, self.grid.n_tau)
+        shape = (z1 - z0, grid.n_tau)
         oa, ob = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
         rho = np.empty((3, 3) + shape, dtype=complex)
-        for i, (a, b, r, figures) in zip(range(shape[0]), self._rows):
-            oa[i], ob[i], rho[:, :, i] = a, b, r
+        for i, z in enumerate(range(z0, z1)):
+            if z == 0:
+                self._rho, figures = integrate_bloch_slice(self._fields, self._boundary[..., 0],
+                                                           self.p.delta, grid)
+            else:
+                self._fields, self._rho, figures = maxwell_step(
+                    self._rho, self._fields, self.p, grid.h_zeta, self._boundary[..., z], grid)
+            (oa[i], ob[i]), rho[:, :, i] = self._fields, self._rho
             self.figures = algebra.worse_figures(self.figures, figures)
         self._next = z1
-        return Rows(self.grid, oa, ob, rho)
-
-
-def march_rows(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec) -> _MarchRows:
-    """The solver's rows as a row source, each block asked for once, in order.
-
-    source.rows(z0, z1) marches on to row z1 - 1 (see march) and returns
-    the block's fields and entry-major state; asking for any block but the
-    next raises ValueError.  source.figures is the worst of the audit
-    figures (herm_dev, trace_dev, eig_min, eig_max) of every slice marched
-    so far, folded by algebra.worse_figures in row order.
-    """
-    return _MarchRows(march(initial_fields, boundary_rho, p, grid), grid)
+        return Rows(grid, oa, ob, rho)
 
 
 def propagate(initial_fields, boundary_rho, p: LambdaParams, grid: GridSpec, consume: Callable):
-    """March the full system from the entry-face slice (see march) and hand on its rows.
+    """March the full system from the entry-face slice and hand on its rows.
 
-    consume(source) gets the solver's row source (march_rows), and its
+    consume(source) gets the solver's row source (MarchRows), and its
     result is returned, so the whole march runs inside this call: the
     command line's pass over the numeric route is such a consumer, and
     scenarios.build_numeric_grid's keeps every block.
     """
-    return consume(march_rows(initial_fields, boundary_rho, p, grid))
+    return consume(MarchRows(initial_fields, boundary_rho, p, grid))

@@ -4,7 +4,7 @@ A scenario couples a parameter bundle with the three ways to realize it
 (closed form, dressing engine, numerical propagation).  Each route is a
 row source over the lattice, an object with grid and rows(z0, z1):
 closed_form_rows and dressed_rows return an mbsolver.RowSource, and the
-solver's is mbsolver.march_rows from numeric_entry.  The command line
+solver's is an mbsolver.MarchRows from numeric_entry.  The command line
 streams them in blocks of whole zeta rows.  The builders here keep every
 block of the same sources in a SolutionGrid for the library and the
 tests, fields and entry-major state alike (_stored), so a stored grid
@@ -44,13 +44,14 @@ class Scenario:
     """What one closed-form scenario is, for every route and check.
 
     evaluate: (sp, zeta, tau) -> (omega_a, omega_b, state), looking the
-    analytic evaluator up per call; state is a unit amplitude vector,
-    whose projector the grid holds, or None, and then the grid holds the
-    dressing engine's state at the same constants (the dressed projector
-    at k = 0, the formal companion state at k != 0).  guard: the
-    evaluator's regime check (analytic.guard_*), which make_scenario
-    applies for every route.  constants: "a" (soliton) or "c" (dressing),
-    with zero_a the soliton constant set to zero.  field_tol:
+    analytic evaluator up per call; state is a unit amplitude vector's
+    three entries, whose projector the grid holds, or None, and then the
+    grid holds the dressing engine's state at the same constants (the
+    dressed projector at k = 0, the formal companion state at k != 0).
+    guard: the evaluator's regime check (analytic.guard_*), which
+    make_scenario applies for every route.  constants: "a" (soliton; c is
+    refused) or "c" (dressing), with zero_a the soliton constant set to
+    zero.  field_tol:
     analytic-vs-dressing field tolerance.  Direct propagation starts from
     the grid's state along tau_min, and is refused where it is formal
     (state_kind).
@@ -87,6 +88,8 @@ def make_scenario(name: str, *, nu0=3.0, delta=0.0, omega0=1.0, eps0=2.0,
     params = LambdaParams(nu0=nu0, delta=delta, omega0=omega0, eta=eta, k=k)
     spectral = SpectralData.from_eps0(eps0, omega0)
     if record.constants == "a":
+        if c is not None:
+            raise ParameterGuard(f"{name} takes a1, a2, a3; c1, c2, c3 do not apply to it")
         a = dict(zip(("a1", "a2", "a3"), a))
         if record.zero_a is not None:
             a[record.zero_a] = 0.0
@@ -148,7 +151,7 @@ def _closed_form(sp: ScenarioParams, zeta, tau):
     if state is None:
         return oa, ob, darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(),
                                                zeta, tau)
-    return oa, ob, algebra.projector(np.moveaxis(state, -1, 0))
+    return oa, ob, algebra.projector(state)
 
 
 def _stored(source: RowSource, meta: dict, kind: str) -> SolutionGrid:
@@ -240,16 +243,17 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
 def numeric_entry(sp: ScenarioParams, grid: GridSpec):
     """(entry fields, tau_min states) the direct solver starts from.
 
-    The entry fields are the closed form's first row (closed_form_rows),
-    and the tau_min state of every row is the closed form's own, evaluated
-    on that column alone, as one entry-major (3, 3, n_zeta) array. Pass
-    them to mbsolver.propagate or march_rows with sp.params and grid. A
-    formal state (k != 0, state_kind) is refused with ParameterGuard.
+    The entry fields are the closed form's first row, its fields alone
+    (closed_form_field_rows), and the tau_min state of every row is the
+    closed form's own, evaluated on that column alone, as one entry-major
+    (3, 3, n_zeta) array. Pass them to mbsolver.propagate or MarchRows
+    with sp.params and grid. A formal state (k != 0, state_kind) is
+    refused with ParameterGuard.
     """
     if state_kind(sp.params) == "formal":
         raise ParameterGuard(f"{sp.scenario} has a formal companion state at k = {sp.params.k}; "
                              "direct propagation is not defined")
-    first = closed_form_rows(sp, grid).rows(0, 1)
+    first = closed_form_field_rows(sp, grid).rows(0, 1)
     zetas, taus = _mesh(grid)
     rho = _closed_form(sp, zetas, taus[:, :1])[2]
     boundary = np.broadcast_to(rho, (3, 3, grid.n_zeta, 1))[..., 0]

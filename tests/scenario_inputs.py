@@ -42,7 +42,7 @@ def numeric_inputs(sp, grid):
 
     Read off the stored analytic grid of the lattice: its first zeta row,
     and its entry-major (3, 3, n_zeta) tau_min column. Pass them to
-    mbsolver.march with sp.params and grid.
+    mbsolver.MarchRows with sp.params and grid.
     """
     ana = scenarios.build_analytic_grid(sp, grid)
     return (ana.omega_a[0], ana.omega_b[0]), ana.rho[:, :, :, 0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lambda_mb import analytic, darboux, model, scenarios
+from lambda_mb import algebra, analytic, darboux, model, scenarios
 from lambda_mb.analytic import ScenarioParams
 from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.errors import DegenerateConstants, ParameterGuard
@@ -51,8 +51,7 @@ def test_two_soliton_a3_zero_is_slow_soliton():
     oa1, ob1, psi = analytic.slow_soliton(fig2(a3=0.0, scenario="slow"), zz, tt)
     assert np.max(np.abs(oa2 - oa1)) < 1e-12
     assert np.max(np.abs(ob2 - ob1)) < 1e-12
-    rho1 = psi[..., :, None] * np.conj(psi)[..., None, :]
-    assert np.max(np.abs(np.moveaxis(rho2, (0, 1), (-2, -1)) - rho1)) < 1e-10
+    assert np.max(np.abs(rho2 - algebra.projector(psi))) < 1e-10
 
 
 def test_two_soliton_a1_zero_is_fast_soliton():
@@ -168,26 +167,46 @@ def test_fast_soliton_zeta_independent():
 
 
 def test_fast_soliton_state_is_the_dark_vector():
-    # the medium stays in the decoupled ground state, a broadcast view
-    # that allocates nothing per node
+    # the medium stays in the decoupled ground state, each entry a broadcast
+    # view that allocates nothing per node
     tt = np.linspace(-5, 5, 11)[None, :]
     oa, _, state = analytic.fast_soliton(fig2(a1=0.0, scenario="fast"), tt)
-    assert state.shape == oa.shape + (3,) and state.strides[:-1] == (0, 0)
-    assert np.array_equal(state, np.broadcast_to(model.dark_state(0.0), state.shape))
+    assert len(state) == 3
+    for entry, want in zip(state, model.dark_state(0.0)):
+        assert entry.shape == oa.shape and entry.strides == (0, 0)
+        assert np.array_equal(entry, np.broadcast_to(want, oa.shape))
 
 
-@pytest.mark.parametrize("name, tau_max", [("two_soliton", 20.0), ("fast", 10.0)])
-def test_closed_forms_stay_finite_where_an_exponential_overflows(name, tau_max):
+@pytest.mark.parametrize("name, keywords, zetas, tau_max, n_tau", [
     # at eps0 = 100, exp(tau * root / 2) and cosh(tau * root) overflow on
     # most of the row, where the solution sits on its background
-    sp = scenarios.make_scenario(name, eps0=100.0)
-    zeta, tau = np.array([[0.5]]), np.linspace(-tau_max, tau_max, 4001)[None, :]
+    pytest.param("two_soliton", dict(eps0=100.0), [0.5], 20.0, 4001, id="two_soliton-20.0"),
+    pytest.param("fast", dict(eps0=100.0), [0.5], 10.0, 4001, id="fast-10.0"),
+    # c1 = 0: the engine's column formed 0 * exp(mu1), NaN where it overflows
+    pytest.param("exulton_k", dict(eps0=1.0, omega0=1.0, k=0.2, c=(0.0, 0.0, 1.0)), [0.0],
+                 1500.0, 3001, id="exulton_k-1500.0"),
+    pytest.param("exulton_k", dict(eps0=50.0, omega0=50.0, k=0.2, c=(0.0, 0.0, 1.0)),
+                 [0.0, 3.0], 60.0, 2001, id="exulton_k-60.0"),
+    # and exulton's closed form read 0 / 0 where e^(-phi - |phi|) underflows
+    pytest.param("exulton", dict(eps0=50.0, omega0=50.0, c=(0.0, 1.0, 1.0)), [0.0, 3.0],
+                 60.0, 2001, id="exulton-60.0"),
+    # slow's cosh(phi) overflows where Omega_b has decayed to 0
+    pytest.param("slow", dict(eps0=200.0, omega0=100.0), [0.0, 3.0], 60.0, 2001,
+                 id="slow-60.0"),
+])
+def test_closed_forms_stay_finite_where_an_exponential_overflows(name, keywords, zetas, tau_max,
+                                                                 n_tau):
+    # both exact routes are finite on every node and agree; a numpy warning
+    # fails the test (pyproject.toml's filterwarnings)
+    sp = scenarios.make_scenario(name, **keywords)
+    zeta, tau = np.array(zetas)[:, None], np.linspace(-tau_max, tau_max, n_tau)[None, :]
     oa, ob, _ = scenarios.REGISTRY[name].evaluate(sp, zeta, tau)
     want = darboux.dressed_fields_and_state(sp.params, sp.spectral, sp.dress_constants(),
                                             zeta, tau)
     for got, ref in zip((oa, ob), want[:2]):
-        assert np.all(np.isfinite(got))
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
         assert np.max(np.abs(got - ref)) <= scenarios.REGISTRY[name].field_tol
+    assert np.all(np.isfinite(want[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +410,7 @@ def test_populations_sum_to_one_for_pure_states():
     zz = np.linspace(0, 4, 5)[:, None]
     tt = np.linspace(-6, 6, 13)[None, :]
     oa, ob, psi = analytic.slow_soliton(sp, zz, tt)
-    _, _, p1, p2, p3 = observables.intensities_and_populations((oa, ob), psi)
+    _, _, p1, p2, p3 = observables.intensities_and_populations((oa, ob), np.stack(psi, axis=-1))
     assert np.max(np.abs(p1 + p2 + p3 - 1.0)) < 1e-10
 
 

@@ -390,6 +390,38 @@ def test_a_run_leaves_no_grid_of_an_earlier_run(tmp_path):
     assert grids() == []
 
 
+@pytest.mark.parametrize("name", sorted(n for n, r in scenarios.REGISTRY.items()
+                                         if r.constants == "a"))
+def test_c_for_a_scenario_parameterized_by_a_exits_2_naming_the_keys(tmp_path, capsys, name):
+    # the run would go on the c mapped from a, beside a manifest echoing c1 = 5.0
+    with pytest.raises(ParameterGuard, match="c1, c2, c3"):
+        scenarios.make_scenario(name, c=(5.0, 0.0, 0.0))
+    path = tmp_path / "cfg.txt"
+    path.write_text(SMALL_SLOW.replace("scenario = slow", f"scenario = {name}")
+                    + f"c1 = 5.0\nout = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "a1, a2, a3" in err and "c1, c2, c3" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config", [
+    # the dressing column formed 0 * exp(mu1), NaN where the exponential overflows
+    "scenario = exulton_k\nengine = dressing\nk = 0.2\nc3 = 1\nn_zeta = 11\nzeta_max = 1\n",
+    # the closed form read 0 / 0 where e^(-phi - |phi|) underflows, and the
+    # solver refused its NaN entry slice
+    "scenario = exulton\nengine = all\nc1 = 0\nc2 = 1\nc3 = 1\nn_zeta = 5\nzeta_max = 0.01\n",
+], ids=["exulton_k-dressing", "exulton-all"])
+def test_the_degenerate_point_at_c1_zero_passes_on_a_large_background(tmp_path, capsys, config):
+    run = tmp_path / "run"
+    path = tmp_path / "cfg.txt"
+    path.write_text(config + "omega0 = 50\neps0 = 50\ntau_min = -40\ntau_max = 40\n"
+                    f"n_tau = 801\nzeta_min = 0\nout = {run}\nquiet = true\n")
+    assert cli.main([str(path), "--check"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (run / "residual_report.txt").read_text().endswith("verdict: PASS\n")
+
+
 def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
     _dressed_rows_with_nan(monkeypatch, "rho", (0, 1, 4, 9))
     path = tmp_path / "cfg.txt"
@@ -509,9 +541,10 @@ def _configs(draw):
     name = draw(st.sampled_from(sorted(scenarios.REGISTRY)))
     regime = draw(regime_keywords(name))
     refused = scenarios.state_kind(scenarios.make_scenario(name, **regime).params) == "formal"
-    # the constants a scenario does not take are free
+    # a1 .. a3 are free where the scenario does not take them; c1 .. c3 are
+    # refused where it does not, so stay unset
     a = regime.get("a") or tuple(draw(_FINITE) for _ in range(3))
-    c = regime.get("c") or tuple(draw(st.none() | _FINITE) for _ in range(3))
+    c = regime.get("c", (None, None, None))
     tau_min, zeta_min = draw(st.floats(-1e6, 1e6)), draw(st.floats(-1e6, 1e6))
     engine = draw(st.sampled_from([e for e in cli.ENGINES if not (refused and e == "numeric")]))
     if engine in ("analytic", "all"):

@@ -54,6 +54,7 @@ def _stacked_grid(sp, grid, route):
     else:
         oa, ob, state = scenarios.REGISTRY[sp.scenario].evaluate(sp, zz, tt)
         if state is not None:
+            state = np.stack(state, axis=-1)
             rho = po.outer(state, state)
         else:
             rho = po.stacked_dressed_fields_and_state(p, s, sp.dress_constants(), zz, tt)[2]

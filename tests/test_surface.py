@@ -16,7 +16,8 @@ either), so no package code reaches LAPACK.
 The grids of every builder hold an owned, C-contiguous (3, 3, n_zeta,
 n_tau) state, so no producer can bring back the node-major
 (n_zeta, n_tau, 3, 3) form. build_numeric_grid's state is the entry-major
-slices that mbsolver.march yields, stacked along zeta, bit for bit.
+slices of the solver's row source (mbsolver.MarchRows) read one row at a
+time, stacked along zeta, bit for bit.
 """
 
 import ast
@@ -154,5 +155,6 @@ def test_every_builder_holds_an_entry_major_state(name):
         return
     numeric = scenarios.build_numeric_grid(sp, grid)
     _assert_entry_major(numeric)
-    rows = list(mbsolver.march(*numeric_inputs(sp, grid), sp.params, grid))
-    assert numeric.rho.tobytes() == np.stack([rho for _, _, rho, _ in rows], axis=2).tobytes()
+    source = mbsolver.MarchRows(*numeric_inputs(sp, grid), sp.params, grid)
+    rows = [source.rows(z, z + 1).rho for z in range(grid.n_zeta)]
+    assert numeric.rho.tobytes() == np.concatenate(rows, axis=2).tobytes()

@@ -224,7 +224,7 @@ def test_the_residual_pass_reads_each_row_once_in_order(monkeypatch, rows):
 
     11 rows in blocks of 1, 2 or 4 rows: 11, 6 or 3 blocks. The source
     serves every row index once, in increasing order, so a forward-only
-    source (the solver's march) can feed the pass, and the reports are
+    source (the solver's MarchRows) can feed the pass, and the reports are
     those of the stored grid's own rows.
     """
     sp, sol = _small_canned_grid("fig2")
@@ -303,7 +303,7 @@ def test_the_kernel_reads_each_route_as_it_reads_that_route_stored(tag):
     grid = GridSpec(g.tau_min, g.tau_max, 161, g.zeta_min, g.zeta_max, 121)
     pairs = [(scenarios.dressed_rows(sp, grid), scenarios.build_dressed_grid(sp, grid))]
     if scenarios.state_kind(sp.params) != "formal":
-        pairs.append((mbsolver.march_rows(*scenarios.numeric_entry(sp, grid), sp.params, grid),
+        pairs.append((mbsolver.MarchRows(*scenarios.numeric_entry(sp, grid), sp.params, grid),
                       scenarios.build_numeric_grid(sp, grid)))
     for source, stored in pairs:
         got = verify.residual_reports(source, sp.params, scenarios.DEFAULT_PROBES)
