@@ -82,8 +82,8 @@ def hermitian_eigenvalues(d0, d1, d2, a01, a02, a12):
     """Eigenvalues of Hermitian 3x3 stacks given entry by entry.
 
     d0, d1, d2: the real diagonal; a01, a02, a12: the complex upper
-    entries (the lower ones are their conjugates); all (N,) arrays.
-    Returns three (N,) arrays, unsorted. Cyclic complex Jacobi over the
+    entries (the lower ones are their conjugates); all arrays of one
+    shape.  Returns three arrays of that shape, unsorted. Cyclic complex Jacobi over the
     pairs (0, 1), (0, 2), (1, 2), all nodes at once, is backward stable,
     so each eigenvalue is accurate to a few ulps of ||A||, degenerate
     ones included. Sweeps stop after the first one that leaves every
@@ -114,14 +114,17 @@ def hermitian_eigenvalues(d0, d1, d2, a01, a02, a12):
 # invalid-value warnings on the way add nothing to that
 @np.errstate(invalid="ignore")
 def state_figures(r, kind: str) -> dict:
-    """Defects of an entry-major (3, 3, n) state that claims to be of the given kind.
+    """Defects of an entry-major (3, 3, ...) state that claims to be of the given kind.
 
-    herm_dev is the largest of 2 |Im r_ii| and |r_ij - conj r_ji|, trace_dev
-    the largest |tr r - 1|. A 'pure' state adds purity_dev, the largest
+    The node axes are read as one (3, 3, n) array, on which the kernel
+    runs faster than on a block's (rows, n_tau).  herm_dev is the largest
+    of 2 |Im r_ii| and |r_ij - conj r_ji|, trace_dev the largest
+    |tr r - 1|. A 'pure' state adds purity_dev, the largest
     |sum_ij |r_ij|^2 - 1|. Any kind but 'formal' adds eig_min and eig_max,
     the extreme eigenvalues of the Hermitian part from hermitian_eigenvalues.
     Every reduction propagates NaN, so a non-finite entry gives NaN figures.
     """
+    r = r.reshape(3, 3, -1)
     d0, d1, d2 = (r[i, i] for i in range(3))
     upper = [(r[i, j], r[j, i]) for i, j in ((0, 1), (0, 2), (1, 2))]
     figures = {

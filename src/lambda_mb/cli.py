@@ -34,7 +34,9 @@ from .mbsolver import GridSpec, RowSource, Rows
 
 CSV_HEADER = "zeta,tau,re_Oa,im_Oa,re_Ob,im_Ob,Ia,Ib,P1,P2,P3"
 
-ENGINES = ("analytic", "dressing", "numeric", "all")
+#: the three routes, in the order a run reads them; engine "all" reads every one
+ROUTES = ("analytic", "dressing", "numeric")
+ENGINES = ROUTES + ("all",)
 
 
 @dataclass
@@ -83,15 +85,17 @@ _FIELD_TYPES = {f.name: f for f in dc_fields(ScenarioConfig)}
 
 
 def _parse_value(key: str, raw: str, line_no: int, col: int):
+    """raw read as the type ScenarioConfig declares for key (a string: the annotations are lazy)."""
+    kind = _FIELD_TYPES[key].type
     try:
-        if key == "quiet":
+        if kind == "bool":
             word = raw.strip().lower()
             if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
                 raise ValueError("expected true/false, 1/0, yes/no or on/off")
             return word in ("1", "true", "yes", "on")
-        if key in ("scenario", "engine", "out"):
+        if kind == "str":
             return raw.strip()
-        if key in ("n_tau", "n_zeta"):
+        if kind == "int":
             return int(raw)
         return float(raw)
     except ValueError as exc:
@@ -174,7 +178,7 @@ def emit_manifest(cfg: ScenarioConfig, extra: Optional[dict] = None) -> str:
         v = getattr(cfg, f.name)
         if v is None:
             continue
-        if f.name == "quiet":
+        if f.type == "bool":
             v = "true" if v else "false"
         lines.append(f"{f.name} = {v}")
     text = "\n".join(lines) + "\n"
@@ -347,7 +351,7 @@ class _Checks:
 
     watch(eng, source) wraps a route's row source so that each block it
     returns also feeds the folds: an exact route's state figures
-    (verify.block_figures, folded by algebra.worse_figures), the analytic
+    (algebra.state_figures, folded by algebra.worse_figures), the analytic
     route's max |Omega_a| (the numeric_tol scale) and its residual folds
     (the block, and the coarse lattice's: its rows of even global index and
     even columns, as strided views), and the compare of a dressing or
@@ -376,7 +380,7 @@ class _Checks:
             block = source.rows(z0, z1)
             if eng != "numeric":
                 self.figures[eng] = algebra.worse_figures(
-                    self.figures.get(eng), verify.block_figures(block.rho, self.kind))
+                    self.figures.get(eng), algebra.state_figures(block.rho, self.kind))
             if eng == "analytic":
                 self.scale = np.maximum(self.scale, np.max(np.abs(block.omega_a)))
                 coarse, fine = self.residuals
@@ -477,10 +481,10 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
             "recovers a from c wherever eps0 > omega0"
         )
     (out / "manifest.txt").write_text(emit_manifest(cfg, manifest_extra), encoding="utf-8")
-    for name in ["residual_report.txt"] + [f"grid_{eng}.csv" for eng in ENGINES if eng != "all"]:
+    for name in ["residual_report.txt"] + [f"grid_{eng}.csv" for eng in ROUTES]:
         (out / name).unlink(missing_ok=True)
 
-    engines = [cfg.engine] if cfg.engine != "all" else ["analytic", "dressing", "numeric"]
+    engines = [cfg.engine] if cfg.engine != "all" else list(ROUTES)
     if scenarios.state_kind(sp.params) == "formal" and "numeric" in engines:
         engines.remove("numeric")  # only under "all": _validate rejects an explicit request
         _say(cfg, f"note: numeric engine skipped for {sp.scenario} (direct propagation refused)")

@@ -161,8 +161,9 @@ def seed_columns(p: LambdaParams, s: SpectralData, zeta, tau):
     shape; the basis is column j times exp(exponents[j]), times the scalar
     phase exp(i*k*Delta*zeta / (2*(lambda0 - Delta))).  Regular regime:
     the constant frame's columns with exponents (mu1, -mu2, mu2).
-    Vanishing background: the unit columns of the diagonal frame, the
-    decoupled ground column first.  Degenerate point eps0 = omega0: the
+    Vanishing background: the unit columns |3>, |2>, |1> with exponents
+    (mu2, mu1, -mu2), in the order the storage-regime closed forms use
+    the constants c1, c2, c3.  Degenerate point eps0 = omega0: the
     exponential column, then the limit column (i, 0, 1) and its secular
     partner (i (omega0 T - 1), 0, omega0 T + 1), polynomial in the shifted
     time T, which carry no exponential.
@@ -180,7 +181,7 @@ def seed_columns(p: LambdaParams, s: SpectralData, zeta, tau):
         return fam, (S[:, 0], S[:, 1], S[:, 2]), (mu1, -mu2, mu2)
     e = np.eye(3, dtype=complex)
     if fam == "vanishing":
-        return fam, (e[1], e[0], e[2]), (mu1, -mu2, mu2)
+        return fam, (e[2], e[1], e[0]), (mu2, mu1, -mu2)
     om0 = p.omega0
     zero = np.zeros(tvar.shape, dtype=complex)
     secular = (1j * (om0 * tvar - 1.0), zero, (om0 * tvar + 1.0) + zero)
@@ -258,8 +259,7 @@ def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau):
 
     Returns the column entry by entry, as three arrays of the broadcast
     shape.  Normalized per point only up to a common factor; everything
-    downstream is invariant under that scale.  The vanishing-background
-    closed forms label the columns (c2, c3, c1).  At the degenerate point
+    downstream is invariant under that scale.  At the degenerate point
     every entry is c1 * col1 exp(mu1 - m) + (c2 * col2 + c3 * col3) * exp(-m),
     col1 being a unit column, with each operation on the same operand
     types as in the stacked reference (tests/pointwise_oracle.py), so even
@@ -267,10 +267,8 @@ def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau):
     """
     fam, cols, exps = seed_columns(p, s, zeta, tau)
     c1, c2, c3 = c.as_tuple()
-    if fam == "regular":
+    if fam != "confluent":
         return _combine_columns(cols, (c1, c2, c3), exps)
-    if fam == "vanishing":
-        return _combine_columns(cols, (c2, c3, c1), exps)
     (col1, col2, col3), mu1 = cols, exps[0]
     m = np.maximum(np.real(mu1), 0.0) if c1 != 0.0 else np.zeros_like(np.real(mu1))
     decay = np.exp(-m)

@@ -302,9 +302,8 @@ def _field_derivative(rho_slice, nu0: float):
     return doa, dob
 
 
-def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
-                 rho_boundary_next, grid: GridSpec):
-    """One predictor-corrector step of the fields in zeta.
+def maxwell_step(rho_slice, f_slice, p: LambdaParams, rho_boundary_next, grid: GridSpec):
+    """One predictor-corrector step of the fields in zeta, of the grid's h_zeta.
 
     rho_slice is the current slice's entry-major (3, 3, n_tau) state and
     rho_boundary_next the 3x3 tau_min state of the next slice.  Predict
@@ -312,6 +311,7 @@ def maxwell_step(rho_slice, f_slice, p: LambdaParams, h_zeta: float,
     predicted fields, then update with the averaged derivative.  Returns
     (fields at zeta + h_zeta, state slice there, its audit figures).
     """
+    h_zeta = grid.h_zeta
     oa, ob = f_slice
     doa, dob = _field_derivative(rho_slice, p.nu0)
     oa_pred = oa + h_zeta * doa
@@ -366,7 +366,7 @@ class MarchRows:
                                                            self.p.delta, grid)
             else:
                 self._fields, self._rho, figures = maxwell_step(
-                    self._rho, self._fields, self.p, grid.h_zeta, self._boundary[..., z], grid)
+                    self._rho, self._fields, self.p, self._boundary[..., z], grid)
             (oa[i], ob[i]), rho[:, :, i] = self._fields, self._rho
             self.figures = algebra.worse_figures(self.figures, figures)
         self._next = z1

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import SpectralPole
@@ -77,18 +75,11 @@ class SpectralData:
         return cls(eps0=eps0, root=root)
 
 
-class FieldPair(NamedTuple):
-    """Complex Rabi amplitudes of the two optical channels at one point."""
-
-    omega_a: complex
-    omega_b: complex
-
-
 def interaction_hamiltonian(fields) -> np.ndarray:
     """Ladder coupling Hamiltonian for the two channels.
 
-    Accepts a FieldPair or any (omega_a, omega_b) pair of broadcastable
-    arrays; returns shape (..., 3, 3).  Hermitian by construction, zero
+    Accepts an (omega_a, omega_b) pair of broadcastable arrays; returns
+    shape (..., 3, 3).  Hermitian by construction, zero
     diagonal, no direct 1-2 coupling.
     """
     oa, ob = fields
@@ -124,8 +115,8 @@ def dark_state(eta: float) -> np.ndarray:
     return np.array([-math.sin(eta), math.cos(eta), 0.0], dtype=complex)
 
 
-def background_fields(p: LambdaParams, zeta) -> FieldPair:
-    """Control background entering the finite-density boundary condition."""
+def background_fields(p: LambdaParams, zeta):
+    """Control background entering the finite-density boundary condition: (omega_a, omega_b)."""
     zeta = np.asarray(zeta, dtype=float)
     amp = p.omega0 * np.exp(1j * p.k * zeta)
-    return FieldPair(math.cos(p.eta) * amp, math.sin(p.eta) * amp)
+    return math.cos(p.eta) * amp, math.sin(p.eta) * amp

@@ -19,9 +19,9 @@ feeds it the analytic route's own stream and that stream's even rows and
 columns (GridSpec.coarse), so the observed order is that of the grid
 produced.
 
-The density audit works in blocks of zeta rows too (block_figures):
+The density audit works in blocks of zeta rows too:
 algebra.state_figures, the kernel that also audits every slice the solver
-writes, takes the nine entry rows rho[i, j] of each block, and
+writes, takes each entry-major (3, 3, rows, n_tau) block whole, and
 algebra.worse_figures folds the blocks; the extreme eigenvalues of each
 node come from algebra.hermitian_eigenvalues (cyclic Jacobi on per-entry
 arrays) instead of LAPACK. audit_report scores folded figures, whether a
@@ -266,16 +266,11 @@ def pde_residual(solution: SolutionGrid, p: LambdaParams) -> ResidualReport:
     return residual_reports(solution, p)[0]
 
 
-def block_figures(rho, kind: str) -> dict:
-    """algebra.state_figures of an entry-major (3, 3, rows, n_tau) block of a state."""
-    return algebra.state_figures(rho.reshape(3, 3, -1), kind)
-
-
 def audit_report(figures: dict, kind: str, grid: GridSpec) -> ResidualReport:
     """Score a state's folded figures: Hermiticity, trace, positivity and (when claimed) purity.
 
     figures are algebra.state_figures folded by algebra.worse_figures, of
-    the blocks of a stored or streamed state (block_figures) or of the
+    the blocks of zeta rows of a stored or streamed state or of the
     slices the solver wrote (its meta). Formal states are scored on
     Hermiticity and trace only. A figure that is missing or NaN gives a
     NaN metric, which fails any tolerance.
@@ -298,7 +293,7 @@ def audit_density(solution: SolutionGrid) -> ResidualReport:
     figures = None
     for z0, z1 in solution.grid.blocks():
         figures = algebra.worse_figures(
-            figures, block_figures(solution.rows(z0, z1).rho, solution.state_kind))
+            figures, algebra.state_figures(solution.rows(z0, z1).rho, solution.state_kind))
     return audit_report(figures, solution.state_kind, solution.grid)
 
 

@@ -149,8 +149,8 @@ def commutator(a, b) -> np.ndarray:
 # dressing, one point at a time
 # ---------------------------------------------------------------------------
 
-def extract_fields(h, tol: float = 1e-8) -> model.FieldPair:
-    """Read the channel amplitudes back out of a ladder Hamiltonian.
+def extract_fields(h, tol: float = 1e-8):
+    """Read the channel amplitudes (omega_a, omega_b) back out of a ladder Hamiltonian.
 
     Raises NotLambdaStructured when the diagonal, the 1-2 block or the
     Hermiticity deviate beyond tol: downstream that signals a broken
@@ -170,7 +170,7 @@ def extract_fields(h, tol: float = 1e-8) -> model.FieldPair:
         raise NotLambdaStructured(
             f"hermiticity dev {herm:.2e}, structure dev {structure:.2e} (scale {scale:.2e})"
         )
-    return model.FieldPair(-2.0 * h[..., 2, 0], -2.0 * h[..., 2, 1])
+    return -2.0 * h[..., 2, 0], -2.0 * h[..., 2, 1]
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def test_seed_vanishing_background_dark_column():
     z, t = 0.7, -0.4
     phi = seed_fundamental(p, s, z, t)
     mu1 = 0.5j * s.lambda0 * t + 0.5j * p.nu0 * z / (s.lambda0 - p.delta)
-    assert np.allclose(phi[:, 0], np.array([0, 1, 0]) * np.exp(mu1), atol=1e-14)
+    assert np.allclose(phi[:, 1], np.array([0, 1, 0]) * np.exp(mu1), atol=1e-14)
 
 
 def test_seed_degenerate_guard():
@@ -259,12 +259,11 @@ def test_every_dressing_grid_carries_a_passing_seed_gate(tag):
 @pytest.mark.parametrize("omega0, eps0", [(1.0, 2.0), (0.0, 2.0), (1.0, 1.0)])
 @pytest.mark.parametrize("cs", [(1.0, 1.0, 1.0), (0.7, 0.0, -1.3), (0.0, 0.0, 1.0)])
 def test_dressing_column_combines_the_gated_seed_columns(omega0, eps0, cs):
-    # psi3_column is the seed basis times the constants (the vanishing
-    # family labels its columns (c2, c3, c1)), up to the per-point scale
+    # psi3_column is the seed basis times the constants, up to the per-point scale
     p = LambdaParams(nu0=3.0, delta=0.3, omega0=omega0)
     s = SpectralData.from_eps0(eps0, omega0)
     c = DressConstants(*cs)
-    weights = np.array(cs if omega0 > 0 else (cs[1], cs[2], cs[0]), dtype=complex)
+    weights = np.array(cs, dtype=complex)
     for z, t in darboux.SEED_GATE_POINTS:
         want = seed_fundamental(p, s, z, t) @ weights
         got = np.array([x for x in darboux.psi3_column(p, s, c, z, t)])

@@ -270,7 +270,7 @@ def test_maxwell_step_dark_background_fixed_point():
     ob = np.zeros(grid.n_tau, dtype=complex)
     p = LambdaParams(nu0=3.0, omega0=1.0)
     rho_slice, _ = integrate_bloch_slice((oa, ob), DARK, p.delta, grid)
-    (oa2, ob2), _, _ = maxwell_step(rho_slice, (oa, ob), p, grid.h_zeta, DARK, grid)
+    (oa2, ob2), _, _ = maxwell_step(rho_slice, (oa, ob), p, DARK, grid)
     assert np.array_equal(oa2, oa)
     assert np.array_equal(ob2, ob)
 
@@ -293,7 +293,7 @@ def test_maxwell_step_orders():
                     np.max(np.abs(ob0 + h_zeta * dob - ob1)))
         psi_b = analytic.slow_soliton(sp, h_zeta, taus[0])[2]
         rho_b = algebra.projector(psi_b)
-        (oa_h, ob_h), _, _ = maxwell_step(rho_slice, (oa0, ob0), p, h_zeta, rho_b, grid)
+        (oa_h, ob_h), _, _ = maxwell_step(rho_slice, (oa0, ob0), p, rho_b, grid)
         heun = max(np.max(np.abs(oa_h - oa1)), np.max(np.abs(ob_h - ob1)))
         return euler, heun
 
@@ -375,7 +375,7 @@ def test_the_audit_of_a_numeric_grid_is_the_audit_of_its_slices_stored(tag, delt
     sol = scenarios.build_numeric_grid(sp, grid)
     # bit for bit: each figure the solver folded against the kernel over the
     # whole stored state, and its report against the audit of the stored grid
-    whole = algebra.state_figures(sol.rho.reshape(3, 3, -1), "density")
+    whole = algebra.state_figures(sol.rho, "density")
     assert {key: sol.meta[key].tobytes() for key in whole} == {
         key: value.tobytes() for key, value in whole.items()}
     ours = verify.audit_report(sol.meta, "density", grid)

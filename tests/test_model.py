@@ -5,7 +5,7 @@ import pytest
 
 from lambda_mb import algebra, model
 from lambda_mb.errors import SpectralPole
-from lambda_mb.model import FieldPair, LambdaParams, SpectralData
+from lambda_mb.model import LambdaParams, SpectralData
 from pointwise_oracle import NotLambdaStructured, adjoint, extract_fields
 
 
@@ -30,10 +30,9 @@ def test_interaction_hamiltonian_complex_amplitudes():
 
 
 def test_extract_fields_round_trip():
-    assert extract_fields(np.zeros((3, 3))) == FieldPair(0, 0)
-    f = FieldPair(1.0, -1j)
-    got = extract_fields(model.interaction_hamiltonian(f))
-    assert got.omega_a == 1.0 and got.omega_b == -1j
+    assert extract_fields(np.zeros((3, 3))) == (0, 0)
+    oa, ob = extract_fields(model.interaction_hamiltonian((1.0, -1j)))
+    assert oa == 1.0 and ob == -1j
 
 
 def test_extract_fields_structure_guard():
@@ -111,9 +110,9 @@ def test_density_idempotent_random():
 
 def test_background_fields():
     p = LambdaParams(nu0=3.0, omega0=1.0, eta=0.0, k=0.0)
-    assert model.background_fields(p, 5.0) == FieldPair(1.0, 0.0)
+    assert model.background_fields(p, 5.0) == (1.0, 0.0)
     p0 = LambdaParams(nu0=3.0, omega0=0.0)
-    assert model.background_fields(p0, 1.0) == FieldPair(0.0, 0.0)
+    assert model.background_fields(p0, 1.0) == (0.0, 0.0)
     pk = LambdaParams(nu0=3.0, omega0=1.0, k=0.5)
     oa, ob = model.background_fields(pk, math.pi)
     assert abs(oa - 1j) < 1e-15 and ob == 0.0
