@@ -227,7 +227,10 @@ def zero_background(sp: ScenarioParams, zeta, tau):
     m = np.maximum(np.maximum(e1, e2), np.maximum(e3, eps0 * tau - a_exp))
     den = c2**2 * np.exp(e1 - m) + c3**2 * np.exp(e2 - m) + c1**2 * np.exp(e3 - m)
     oa = -4j * c1 * c3 * eps0 * np.exp(eps0 * tau - a_exp - m) / den
-    ob = c2 / c3 * np.exp(1j * zeta * nu0 / (2.0 * (delta + 1j * eps0))) * oa
+    # (c2 / c3) exp(i zeta nu0 / (2 (Delta + i eps0))) Omega_a, with the growing
+    # modulus exp(a_exp) of that factor cancelled against Omega_a's exp(-a_exp)
+    theta = zeta * nu0 * delta / (2.0 * (delta**2 + eps0**2))
+    ob = -4j * c1 * c2 * eps0 * np.exp(1j * theta + (eps0 * tau - m)) / den
     return oa, ob, None
 
 

@@ -255,6 +255,24 @@ def test_zero_background_state_matches_engine():
         assert np.max(np.abs(rho @ rho - rho)) < 1e-12
 
 
+@pytest.mark.parametrize("delta, zeta0", [(0.0, 0.0), (0.0, 500.0), (0.0, 995.0), (0.8, 1200.0)])
+def test_zero_background_stays_finite_along_the_stored_pulse(delta, zeta0):
+    # Omega_b's zeta factor grows like exp(zeta nu0 eps0 / (2 (Delta^2 + eps0^2)));
+    # multiplied onto Omega_a it overflowed past zeta ~ 946 at fig3's parameters
+    # (1098 at Delta = 0.8), and inf * Omega_a is NaN.  The lattice follows the
+    # pulse, whose peak sits at tau = zeta nu0 / (2 (Delta^2 + eps0^2)).
+    sp = scenarios.make_scenario("zero_background", omega0=0.0, delta=delta, c=(1.0, 1.0, 1.0))
+    peak = zeta0 * sp.params.nu0 / (2.0 * (delta**2 + sp.spectral.eps0**2))
+    zeta = np.linspace(zeta0 - 5.0, zeta0 + 5.0, 21)[:, None]
+    tau = np.linspace(peak - 30.0, peak + 30.0, 601)[None, :]
+    oa, ob, _ = analytic.zero_background(sp, zeta, tau)
+    want = darboux.dressed_fields_and_state(sp.params, sp.spectral, sp.constants, zeta, tau)
+    for got, ref in zip((oa, ob), want[:2]):
+        assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+        assert np.max(np.abs(got - ref)) <= scenarios.REGISTRY["zero_background"].field_tol
+    assert np.max(np.abs(ob)) > 1.0  # the window holds the pulse
+
+
 def test_zero_background_guards():
     with pytest.raises(DegenerateConstants):
         analytic.zero_background(zb_params(c=(1.0, 1.0, 0.0)), 0.0, 0.0)
