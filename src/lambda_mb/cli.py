@@ -103,8 +103,9 @@ def _parse_value(key: str, raw: str, line_no: int, col: int):
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse flat key = value text; unknown keys and bad values are rejected."""
+    """Parse flat key = value text; unknown keys, repeated keys and bad values are rejected."""
     cfg = ScenarioConfig()
+    seen = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -116,6 +117,10 @@ def parse_config(text: str) -> ScenarioConfig:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ParseError(f"unknown key {key!r}", line_no, 1)
+        if key in seen:
+            raise ParseError(f"key {key!r} given twice, on lines {seen[key]} and {line_no}",
+                             line_no, 1)
+        seen[key] = line_no
         setattr(cfg, key, _parse_value(key, value.strip(), line_no, col))
     _validate(cfg)
     return cfg

@@ -27,10 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import algebra, analytic, darboux
+from . import algebra, analytic, darboux, model
 from .analytic import ScenarioParams
 from .darboux import DressConstants, SolitonConstants
-from .errors import ParameterGuard
+from .errors import ParameterGuard, SpectralPole
 from .mbsolver import GridSpec, Rows, RowSource, SolutionGrid, propagate
 from .model import LambdaParams, SpectralData
 
@@ -83,10 +83,17 @@ REGISTRY = {s.name: s for s in (
 
 def make_scenario(name: str, *, nu0=3.0, delta=0.0, omega0=1.0, eps0=2.0,
                   eta=0.0, k=0.0, a=(1.0, 1.0, 1.0), c=None) -> ScenarioParams:
-    """Build a ScenarioParams bundle with the standard defaults, inside the record's regime."""
+    """Build a ScenarioParams bundle with the standard defaults, inside the record's regime.
+
+    Every record refuses a spectral point lambda0 within model.POLE_GUARD
+    of the Delta pole, on which no route is defined.
+    """
     record = REGISTRY[name]
     params = LambdaParams(nu0=nu0, delta=delta, omega0=omega0, eta=eta, k=k)
     spectral = SpectralData.from_eps0(eps0, omega0)
+    if abs(spectral.lambda0 - delta) <= model.POLE_GUARD:
+        raise SpectralPole(f"lambda0 = {spectral.lambda0} lies within {model.POLE_GUARD:g} "
+                           f"of the Delta = {delta} pole")
     if record.constants == "a":
         if c is not None:
             raise ParameterGuard(f"{name} takes a1, a2, a3; c1, c2, c3 do not apply to it")

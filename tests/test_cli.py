@@ -52,6 +52,18 @@ def test_parse_rejects_bad_values():
     assert err is not None and err.line == 2
 
 
+def test_a_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"scenario = slow\nengine = analytic\nn_tau = 101\nn_zeta = 5\n"
+                    f"out = {tmp_path / 'run'}\nn_tau = 21\n")
+    with pytest.raises(ParseError, match="'n_tau' given twice, on lines 3 and 6") as err:
+        parse_config(path.read_text())
+    assert err.value.line == 6
+    assert cli.main([str(path), "--check", "--quiet"]) == 2
+    assert "given twice" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("text", [
     "delta = nan\n", "nu0 = inf\n", "c1 = -inf\n", "numeric_tol = nan\n",
     "tau_min = 5\ntau_max = -5\n", "zeta_min = 2\nzeta_max = 2\n",
@@ -71,6 +83,9 @@ def test_parse_rejects_non_finite_values_and_inverted_extents(text):
     "scenario = exulton\nengine = dressing\neps0 = 0.5\nomega0 = 1\n",
     "scenario = zero_background\nengine = dressing\nomega0 = 0\nc1 = 1\nc2 = 1\nc3 = 0\n",
     "scenario = slow\nengine = dressing\na1 = 0\n",
+    # a spectral point on the Delta pole, where no route is defined
+    "scenario = zero_background\nengine = analytic\nomega0 = 0\neps0 = 1e-10\n"
+    "n_tau = 11\nn_zeta = 5\n",
     # the residual checks of the analytic grid read it and every other node
     # of it, so they need odd counts >= 5
     "scenario = slow\nengine = analytic\nn_zeta = 2\nn_tau = 41\n",
@@ -119,8 +134,11 @@ def test_main_unusable_config_exits_2_with_a_message(tmp_path, capsys, text):
     file = tmp_path / "file"
     file.write_text("not a directory\n")
     data = text if isinstance(text, bytes) else text.format(file=file).encode()
-    # the case's own lines come last, so that its out overrides this one
-    path.write_bytes(f"out = {run}\nquiet = true\n".encode() + data)
+    # the harness's out and quiet, where the case does not set its own: a
+    # key given twice is refused on its own account
+    own = {line.partition(b"=")[0].strip() for line in data.splitlines()}
+    path.write_bytes(b"".join(f"{key} = {value}\n".encode() for key, value in
+                              (("out", run), ("quiet", "true")) if key.encode() not in own) + data)
     if blocked:
         (run / blocked).mkdir(parents=True)
     assert cli.main([str(path)] + [arg.format(run=run) for arg in argv]) == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lambda_mb import cli, scenarios, verify
-from lambda_mb.errors import ParseError
+from lambda_mb.errors import ParseError, SpectralPole
 from lambda_mb.mbsolver import GridSpec
 import observables
 from scenario_inputs import canned_scenario, regime_keywords
@@ -82,6 +82,13 @@ def test_unknown_canned_tag():
     with pytest.raises(ParseError) as caught:
         cli.apply_canned(cli.ScenarioConfig(), "fig9")
     assert str(caught.value) == f"unknown canned scenario 'fig9'; have {sorted(scenarios.CANNED)}"
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
+def test_every_record_refuses_a_spectral_point_on_the_delta_pole(name):
+    # |lambda0 - Delta| = |i eps0 - Delta| <= model.POLE_GUARD: no route is defined there
+    with pytest.raises(SpectralPole, match="Delta = 0.0 pole"):
+        scenarios.make_scenario(name, omega0=0.0, eps0=1e-10, delta=0.0)
 
 
 def _inside_the_regime(name):
