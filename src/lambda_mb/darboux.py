@@ -22,10 +22,12 @@ system.  The gate never forms an exponential, so its verdict does not
 depend on how fast a column grows.
 
 The grid engine works entry by entry on arrays of the lattice shape: the
-column is three arrays, every length-3 sum is (x0 + x1) + x2 (numpy's
-order for a last-axis reduction, so k = 0 grids keep the bits of the
-stacked form), and the only 3x3 stack formed is the state itself,
-entry-major (3, 3, ...) as a grid holds it.  The one-fold dressing
+column is three arrays, every length-3 sum is (x0 + x1) + x2, and the
+only 3x3 stack formed is the state itself, entry-major (3, 3, ...) as a
+grid holds it.  np.sum over a last axis of three adds in the same order
+but from a +0.0 start, so the two differ only on a sum whose terms are
+all -0.0, which np.sum makes +0.0 and (x0 + x1) + x2 leaves -0.0; k = 0
+grids keep the bits of the stacked form wherever no such sum arises.  The one-fold dressing
 factor is the identity plus a rank-one projector (Zakharov and Shabat,
 Funct. Anal. Appl. 13, 166, 1979), so the k != 0 state is the companion
 background plus rank-one terms, with no batched 3x3 product.
@@ -283,7 +285,7 @@ def psi3_column(p: LambdaParams, s: SpectralData, c: DressConstants, zeta, tau):
 
 
 def _norm2(v):
-    """Squared length of a column given entry by entry, summed in numpy's order."""
+    """Squared length of a column given entry by entry, summed as (x0 + x1) + x2."""
     return (np.abs(v[0]) ** 2 + np.abs(v[1]) ** 2) + np.abs(v[2]) ** 2
 
 
