@@ -83,10 +83,10 @@ def hermitian_eigenvalues(d0, d1, d2, a01, a02, a12):
 
     d0, d1, d2: the real diagonal; a01, a02, a12: the complex upper
     entries (the lower ones are their conjugates); all arrays of one
-    shape.  Returns three arrays of that shape, unsorted. Cyclic complex Jacobi over the
-    pairs (0, 1), (0, 2), (1, 2), all nodes at once, is backward stable,
-    so each eigenvalue is accurate to a few ulps of ||A||, degenerate
-    ones included. Sweeps stop after the first one that leaves every
+    shape. Returns three arrays of that shape, unsorted. Cyclic complex
+    Jacobi over the pairs (0, 1), (0, 2), (1, 2), all nodes at once, is
+    backward stable, so each eigenvalue is accurate to a few ulps of
+    ||A||, degenerate ones included. Sweeps stop after the first one that leaves every
     off-diagonal entry negligible, or at the sweep cap; a NaN never
     passes that test, and a node with a non-finite entry returns NaN.
     """

@@ -27,10 +27,11 @@ only 3x3 stack formed is the state itself, entry-major (3, 3, ...) as a
 grid holds it.  np.sum over a last axis of three adds in the same order
 but from a +0.0 start, so the two differ only on a sum whose terms are
 all -0.0, which np.sum makes +0.0 and (x0 + x1) + x2 leaves -0.0; k = 0
-grids keep the bits of the stacked form wherever no such sum arises.  The one-fold dressing
-factor is the identity plus a rank-one projector (Zakharov and Shabat,
-Funct. Anal. Appl. 13, 166, 1979), so the k != 0 state is the companion
-background plus rank-one terms, with no batched 3x3 product.
+grids keep the bits of the stacked form wherever no such sum arises.
+The one-fold dressing factor is the identity plus a rank-one projector
+(Zakharov and Shabat, Funct. Anal. Appl. 13, 166, 1979), so the k != 0
+state is the companion background plus rank-one terms, with no batched
+3x3 product.
 dressed_density forms that state alone; the closed forms take their
 states from it.
 """
