@@ -10,9 +10,10 @@ error, 2 unusable config or an output that cannot be written.
 A run holds no whole grid.  Each route is read once, engine by engine,
 from its row source in the blocks of GridSpec.blocks(): the CSV writer
 writes each block, and the same block feeds the route's density audit
-and its compare with the closed form, whose rows the compare evaluates
-again block by block.  The analytic route's blocks also feed the
-residual checks, on the output lattice and on its even rows and columns.
+and its compare with the reference, scenarios.reference_rows, evaluated
+again block by block (the analytic route has none).  The analytic
+route's blocks feed the residual checks, on the output lattice and on
+its even rows and columns.
 The numeric route's pass runs inside mbsolver.propagate, as its consumer.
 """
 
@@ -357,25 +358,19 @@ class _Checks:
     watch(eng, source) wraps a route's row source so that each block it
     returns also feeds the folds: an exact route's state figures
     (algebra.state_figures, folded by algebra.worse_figures), the analytic
-    route's max |Omega_a| (the numeric_tol scale) and its residual folds
-    (the block, and the coarse lattice's: its rows of even global index and
-    even columns, as strided views), and the compare of a dressing or
-    numeric block with the closed form's same rows, evaluated again for it:
-    fields and state for the dressing route, the fields alone for the
-    solver, whose state is not compared. The numeric route's
-    figures are the solver's own, which the run stores in figures after
-    its pass, so no slice is audited twice.
+    route's residual folds (the block, and the coarse lattice's: its rows
+    of even global index and even columns, as strided views), and any
+    other route's compare with the same rows of scenarios.reference_rows,
+    evaluated again for it, the solver's state left out. The numeric
+    route's figures are the solver's own, stored in figures after its
+    pass, so no slice is audited twice.
     """
 
     def __init__(self, sp, grid: GridSpec, engines):
         self.grid, self.kind = grid, scenarios.state_kind(sp.params)
         self.figures = {}
-        self.scale = np.float64(0.0)
-        self.compares = {eng: verify.CompareFold() for eng in ("dressing", "numeric")
-                         if eng in engines and "analytic" in engines}
-        sources = {"dressing": scenarios.closed_form_rows,
-                   "numeric": scenarios.closed_form_field_rows}
-        self.closed_form = {eng: sources[eng](sp, grid) for eng in self.compares}
+        self.reference = scenarios.reference_rows(sp, grid)
+        self.compares = {eng: verify.CompareFold() for eng in engines if eng != "analytic"}
         if "analytic" in engines:
             self.residuals = [verify.ResidualFold(lattice, sp.params, scenarios.DEFAULT_PROBES)
                               for lattice in (grid.coarse(), grid)]
@@ -387,14 +382,14 @@ class _Checks:
                 self.figures[eng] = algebra.worse_figures(
                     self.figures.get(eng), algebra.state_figures(block.rho, self.kind))
             if eng == "analytic":
-                self.scale = np.maximum(self.scale, np.max(np.abs(block.omega_a)))
                 coarse, fine = self.residuals
                 r = z0 % 2
                 coarse.add(Rows(coarse.grid, block.omega_a[r::2, ::2], block.omega_b[r::2, ::2],
                                 block.rho[..., r::2, ::2]))
                 fine.add(block)
             if eng in self.compares:
-                self.compares[eng].add(self.closed_form[eng].rows(z0, z1), block)
+                self.compares[eng].add(self.reference.rows(z0, z1),
+                                       block if eng != "numeric" else block._replace(rho=None))
             return block
         return RowSource(self.grid, watched)
 
@@ -412,8 +407,8 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
 
     The gates are fixed: AUDIT_TOL and NUMERIC_AUDIT_TOL, the record's
     field_tol (scenarios.REGISTRY), the config's numeric_tol times the
-    analytic grid's max |Omega_a|, and ORDER_BAND for the residuals at
-    scenarios.DEFAULT_PROBES.
+    reference's largest field modulus (verify.CompareFold.scale), and
+    ORDER_BAND for the residuals at scenarios.DEFAULT_PROBES.
     """
     failures: List[str] = []
     reports: List[verify.ResidualReport] = []
@@ -436,12 +431,12 @@ def _run_checks(cfg: ScenarioConfig, sp, grid, checks: _Checks):
             failures.append(f"analytic vs dressing: {rep.max_abs:.2e} > {tol:.0e}")
 
     if "numeric" in checks.compares:
-        scale = float(checks.scale)
+        scale = float(checks.compares["numeric"].scale)
         rep = checks.compares["numeric"].report("compare[numeric vs analytic]")
         reports.append(rep)
         if not (rep.max_abs <= cfg.numeric_tol * scale):
             failures.append(
-                f"numeric vs analytic: {rep.max_abs:.2e} > {cfg.numeric_tol:.0e} * {scale:.2f}"
+                f"numeric vs analytic: {rep.max_abs:.2e} > {cfg.numeric_tol:.0e} * {scale:.2e}"
             )
 
     if "analytic" in checks.figures:

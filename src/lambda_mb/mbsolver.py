@@ -112,7 +112,7 @@ class Rows(NamedTuple):
 
     omega_a and omega_b are (z1 - z0, n_tau); rho is entry-major,
     (3, 3, z1 - z0, n_tau), or None where the source gives the fields
-    alone (scenarios.closed_form_field_rows).
+    alone (scenarios.reference_rows, where the evaluator returns no vector).
     """
 
     grid: "GridSpec"

@@ -12,8 +12,9 @@ holds the bits a streamed pass reads.  What sets one scenario apart
 from another is its ``Scenario`` record in ``REGISTRY``; no other code
 branches on a name.  The closed form's state is what the record's
 evaluator returns: the projector of a unit vector, or where it returns
-None the dressing engine's state (_closed_form).  On both exact routes a
-grid's state kind follows k (state_kind): a projector at k = 0, the
+None the dressing engine's state (_closed_form); reference_rows, the one
+reference of every compare, leaves the engine out.  On both exact routes
+a grid's state kind follows k (state_kind): a projector at k = 0, the
 formal companion state otherwise, from which direct propagation is
 refused.  The dressing route runs the seed verification gate first; a
 stored dressing grid keeps its report in ``meta["seed_gate"]``.
@@ -148,17 +149,18 @@ def state_kind(p: LambdaParams) -> str:
     return "pure" if p.k == 0.0 else "formal"
 
 
-def _closed_form(sp: ScenarioParams, zeta, tau):
-    """The record's fields and entry-major state on a (zeta, tau) mesh.
-
-    The state is the projector of the unit vector the evaluator returns,
-    or the dressing engine's state where it returns None.
-    """
+def _reference(sp: ScenarioParams, zeta, tau):
+    """The evaluator's fields on a (zeta, tau) mesh, and its unit vector's projector or None."""
     oa, ob, state = REGISTRY[sp.scenario].evaluate(sp, zeta, tau)
-    if state is None:
-        return oa, ob, darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(),
-                                               zeta, tau)
-    return oa, ob, algebra.projector(state)
+    return oa, ob, None if state is None else algebra.projector(state)
+
+
+def _closed_form(sp: ScenarioParams, zeta, tau):
+    """_reference's fields and state, with the dressing engine's state where it gives none."""
+    oa, ob, rho = _reference(sp, zeta, tau)
+    if rho is None:
+        rho = darboux.dressed_density(sp.params, sp.spectral, sp.dress_constants(), zeta, tau)
+    return oa, ob, rho
 
 
 def _stored(source: RowSource, meta: dict, kind: str) -> SolutionGrid:
@@ -206,14 +208,13 @@ def closed_form_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
     return _row_source(grid, lambda zeta, tau: _closed_form(sp, zeta, tau))
 
 
-def closed_form_field_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
-    """The closed form's fields alone as a row source of the lattice: Rows with no state.
+def reference_rows(sp: ScenarioParams, grid: GridSpec) -> RowSource:
+    """What the closed form computes without the engine (_reference), as a row source.
 
-    The fields are those of closed_form_rows, bit for bit; the grid's
-    state (_closed_form: a projector or the dressed state) is not formed.
+    Every route but the closed form is compared with it: the fields of
+    closed_form_rows bit for bit, and a state only for slow and fast.
     """
-    record = REGISTRY[sp.scenario]
-    return _row_source(grid, lambda zeta, tau: record.evaluate(sp, zeta, tau)[:2] + (None,))
+    return _row_source(grid, lambda zeta, tau: _reference(sp, zeta, tau))
 
 
 def build_analytic_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
@@ -250,9 +251,9 @@ def build_dressed_grid(sp: ScenarioParams, grid: GridSpec) -> SolutionGrid:
 def numeric_entry(sp: ScenarioParams, grid: GridSpec):
     """(entry fields, tau_min states) the direct solver starts from.
 
-    The entry fields are the closed form's first row, its fields alone
-    (closed_form_field_rows), and the tau_min state of every row is the
-    closed form's own, evaluated on that column alone, as one entry-major
+    The entry fields are the fields of the reference's first row
+    (reference_rows), and the tau_min state of every row is the closed
+    form's own, evaluated on that column alone, as one entry-major
     (3, 3, n_zeta) array. Pass them to mbsolver.propagate or MarchRows
     with sp.params and grid. A formal state (k != 0, state_kind) is
     refused with ParameterGuard.
@@ -260,7 +261,7 @@ def numeric_entry(sp: ScenarioParams, grid: GridSpec):
     if state_kind(sp.params) == "formal":
         raise ParameterGuard(f"{sp.scenario} has a formal companion state at k = {sp.params.k}; "
                              "direct propagation is not defined")
-    first = closed_form_field_rows(sp, grid).rows(0, 1)
+    first = reference_rows(sp, grid).rows(0, 1)
     zetas, taus = _mesh(grid)
     rho = _closed_form(sp, zetas, taus[:, :1])[2]
     boundary = np.broadcast_to(rho, (3, 3, grid.n_zeta, 1))[..., 0]

@@ -149,7 +149,7 @@ class ResidualFold:
 
     add(rows) takes the lattice's next zeta rows as mbsolver.Rows, in
     blocks of any size, and carries the last two rows into the next block
-    as its halo; a block with no state (closed_form_field_rows) raises
+    as its halo; a block with no state (two_soliton's reference_rows) raises
     ValueError before any arithmetic on it.
 
     One pass over the 9 entries (i, j) of each block's interior nodes.
@@ -324,22 +324,24 @@ class CompareFold:
 
     Each block's report adds its max and its sum of squares; the
     lattice's l2 is the root of the sum over the number of compared
-    values, as compare_solutions takes it on one block.
+    values, as compare_solutions takes it on one block. scale folds the
+    reference's (add's first rows) larger of max |Omega_a| and max |Omega_b|.
     """
 
     def __init__(self):
-        self.max_abs = np.float64(0.0)
+        self.max_abs = self.scale = np.float64(0.0)
         self.sum_sq, self.count, self.grid = 0.0, 0, None
 
-    def add(self, a, b):
-        """Fold compare_solutions of the same Rows of two solutions."""
-        rep = compare_solutions(a, b)
-        n = a.omega_a.size * (2 if a.rho is None or b.rho is None else 3)
-        # np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must fail
+    def add(self, ref, b):
+        """Fold compare_solutions of the same Rows of the reference and a route."""
+        rep = compare_solutions(ref, b)
+        n = ref.omega_a.size * (2 if ref.rho is None or b.rho is None else 3)
+        # np.max and np.maximum, not max(): max(0.0, nan) is 0.0, and a NaN must fail
+        self.scale = np.max([self.scale, np.abs(ref.omega_a).max(), np.abs(ref.omega_b).max()])
         self.max_abs = np.maximum(self.max_abs, rep.max_abs)
         self.sum_sq += rep.sum_sq
         self.count += n
-        self.grid = a.grid
+        self.grid = ref.grid
 
     def report(self, name: str) -> ResidualReport:
         return ResidualReport(name, float(self.max_abs), math.sqrt(self.sum_sq / self.count),

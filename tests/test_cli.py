@@ -229,14 +229,15 @@ def test_a_run_without_grids_cannot_pass():
     assert failures == ["no grid was built"] and reports == []
 
 
-def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatch):
-    """The solver's state is not compared, so its compare reads the closed form's fields alone.
+@pytest.mark.parametrize("engine", ["all", "numeric"])
+def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatch, engine):
+    """The numeric compare reads the reference, which forms no dressed state.
 
     scenarios._closed_form, which forms the closed form's state, serves
-    the analytic pass (and with it the residual checks), the dressing
-    compare and the solver's tau_min states, but no
-    block of the numeric compare, which runs inside mbsolver.propagate as
-    its consumer. 161 x 81 nodes: the residual orders read 1.90 there
+    the analytic pass (and with it the residual checks) and the solver's
+    tau_min states, but no block of the numeric compare, which runs
+    inside mbsolver.propagate as its consumer. A numeric-only run reports
+    its compare too. 161 x 81 nodes: the residual orders read 1.90 there
     (test_an_under_resolved_grid_fails_its_residual_orders has 81 x 41).
     """
     closed_form, propagate = scenarios._closed_form, mbsolver.propagate
@@ -259,10 +260,33 @@ def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatc
     path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 161\n"
                     "zeta_min = 0\nzeta_max = 2\nn_zeta = 81\nnumeric_tol = 0.01\n"
                     f"out = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--engine", "all", "--check"]) == 0
+    assert cli.main([str(path), "--engine", engine, "--check"]) == 0
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "check: compare[numeric vs analytic]" in report
     assert calls and not any(calls)
+
+
+@pytest.mark.parametrize("n_zeta, code, failures", [
+    (21, 1, ["  - numeric vs analytic: 3.76e+00 > 1e-03 * 4.00e+00"]),
+    (321, 0, []),
+])
+def test_the_numeric_gate_scales_by_the_references_largest_field(tmp_path, n_zeta, code,
+                                                                  failures):
+    """fig3's storage downstream, zeta in [990, 1000]: Omega_a is absorbed, Omega_b reaches 4.
+
+    max |Omega_a| is subnormal (about 1.3e-322) there, so a gate scaled by
+    it alone reads 1e-3 * 0.00 and fails however fine the lattice. The
+    reference's largest field modulus is max |Omega_b| = 4: the solver
+    fails on 21 zeta rows (h_zeta = 0.5, a pulse about 0.5 wide) and
+    passes on 321, where its error is 1.69e-3.
+    """
+    path = tmp_path / "cfg.txt"
+    path.write_text("scenario = zero_background\neps0 = 2\nomega0 = 0\nc1 = 1\nc2 = 1\nc3 = 1\n"
+                    "tau_min = 345\ntau_max = 405\nn_tau = 601\nzeta_min = 990\n"
+                    f"zeta_max = 1000\nn_zeta = {n_zeta}\nout = {tmp_path / 'run'}\nquiet = true\n")
+    assert cli.main([str(path), "--engine", "all", "--check"]) == code
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    assert [line for line in report.splitlines() if line.startswith("  - ")] == failures
 
 
 def test_an_under_resolved_grid_fails_its_residual_orders(tmp_path):
@@ -440,8 +464,9 @@ def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
     assert cli.main([str(path)]) == 1
     report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "check: density_audit\nmax_abs: nan\n" in report
+    # slow's reference holds the projector of its vector, so the compare reads the NaN too
     assert [line for line in report.splitlines() if line.startswith("  - ")] == [
-        "  - audit[dressing]: nan > 1e-08"]
+        "  - audit[dressing]: nan > 1e-08", "  - analytic vs dressing: nan > 1e-09"]
 
 
 @pytest.mark.parametrize("n_tau", [41, 171])
@@ -508,12 +533,20 @@ def test_the_residual_folds_read_the_output_lattice_and_its_coarse_lattice(tag):
 
 @pytest.mark.parametrize("engine", ["dressing", "numeric"])
 def test_a_route_without_residual_checks_takes_any_count(tmp_path, engine):
-    """Only the residual checks of the analytic grid need odd counts >= 5."""
+    """Only the residual checks of the analytic grid need odd counts >= 5.
+
+    The run is not refused and writes its report. The solver's compare
+    fails: on 4 zeta rows (h_zeta = 0.67) it misses the closed form by
+    0.51, its true error on so coarse a lattice.
+    """
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW.replace("engine = analytic", f"engine = {engine}")
                     .replace("n_tau = 41", "n_tau = 40").replace("n_zeta = 21", "n_zeta = 4")
                     + f"out = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--check"]) == 0
+    assert cli.main([str(path), "--check"]) == (0 if engine == "dressing" else 1)
+    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    failures = [line.split(":")[0] for line in report.splitlines() if line.startswith("  - ")]
+    assert failures == ([] if engine == "dressing" else ["  - numeric vs analytic"])
 
 
 def test_a_regular_scenario_just_off_the_degenerate_point_builds(tmp_path):
@@ -637,15 +670,22 @@ def test_main_rejects_broken_config(tmp_path):
     assert cli.main([str(path)]) == 2
 
 
-def test_main_engine_override_and_check_only(tmp_path):
+@pytest.mark.parametrize("engine, compares", [
+    ("analytic", []),
+    # a dressing-only run is compared with the closed form's reference too
+    ("dressing", ["compare[analytic vs dressing]"]),
+], ids=["analytic", "dressing"])
+def test_main_engine_override_and_check_only(tmp_path, engine, compares):
     path = tmp_path / "cfg.txt"
     path.write_text(SMALL_SLOW)
     out = tmp_path / "run"
-    code = cli.main([str(path), "--engine", "analytic", "--out", str(out),
+    code = cli.main([str(path), "--engine", engine, "--out", str(out),
                      "--check", "--quiet"])
     assert code == 0
-    assert not (out / "grid_analytic.csv").exists()  # verification only
-    assert (out / "residual_report.txt").exists()
+    assert not (out / f"grid_{engine}.csv").exists()  # verification only
+    report = (out / "residual_report.txt").read_text()
+    assert [line for line in report.splitlines() if line.startswith("check: compare")] == [
+        f"check: {name}" for name in compares]
 
 
 def test_run_scenario_validates_its_config(tmp_path):

@@ -155,3 +155,25 @@ def test_broadcast_evaluator_outputs_become_full_writable_arrays():
     sol.rho[1, 1, 0, 0] = 7.0
     assert sol.omega_a[1, 0] != 7.0
     assert np.array_equal(sol.rho[:, :, 1, 1], before)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.REGISTRY))
+def test_the_reference_is_the_closed_form_without_the_engine(name):
+    """reference_rows holds a state exactly where the record's evaluator returns a vector.
+
+    Its fields are closed_form_rows' bit for bit, and so is its state
+    where it has one (slow, fast): the projector of that vector. Elsewhere
+    the closed form's state is the dressing engine's, which the reference
+    leaves out.
+    """
+    sp, canned = canned_scenario(name)
+    grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
+    vector = scenarios.REGISTRY[name].evaluate(sp, grid.zetas()[:, None], grid.taus()[None, :])[2]
+    reference = scenarios.reference_rows(sp, grid).rows(0, grid.n_zeta)
+    closed_form = scenarios.closed_form_rows(sp, grid).rows(0, grid.n_zeta)
+    assert (reference.rho is None) == (vector is None) == (name not in ("slow", "fast"))
+    pairs = [(reference.omega_a, closed_form.omega_a), (reference.omega_b, closed_form.omega_b)]
+    if reference.rho is not None:
+        pairs.append((reference.rho, closed_form.rho))
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()

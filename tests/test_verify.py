@@ -266,15 +266,15 @@ def test_the_fold_takes_blocks_of_any_size(cuts, tag):
 
 
 def test_the_kernel_refuses_a_source_without_state_at_its_first_block(monkeypatch):
-    """The closed form's fields alone hold no state.
+    """two_soliton's reference holds no state: its evaluator returns no vector.
 
     The kernel raises ValueError on the first block of grid.blocks() that
     it reads, two rows here, so it never asks for a second.
     """
-    sp, g = canned_scenario("slow")
+    sp, g = canned_scenario("two_soliton")
     grid = GridSpec(g.tau_min, g.tau_max, 41, g.zeta_min, g.zeta_max, 11)
     _rows_per_block(monkeypatch, grid, 2)
-    source = scenarios.closed_form_field_rows(sp, grid)
+    source = scenarios.reference_rows(sp, grid)
     served = []
 
     def counted(z0, z1):
