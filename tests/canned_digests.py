@@ -11,7 +11,9 @@ fixed relative ``--out`` name, ``<tag>-<engine>``, so the manifests compare
 too. Prints ``sha256  path`` for every file a run writes, its grid CSVs,
 residual report and manifest: 104 lines (an ``all`` run writes a CSV per
 route, and ``exulton_k`` refuses the numeric one). Exits 1 if a run did
-not exit 0.
+not exit 0. tests/canned_digests.txt holds these lines for the committed
+source; CI diffs a fresh run against it, so a change that moves a canned
+output's bytes changes that file in the same diff.
 
 With two checkouts, runs each in its own process and prints only the paths
 whose digests differ (or that one side lacks). A CSV that both sides wrote

@@ -3,19 +3,21 @@
     python tests/report_bits.py [CHECKOUT]
     python tests/report_bits.py CHECKOUT_A CHECKOUT_B
 
-Runs ``--scenario TAG --engine analytic --check`` and ``--scenario TAG
---engine all --check`` for each canned tag with the package under
-``CHECKOUT/src`` (default: the checkout holding this script), in a
-temporary directory. (A run's reports do not depend on whether it writes
-its CSVs, so ``--check`` leaves them out.) It catches the report lists of
-the two residual folds that the analytic route's stream feeds, the coarse
-lattice's (``coarse``: the output's even rows and columns) and then the
-output lattice's (``fine``), and every report that ``cli._run_checks``
-returns (``checks``: the density audits, the compares and the residuals
-with their orders). A checkout from before the folds has the lists of its
-residual_reports calls caught in their place, on its capped check lattice
-and that lattice's refinement, so two such checkouts pair. Prints one line
-per report, ``tag engine source index name probe max_abs l2``, with both
+Runs ``--scenario TAG --engine ENGINE --check`` for the runs of
+canned_digests.py: each canned tag under the engines ``analytic``,
+``dressing`` and ``all``, and ``fast`` and ``fig4`` under ``numeric``,
+with the package under ``CHECKOUT/src`` (default: the checkout holding
+this script), in a temporary directory. (A run's reports do not depend on
+whether it writes its CSVs, so ``--check`` leaves them out.) It catches
+the report lists of the two residual folds that the analytic route's
+stream feeds, the coarse lattice's (``coarse``: the output's even rows and
+columns) and then the output lattice's (``fine``), and every report that
+``cli._run_checks`` returns (``checks``: the density audits, the compares,
+a single-route run's included, and the residuals with their orders). A
+checkout from before the folds has the lists of its residual_reports
+calls caught in their place, on its capped check lattice and that
+lattice's refinement, so two such checkouts pair. Prints one line per
+report, ``tag engine source index name probe max_abs l2``, with both
 values as exact float hex. Exits 1 if a run did not exit 0.
 
 With two checkouts, runs each in its own process and prints each report
@@ -32,7 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-ENGINES = ("analytic", "all")
+ENGINES = ("analytic", "dressing", "all")
 
 
 def _catch(module, name, caught, reports_of, depth):
@@ -76,7 +78,7 @@ def main(argv) -> int:
         os.chdir(tmp)
         try:
             for tag in sorted(scenarios.CANNED):
-                for engine in ENGINES:
+                for engine in ENGINES + (("numeric",) if tag in ("fast", "fig4") else ()):
                     del residuals[:], checks[:]
                     out = f"{tag}-{engine}"
                     code = cli.main(["--scenario", tag, "--engine", engine, "--check",
