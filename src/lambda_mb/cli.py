@@ -14,7 +14,8 @@ and its compare with the reference, scenarios.reference_rows, evaluated
 again block by block (the analytic route has none).  The analytic
 route's blocks feed the residual checks, on the output lattice and on
 its even rows and columns.
-The numeric route's pass runs inside mbsolver.propagate, as its consumer.
+The numeric route's pass runs inside mbsolver.propagate, as its consumer,
+and its density audit is the solver's own figures, read off its source.
 """
 
 from __future__ import annotations
@@ -362,8 +363,8 @@ class _Checks:
     of even global index and even columns, as strided views), and any
     other route's compare with the same rows of scenarios.reference_rows,
     evaluated again for it, the solver's state left out. The numeric
-    route's figures are the solver's own, stored in figures after its
-    pass, so no slice is audited twice.
+    route's figures are the solver's own, read off its source after each
+    block, so no slice is audited twice.
     """
 
     def __init__(self, sp, grid: GridSpec, engines):
@@ -378,7 +379,9 @@ class _Checks:
     def watch(self, eng: str, source) -> RowSource:
         def watched(z0: int, z1: int) -> Rows:
             block = source.rows(z0, z1)
-            if eng != "numeric":
+            if eng == "numeric":
+                self.figures[eng] = source.figures
+            else:
                 self.figures[eng] = algebra.worse_figures(
                     self.figures.get(eng), algebra.state_figures(block.rho, self.kind))
             if eng == "analytic":
@@ -501,22 +504,17 @@ def run_scenario(cfg: ScenarioConfig, check_only: bool = False) -> int:
         write_grid_csv(path, watched)
         _say(cfg, f"wrote {path}")
 
-    def read_numeric(source):
-        read("numeric", source)
-        return source.figures
-
     # engine by engine, not all routes in step: each CSV is then one
     # write_grid_csv call and the whole march one propagate call, the spans
     # that bench/spans.py times
     for eng in engines:
         _say(cfg, f"reading the {eng} route for scenario {sp.scenario}")
-        if eng == "analytic":
-            read(eng, scenarios.closed_form_rows(sp, grid))
-        elif eng == "dressing":
-            read(eng, scenarios.dressed_rows(sp, grid))
+        if eng == "numeric":
+            mbsolver.propagate(*scenarios.numeric_entry(sp, grid), sp.params, grid,
+                               consume=lambda source: read(eng, source))
         else:
-            checks.figures[eng] = mbsolver.propagate(*scenarios.numeric_entry(sp, grid),
-                                                     sp.params, grid, consume=read_numeric)
+            read(eng, (scenarios.closed_form_rows if eng == "analytic"
+                       else scenarios.dressed_rows)(sp, grid))
 
     failures, reports = _run_checks(cfg, sp, grid, checks)
 

@@ -2,8 +2,7 @@
 
 canned_scenario expands a canned tag as the CLI does, through
 apply_canned; refined gives the lattice whose GridSpec.coarse() a lattice
-is, and usable_step says whether GridSpec takes an axis; numeric_inputs
-reads the solver's inputs off a stored analytic grid; regime_keywords
+is, and usable_step says whether GridSpec takes an axis; regime_keywords
 draws make_scenario keywords inside a registry record's regime of
 validity.
 """
@@ -35,17 +34,6 @@ def usable_step(low: float, high: float, n: int) -> bool:
     """Whether GridSpec takes the axis: a step h > 0 whose 1 / (2h) is finite."""
     h = (high - low) / (n - 1)
     return h > 0 and math.isfinite(1.0 / (2.0 * h))
-
-
-def numeric_inputs(sp, grid):
-    """(entry fields, tau_min boundary) that build_numeric_grid gives the solver.
-
-    Read off the stored analytic grid of the lattice: its first zeta row,
-    and its entry-major (3, 3, n_zeta) tau_min column. Pass them to
-    mbsolver.MarchRows with sp.params and grid.
-    """
-    ana = scenarios.build_analytic_grid(sp, grid)
-    return (ana.omega_a[0], ana.omega_b[0]), ana.rho[:, :, :, 0]
 
 
 @st.composite

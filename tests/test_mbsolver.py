@@ -12,7 +12,7 @@ from lambda_mb.errors import StepUnstable
 from lambda_mb.mbsolver import GridSpec, integrate_bloch_slice, maxwell_step, propagate
 from lambda_mb.model import LambdaParams, SpectralData
 from pointwise_oracle import node_major
-from scenario_inputs import canned_scenario, numeric_inputs, refined, usable_step
+from scenario_inputs import canned_scenario, refined, usable_step
 
 DARK = algebra.projector(model.dark_state(0.0))
 
@@ -393,7 +393,7 @@ def test_every_slice_is_hermitian_and_the_grid_reports_it(tag):
     assert np.array_equal(node_major(sol.rho), _dagger(node_major(sol.rho)))
     # one-row blocks: the source's figures fold each slice's worst in, so a
     # zero after every block is a zero on every slice
-    source = mbsolver.MarchRows(*numeric_inputs(sp, grid), sp.params, grid)
+    source = mbsolver.MarchRows(*scenarios.numeric_entry(sp, grid), sp.params, grid)
     for z in range(grid.n_zeta):
         source.rows(z, z + 1)
         assert source.figures["herm_dev"] == 0.0

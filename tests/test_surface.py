@@ -28,7 +28,7 @@ import pytest
 
 from lambda_mb import mbsolver, scenarios
 from lambda_mb.mbsolver import GridSpec
-from scenario_inputs import canned_scenario, numeric_inputs
+from scenario_inputs import canned_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lambda_mb"
@@ -149,12 +149,18 @@ def _assert_entry_major(sol):
 def test_every_builder_holds_an_entry_major_state(name):
     sp, canned = canned_scenario(name)
     grid = GridSpec(canned.tau_min, canned.tau_max, 41, canned.zeta_min, canned.zeta_max, 9)
-    for build in (scenarios.build_analytic_grid, scenarios.build_dressed_grid):
-        _assert_entry_major(build(sp, grid))
+    analytic = scenarios.build_analytic_grid(sp, grid)
+    for sol in (analytic, scenarios.build_dressed_grid(sp, grid)):
+        _assert_entry_major(sol)
     if scenarios.state_kind(sp.params) == "formal":
         return
+    # the solver's entry data is the stored analytic grid's first row and tau_min column
+    (entry_a, entry_b), boundary = entry = scenarios.numeric_entry(sp, grid)
+    assert entry_a.tobytes() == analytic.omega_a[0].tobytes()
+    assert entry_b.tobytes() == analytic.omega_b[0].tobytes()
+    assert boundary.tobytes() == analytic.rho[:, :, :, 0].tobytes()
     numeric = scenarios.build_numeric_grid(sp, grid)
     _assert_entry_major(numeric)
-    source = mbsolver.MarchRows(*numeric_inputs(sp, grid), sp.params, grid)
+    source = mbsolver.MarchRows(*entry, sp.params, grid)
     rows = [source.rows(z, z + 1).rho for z in range(grid.n_zeta)]
     assert numeric.rho.tobytes() == np.concatenate(rows, axis=2).tobytes()
