@@ -262,6 +262,9 @@ def _prefix_products(maps: np.ndarray) -> np.ndarray:
     return out
 
 
+# a step that overflows reaches the band check as a NaN state, which raises
+# StepUnstable; numpy's warnings on the way add nothing to that
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate_bloch_slice(f_of_tau, rho_initial, delta: float, grid: GridSpec):
     """March the state along tau through one zeta slice.
 
@@ -302,6 +305,7 @@ def _field_derivative(rho_slice, nu0: float):
     return doa, dob
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def maxwell_step(rho_slice, f_slice, p: LambdaParams, rho_boundary_next, grid: GridSpec):
     """One predictor-corrector step of the fields in zeta, of the grid's h_zeta.
 

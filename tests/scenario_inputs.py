@@ -1,10 +1,10 @@
 """Scenario inputs only the tests build.
 
 canned_scenario expands a canned tag as the CLI does, through
-apply_canned; refined gives the lattice whose GridSpec.coarse() a lattice
-is, and usable_step says whether GridSpec takes an axis; regime_keywords
-draws make_scenario keywords inside a registry record's regime of
-validity.
+apply_canned, on the canned domain with its own or given node counts;
+refined gives the lattice whose GridSpec.coarse() a lattice is, and
+usable_step says whether GridSpec takes an axis; regime_keywords draws
+make_scenario keywords inside a registry record's regime of validity.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from lambda_mb import cli, scenarios
 from lambda_mb.mbsolver import GridSpec
 
 
-def canned_scenario(tag: str):
-    """(ScenarioParams, GridSpec) of a canned tag."""
+def canned_scenario(tag: str, n_tau: int | None = None, n_zeta: int | None = None):
+    """(ScenarioParams, GridSpec) of a canned tag; n_tau and n_zeta replace its counts."""
     cfg = cli.ScenarioConfig()
     cli.apply_canned(cfg, tag)
+    cfg.n_tau, cfg.n_zeta = n_tau or cfg.n_tau, n_zeta or cfg.n_zeta
     return cfg.scenario_params(), cfg.grid()
 
 

@@ -8,17 +8,12 @@ import time
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
-from lambda_mb import algebra, analytic, cli, darboux, model, scenarios, verify
-from lambda_mb.analytic import ScenarioParams
-from lambda_mb.darboux import DressConstants, SolitonConstants
+from lambda_mb import analytic, cli, darboux, scenarios, verify
 from lambda_mb.mbsolver import GridSpec, propagate
-from lambda_mb.model import LambdaParams, SpectralData
+from lambda_mb.scenarios import make_scenario
 import observables
 from scenario_inputs import refined
-
-PROBES = (1.0 + 1.0j, 0.7j, -2.0 + 0.5j)
 
 #: grids collected by criteria 1-3 and audited wholesale by criterion 4
 _AUDIT_POOL = []
@@ -28,15 +23,6 @@ def _verdict(criterion, ok, detail, t0):
     line = f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} ({time.time() - t0:.1f} s) — {detail}"
     print("\n" + line)
     assert ok, line
-
-
-def fig2_scenario():
-    return ScenarioParams(
-        params=LambdaParams(nu0=3.0, delta=0.0, omega0=1.0),
-        spectral=SpectralData.from_eps0(2.0, 1.0),
-        scenario="two_soliton",
-        soliton=SolitonConstants(a1=1.0, a3=1.0),
-    )
 
 
 def reference_grid():
@@ -61,7 +47,7 @@ def solver_pass(on_block):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.time()
-    sp = fig2_scenario()
+    sp = make_scenario("two_soliton")
     grid = reference_grid()
     ana = scenarios.build_analytic_grid(sp, grid)
     drs = scenarios.build_dressed_grid(sp, grid)
@@ -77,22 +63,12 @@ def test_criterion_2_reduction_limits():
     t0 = time.time()
     grid = reference_grid()
     zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
-    sp_slow_full = ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=1.0),
-        spectral=SpectralData.from_eps0(2.0, 1.0),
-        scenario="two_soliton", soliton=SolitonConstants(1.0, 0.0))
-    oa2, ob2, _ = analytic.two_soliton(sp_slow_full, zz, tt)
-    sp_slow = ScenarioParams(params=sp_slow_full.params, spectral=sp_slow_full.spectral,
-                             scenario="slow", soliton=SolitonConstants(1.0, 0.0))
-    oas, obs, _ = analytic.slow_soliton(sp_slow, zz, tt)
+    oa2, ob2, _ = analytic.two_soliton(make_scenario("two_soliton", a=(1.0, 1.0, 0.0)), zz, tt)
+    oas, obs, _ = analytic.slow_soliton(make_scenario("slow"), zz, tt)
     dev_slow = max(float(np.max(np.abs(oa2 - oas))), float(np.max(np.abs(ob2 - obs))))
 
-    sp_fast_full = ScenarioParams(params=sp_slow_full.params, spectral=sp_slow_full.spectral,
-                                  scenario="two_soliton", soliton=SolitonConstants(0.0, 1.0))
-    oa2f, ob2f, _ = analytic.two_soliton(sp_fast_full, zz, tt)
-    sp_fast = ScenarioParams(params=sp_slow_full.params, spectral=sp_slow_full.spectral,
-                             scenario="fast", soliton=SolitonConstants(0.0, 1.0))
-    oaf, obf, _ = analytic.fast_soliton(sp_fast, tt)
+    oa2f, ob2f, _ = analytic.two_soliton(make_scenario("two_soliton", a=(0.0, 1.0, 1.0)), zz, tt)
+    oaf, obf, _ = analytic.fast_soliton(make_scenario("fast"), tt)
     dev_fast = max(float(np.max(np.abs(oa2f - oaf))), float(np.max(np.abs(ob2f))),
                    float(np.max(np.abs(obf))))
     dev = max(dev_slow, dev_fast)
@@ -102,16 +78,15 @@ def test_criterion_2_reduction_limits():
 
 
 def _scenario_suite():
-    mk = scenarios.make_scenario
     return [
-        ("two_soliton", mk("two_soliton"), GridSpec(-12, 12, 121, 0, 6, 121)),
-        ("slow", mk("slow"), GridSpec(-12, 12, 121, 0, 6, 121)),
-        ("fast", mk("fast"), GridSpec(-6, 6, 121, 0, 2, 121)),
-        ("zero_background", mk("zero_background", omega0=0.0, c=(1, 1, 1)),
+        ("two_soliton", make_scenario("two_soliton"), GridSpec(-12, 12, 121, 0, 6, 121)),
+        ("slow", make_scenario("slow"), GridSpec(-12, 12, 121, 0, 6, 121)),
+        ("fast", make_scenario("fast"), GridSpec(-6, 6, 121, 0, 2, 121)),
+        ("zero_background", make_scenario("zero_background", omega0=0.0, c=(1, 1, 1)),
          GridSpec(-4, 1, 121, -2, 2, 121)),
-        ("exulton", mk("exulton", eps0=1.0, omega0=1.0, c=(1, 1, 1)),
+        ("exulton", make_scenario("exulton", eps0=1.0, omega0=1.0, c=(1, 1, 1)),
          GridSpec(-6, 6, 121, 0, 4, 121)),
-        ("exulton_k", mk("exulton_k", eps0=1.0, omega0=1.0, k=0.2, c=(0, 0, 1)),
+        ("exulton_k", make_scenario("exulton_k", eps0=1.0, omega0=1.0, k=0.2, c=(0, 0, 1)),
          GridSpec(-6, 6, 121, 0, 4, 121)),
     ]
 
@@ -126,7 +101,7 @@ def test_criterion_3_pde_and_curvature_residuals():
         _AUDIT_POOL.append((f"c3 {name}", coarse))
         pairs = [("pde", verify.pde_residual(coarse, sp.params),
                   verify.pde_residual(fine, sp.params))]
-        for lam in PROBES:
+        for lam in scenarios.DEFAULT_PROBES:
             pairs.append((f"zc[{lam}]",
                           verify.zero_curvature_residual(coarse, lam, sp.params),
                           verify.zero_curvature_residual(fine, lam, sp.params)))
@@ -145,17 +120,12 @@ def test_criterion_3_pde_and_curvature_residuals():
 
 def test_criterion_5_solver_tracking():
     t0 = time.time()
-    sp = fig2_scenario()
+    sp = make_scenario("two_soliton")
 
     def run(n_tau, n_zeta):
         grid = GridSpec(-20.0, 20.0, n_tau, 0.0, 8.0, n_zeta)
         zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
         oa_ref, ob_ref, _ = analytic.two_soliton(sp, zz, tt)
-        oa0 = np.ascontiguousarray(oa_ref[0])
-        ob0 = np.ascontiguousarray(ob_ref[0])
-        c = sp.dress_constants()
-        _, _, rho_edge = darboux.dressed_fields_and_state(
-            sp.params, sp.spectral, c, grid.zetas(), np.full(grid.n_zeta, grid.tau_min))
         # the solver's error, folded block by block against the whole
         # reference; np.maximum, so that a NaN fails
         err = 0.0
@@ -165,8 +135,7 @@ def test_criterion_5_solver_tracking():
             err = np.maximum(err, np.maximum(np.max(np.abs(rows.omega_a - oa_ref[z0:z1])),
                                              np.max(np.abs(rows.omega_b - ob_ref[z0:z1]))))
 
-        # rho_edge is the entry-major (3, 3, n_zeta) tau_min column
-        entry = propagate((oa0, ob0), rho_edge, sp.params, grid, solver_pass(fold))
+        entry = propagate(*scenarios.numeric_entry(sp, grid), sp.params, grid, solver_pass(fold))
         return float(err) / float(np.max(np.abs(oa_ref))), entry
 
     err_base, entry_base = run(2001, 801)
@@ -182,20 +151,15 @@ def test_criterion_5_solver_tracking():
 
 def test_criterion_6_group_velocity():
     t0 = time.time()
-    p = LambdaParams(nu0=3.0, delta=0.0, omega0=0.2)
-    s = SpectralData.from_eps0(2.0, 0.2)
-    sp = ScenarioParams(params=p, spectral=s, scenario="slow",
-                        soliton=SolitonConstants(1.0, 0.0))
+    sp = make_scenario("slow", omega0=0.2)
     grid = GridSpec(-2.0, 11.0, 1301, 0.0, 0.06, 61)
     sol = scenarios.build_analytic_grid(sp, grid)
     v = observables.measure_velocity(sol, "ia_min")
-    formula = observables.slow_group_velocity(p, s)
+    formula = observables.slow_group_velocity(sp.params, sp.spectral)
     rel = abs(v - formula) / formula
 
     # reference-parameter run: approximation regime violated, value reported only
-    sp2 = fig2_scenario()
-    sp2 = ScenarioParams(params=sp2.params, spectral=sp2.spectral, scenario="slow",
-                         soliton=SolitonConstants(1.0, 0.0))
+    sp2 = make_scenario("slow")
     grid2 = GridSpec(-2.0, 50.0, 1041, 0.0, 8.0, 81)
     sol2 = scenarios.build_analytic_grid(sp2, grid2)
     v2 = observables.measure_velocity(sol2, "ia_min")
@@ -209,14 +173,9 @@ def test_criterion_6_group_velocity():
 
 def test_criterion_7_dark_state_transparency():
     t0 = time.time()
-    sp = ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=1.0),
-        spectral=SpectralData.from_eps0(2.0, 1.0),
-        scenario="fast", soliton=SolitonConstants(0.0, 1.0))
+    sp = make_scenario("fast")
     grid = GridSpec(-10.0, 10.0, 1001, 0.0, 4.0, 201)
-    oa0, ob0, _ = analytic.fast_soliton(sp, grid.taus())
-    dark = algebra.projector(model.dark_state(sp.params.eta))
-    boundary = np.repeat(dark[..., None], grid.n_zeta, axis=-1)  # (3, 3, n_zeta)
+    (oa0, ob0), boundary = scenarios.numeric_entry(sp, grid)
     p1 = p3 = -np.inf
     out_dev = np.nan
 
@@ -229,8 +188,7 @@ def test_criterion_7_dark_state_transparency():
             out_dev = max(float(np.max(np.abs(rows.omega_a[-1] - oa0))),
                           float(np.max(np.abs(rows.omega_b[-1] - ob0))))
 
-    entry = propagate((oa0.astype(complex), ob0.astype(complex)), boundary, sp.params, grid,
-                      solver_pass(fold))
+    entry = propagate((oa0, ob0), boundary, sp.params, grid, solver_pass(fold))
     _AUDIT_POOL.append(("c7 numeric", entry))
     elapsed = time.time() - t0
     ok = p1 < 1e-8 and p3 < 1e-8 and out_dev < 1e-6 and elapsed < 60.0
@@ -241,16 +199,12 @@ def test_criterion_7_dark_state_transparency():
 
 def test_criterion_8_stopped_polariton():
     t0 = time.time()
-    sp = ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=0.0),
-        spectral=SpectralData.from_eps0(2.0, 0.0),
-        scenario="zero_background", constants=DressConstants(1.0, 1.0, 1.0))
+    sp = make_scenario("zero_background", omega0=0.0)
     grid = GridSpec(-14.0, -4.0, 501, -2.0, 2.0, 401)
     sol = scenarios.build_analytic_grid(sp, grid)
     v = abs(observables.measure_velocity(sol, "p1_max"))
 
-    sp0 = ScenarioParams(params=sp.params, spectral=sp.spectral,
-                         scenario="zero_background", constants=DressConstants(0.0, 1.0, 1.0))
+    sp0 = make_scenario("zero_background", omega0=0.0, c=(0.0, 1.0, 1.0))
     zz, tt = grid.zetas()[:, None], grid.taus()[None, :]
     oa, ob, _ = analytic.zero_background(sp0, zz, tt)
     fields_zero = float(max(np.max(np.abs(oa)), np.max(np.abs(ob)))) == 0.0
@@ -278,7 +232,7 @@ def test_criterion_4_density_audit():
     t0 = time.time()
     pool = list(_AUDIT_POOL)
     if not pool:  # criterion run standalone: audit the reference scenario grids
-        sp = fig2_scenario()
+        sp = make_scenario("two_soliton")
         pool = [("standalone analytic", scenarios.build_analytic_grid(sp, reference_grid())),
                 ("standalone dressing", scenarios.build_dressed_grid(sp, reference_grid()))]
     failures = []

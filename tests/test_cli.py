@@ -25,6 +25,23 @@ n_zeta = 21
 """
 
 
+def _main(tmp_path, text, *argv):
+    """cli.main on the config text with out = tmp_path / "run" and quiet = true.
+
+    Returns the exit code and the run's report text, None where it wrote none.
+    """
+    path = tmp_path / "cfg.txt"
+    path.write_text(text + f"out = {tmp_path / 'run'}\nquiet = true\n")
+    code = cli.main([str(path), *argv])
+    report = tmp_path / "run" / "residual_report.txt"
+    return code, report.read_text() if report.exists() else None
+
+
+def _failures(report):
+    """The failure lines of a report."""
+    return [line for line in report.splitlines() if line.startswith("  - ")]
+
+
 def test_empty_config_is_default_set():
     cfg = parse_config("")
     assert cfg.scenario == "two_soliton"
@@ -157,11 +174,23 @@ def test_an_unknown_canned_tag_exits_2_with_its_message_unquoted(capsys):
     "scenario = zero_background\nomega0 = 0\nc1 = 1e300\nc2 = 1\nc3 = 1\n",
 ])
 def test_an_input_that_overflows_mid_run_exits_1_with_its_name(tmp_path, capsys, text):
-    path = tmp_path / "cfg.txt"
-    path.write_text(text + "tau_min = -8\ntau_max = 8\nn_tau = 11\nzeta_min = 0\n"
-                    f"zeta_max = 2\nn_zeta = 5\nout = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--check"]) == 1
+    lattice = "tau_min = -8\ntau_max = 8\nn_tau = 11\nzeta_min = 0\nzeta_max = 2\nn_zeta = 5\n"
+    assert _main(tmp_path, text + lattice, "--check")[0] == 1
     assert capsys.readouterr().err.startswith("OverflowError:")
+
+
+@pytest.mark.parametrize("text, engine", [
+    ("scenario = two_soliton\nzeta_max = 1e50\n", "numeric"),
+    ("scenario = slow\nzeta_max = 1e300\n", "all"),
+    ("scenario = fast\ntau_max = 1e300\n", "all"),
+], ids=["two_soliton-numeric", "slow-all", "fast-all"])
+def test_a_blown_up_solver_step_exits_1_in_one_line(tmp_path, capsys, text, engine):
+    # the step overflows; its NaN reaches the slice's band check, and none
+    # of numpy's warnings on the way escapes as an error or a line
+    assert _main(tmp_path, text + "n_tau = 41\nn_zeta = 5\n", "--engine", engine,
+                 "--check")[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("StepUnstable:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("line", [
@@ -256,12 +285,10 @@ def test_the_numeric_compare_evaluates_no_closed_form_state(tmp_path, monkeypatc
 
     monkeypatch.setattr(scenarios, "_closed_form", recorded_closed_form)
     monkeypatch.setattr(mbsolver, "propagate", flagged_propagate)
-    path = tmp_path / "cfg.txt"
-    path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 161\n"
-                    "zeta_min = 0\nzeta_max = 2\nn_zeta = 81\nnumeric_tol = 0.01\n"
-                    f"out = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--engine", engine, "--check"]) == 0
-    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    code, report = _main(tmp_path, "scenario = two_soliton\ntau_min = -8\ntau_max = 8\n"
+                         "n_tau = 161\nzeta_min = 0\nzeta_max = 2\nn_zeta = 81\n"
+                         "numeric_tol = 0.01\n", "--engine", engine, "--check")
+    assert code == 0
     assert "check: compare[numeric vs analytic]" in report
     assert calls and not any(calls)
 
@@ -280,13 +307,12 @@ def test_the_numeric_gate_scales_by_the_references_largest_field(tmp_path, n_zet
     fails on 21 zeta rows (h_zeta = 0.5, a pulse about 0.5 wide) and
     passes on 321, where its error is 1.69e-3.
     """
-    path = tmp_path / "cfg.txt"
-    path.write_text("scenario = zero_background\neps0 = 2\nomega0 = 0\nc1 = 1\nc2 = 1\nc3 = 1\n"
-                    "tau_min = 345\ntau_max = 405\nn_tau = 601\nzeta_min = 990\n"
-                    f"zeta_max = 1000\nn_zeta = {n_zeta}\nout = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--engine", "all", "--check"]) == code
-    report = (tmp_path / "run" / "residual_report.txt").read_text()
-    assert [line for line in report.splitlines() if line.startswith("  - ")] == failures
+    got, report = _main(tmp_path, "scenario = zero_background\neps0 = 2\nomega0 = 0\nc1 = 1\n"
+                        "c2 = 1\nc3 = 1\ntau_min = 345\ntau_max = 405\nn_tau = 601\n"
+                        f"zeta_min = 990\nzeta_max = 1000\nn_zeta = {n_zeta}\n",
+                        "--engine", "all", "--check")
+    assert got == code
+    assert _failures(report) == failures
 
 
 def test_an_under_resolved_grid_fails_its_residual_orders(tmp_path):
@@ -297,13 +323,11 @@ def test_an_under_resolved_grid_fails_its_residual_orders(tmp_path):
     solution well enough for second-order convergence to show. The
     checks read no finer lattice than the one produced.
     """
-    path = tmp_path / "cfg.txt"
-    path.write_text("scenario = two_soliton\ntau_min = -8\ntau_max = 8\nn_tau = 81\n"
-                    "zeta_min = 0\nzeta_max = 2\nn_zeta = 41\n"
-                    f"out = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--engine", "analytic", "--check"]) == 1
-    report = (tmp_path / "run" / "residual_report.txt").read_text()
-    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+    code, report = _main(tmp_path, "scenario = two_soliton\ntau_min = -8\ntau_max = 8\n"
+                         "n_tau = 81\nzeta_min = 0\nzeta_max = 2\nn_zeta = 41\n",
+                         "--engine", "analytic", "--check")
+    assert code == 1
+    assert _failures(report) == [
         f"  - {name}: convergence order 1.66 outside [1.8, 2.2]"
         for name in ["pde"] + ["zero_curvature"] * len(scenarios.DEFAULT_PROBES)]
 
@@ -330,15 +354,12 @@ def _dressed_rows_with_nan(monkeypatch, name, index):
 
 def test_nan_metric_fails_the_verdict(tmp_path, monkeypatch):
     _dressed_rows_with_nan(monkeypatch, "omega_a", (3, 5))
-    path = tmp_path / "cfg.txt"
     # numeric_tol suits this coarse lattice: the NaN is the only defect
-    path.write_text(SMALL_SLOW.replace("engine = analytic", "engine = all")
-                    + f"numeric_tol = 0.01\nout = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path)]) == 1
-    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    code, report = _main(tmp_path, SMALL_SLOW.replace("engine = analytic", "engine = all")
+                         + "numeric_tol = 0.01\n")
+    assert code == 1
     assert "verdict: FAIL" in report
-    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
-        "  - analytic vs dressing: nan > 1e-09"]
+    assert _failures(report) == ["  - analytic vs dressing: nan > 1e-09"]
 
 
 def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
@@ -365,14 +386,12 @@ def test_nan_residual_fails_the_verdict(tmp_path, monkeypatch):
         return RowSource(grid, with_nan)
 
     monkeypatch.setattr(scenarios, "closed_form_rows", nan_in_the_stream)
-    path = tmp_path / "cfg.txt"
-    path.write_text(SMALL_SLOW + f"out = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--check"]) == 1
+    code, report = _main(tmp_path, SMALL_SLOW, "--check")
+    assert code == 1
     assert read == [parse_config(SMALL_SLOW).grid()]
-    report = (tmp_path / "run" / "residual_report.txt").read_text()
     assert "verdict: FAIL" in report
     assert "check: pde\nmax_abs: nan\n" in report
-    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+    assert _failures(report) == [
         "  - audit[analytic]: nan > 1e-08"] + [
         f"  - {name}: convergence order nan outside [1.8, 2.2]"
         for name in ["pde"] + ["zero_curvature"] * len(scenarios.DEFAULT_PROBES)]
@@ -384,43 +403,37 @@ def test_a_failed_run_leaves_its_own_manifest_and_no_verdict(tmp_path, monkeypat
     The manifest is written before any route is read, and the report of
     the run before is removed; the report is written last.
     """
-    path = tmp_path / "cfg.txt"
-    config = SMALL_SLOW.replace("engine = analytic", "engine = all") + (
-        f"numeric_tol = 0.01\nout = {tmp_path / 'run'}\nquiet = true\n")
-    path.write_text(config)
-    assert cli.main([str(path)]) == 0
-    report = tmp_path / "run" / "residual_report.txt"
-    assert report.read_text().endswith("verdict: PASS\n")
+    config = SMALL_SLOW.replace("engine = analytic", "engine = all") + "numeric_tol = 0.01\n"
+    code, report = _main(tmp_path, config)
+    assert code == 0
+    assert report.endswith("verdict: PASS\n")
 
     def refused(sp, grid):
         raise ParameterGuard("seed verification gate failed")
 
     monkeypatch.setattr(scenarios, "dressed_rows", refused)
-    path.write_text(config + "nu0 = 2.5\n")
-    assert cli.main([str(path)]) == 1
+    code, report = _main(tmp_path, config + "nu0 = 2.5\n")
+    assert code == 1
     assert "nu0 = 2.5\n" in (tmp_path / "run" / "manifest.txt").read_text()
     assert (tmp_path / "run" / "grid_analytic.csv").exists()
-    assert not report.exists()
+    assert report is None
 
 
 def test_a_run_leaves_no_grid_of_an_earlier_run(tmp_path):
     """Every grid CSV in out is the run's own: an analytic run after an all
     run leaves only its own CSV, and a --check run leaves none."""
     run = tmp_path / "run"
-    path = tmp_path / "cfg.txt"
-    config = SMALL_SLOW + f"numeric_tol = 0.01\nout = {run}\nquiet = true\n"
-    path.write_text(config.replace("engine = analytic", "engine = all"))
+    config = SMALL_SLOW + "numeric_tol = 0.01\n"
 
     def grids():
         return sorted(p.name for p in run.glob("grid_*.csv"))
 
-    assert cli.main([str(path)]) == 0
+    assert _main(tmp_path, config.replace("engine = analytic", "engine = all"))[0] == 0
     assert grids() == ["grid_analytic.csv", "grid_dressing.csv", "grid_numeric.csv"]
-    path.write_text(config)
-    assert cli.main([str(path)]) == 0
+    assert _main(tmp_path, config)[0] == 0
     assert grids() == ["grid_analytic.csv"]
     assert "engine = analytic\n" in (run / "manifest.txt").read_text()
-    assert cli.main([str(path), "--check"]) == 0
+    assert _main(tmp_path, config, "--check")[0] == 0
     assert grids() == []
 
 
@@ -430,10 +443,8 @@ def test_c_for_a_scenario_parameterized_by_a_exits_2_naming_the_keys(tmp_path, c
     # the run would go on the c mapped from a, beside a manifest echoing c1 = 5.0
     with pytest.raises(ParameterGuard, match="c1, c2, c3"):
         scenarios.make_scenario(name, c=(5.0, 0.0, 0.0))
-    path = tmp_path / "cfg.txt"
-    path.write_text(SMALL_SLOW.replace("scenario = slow", f"scenario = {name}")
-                    + f"c1 = 5.0\nout = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path)]) == 2
+    assert _main(tmp_path, SMALL_SLOW.replace("scenario = slow", f"scenario = {name}")
+                 + "c1 = 5.0\n")[0] == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "a1, a2, a3" in err and "c1, c2, c3" in err
     assert not (tmp_path / "run").exists()
@@ -447,25 +458,20 @@ def test_c_for_a_scenario_parameterized_by_a_exits_2_naming_the_keys(tmp_path, c
     "scenario = exulton\nengine = all\nc1 = 0\nc2 = 1\nc3 = 1\nn_zeta = 5\nzeta_max = 0.01\n",
 ], ids=["exulton_k-dressing", "exulton-all"])
 def test_the_degenerate_point_at_c1_zero_passes_on_a_large_background(tmp_path, capsys, config):
-    run = tmp_path / "run"
-    path = tmp_path / "cfg.txt"
-    path.write_text(config + "omega0 = 50\neps0 = 50\ntau_min = -40\ntau_max = 40\n"
-                    f"n_tau = 801\nzeta_min = 0\nout = {run}\nquiet = true\n")
-    assert cli.main([str(path), "--check"]) == 0
+    code, report = _main(tmp_path, config + "omega0 = 50\neps0 = 50\ntau_min = -40\n"
+                         "tau_max = 40\nn_tau = 801\nzeta_min = 0\n", "--check")
+    assert code == 0
     assert capsys.readouterr().err == ""
-    assert (run / "residual_report.txt").read_text().endswith("verdict: PASS\n")
+    assert report.endswith("verdict: PASS\n")
 
 
 def test_nan_in_the_audited_state_fails_the_verdict(tmp_path, monkeypatch):
     _dressed_rows_with_nan(monkeypatch, "rho", (0, 1, 4, 9))
-    path = tmp_path / "cfg.txt"
-    path.write_text(SMALL_SLOW.replace("engine = analytic", "engine = dressing")
-                    + f"out = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path)]) == 1
-    report = (tmp_path / "run" / "residual_report.txt").read_text()
+    code, report = _main(tmp_path, SMALL_SLOW.replace("engine = analytic", "engine = dressing"))
+    assert code == 1
     assert "check: density_audit\nmax_abs: nan\n" in report
     # slow's reference holds the projector of its vector, so the compare reads the NaN too
-    assert [line for line in report.splitlines() if line.startswith("  - ")] == [
+    assert _failures(report) == [
         "  - audit[dressing]: nan > 1e-08", "  - analytic vs dressing: nan > 1e-09"]
 
 
@@ -539,13 +545,11 @@ def test_a_route_without_residual_checks_takes_any_count(tmp_path, engine):
     fails: on 4 zeta rows (h_zeta = 0.67) it misses the closed form by
     0.51, its true error on so coarse a lattice.
     """
-    path = tmp_path / "cfg.txt"
-    path.write_text(SMALL_SLOW.replace("engine = analytic", f"engine = {engine}")
-                    .replace("n_tau = 41", "n_tau = 40").replace("n_zeta = 21", "n_zeta = 4")
-                    + f"out = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path), "--check"]) == (0 if engine == "dressing" else 1)
-    report = (tmp_path / "run" / "residual_report.txt").read_text()
-    failures = [line.split(":")[0] for line in report.splitlines() if line.startswith("  - ")]
+    code, report = _main(tmp_path, SMALL_SLOW.replace("engine = analytic", f"engine = {engine}")
+                         .replace("n_tau = 41", "n_tau = 40").replace("n_zeta = 21", "n_zeta = 4"),
+                         "--check")
+    assert code == (0 if engine == "dressing" else 1)
+    failures = [line.split(":")[0] for line in _failures(report)]
     assert failures == ([] if engine == "dressing" else ["  - numeric vs analytic"])
 
 
@@ -553,13 +557,11 @@ def test_a_regular_scenario_just_off_the_degenerate_point_builds(tmp_path):
     # eps0 - omega0 = 2e-8, twice darboux.DEGENERATE_TOL: the regular seed
     # dresses it, and every route and check holds (numeric_tol suits this
     # coarse lattice, as in test_nan_metric_fails_the_verdict)
-    path = tmp_path / "cfg.txt"
-    path.write_text("scenario = two_soliton\neps0 = 1.00000002\ntau_min = -8\ntau_max = 8\n"
-                    "n_tau = 81\nzeta_min = 0\nzeta_max = 2\nn_zeta = 41\nnumeric_tol = 0.01\n"
-                    f"out = {tmp_path / 'run'}\nquiet = true\n")
-    sp = parse_config(path.read_text()).scenario_params()
+    text = ("scenario = two_soliton\neps0 = 1.00000002\ntau_min = -8\ntau_max = 8\n"
+            "n_tau = 81\nzeta_min = 0\nzeta_max = 2\nn_zeta = 41\nnumeric_tol = 0.01\n")
+    sp = parse_config(text).scenario_params()
     assert darboux.seed_family(sp.params, sp.spectral) == "regular"
-    assert cli.main([str(path), "--check"]) == 0
+    assert _main(tmp_path, text, "--check")[0] == 0
 
 
 def test_manifest_round_trip():
@@ -659,9 +661,7 @@ def test_run_reproducible_bytes(tmp_path):
 
 
 def test_main_with_config_file(tmp_path):
-    path = tmp_path / "cfg.txt"
-    path.write_text(SMALL_SLOW + f"\nout = {tmp_path / 'run'}\nquiet = true\n")
-    assert cli.main([str(path)]) == 0
+    assert _main(tmp_path, SMALL_SLOW)[0] == 0
 
 
 def test_main_rejects_broken_config(tmp_path):

@@ -42,22 +42,17 @@ def written_bytes(tmp_path: Path, sol: SolutionGrid):
     return (tmp_path / "new.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
 
 
-def _reduced(tag: str, n_zeta: int = 5):
-    sp, g = canned_scenario(tag)
-    return sp, GridSpec(g.tau_min, g.tau_max, g.n_tau, g.zeta_min, g.zeta_max, n_zeta)
-
-
 @pytest.mark.parametrize("engine", ["analytic", "dressing"])
 @pytest.mark.parametrize("tag", sorted(scenarios.CANNED))
 def test_exact_grids_match_reference(tmp_path, tag, engine):
-    sp, grid = _reduced(tag)
+    sp, grid = canned_scenario(tag, n_zeta=5)
     build = scenarios.build_analytic_grid if engine == "analytic" else scenarios.build_dressed_grid
     new, ref = written_bytes(tmp_path, build(sp, grid))
     assert new == ref
 
 
 def test_numeric_fast_grid_matches_reference(tmp_path):
-    sp, grid = _reduced("fast", n_zeta=9)
+    sp, grid = canned_scenario("fast", n_zeta=9)
     new, ref = written_bytes(tmp_path, scenarios.build_numeric_grid(sp, grid))
     assert new == ref
 
@@ -264,9 +259,9 @@ def test_fast_grids_repeat_their_rows_and_fig2_does_not(build):
         return ([part(f) for f in (sol.omega_a, sol.omega_b) for part in (np.real, np.imag)]
                 + [sol.rho[k, k].real for k in range(3)])
 
-    sol = build(*_reduced("fast", n_zeta=9))
+    sol = build(*canned_scenario("fast", n_zeta=9))
     assert cli._rows_repeat(float_columns(sol), sol.grid.n_zeta)
-    sol = scenarios.build_analytic_grid(*_reduced("fig2"))
+    sol = scenarios.build_analytic_grid(*canned_scenario("fig2", n_zeta=5))
     assert not cli._rows_repeat(float_columns(sol), sol.grid.n_zeta)
 
 

@@ -367,8 +367,7 @@ def test_dress_matches_closed_form_pointwise():
     l1 = SpectralMatrixL.for_eigenvalue(s.lambda0)
     h0 = model.interaction_hamiltonian((p.omega0, 0.0))
     rho0 = algebra.projector(model.dark_state(0.0))
-    sp = analytic.ScenarioParams(params=p, spectral=s, scenario="two_soliton",
-                                 soliton=SolitonConstants(1.0, 1.0))
+    sp = scenarios.make_scenario("two_soliton")
     rng = np.random.default_rng(13)
     for _ in range(25):
         # moderate window: the pointwise pipeline materializes the seed basis,
@@ -421,9 +420,7 @@ def test_dressed_grid_zero_curvature_three_probes():
     from lambda_mb import verify
     from lambda_mb.mbsolver import GridSpec
 
-    sp = analytic.ScenarioParams(params=FIG2_P, spectral=FIG2_S,
-                                 scenario="two_soliton",
-                                 soliton=SolitonConstants(1.0, 1.0))
+    sp = scenarios.make_scenario("two_soliton")
     grid = GridSpec(-10, 10, 81, 0, 5, 81)
     coarse = scenarios.build_dressed_grid(sp, grid)
     fine = scenarios.build_dressed_grid(sp, refined(grid))

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lambda_mb import algebra, analytic, mbsolver, model, scenarios, verify
-from lambda_mb.analytic import ScenarioParams
-from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import StepUnstable
 from lambda_mb.mbsolver import GridSpec, integrate_bloch_slice, maxwell_step, propagate
-from lambda_mb.model import LambdaParams, SpectralData
+from lambda_mb.model import LambdaParams
 from pointwise_oracle import node_major
 from scenario_inputs import canned_scenario, refined, usable_step
 
@@ -77,15 +75,6 @@ def test_the_even_rows_and_columns_of_a_streamed_block_are_the_coarse_lattice(na
         np.testing.assert_allclose(rho, fresh.rho, rtol=0.0, atol=1e-16)
     else:
         assert rho.tobytes() == fresh.rho.tobytes()
-
-
-def slow_scenario(om0=1.0, eps0=2.0, delta=0.0):
-    return ScenarioParams(
-        params=LambdaParams(nu0=3.0, delta=delta, omega0=om0),
-        spectral=SpectralData.from_eps0(eps0, om0),
-        scenario="slow",
-        soliton=SolitonConstants(1.0, 0.0),
-    )
 
 
 def test_solution_grid_requires_a_state_of_the_lattice_shape():
@@ -158,7 +147,7 @@ def test_slice_fourth_order_core_with_exact_midpoints():
 def test_slice_fourth_order_against_sampled_analytic_fields():
     # cubic midpoint reconstruction keeps the slice fourth order even though
     # the fields are only known on the grid
-    sp = slow_scenario()
+    sp = scenarios.make_scenario("slow")
     errs = []
     for n in (101, 201):
         grid = GridSpec(-8.0, 8.0, n, 0.0, 1.0, 2)
@@ -278,7 +267,7 @@ def test_maxwell_step_dark_background_fixed_point():
 def test_maxwell_step_orders():
     # one zeta step from the analytic entry slice: the predictor alone is
     # first order, the corrected step second order
-    sp = slow_scenario()
+    sp = scenarios.make_scenario("slow")
     p = sp.params
 
     def step_errors(h_zeta):
@@ -321,7 +310,7 @@ def test_propagate_constant_background_is_stationary():
 
 
 def test_propagate_tracks_analytic_slow_soliton():
-    sp = slow_scenario()
+    sp = scenarios.make_scenario("slow")
     grid = GridSpec(-12.0, 12.0, 481, 0.0, 1.0, 41)
     sol = scenarios.build_numeric_grid(sp, grid)
     ref = scenarios.build_analytic_grid(sp, grid)
@@ -336,7 +325,7 @@ def test_propagate_tracks_analytic_slow_soliton():
 
 
 def test_propagate_deterministic():
-    sp = slow_scenario()
+    sp = scenarios.make_scenario("slow")
     grid = GridSpec(-8.0, 8.0, 161, 0.0, 0.5, 11)
     a = scenarios.build_numeric_grid(sp, grid)
     b = scenarios.build_numeric_grid(sp, grid)

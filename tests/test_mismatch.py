@@ -14,20 +14,10 @@ import math
 import numpy as np
 
 from lambda_mb import algebra, analytic, darboux, model, scenarios, verify
-from lambda_mb.analytic import ScenarioParams
-from lambda_mb.darboux import DressConstants, SolitonConstants
 from lambda_mb.mbsolver import GridSpec, SolutionGrid
 from lambda_mb.model import LambdaParams, SpectralData
+from lambda_mb.scenarios import make_scenario
 from pointwise_oracle import seed_fundamental
-
-
-def fig2(a1=1.0, a3=1.0, scenario="two_soliton"):
-    return ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=1.0),
-        spectral=SpectralData.from_eps0(2.0, 1.0),
-        scenario=scenario,
-        soliton=SolitonConstants(a1=a1, a3=a3),
-    )
 
 
 def test_two_soliton_b_channel_zeta_exponent_sign():
@@ -35,7 +25,7 @@ def test_two_soliton_b_channel_zeta_exponent_sign():
     # pole, exp(i nu0 zeta / (2 (Delta - i eps0))).  Along zeta that decays
     # instead of keeping the soliton's modulus, and the dressing engine
     # (which carries no transcription) rejects it.
-    sp = fig2()
+    sp = make_scenario("two_soliton")
     p, s = sp.params, sp.spectral
     c = sp.dress_constants()
     z, t = 4.0, 1.0
@@ -53,7 +43,7 @@ def test_slow_state_middle_component_sign():
     # variant: middle amplitude with the opposite sign on the kink term,
     # (Delta + i eps0 Oa / omega0) / r.  Its projector differs from the
     # dressed state and fails the state equation with the shipped fields.
-    sp = fig2(a3=0.0, scenario="slow")
+    sp = make_scenario("slow")
     p, s = sp.params, sp.spectral
     c = sp.dress_constants()
     grid = GridSpec(-6, 6, 121, 0, 2, 81)
@@ -88,12 +78,7 @@ def test_degenerate_k_background_phase_placement():
     # on the rotating background; only it satisfies the field equations
     # (second-order residual decay), and only it returns to the background
     # modulus in the far tails.
-    sp = ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=1.0, k=0.2),
-        spectral=SpectralData.from_eps0(1.0, 1.0),
-        scenario="exulton_k",
-        constants=DressConstants(0.0, 0.0, 1.0),
-    )
+    sp = make_scenario("exulton_k", eps0=1.0, k=0.2, c=(0.0, 0.0, 1.0))
     p = sp.params
 
     def grids(n):
@@ -130,12 +115,7 @@ def test_stored_polarization_state_normalization():
     # middle amplitude.  The shipped construction is the dressed seed
     # state, which is unit-norm by construction; the audit of the grid
     # built from it is clean at 1e-12.
-    sp = ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=0.0),
-        spectral=SpectralData.from_eps0(2.0, 0.0),
-        scenario="zero_background",
-        constants=DressConstants(1.0, 1.0, 1.0),
-    )
+    sp = make_scenario("zero_background", omega0=0.0)
     grid = GridSpec(-4, 1, 41, -2, 2, 41)
     sol = scenarios.build_analytic_grid(sp, grid)
     rep = verify.audit_density(sol)

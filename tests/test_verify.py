@@ -9,26 +9,15 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lambda_mb import algebra, mbsolver, model, scenarios, verify
-from lambda_mb.analytic import ScenarioParams
-from lambda_mb.darboux import SolitonConstants
 from lambda_mb.errors import GridMismatch, SpectralPole
 from lambda_mb.mbsolver import GridSpec, Rows, RowSource, SolutionGrid
-from lambda_mb.model import LambdaParams, SpectralData
+from lambda_mb.model import LambdaParams
 import observables
 from observables import FeatureLost
 from pointwise_oracle import (outer, reference_audit_density, reference_pde_residual,
                               reference_zero_curvature_residual, strided_audit_density,
                               strided_residual_reports)
 from scenario_inputs import canned_scenario, refined, regime_keywords
-
-
-def slow_sp(om0=1.0, eps0=2.0):
-    return ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=om0),
-        spectral=SpectralData.from_eps0(eps0, om0),
-        scenario="slow",
-        soliton=SolitonConstants(1.0, 0.0),
-    )
 
 
 def constant_background_grid(grid=None):
@@ -56,7 +45,7 @@ def test_zero_curvature_pole_guard():
 
 
 def test_residuals_second_order_on_analytic_grid():
-    sp = slow_sp()
+    sp = scenarios.make_scenario("slow")
     grid = GridSpec(-8, 8, 81, 0, 4, 81)
     sol_c = scenarios.build_analytic_grid(sp, grid)
     sol_f = scenarios.build_analytic_grid(sp, refined(grid))
@@ -182,7 +171,7 @@ def test_entry_major_pass_is_bit_equal_to_the_strided_pass(data, name, route, n_
 
 
 def test_a_nan_in_one_state_entry_makes_every_residual_nan():
-    sp = slow_sp()
+    sp = scenarios.make_scenario("slow")
     sol = scenarios.build_analytic_grid(sp, GridSpec(-8, 8, 41, 0, 4, 21))
     sol.rho[0, 1, 7, 30] = np.nan
     reports = verify.residual_reports(sol, sp.params, scenarios.DEFAULT_PROBES)
@@ -190,9 +179,8 @@ def test_a_nan_in_one_state_entry_makes_every_residual_nan():
     assert all(math.isnan(r.max_abs) for r in reports)
 
 
-def _small_canned_grid(tag, n_zeta=11):
-    sp, g = canned_scenario(tag)
-    grid = GridSpec(g.tau_min, g.tau_max, 41, g.zeta_min, g.zeta_max, n_zeta)
+def _small_canned_grid(tag):
+    sp, grid = canned_scenario(tag, n_tau=41, n_zeta=11)
     return sp, scenarios.build_analytic_grid(sp, grid)
 
 
@@ -419,7 +407,7 @@ def test_convergence_order_on_zero_and_nan_residuals():
 
 
 def test_pde_residual_detects_corruption():
-    sp = slow_sp()
+    sp = scenarios.make_scenario("slow")
     grid = GridSpec(-8, 8, 81, 0, 4, 81)
     sol = scenarios.build_analytic_grid(sp, grid)
     clean = verify.pde_residual(sol, sp.params).max_abs
@@ -444,8 +432,7 @@ def test_audit_density_flags_impurity_when_claimed():
 
 
 def _canned_grids(tag, n_zeta):
-    sp, g = canned_scenario(tag)
-    grid = GridSpec(g.tau_min, g.tau_max, g.n_tau, g.zeta_min, g.zeta_max, n_zeta)
+    sp, grid = canned_scenario(tag, n_zeta=n_zeta)
     return [scenarios.build_analytic_grid(sp, grid), scenarios.build_dressed_grid(sp, grid)]
 
 
@@ -619,11 +606,7 @@ def test_measure_velocity_synthetic_feature():
 
 
 def test_measure_velocity_fast_soliton_light_speed():
-    sp = ScenarioParams(
-        params=LambdaParams(nu0=3.0, omega0=1.0),
-        spectral=SpectralData.from_eps0(2.0, 1.0),
-        scenario="fast", soliton=SolitonConstants(0.0, 1.0),
-    )
+    sp = scenarios.make_scenario("fast")
     grid = GridSpec(-6, 6, 301, 0, 3, 31)
     sol = scenarios.build_analytic_grid(sp, grid)
     v = observables.measure_velocity(sol, "ia_max")  # light-speed feature is an intensity peak
